@@ -68,7 +68,7 @@ pub fn difference(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
         return a.clone();
     }
     let (am, bm) = (a.members(), b.members());
-    let mut out: Vec<Member> = Vec::new();
+    let mut out: Vec<Member> = Vec::with_capacity(am.len());
     let (mut i, mut j) = (0, 0);
     while i < am.len() && j < bm.len() {
         match am[i].cmp(&bm[j]) {
@@ -90,7 +90,7 @@ pub fn difference(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
 /// `(A ~ B) ∪ (B ~ A)`.
 pub fn symmetric_difference(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
     let (am, bm) = (a.members(), b.members());
-    let mut out: Vec<Member> = Vec::new();
+    let mut out: Vec<Member> = Vec::with_capacity(am.len() + bm.len());
     let (mut i, mut j) = (0, 0);
     while i < am.len() && j < bm.len() {
         match am[i].cmp(&bm[j]) {

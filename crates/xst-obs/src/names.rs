@@ -102,6 +102,12 @@ pub const TXN_COMMIT_NS: &str = "xst_txn_commit_ns";
 /// Transactions currently open — begun but neither committed nor aborted
 /// (gauge; pins a snapshot identity each).
 pub const TXN_ACTIVE: &str = "xst_txn_active";
+/// Committed table versions held in version chains (gauge; bounded by
+/// the oldest open snapshot — one per table when nothing is open).
+pub const TXN_VERSIONS_RETAINED: &str = "xst_txn_versions_retained";
+/// Committed table versions cut from their chain below the oldest open
+/// snapshot.
+pub const TXN_VERSIONS_RECLAIMED_TOTAL: &str = "xst_txn_versions_reclaimed_total";
 
 /// Common prefix of every sharded-execution metric.
 pub const SHARD_PREFIX: &str = "xst_shard_";
@@ -188,6 +194,8 @@ mod tests {
             super::TXN_CONFLICTS_TOTAL,
             super::TXN_COMMIT_NS,
             super::TXN_ACTIVE,
+            super::TXN_VERSIONS_RETAINED,
+            super::TXN_VERSIONS_RECLAIMED_TOTAL,
             super::SHARD_COUNT,
             super::SHARD_TXN_BEGINS_TOTAL,
             super::SHARD_SINGLE_COMMITS_TOTAL,

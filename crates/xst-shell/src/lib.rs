@@ -720,9 +720,9 @@ impl Session {
 
     /// `.shards` — introspect the transactional store's sharding: shard
     /// count and, per shard, last commit timestamp, open sub-transactions,
-    /// and in-doubt prepares. `.shards N` re-creates the store partitioned
-    /// across N shards — only before any table exists, because resharding
-    /// would reroute every member hash.
+    /// retained and reclaimed versions, and in-doubt prepares. `.shards N`
+    /// re-creates the store partitioned across N shards — only before any
+    /// table exists, because resharding would reroute every member hash.
     fn shards(&mut self, arg: Option<&str>) -> XstResult<String> {
         if let Some(n) = arg {
             let n: usize = parse_num(n, ".shards [N]")?;
@@ -758,9 +758,12 @@ impl Session {
             let mgr = sharded.shard_mgr(i);
             let _ = write!(
                 out,
-                "\n  shard {i}: last commit ts {}, {} open sub-txn(s), {} in-doubt prepare(s)",
+                "\n  shard {i}: last commit ts {}, {} open sub-txn(s), \
+                 {} version(s) retained ({} reclaimed), {} in-doubt prepare(s)",
                 mgr.last_commit_ts(),
                 mgr.active_txns(),
+                mgr.versions_retained(),
+                mgr.versions_reclaimed(),
                 mgr.prepared_txns()
             );
         }
@@ -2035,6 +2038,16 @@ mod tests {
         let got = run(&mut s, ".get f as g");
         assert!(got.contains("5 members"), "{got}");
         assert_eq!(run(&mut s, "show g"), run(&mut s, "show f"));
+        // Nothing is open any more: every shard is down to its head, and
+        // the bound is readable from the status line and the metrics.
+        let after = run(&mut s, ".shards");
+        assert!(after.contains("1 version(s) retained ("), "{after}");
+        let metrics = run(&mut s, ".metrics");
+        assert!(metrics.contains("xst_txn_versions_retained"), "{metrics}");
+        assert!(
+            metrics.contains("xst_txn_versions_reclaimed_total"),
+            "{metrics}"
+        );
         // Resharding with data in place is refused.
         let e = s.eval_line(".shards 2").unwrap_err().to_string();
         assert!(e.contains("cannot reshard"), "{e}");

@@ -17,7 +17,7 @@
 //! 1. **Prepare.** Each written shard validates first-committer-wins and
 //!    flushes its write set — gtxn-tagged and sealed with a PREPARE
 //!    control record — as ONE marker-sealed batch
-//!    ([`TxnManager::prepare`]). Nothing is published.
+//!    ([`Txn::into_prepared`]). Nothing is published.
 //! 2. **Decide.** The coordinator appends the global transaction id to
 //!    its own decision log ([`LoggedTable::append_batch`]). *This flush
 //!    is the acknowledgement*: before it, no decision exists and every
@@ -422,14 +422,14 @@ impl ShardedEngine {
     /// **Participant side of an external (wire) coordinator's 2PC.**
     /// Consume `txn` and stage its buffered writes as a durable
     /// `gtxn`-tagged prepare on every shard it wrote
-    /// ([`TxnManager::prepare`] per written shard). Nothing is
+    /// ([`Txn::into_prepared`] per written shard). Nothing is
     /// published; the writes wait for [`ShardedEngine::commit_external`]
     /// or [`ShardedEngine::abort_external`]. Returns how many local
     /// shards prepared (0 for a read-only transaction — nothing to
     /// decide). On `Err` every shard is clean: already-prepared shards
     /// are rolled back and unvalidated writes discarded.
     pub fn prepare_external(&self, txn: ShardedTxn, gtxn: u64) -> StorageResult<usize> {
-        // lint: lock-across-io: the commit lock serializes whole 2PC rounds — overlapping prepares on one participant would both pass validation (see TxnManager::prepare)
+        // lint: lock-across-io: the commit lock serializes whole 2PC rounds — overlapping prepares on one participant would both pass validation (see Txn::into_prepared)
         let _commit = self.inner.commit_lock.lock();
         let mut txn = txn;
         txn.finished = true;
@@ -442,8 +442,7 @@ impl ShardedEngine {
                 sub.abort();
                 continue;
             }
-            let (begin_ts, writes) = sub.into_writes();
-            match self.inner.shards[i].mgr.prepare(gtxn, begin_ts, writes) {
+            match sub.into_prepared(gtxn) {
                 Ok(()) => {
                     if xst_obs::enabled() {
                         shard_2pc_prepares_total().inc();
@@ -839,8 +838,7 @@ fn commit_subs(engine: &ShardedEngine, subs: Vec<Txn>) -> StorageResult<CommitTs
                     sub.abort();
                     continue;
                 }
-                let (begin_ts, writes) = sub.into_writes();
-                match inner.shards[i].mgr.prepare(gtxn, begin_ts, writes) {
+                match sub.into_prepared(gtxn) {
                     Ok(()) => {
                         if xst_obs::enabled() {
                             shard_2pc_prepares_total().inc();

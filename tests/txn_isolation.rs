@@ -319,10 +319,15 @@ fn concurrent_readers_never_observe_intermediate_states() {
     // visible) commit would break it instantly.
     let mgr = fresh();
     let stop = Arc::new(AtomicBool::new(false));
+    // Each reader reports its first checked snapshot; the writer waits for
+    // one report halfway through, so "alongside the writer" is forced by
+    // the handshake and not by 200 commits outlasting a thread start.
+    let (first_check, first_checks) = std::sync::mpsc::channel::<()>();
     let readers: Vec<_> = (0..4)
         .map(|_| {
             let mgr = mgr.clone();
             let stop = Arc::clone(&stop);
+            let first_check = first_check.clone();
             std::thread::spawn(move || {
                 let mut snapshots_checked = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -337,12 +342,21 @@ fn concurrent_readers_never_observe_intermediate_states() {
                     assert_eq!(txn.scan(TABLE).unwrap(), rows);
                     txn.commit().unwrap();
                     snapshots_checked += 1;
+                    if snapshots_checked == 1 {
+                        let _ = first_check.send(());
+                    }
                 }
                 snapshots_checked
             })
         })
         .collect();
+    drop(first_check);
     for i in 0..200i64 {
+        if i == 100 {
+            first_checks
+                .recv()
+                .expect("a reader checks a snapshot while the writer is mid-stream");
+        }
         let mut txn = mgr.begin();
         txn.insert(TABLE, row(i, i)).unwrap();
         txn.insert(TABLE, row(1000 + i, i)).unwrap();
