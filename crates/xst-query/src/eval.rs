@@ -1,13 +1,16 @@
-//! Expression evaluation with operator statistics.
+//! Whole-set evaluation entry points and operator statistics.
+//!
+//! Execution itself lives in [`crate::sharded`]: `eval` / `eval_counted`
+//! / `eval_parallel` gate the plan, hand whole-set bindings to the one
+//! plan walker as unscattered leaves, and fold the [`PlanNode`] profile
+//! tree it returns into [`EvalStats`].
 
+use crate::explain::PlanNode;
 use crate::expr::{Bindings, Expr};
+use crate::sharded::{run, whole_scan};
 use std::fmt;
-use std::time::Instant;
-use xst_core::ops::{
-    cross, difference, par_image, par_intersection, par_relative_product, par_sigma_restrict,
-    par_union, sigma_domain, Parallelism,
-};
-use xst_core::{ExtendedSet, XstError, XstResult};
+use xst_core::ops::Parallelism;
+use xst_core::{ExtendedSet, XstResult};
 
 /// Operator families the evaluator accounts separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +124,32 @@ impl EvalStats {
     pub fn total_wall_nanos(&self) -> u64 {
         self.per_op.iter().map(|s| s.wall_nanos).sum()
     }
+
+    /// Fold a walk's profile tree into counters: one node per `Expr`
+    /// node, one invocation per kernel, and every operator result except
+    /// the root's as materialized intermediate volume (leaves are inputs,
+    /// the root is the result).
+    pub(crate) fn of(root: &PlanNode) -> EvalStats {
+        let mut stats = EvalStats::default();
+        stats.add(root);
+        if root.kernel.is_some() {
+            stats.intermediate_members -= root.rows_out;
+        }
+        stats.result_members = root.rows_out;
+        stats
+    }
+
+    fn add(&mut self, node: &PlanNode) {
+        self.nodes += 1;
+        if let Some((kind, ran)) = node.kernel {
+            self.intermediate_members += node.rows_out;
+            let slot = &mut self.per_op[kind as usize];
+            slot.invocations += ran.invocations;
+            slot.wall_nanos += ran.wall_nanos;
+            slot.max_threads = slot.max_threads.max(ran.max_threads);
+        }
+        node.children.iter().for_each(|c| self.add(c));
+    }
 }
 
 impl fmt::Display for EvalStats {
@@ -137,11 +166,10 @@ impl fmt::Display for EvalStats {
 ///
 /// Evaluation is gated on static analysis: plans that provably cannot
 /// evaluate (unbound tables, proven `⊗` collisions) are rejected with a
-/// structured [`XstError::Analysis`] before any kernel runs.
+/// structured [`XstError::Analysis`](xst_core::XstError::Analysis) before
+/// any kernel runs.
 pub fn eval(expr: &Expr, bindings: &Bindings) -> XstResult<ExtendedSet> {
-    crate::analysis::gate(expr, bindings)?;
-    let mut stats = EvalStats::default();
-    eval_with_stats(expr, bindings, &mut stats, &Parallelism::sequential())
+    Ok(eval_counted(expr, bindings)?.0)
 }
 
 /// Evaluate and report statistics.
@@ -160,162 +188,8 @@ pub fn eval_parallel(
     par: &Parallelism,
 ) -> XstResult<(ExtendedSet, EvalStats)> {
     crate::analysis::gate(expr, bindings)?;
-    eval_parallel_unchecked(expr, bindings, par)
-}
-
-/// [`eval_parallel`] without the static-analysis gate.
-///
-/// The semantics are identical for every plan the gate admits; plans the
-/// gate rejects fail here too, just at the offending operator instead of
-/// up front. Exists so the analysis overhead itself can be measured
-/// (experiment E15).
-pub fn eval_parallel_unchecked(
-    expr: &Expr,
-    bindings: &Bindings,
-    par: &Parallelism,
-) -> XstResult<(ExtendedSet, EvalStats)> {
-    let mut span = xst_obs::span!("query.eval", threads = par.threads);
-    let mut stats = EvalStats::default();
-    let result = eval_with_stats(expr, bindings, &mut stats, par)?;
-    if span.id().is_some() {
-        span.attr("nodes", stats.nodes);
-        span.attr("rows_out", result.card());
-    }
-    xst_obs::cost::add_eval(stats.nodes, result.card() as u64);
-    // A non-leaf root was counted as intermediate inside the recursion;
-    // correct it (leaf roots were never counted).
-    if !matches!(expr, Expr::Literal(_) | Expr::Table(_)) {
-        stats.intermediate_members -= result.card() as u64;
-    }
-    stats.result_members = result.card() as u64;
-    Ok((result, stats))
-}
-
-/// Run one kernel under the clock, crediting `kind`'s profile. `card` is
-/// the dominant-operand cardinality that decides the fan-out width.
-pub(crate) fn timed<F: FnOnce() -> ExtendedSet>(
-    stats: &mut EvalStats,
-    kind: OpKind,
-    par: &Parallelism,
-    card: usize,
-    run: F,
-) -> ExtendedSet {
-    let mut span = xst_obs::SpanGuard::new(kind.span_name());
-    let started = Instant::now();
-    let out = run();
-    if span.id().is_some() {
-        span.attr("card_in", card);
-        span.attr("rows_out", out.card());
-    }
-    drop(span);
-    let slot = &mut stats.per_op[kind as usize];
-    slot.invocations += 1;
-    slot.wall_nanos += started.elapsed().as_nanos() as u64;
-    let width = if par.should_parallelize(card) {
-        par.threads as u32
-    } else {
-        1
-    };
-    slot.max_threads = slot.max_threads.max(width);
-    out
-}
-
-fn eval_with_stats(
-    expr: &Expr,
-    bindings: &Bindings,
-    stats: &mut EvalStats,
-    par: &Parallelism,
-) -> XstResult<ExtendedSet> {
-    let result = match expr {
-        Expr::Literal(s) => s.clone(),
-        Expr::Table(name) => {
-            bindings
-                .get(name)
-                .cloned()
-                .ok_or_else(|| XstError::NotComposable {
-                    reason: format!("unbound table {name}"),
-                })?
-        }
-        Expr::Union(a, b) => {
-            let x = eval_with_stats(a, bindings, stats, par)?;
-            let y = eval_with_stats(b, bindings, stats, par)?;
-            let card = x.card() + y.card();
-            timed(stats, OpKind::Union, par, card, || par_union(&x, &y, par))
-        }
-        Expr::Intersect(a, b) => {
-            let x = eval_with_stats(a, bindings, stats, par)?;
-            let y = eval_with_stats(b, bindings, stats, par)?;
-            let card = x.card() + y.card();
-            timed(stats, OpKind::Intersect, par, card, || {
-                par_intersection(&x, &y, par)
-            })
-        }
-        Expr::Difference(a, b) => {
-            let x = eval_with_stats(a, bindings, stats, par)?;
-            let y = eval_with_stats(b, bindings, stats, par)?;
-            // No parallel difference kernel: always sequential.
-            timed(
-                stats,
-                OpKind::Difference,
-                &Parallelism::sequential(),
-                0,
-                || difference(&x, &y),
-            )
-        }
-        Expr::Restrict { r, sigma, a } => {
-            let rs = eval_with_stats(r, bindings, stats, par)?;
-            let av = eval_with_stats(a, bindings, stats, par)?;
-            let card = rs.card();
-            timed(stats, OpKind::Restrict, par, card, || {
-                par_sigma_restrict(&rs, sigma, &av, par)
-            })
-        }
-        Expr::Domain { r, sigma } => {
-            let rs = eval_with_stats(r, bindings, stats, par)?;
-            timed(stats, OpKind::Domain, &Parallelism::sequential(), 0, || {
-                sigma_domain(&rs, sigma)
-            })
-        }
-        Expr::Image { r, a, scope } => {
-            let rs = eval_with_stats(r, bindings, stats, par)?;
-            let av = eval_with_stats(a, bindings, stats, par)?;
-            let card = rs.card();
-            timed(stats, OpKind::Image, par, card, || {
-                par_image(&rs, &av, scope, par)
-            })
-        }
-        Expr::RelProduct { f, sigma, g, omega } => {
-            let fs = eval_with_stats(f, bindings, stats, par)?;
-            let gs = eval_with_stats(g, bindings, stats, par)?;
-            let card = fs.card();
-            timed(stats, OpKind::RelProduct, par, card, || {
-                par_relative_product(&fs, sigma, &gs, omega, par)
-            })
-        }
-        Expr::Cross(a, b) => {
-            let x = eval_with_stats(a, bindings, stats, par)?;
-            let y = eval_with_stats(b, bindings, stats, par)?;
-            let mut span = xst_obs::SpanGuard::new(OpKind::Cross.span_name());
-            let started = Instant::now();
-            let out = cross(&x, &y)?;
-            if span.id().is_some() {
-                span.attr("card_in", x.card() + y.card());
-                span.attr("rows_out", out.card());
-            }
-            drop(span);
-            let slot = &mut stats.per_op[OpKind::Cross as usize];
-            slot.invocations += 1;
-            slot.wall_nanos += started.elapsed().as_nanos() as u64;
-            slot.max_threads = slot.max_threads.max(1);
-            out
-        }
-    };
-    stats.nodes += 1;
-    // Leaves are inputs, not materialized intermediates.
-    if !matches!(expr, Expr::Literal(_) | Expr::Table(_)) {
-        stats.intermediate_members += result.card() as u64;
-    }
-    Ok(result)
+    let (result, root) = run(expr, &whole_scan(bindings), par)?;
+    Ok((result, EvalStats::of(&root)))
 }
 
 #[cfg(test)]

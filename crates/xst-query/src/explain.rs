@@ -1,36 +1,40 @@
 //! `EXPLAIN ANALYZE`: optimize, execute, and report where the time went.
 //!
 //! [`explain_analyze`] runs the optimizer (recording every rule firing),
-//! then executes the rewritten plan through the same parallel kernels as
-//! [`eval_parallel`](crate::eval::eval_parallel) while building a
-//! [`PlanNode`] tree: one node per operator carrying its inclusive
-//! wall-time and output cardinality. The rendered report is the shell's
-//! `.explain` output — the optimizer trace shows *why* the plan looks the
-//! way it does, the tree shows *what it cost* to run.
+//! then evaluates the rewritten plan through the crate's one plan walker
+//! ([`crate::sharded`]) — the same call `eval_parallel` / `eval_sharded`
+//! make. The walker returns a [`PlanNode`] profile tree on every
+//! evaluation: one node per operator carrying its inclusive wall-time,
+//! output cardinality and kernel profile. The evaluator folds that tree
+//! into [`EvalStats`](crate::eval::EvalStats); this module zips the
+//! statically inferred scope signatures into it and renders it. The
+//! rendered report is the shell's `.explain` output — the optimizer trace
+//! shows *why* the plan looks the way it does, the tree shows *what it
+//! cost* to run.
 //!
-//! The analyzed execution must be indistinguishable from the ordinary
-//! evaluator on every input; `tests/observability.rs` drives both against
-//! random expressions and asserts identical results.
+//! There is no second executor to keep in step: `tests/observability.rs`
+//! checks that the report's tree and the evaluator's statistics are two
+//! readings of the same walk.
 
+use crate::eval::{OpKind, OpStat};
 use crate::expr::{Bindings, Expr};
 use crate::optimizer::{Optimizer, Trace};
+use crate::sharded::{merge_bindings, run, shard_scan, whole_scan, Scan, ShardedBindings};
 use std::fmt;
 use std::time::Instant;
 use xst_analyze::AnalyzedNode;
-use xst_core::ops::{
-    cross, difference, par_image, par_intersection, par_relative_product, par_sigma_restrict,
-    par_union, sigma_domain, Parallelism,
-};
-use xst_core::{ExtendedSet, XstError, XstResult};
+use xst_core::ops::Parallelism;
+use xst_core::{ExtendedSet, XstResult};
 use xst_obs::span::fmt_ns;
 
-/// One executed operator in an analyzed plan.
+/// One executed operator in a plan's profile tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
     /// Operator label (`"image"`, `"table f"`, ...).
     pub op: String,
     /// Statically inferred scope signature (a superset of the scopes the
-    /// node's members can carry; `⊤` when nothing is known).
+    /// node's members can carry; `⊤` when nothing is known). Empty until
+    /// `EXPLAIN ANALYZE` zips the analysis in.
     pub sig: String,
     /// Output cardinality.
     pub rows_out: u64,
@@ -38,6 +42,11 @@ pub struct PlanNode {
     pub total_ns: u64,
     /// Input subtrees, in operand order.
     pub children: Vec<PlanNode>,
+    /// Fragment count, if the node's result stayed scattered across shards.
+    pub(crate) parts: Option<usize>,
+    /// The kernel this node ran and its one-invocation profile (`None`
+    /// for leaves, which run none).
+    pub(crate) kernel: Option<(OpKind, OpStat)>,
 }
 
 impl PlanNode {
@@ -57,6 +66,21 @@ impl PlanNode {
         1 + self.children.iter().map(PlanNode::size).sum::<usize>()
     }
 
+    /// Widest fragment list any node in this subtree produced.
+    pub(crate) fn max_parts(&self) -> Option<usize> {
+        let kids = self.children.iter().filter_map(PlanNode::max_parts);
+        kids.chain(self.parts).max()
+    }
+
+    /// Copy the analyzer's signatures onto this tree; both mirror the
+    /// plan's shape, so they zip node for node.
+    fn zip_signatures(&mut self, info: &AnalyzedNode) {
+        self.sig = info.set.sig.to_string();
+        for (child, info) in self.children.iter_mut().zip(&info.children) {
+            child.zip_signatures(info);
+        }
+    }
+
     fn render_into(&self, prefix: &str, last: bool, top: bool, out: &mut String) {
         let (branch, next_prefix) = if top {
             (String::new(), String::new())
@@ -74,9 +98,13 @@ impl PlanNode {
                 fmt_ns(self.self_ns())
             )
         };
+        let parts = self.parts.map(|n| format!("  parts={n}"));
         out.push_str(&format!(
-            "{branch}{}  sig={}  {timing}  rows={}\n",
-            self.op, self.sig, self.rows_out
+            "{branch}{}  sig={}  {timing}  rows={}{parts}\n",
+            self.op,
+            self.sig,
+            self.rows_out,
+            parts = parts.unwrap_or_default()
         ));
         for (i, child) in self.children.iter().enumerate() {
             child.render_into(&next_prefix, i + 1 == self.children.len(), false, out);
@@ -130,15 +158,37 @@ pub fn explain_analyze(
     bindings: &Bindings,
     par: &Parallelism,
 ) -> XstResult<ExplainAnalyze> {
-    crate::analysis::gate(expr, bindings)?;
+    analyze(expr, bindings, &whole_scan(bindings), par)
+}
+
+/// [`explain_analyze`] over per-shard fragments: the report profiles the
+/// scattered execution [`eval_sharded`](crate::sharded::eval_sharded)
+/// serves, and a node whose result stayed scattered shows its fragment
+/// count (`parts=N`).
+pub fn explain_analyze_sharded(
+    expr: &Expr,
+    bindings: &ShardedBindings,
+    par: &Parallelism,
+) -> XstResult<ExplainAnalyze> {
+    analyze(expr, &merge_bindings(bindings), &shard_scan(bindings), par)
+}
+
+/// Gate and analyze against the `whole` tables, execute from `scan`'s
+/// leaves.
+fn analyze(
+    expr: &Expr,
+    whole: &Bindings,
+    scan: &Scan<'_>,
+    par: &Parallelism,
+) -> XstResult<ExplainAnalyze> {
+    crate::analysis::gate(expr, whole)?;
     let mut span = xst_obs::span!("query.explain_analyze", threads = par.threads);
     let (plan, rewrites) = Optimizer::new().optimize(expr);
-    // Analyze the optimized plan once; its node tree mirrors the plan's
-    // shape, so the executor can zip the inferred signatures in.
-    let analysis = crate::analysis::check(&plan, bindings);
+    let analysis = crate::analysis::check(&plan, whole);
     let started = Instant::now();
-    let (result, root) = run(&plan, bindings, par, Some(&analysis.root))?;
+    let (result, mut root) = run(&plan, scan, par)?;
     let total_ns = started.elapsed().as_nanos() as u64;
+    root.zip_signatures(&analysis.root);
     if span.id().is_some() {
         span.attr("operators", root.size());
         span.attr("rows_out", result.card());
@@ -150,94 +200,6 @@ pub fn explain_analyze(
         result,
         total_ns,
     })
-}
-
-/// Execute one node, timing it inclusively and collecting child nodes.
-/// Mirrors `eval_with_stats` operator-for-operator — the kernels are the
-/// same, only the bookkeeping differs.
-fn run(
-    expr: &Expr,
-    bindings: &Bindings,
-    par: &Parallelism,
-    info: Option<&AnalyzedNode>,
-) -> XstResult<(ExtendedSet, PlanNode)> {
-    let child = |i: usize| info.and_then(|n| n.children.get(i));
-    let started = Instant::now();
-    let (op, result, children) = match expr {
-        Expr::Literal(s) => ("literal".to_string(), s.clone(), Vec::new()),
-        Expr::Table(name) => {
-            let s = bindings
-                .get(name)
-                .cloned()
-                .ok_or_else(|| XstError::NotComposable {
-                    reason: format!("unbound table {name}"),
-                })?;
-            (format!("table {name}"), s, Vec::new())
-        }
-        Expr::Union(a, b) => {
-            let (x, na) = run(a, bindings, par, child(0))?;
-            let (y, nb) = run(b, bindings, par, child(1))?;
-            ("union".to_string(), par_union(&x, &y, par), vec![na, nb])
-        }
-        Expr::Intersect(a, b) => {
-            let (x, na) = run(a, bindings, par, child(0))?;
-            let (y, nb) = run(b, bindings, par, child(1))?;
-            (
-                "intersect".to_string(),
-                par_intersection(&x, &y, par),
-                vec![na, nb],
-            )
-        }
-        Expr::Difference(a, b) => {
-            let (x, na) = run(a, bindings, par, child(0))?;
-            let (y, nb) = run(b, bindings, par, child(1))?;
-            ("difference".to_string(), difference(&x, &y), vec![na, nb])
-        }
-        Expr::Restrict { r, sigma, a } => {
-            let (rs, nr) = run(r, bindings, par, child(0))?;
-            let (av, na) = run(a, bindings, par, child(1))?;
-            (
-                "restrict".to_string(),
-                par_sigma_restrict(&rs, sigma, &av, par),
-                vec![nr, na],
-            )
-        }
-        Expr::Domain { r, sigma } => {
-            let (rs, nr) = run(r, bindings, par, child(0))?;
-            ("domain".to_string(), sigma_domain(&rs, sigma), vec![nr])
-        }
-        Expr::Image { r, a, scope } => {
-            let (rs, nr) = run(r, bindings, par, child(0))?;
-            let (av, na) = run(a, bindings, par, child(1))?;
-            (
-                "image".to_string(),
-                par_image(&rs, &av, scope, par),
-                vec![nr, na],
-            )
-        }
-        Expr::RelProduct { f, sigma, g, omega } => {
-            let (fs, nf) = run(f, bindings, par, child(0))?;
-            let (gs, ng) = run(g, bindings, par, child(1))?;
-            (
-                "rel_product".to_string(),
-                par_relative_product(&fs, sigma, &gs, omega, par),
-                vec![nf, ng],
-            )
-        }
-        Expr::Cross(a, b) => {
-            let (x, na) = run(a, bindings, par, child(0))?;
-            let (y, nb) = run(b, bindings, par, child(1))?;
-            ("cross".to_string(), cross(&x, &y)?, vec![na, nb])
-        }
-    };
-    let node = PlanNode {
-        op,
-        sig: info.map(|n| n.set.sig.to_string()).unwrap_or_default(),
-        rows_out: result.card() as u64,
-        total_ns: started.elapsed().as_nanos() as u64,
-        children,
-    };
-    Ok((result, node))
 }
 
 #[cfg(test)]
@@ -306,6 +268,8 @@ mod tests {
                     rows_out: 6,
                     total_ns: 300,
                     children: Vec::new(),
+                    parts: None,
+                    kernel: None,
                 },
                 PlanNode {
                     op: "table y".into(),
@@ -313,8 +277,12 @@ mod tests {
                     rows_out: 4,
                     total_ns: 200,
                     children: Vec::new(),
+                    parts: None,
+                    kernel: None,
                 },
             ],
+            parts: None,
+            kernel: None,
         };
         assert_eq!(node.self_ns(), 500);
         assert_eq!(node.rows_in(), 10);

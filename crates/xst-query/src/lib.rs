@@ -5,16 +5,20 @@
 //! * [`expr`] — logical expression trees over named tables and literals;
 //! * [`analysis`] — the bridge to `xst-analyze`: static scope/emptiness/
 //!   cardinality inference, evaluation gating, and rewrite verification;
-//! * [`mod@eval`] — an evaluator with operator statistics (node counts and
-//!   intermediate materialization volume — what composition saves);
+//! * [`sharded`] — the one plan walker: every evaluation, over whole sets
+//!   or per-shard fragments, runs through it and returns a per-operator
+//!   profile tree;
+//! * [`mod@eval`] — the whole-set entry points and operator statistics
+//!   (node counts and intermediate materialization volume — what
+//!   composition saves), a fold over that tree;
 //! * [`rules`] — rewrite rules, each justified by a numbered law of the
 //!   paper (image fusion by C.1(f), empty pruning by C.1(g), union merges
 //!   by C.1(a)/(i), domain fusion by Defs 7.3/7.4, composition fusion by
 //!   Theorem 11.2);
 //! * [`optimizer`] — a fixpoint rule driver whose trace doubles as
 //!   `EXPLAIN` output;
-//! * [`mod@explain`] — `EXPLAIN ANALYZE`: optimize, execute, and render a
-//!   per-operator tree of wall-times and cardinalities;
+//! * [`mod@explain`] — `EXPLAIN ANALYZE`: optimize, evaluate, and render
+//!   the evaluator's own profile tree of wall-times and cardinalities;
 //! * [`cost`] — cardinality/work estimation used to sanity-check rewrites.
 
 #![warn(missing_docs)]
@@ -31,10 +35,8 @@ pub mod sharded;
 
 pub use analysis::{check, env_for};
 pub use cost::{estimate, estimated_work, StatsSource, TableStats, DEFAULT_SELECTIVITY};
-pub use eval::{
-    eval, eval_counted, eval_parallel, eval_parallel_unchecked, EvalStats, OpKind, OpStat,
-};
-pub use explain::{explain_analyze, ExplainAnalyze, PlanNode};
+pub use eval::{eval, eval_counted, eval_parallel, EvalStats, OpKind, OpStat};
+pub use explain::{explain_analyze, explain_analyze_sharded, ExplainAnalyze, PlanNode};
 pub use expr::{Bindings, Expr};
 pub use optimizer::{explain, Optimizer, Trace, TraceEntry};
 pub use rules::{default_rules, spec_compose, Rule};

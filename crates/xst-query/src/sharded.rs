@@ -1,12 +1,15 @@
-//! Shard-aware plan lowering: evaluate an expression over per-shard
-//! fragments, scattering each operator and gathering once at the root.
+//! The plan walker: the one function in this crate that matches on
+//! [`Expr`] and calls a kernel. Whole-set evaluation, sharded evaluation
+//! and `EXPLAIN ANALYZE` are all entry points over `run`; what differs
+//! is only where table leaves come from (a `Scan`) and which fold reads
+//! the [`PlanNode`] profile tree the walk returns.
 //!
-//! The input is a [`ShardedBindings`]: every table bound as the list of
-//! its per-shard fragments (pairwise disjoint, union = the table). The
-//! evaluator keeps intermediates **scattered** as long as the algebra
-//! allows and tracks one bit of provenance per intermediate — whether
-//! its partition is still *aligned* with the engine's member-hash
-//! routing:
+//! A table enters either whole (from [`Bindings`]) or as the list of its
+//! per-shard fragments (from [`ShardedBindings`]: pairwise disjoint,
+//! union = the table). The walker keeps intermediates **scattered** as
+//! long as the algebra allows and tracks one bit of provenance per
+//! intermediate — whether its partition is still *aligned* with the
+//! engine's member-hash routing:
 //!
 //! * table scans start aligned (the engine routed them by member hash);
 //! * subset-producing operators (union/intersect/difference/restrict)
@@ -18,21 +21,25 @@
 //!   not zip-safe.
 //!
 //! Zip lowerings (`⋃ᵢ Aᵢ∩Bᵢ`) need alignment on BOTH sides; when either
-//! side lost it, the evaluator falls back to the always-valid
+//! side lost it, the walker falls back to the always-valid
 //! fragment-vs-whole lowering (`⋃ᵢ Aᵢ∩B`) instead of silently dropping
-//! members. Union zips for any equal-count partition. The result is
-//! **identical** to single-set evaluation on every plan — the
-//! differential tests below drive both evaluators over the same inputs.
+//! members. Union zips for any equal-count partition. When every operand
+//! is whole, each arm runs the plain parallel kernel. The result is
+//! **identical** whichever way the leaves arrive — the differential tests
+//! below drive whole and scattered leaves over the same inputs.
 //!
 //! The static-analysis gate runs once against the *merged* bindings:
 //! analysis facts are properties of whole tables, and the merge is exact,
 //! so gating on the union neither over- nor under-rejects.
 
-use crate::eval::{timed, EvalStats, OpKind};
+use crate::eval::{EvalStats, OpKind, OpStat};
+use crate::explain::PlanNode;
 use crate::expr::{Bindings, Expr};
 use std::collections::BTreeMap;
+use std::time::Instant;
 use xst_core::ops::{
-    cross, gather, par_intersection, par_union, scatter_difference_whole, scatter_image,
+    cross, difference, gather, par_image, par_intersection, par_relative_product,
+    par_sigma_restrict, par_union, scatter_difference_whole, scatter_image,
     scatter_intersection_whole, scatter_relative_product, scatter_restrict, scatter_union,
     scatter_zip_difference, scatter_zip_intersection, sigma_domain, Parallelism,
 };
@@ -51,10 +58,10 @@ pub fn merge_bindings(sharded: &ShardedBindings) -> Bindings {
         .collect()
 }
 
-/// An intermediate during sharded evaluation.
-enum Frag {
-    /// Merged to a single set (literals, member-transforming results
-    /// that a later operator needed whole).
+/// A leaf or intermediate during the walk.
+pub(crate) enum Frag {
+    /// A single set (literals, whole-set bindings, member-transforming
+    /// results that a later operator needed whole).
     Whole(ExtendedSet),
     /// Still scattered across shards.
     Sharded {
@@ -72,12 +79,40 @@ impl Frag {
         }
     }
 
+    /// Fragment count, while scattered.
+    fn parts(&self) -> Option<usize> {
+        match self {
+            Frag::Whole(_) => None,
+            Frag::Sharded { parts, .. } => Some(parts.len()),
+        }
+    }
+
     /// Merge to a single set (gather if scattered).
     fn into_whole(self) -> ExtendedSet {
         match self {
             Frag::Whole(s) => s,
             Frag::Sharded { parts, .. } => gather(&parts),
         }
+    }
+}
+
+/// Where the walk's table leaves come from.
+pub(crate) type Scan<'a> = dyn Fn(&str) -> Option<Frag> + 'a;
+
+/// Leaves from whole-set bindings (`ExtendedSet` is an `Arc`: the clone
+/// is free).
+pub(crate) fn whole_scan(bindings: &Bindings) -> impl Fn(&str) -> Option<Frag> + '_ {
+    |name| bindings.get(name).cloned().map(Frag::Whole)
+}
+
+/// Leaves from per-shard fragments, aligned as the engine routed them.
+pub(crate) fn shard_scan(bindings: &ShardedBindings) -> impl Fn(&str) -> Option<Frag> + '_ {
+    |name| {
+        let parts = bindings.get(name)?.clone();
+        Some(Frag::Sharded {
+            parts,
+            aligned: true,
+        })
     }
 }
 
@@ -91,309 +126,257 @@ pub fn eval_sharded(
     bindings: &ShardedBindings,
     par: &Parallelism,
 ) -> XstResult<(ExtendedSet, EvalStats)> {
-    let merged = merge_bindings(bindings);
-    crate::analysis::gate(expr, &merged)?;
-    // Same root span name as the whole-set evaluator: consumers of the
-    // trace see one `query.eval` per query regardless of sharding.
-    let mut span = xst_obs::span!("query.eval", threads = par.threads);
-    let mut stats = EvalStats::default();
-    let frag = eval_frag(expr, bindings, &mut stats, par)?;
-    let result = frag.into_whole();
-    if span.id().is_some() {
-        let shards = bindings.values().map(Vec::len).max().unwrap_or(1);
-        span.attr("shards", shards);
-        span.attr("nodes", stats.nodes);
-        span.attr("rows_out", result.card());
-    }
-    xst_obs::cost::add_eval(stats.nodes, result.card() as u64);
-    if !matches!(expr, Expr::Literal(_) | Expr::Table(_)) {
-        stats.intermediate_members -= result.card() as u64;
-    }
-    stats.result_members = result.card() as u64;
-    Ok((result, stats))
+    crate::analysis::gate(expr, &merge_bindings(bindings))?;
+    let (result, root) = run(expr, &shard_scan(bindings), par)?;
+    Ok((result, EvalStats::of(&root)))
 }
 
-/// [`timed`] for kernels that produce a fragment list: same per-family
-/// profile accounting, rows_out = total members across fragments.
-fn timed_parts<F: FnOnce() -> Vec<ExtendedSet>>(
-    stats: &mut EvalStats,
+/// Walk `expr` from `scan`'s leaves and gather once at the root: the one
+/// execution under every public entry point. Every caller gets the same
+/// `query.eval` span (one per query regardless of sharding), the same
+/// `eval.*` children and the same cost bill.
+pub(crate) fn run(
+    expr: &Expr,
+    scan: &Scan<'_>,
+    par: &Parallelism,
+) -> XstResult<(ExtendedSet, PlanNode)> {
+    let mut span = xst_obs::span!("query.eval", threads = par.threads);
+    let (frag, mut root) = walk(expr, scan, par)?;
+    let result = frag.into_whole();
+    // Scattered image/product fragments may overlap until the gather;
+    // the root reports the result the caller gets.
+    root.rows_out = result.card() as u64;
+    let nodes = root.size() as u64;
+    if span.id().is_some() {
+        if let Some(shards) = root.max_parts() {
+            span.attr("shards", shards);
+        }
+        span.attr("nodes", nodes);
+        span.attr("rows_out", root.rows_out);
+    }
+    xst_obs::cost::add_eval(nodes, root.rows_out);
+    Ok((result, root))
+}
+
+/// What one arm of [`walk`] yields: the node's label, its result and —
+/// for operators — the kernel's family and one-invocation profile.
+type Step = (String, Frag, Option<(OpKind, OpStat)>);
+
+/// The one site that runs a kernel: opens the family's `eval.*` span,
+/// clocks the kernel (operand evaluation and gathers excluded) and
+/// records the fan-out width `card` — the dominant-operand cardinality —
+/// buys under `par`.
+fn timed(
     kind: OpKind,
     par: &Parallelism,
     card: usize,
-    run: F,
-) -> Vec<ExtendedSet> {
+    kernel: impl FnOnce() -> XstResult<Frag>,
+) -> XstResult<Step> {
     let mut span = xst_obs::SpanGuard::new(kind.span_name());
-    let started = std::time::Instant::now();
-    let out = run();
+    let started = Instant::now();
+    let out = kernel()?;
     if span.id().is_some() {
         span.attr("card_in", card);
-        span.attr("rows_out", out.iter().map(ExtendedSet::card).sum::<usize>());
+        span.attr("rows_out", out.card());
     }
     drop(span);
-    let slot = &mut stats.per_op[kind as usize];
-    slot.invocations += 1;
-    slot.wall_nanos += started.elapsed().as_nanos() as u64;
-    let width = if par.should_parallelize(card) {
-        par.threads as u32
-    } else {
-        1
+    let stat = OpStat {
+        invocations: 1,
+        wall_nanos: started.elapsed().as_nanos() as u64,
+        max_threads: if par.should_parallelize(card) {
+            par.threads as u32
+        } else {
+            1
+        },
     };
-    slot.max_threads = slot.max_threads.max(width);
-    out
+    Ok((kind.name().to_string(), out, Some((kind, stat))))
 }
 
-/// Zip-compatible: both scattered, same fragment count, both aligned.
-fn zippable(a: &Frag, b: &Frag) -> bool {
-    match (a, b) {
-        (
-            Frag::Sharded {
-                parts: pa,
-                aligned: la,
-            },
-            Frag::Sharded {
-                parts: pb,
-                aligned: lb,
-            },
-        ) => *la && *lb && pa.len() == pb.len(),
-        _ => false,
-    }
-}
-
-fn eval_frag(
-    expr: &Expr,
-    bindings: &ShardedBindings,
-    stats: &mut EvalStats,
-    par: &Parallelism,
-) -> XstResult<Frag> {
-    let result = match expr {
-        Expr::Literal(s) => Frag::Whole(s.clone()),
-        Expr::Table(name) => {
-            let parts = bindings
-                .get(name)
-                .cloned()
-                .ok_or_else(|| XstError::NotComposable {
-                    reason: format!("unbound table {name}"),
-                })?;
-            Frag::Sharded {
-                parts,
-                aligned: true,
-            }
-        }
+/// Execute one node: evaluate the operands, pick the lowering their
+/// carriers allow, run it under [`timed`], and record the node's profile.
+fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, PlanNode)> {
+    use Frag::{Sharded, Whole};
+    let started = Instant::now();
+    let mut children = Vec::new();
+    let mut operand = |e: &Expr| -> XstResult<Frag> {
+        let (frag, node) = walk(e, scan, par)?;
+        children.push(node);
+        Ok(frag)
+    };
+    // No parallel difference, domain or cross kernel: always sequential.
+    let seq = Parallelism::sequential();
+    let (op, result, kernel) = match expr {
+        Expr::Literal(s) => Ok(("literal".to_string(), Whole(s.clone()), None)),
+        Expr::Table(name) => match scan(name) {
+            Some(leaf) => Ok((format!("table {name}"), leaf, None)),
+            None => Err(XstError::NotComposable {
+                reason: format!("unbound table {name}"),
+            }),
+        },
         Expr::Union(a, b) => {
-            let x = eval_frag(a, bindings, stats, par)?;
-            let y = eval_frag(b, bindings, stats, par)?;
+            let (x, y) = (operand(a)?, operand(b)?);
             let card = x.card() + y.card();
             // Union zips for ANY equal-count partition; alignment of the
             // result holds only if both inputs were aligned.
             match (x, y) {
                 (
-                    Frag::Sharded {
+                    Sharded {
                         parts: pa,
                         aligned: la,
                     },
-                    Frag::Sharded {
+                    Sharded {
                         parts: pb,
                         aligned: lb,
                     },
-                ) if pa.len() == pb.len() => {
-                    let parts = timed_parts(stats, OpKind::Union, par, card, || {
-                        scatter_union(&pa, &pb, par)
-                    });
-                    count_intermediate(stats, &parts);
-                    return Ok(Frag::Sharded {
-                        parts,
+                ) if pa.len() == pb.len() => timed(OpKind::Union, par, card, || {
+                    Ok(Sharded {
+                        parts: scatter_union(&pa, &pb, par),
                         aligned: la && lb,
-                    });
-                }
+                    })
+                }),
                 (x, y) => {
                     let (xs, ys) = (x.into_whole(), y.into_whole());
-                    Frag::Whole(timed(stats, OpKind::Union, par, card, || {
-                        par_union(&xs, &ys, par)
-                    }))
+                    timed(OpKind::Union, par, card, || {
+                        Ok(Whole(par_union(&xs, &ys, par)))
+                    })
                 }
             }
         }
         Expr::Intersect(a, b) => {
-            let x = eval_frag(a, bindings, stats, par)?;
-            let y = eval_frag(b, bindings, stats, par)?;
+            let (x, y) = (operand(a)?, operand(b)?);
             let card = x.card() + y.card();
-            if zippable(&x, &y) {
-                let (Frag::Sharded { parts: pa, .. }, Frag::Sharded { parts: pb, .. }) = (x, y)
-                else {
-                    unreachable!("zippable checked the variants");
-                };
-                let parts = timed_parts(stats, OpKind::Intersect, par, card, || {
-                    scatter_zip_intersection(&pa, &pb, par)
-                });
-                count_intermediate(stats, &parts);
-                return Ok(Frag::Sharded {
-                    parts,
-                    aligned: true,
-                });
-            }
-            // Fragment-vs-whole: valid for any partition of the carrier
-            // (intersection commutes, so either scattered side carries).
             match (x, y) {
-                (Frag::Sharded { parts, aligned }, other)
-                | (other, Frag::Sharded { parts, aligned }) => {
+                (
+                    Sharded {
+                        parts: pa,
+                        aligned: true,
+                    },
+                    Sharded {
+                        parts: pb,
+                        aligned: true,
+                    },
+                ) if pa.len() == pb.len() => timed(OpKind::Intersect, par, card, || {
+                    Ok(Sharded {
+                        parts: scatter_zip_intersection(&pa, &pb, par),
+                        aligned: true,
+                    })
+                }),
+                // Fragment-vs-whole: valid for any partition of the carrier
+                // (intersection commutes, so either scattered side carries).
+                (Sharded { parts, aligned }, other) | (other, Sharded { parts, aligned }) => {
                     let whole = other.into_whole();
-                    let out = timed_parts(stats, OpKind::Intersect, par, card, || {
-                        scatter_intersection_whole(&parts, &whole, par)
-                    });
-                    count_intermediate(stats, &out);
-                    return Ok(Frag::Sharded {
-                        parts: out,
-                        aligned,
-                    });
+                    timed(OpKind::Intersect, par, card, || {
+                        Ok(Sharded {
+                            parts: scatter_intersection_whole(&parts, &whole, par),
+                            aligned,
+                        })
+                    })
                 }
-                (x, y) => {
-                    let (xs, ys) = (x.into_whole(), y.into_whole());
-                    Frag::Whole(timed(stats, OpKind::Intersect, par, card, || {
-                        par_intersection(&xs, &ys, par)
-                    }))
-                }
+                (Whole(xs), Whole(ys)) => timed(OpKind::Intersect, par, card, || {
+                    Ok(Whole(par_intersection(&xs, &ys, par)))
+                }),
             }
         }
-        Expr::Difference(a, b) => {
-            let x = eval_frag(a, bindings, stats, par)?;
-            let y = eval_frag(b, bindings, stats, par)?;
-            let seq = Parallelism::sequential();
-            if zippable(&x, &y) {
-                let (Frag::Sharded { parts: pa, .. }, Frag::Sharded { parts: pb, .. }) = (x, y)
-                else {
-                    unreachable!("zippable checked the variants");
-                };
-                let parts = timed_parts(stats, OpKind::Difference, &seq, 0, || {
-                    scatter_zip_difference(&pa, &pb)
-                });
-                count_intermediate(stats, &parts);
-                return Ok(Frag::Sharded {
-                    parts,
+        Expr::Difference(a, b) => match (operand(a)?, operand(b)?) {
+            (
+                Sharded {
+                    parts: pa,
                     aligned: true,
-                });
-            }
-            match x {
-                // Difference is NOT commutative: only the left side may
-                // stay scattered.
-                Frag::Sharded { parts, aligned } => {
-                    let whole = y.into_whole();
-                    let out = timed_parts(stats, OpKind::Difference, &seq, 0, || {
-                        scatter_difference_whole(&parts, &whole)
-                    });
-                    count_intermediate(stats, &out);
-                    return Ok(Frag::Sharded {
-                        parts: out,
+                },
+                Sharded {
+                    parts: pb,
+                    aligned: true,
+                },
+            ) if pa.len() == pb.len() => timed(OpKind::Difference, &seq, 0, || {
+                Ok(Sharded {
+                    parts: scatter_zip_difference(&pa, &pb),
+                    aligned: true,
+                })
+            }),
+            // Difference is NOT commutative: only the left side may stay
+            // scattered.
+            (Sharded { parts, aligned }, y) => {
+                let whole = y.into_whole();
+                timed(OpKind::Difference, &seq, 0, || {
+                    Ok(Sharded {
+                        parts: scatter_difference_whole(&parts, &whole),
                         aligned,
-                    });
-                }
-                x => {
-                    let (xs, ys) = (x.into_whole(), y.into_whole());
-                    Frag::Whole(timed(stats, OpKind::Difference, &seq, 0, || {
-                        xst_core::ops::difference(&xs, &ys)
-                    }))
-                }
+                    })
+                })
             }
-        }
+            (Whole(xs), y) => {
+                let ys = y.into_whole();
+                timed(OpKind::Difference, &seq, 0, || {
+                    Ok(Whole(difference(&xs, &ys)))
+                })
+            }
+        },
         Expr::Restrict { r, sigma, a } => {
-            let rf = eval_frag(r, bindings, stats, par)?;
-            let av = eval_frag(a, bindings, stats, par)?.into_whole();
-            let card = rf.card();
-            match rf {
-                Frag::Sharded { parts, aligned } => {
-                    let out = timed_parts(stats, OpKind::Restrict, par, card, || {
-                        scatter_restrict(&parts, sigma, &av, par)
-                    });
-                    count_intermediate(stats, &out);
+            let (rf, av) = (operand(r)?, operand(a)?.into_whole());
+            timed(OpKind::Restrict, par, rf.card(), || {
+                Ok(match rf {
                     // Restriction outputs a subset of its carrier
                     // fragment: alignment survives.
-                    return Ok(Frag::Sharded {
-                        parts: out,
+                    Sharded { parts, aligned } => Sharded {
+                        parts: scatter_restrict(&parts, sigma, &av, par),
                         aligned,
-                    });
-                }
-                Frag::Whole(rs) => Frag::Whole(timed(stats, OpKind::Restrict, par, card, || {
-                    xst_core::ops::par_sigma_restrict(&rs, sigma, &av, par)
-                })),
-            }
+                    },
+                    Whole(rs) => Whole(par_sigma_restrict(&rs, sigma, &av, par)),
+                })
+            })
         }
         Expr::Domain { r, sigma } => {
             // σ-domain transforms members; evaluate whole (the gather is
             // exact, and the op is cheap relative to its carriers).
-            let rs = eval_frag(r, bindings, stats, par)?.into_whole();
-            Frag::Whole(timed(
-                stats,
-                OpKind::Domain,
-                &Parallelism::sequential(),
-                0,
-                || sigma_domain(&rs, sigma),
-            ))
+            let rs = operand(r)?.into_whole();
+            timed(OpKind::Domain, &seq, 0, || {
+                Ok(Whole(sigma_domain(&rs, sigma)))
+            })
         }
         Expr::Image { r, a, scope } => {
-            let rf = eval_frag(r, bindings, stats, par)?;
-            let av = eval_frag(a, bindings, stats, par)?.into_whole();
-            let card = rf.card();
-            match rf {
-                Frag::Sharded { parts, .. } => {
-                    let out = timed_parts(stats, OpKind::Image, par, card, || {
-                        scatter_image(&parts, &av, scope, par)
-                    });
-                    count_intermediate(stats, &out);
+            let (rf, av) = (operand(r)?, operand(a)?.into_whole());
+            timed(OpKind::Image, par, rf.card(), || {
+                Ok(match rf {
                     // Image re-scopes members: the output partition is
                     // arbitrary, not member-hash aligned.
-                    return Ok(Frag::Sharded {
-                        parts: out,
+                    Sharded { parts, .. } => Sharded {
+                        parts: scatter_image(&parts, &av, scope, par),
                         aligned: false,
-                    });
-                }
-                Frag::Whole(rs) => Frag::Whole(timed(stats, OpKind::Image, par, card, || {
-                    xst_core::ops::par_image(&rs, &av, scope, par)
-                })),
-            }
+                    },
+                    Whole(rs) => Whole(par_image(&rs, &av, scope, par)),
+                })
+            })
         }
         Expr::RelProduct { f, sigma, g, omega } => {
-            let ff = eval_frag(f, bindings, stats, par)?;
-            let gs = eval_frag(g, bindings, stats, par)?.into_whole();
-            let card = ff.card();
-            match ff {
-                Frag::Sharded { parts, .. } => {
-                    let out = timed_parts(stats, OpKind::RelProduct, par, card, || {
-                        scatter_relative_product(&parts, sigma, &gs, omega, par)
-                    });
-                    count_intermediate(stats, &out);
-                    return Ok(Frag::Sharded {
-                        parts: out,
+            let (ff, gs) = (operand(f)?, operand(g)?.into_whole());
+            timed(OpKind::RelProduct, par, ff.card(), || {
+                Ok(match ff {
+                    Sharded { parts, .. } => Sharded {
+                        parts: scatter_relative_product(&parts, sigma, &gs, omega, par),
                         aligned: false,
-                    });
-                }
-                Frag::Whole(fs) => Frag::Whole(timed(stats, OpKind::RelProduct, par, card, || {
-                    xst_core::ops::par_relative_product(&fs, sigma, &gs, omega, par)
-                })),
-            }
+                    },
+                    Whole(fs) => Whole(par_relative_product(&fs, sigma, &gs, omega, par)),
+                })
+            })
         }
         Expr::Cross(a, b) => {
             // `⊗` concatenates tuples — inherently whole-vs-whole.
-            let xs = eval_frag(a, bindings, stats, par)?.into_whole();
-            let ys = eval_frag(b, bindings, stats, par)?.into_whole();
-            let out = cross(&xs, &ys)?;
-            let slot = &mut stats.per_op[OpKind::Cross as usize];
-            slot.invocations += 1;
-            slot.max_threads = slot.max_threads.max(1);
-            Frag::Whole(out)
+            let (xs, ys) = (operand(a)?.into_whole(), operand(b)?.into_whole());
+            timed(OpKind::Cross, &seq, xs.card() + ys.card(), || {
+                Ok(Whole(cross(&xs, &ys)?))
+            })
         }
+    }?;
+    let node = PlanNode {
+        op,
+        sig: String::new(),
+        rows_out: result.card() as u64,
+        parts: result.parts(),
+        total_ns: started.elapsed().as_nanos() as u64,
+        kernel,
+        children,
     };
-    stats.nodes += 1;
-    if !matches!(expr, Expr::Literal(_) | Expr::Table(_)) {
-        stats.intermediate_members += result.card() as u64;
-    }
-    Ok(result)
-}
-
-/// Book-keep a scattered intermediate the way the whole-set evaluator
-/// books a materialized one, and close out the node count (the scattered
-/// arms return early, so they do their own accounting here).
-fn count_intermediate(stats: &mut EvalStats, parts: &[ExtendedSet]) {
-    stats.nodes += 1;
-    stats.intermediate_members += parts.iter().map(|p| p.card() as u64).sum::<u64>();
+    Ok((result, node))
 }
 
 #[cfg(test)]
@@ -459,11 +442,22 @@ mod tests {
             let sharded = shard_env(&[("x", &x), ("y", &y), ("k", &k)], shards);
             let merged = merge_bindings(&sharded);
             for plan in plans() {
-                let (whole, _) = eval_parallel(&plan, &merged, &par).unwrap();
+                let (whole, whole_stats) = eval_parallel(&plan, &merged, &par).unwrap();
                 let (scattered, stats) = eval_sharded(&plan, &sharded, &par).unwrap();
                 prop_assert_eq!(&scattered, &whole, "plan {:?} diverged", plan);
                 prop_assert!(stats.nodes > 0);
                 prop_assert_eq!(stats.result_members, whole.card() as u64);
+                // One walker: the same nodes and kernels whichever way the
+                // leaves arrive. (Not `intermediate_members`: scattered
+                // image fragments may overlap before the gather.)
+                prop_assert_eq!(stats.nodes, whole_stats.nodes);
+                for kind in OpKind::ALL {
+                    prop_assert_eq!(
+                        stats.op(kind).invocations,
+                        whole_stats.op(kind).invocations,
+                        "{} in {:?}", kind.name(), plan
+                    );
+                }
             }
         }
     }

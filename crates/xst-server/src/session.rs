@@ -29,7 +29,9 @@ use std::time::Instant;
 use xst_core::ops::Parallelism;
 use xst_core::{ExtendedSet, SetBuilder, XstError};
 use xst_obs::{registry, Counter};
-use xst_query::{eval_sharded, explain_analyze, merge_bindings, Bindings, Expr, ShardedBindings};
+use xst_query::{
+    eval_sharded, explain_analyze_sharded, merge_bindings, Bindings, Expr, ShardedBindings,
+};
 use xst_storage::{
     FaultKind, FaultSchedule, Record, Schema, ShardedEngine, ShardedTxn, Storage, StorageError,
     TxnManager, Wal,
@@ -305,7 +307,7 @@ impl Session {
     }
 
     /// The gathered (whole-set) bindings, for paths that need unsharded
-    /// views (static checks, `EXPLAIN ANALYZE`).
+    /// views (static checks).
     fn bindings_for(&mut self, expr: &Expr) -> Result<Bindings, Response> {
         Ok(merge_bindings(&self.fragments_for(expr)?))
     }
@@ -339,11 +341,11 @@ impl Session {
     }
 
     fn explain(&mut self, expr: Expr) -> Response {
-        let b = match self.bindings_for(&expr) {
+        let b = match self.fragments_for(&expr) {
             Ok(b) => b,
             Err(resp) => return resp,
         };
-        match explain_analyze(&expr, &b, &Parallelism::sequential()) {
+        match explain_analyze_sharded(&expr, &b, &Parallelism::sequential()) {
             Ok(report) => Response::Report {
                 text: report.to_string(),
             },

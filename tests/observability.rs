@@ -10,9 +10,11 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use xst_core::ops::Parallelism;
+use xst_core::ops::{partition_members, Parallelism};
 use xst_core::{xtuple, ExtendedSet, Scope, Value};
-use xst_query::{eval_parallel, explain_analyze, Bindings, Expr};
+use xst_query::{
+    eval_parallel, eval_sharded, explain_analyze, Bindings, Expr, OpKind, PlanNode, ShardedBindings,
+};
 use xst_shell::Session;
 
 /// Global-state lock: spans and metrics land in process-wide sinks, so
@@ -67,8 +69,18 @@ fn shapes() -> Vec<Expr> {
 }
 
 // ---------------------------------------------------------------------------
-// EXPLAIN ANALYZE is a second executor: it must agree with eval_parallel.
+// EXPLAIN ANALYZE is the evaluator's own profile: the report's tree and
+// `EvalStats` are two folds of one walk, so they agree count for count.
 // ---------------------------------------------------------------------------
+
+/// Every node of a profile tree, root first.
+fn flatten(node: &PlanNode) -> Vec<&PlanNode> {
+    let mut out = vec![node];
+    for child in &node.children {
+        out.extend(flatten(child));
+    }
+    out
+}
 
 #[test]
 fn explain_analyze_matches_eval_parallel_across_shapes() {
@@ -87,8 +99,83 @@ fn explain_analyze_matches_eval_parallel_across_shapes() {
             let text = report.to_string();
             assert!(text.contains("operators:"), "{text}");
             assert!(text.contains("rows="), "{text}");
+            assert!(!text.contains("parts="), "whole-set report: {text}");
+
+            // The statistics of evaluating the plan the report executed
+            // are a fold of the same tree.
+            let (_, stats) = eval_parallel(&report.plan, &env, &par).unwrap();
+            let nodes = flatten(&report.root);
+            assert_eq!(report.root.size() as u64, stats.nodes, "{text}");
+            for kind in OpKind::ALL {
+                let in_tree = nodes.iter().filter(|n| n.op == kind.name()).count();
+                assert_eq!(
+                    in_tree as u64,
+                    stats.op(kind).invocations,
+                    "{} nodes in:\n{text}",
+                    kind.name()
+                );
+            }
+            let intermediates: u64 = nodes[1..]
+                .iter()
+                .filter(|n| !n.children.is_empty())
+                .map(|n| n.rows_out)
+                .sum();
+            assert_eq!(intermediates, stats.intermediate_members, "{text}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// One walker, one set of spans: EXPLAIN ANALYZE and the scattered path emit
+// the `eval.*` operator spans `eval_parallel` emits.
+// ---------------------------------------------------------------------------
+
+/// Sorted names of the `eval.*` spans, each of which must sit directly
+/// under a `query.eval` span.
+fn operator_spans(spans: &[xst_obs::SpanRecord]) -> Vec<&'static str> {
+    let is_root = |id: u64| spans.iter().any(|s| s.id == id && s.name == "query.eval");
+    let mut names = Vec::new();
+    for span in spans.iter().filter(|s| s.name.starts_with("eval.")) {
+        assert!(
+            span.parent.is_some_and(is_root),
+            "{} outside query.eval: {spans:?}",
+            span.name
+        );
+        names.push(span.name);
+    }
+    names.sort_unstable();
+    names
+}
+
+#[test]
+fn explain_and_sharded_eval_emit_the_evaluators_operator_spans() {
+    let _g = obs_lock();
+    xst_obs::enable();
+    let env = env();
+    let par = Parallelism::sequential();
+    for expr in shapes() {
+        let plan = explain_analyze(&expr, &env, &par).unwrap().plan;
+        xst_obs::collector().take_spans();
+        eval_parallel(&plan, &env, &par).unwrap();
+        let evaluated = operator_spans(&xst_obs::collector().take_spans());
+        explain_analyze(&plan, &env, &par).unwrap();
+        let explained = operator_spans(&xst_obs::collector().take_spans());
+        assert!(!evaluated.is_empty(), "{plan:?}");
+        assert_eq!(explained, evaluated, "{plan:?}");
+    }
+
+    // The scattered path books `Cross` like every other family: kernel
+    // wall-time in its profile and one `eval.cross` span under the root.
+    let sharded: ShardedBindings = [("c1", scoped(24, 5)), ("c2", scoped(24, 11))]
+        .into_iter()
+        .map(|(name, set)| (name.to_string(), partition_members(&set, 3)))
+        .collect();
+    let cross = Expr::table("c1").cross(Expr::table("c2"));
+    let (_, stats) = eval_sharded(&cross, &sharded, &par).unwrap();
+    assert_eq!(stats.op(OpKind::Cross).invocations, 1);
+    assert!(stats.op(OpKind::Cross).wall_nanos > 0, "{stats:?}");
+    let spans = xst_obs::collector().take_spans();
+    assert_eq!(operator_spans(&spans), ["eval.cross"]);
 }
 
 // ---------------------------------------------------------------------------

@@ -336,6 +336,11 @@ fn sharded_engine_counts_one_distributed_txn_not_one_per_shard() {
     // The committed members survive the scatter: gather returns them all.
     let got = records_identity_to_set(&c.get("wide").unwrap()).unwrap();
     assert_eq!(got, spread);
+    // `.explain` profiles the scattered execution `eval` serves: the
+    // intersect stays partitioned across all three shards.
+    let probe = Expr::table("wide").intersect(Expr::lit(xset![3, 4]));
+    let report = c.explain(&probe).unwrap();
+    assert!(report.contains("parts=3"), "{report}");
     drop(c);
     drop(server);
 }
