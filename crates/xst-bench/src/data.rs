@@ -1,4 +1,4 @@
-//! Deterministic workload generators shared by the Criterion benches and
+//! Deterministic workload generators shared by the experiments and
 //! the `report` binary.
 
 use rand::rngs::StdRng;

@@ -7,8 +7,7 @@
 //! * [`report_json`] — machine-readable results (`BENCH_PR2.json`).
 //!
 //! `cargo run -p xst-bench --bin report` regenerates every table in
-//! EXPERIMENTS.md and writes BENCH_PR2.json; `cargo bench -p xst-bench`
-//! runs the Criterion versions.
+//! EXPERIMENTS.md and writes BENCH_PR2.json.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

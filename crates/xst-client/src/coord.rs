@@ -9,27 +9,16 @@
 //! with a wire 2PC round ([`Request::Prepare`] /
 //! [`Request::Decide`] / [`Request::Resolve`]).
 //!
-//! ## The decision log is the acknowledgement
+//! ## One protocol, two deployments
 //!
-//! Exactly as in the in-process engine, the coordinator's own durable
-//! decision log (one `gtxn` record per committed global transaction,
-//! presence == COMMIT, absence == ABORT) is **the** acknowledgement:
-//!
-//! 1. `Prepare(gtxn)` to every written shard — each seals its staged
-//!    writes and a PREPARE control record in one marker-sealed flush;
-//! 2. the coordinator appends the decision record to its own log —
-//!    *this flush is the commit point*;
-//! 3. `Decide(gtxn, commit)` to every prepared shard — **best effort**.
-//!    A lost decision message cannot change the outcome: the decision
-//!    is durable, and [`Coordinator::recover`] replays the log and
-//!    sends [`Request::Resolve`] so every reachable shard converges.
-//!
-//! Crash before step 2 and no decision exists — every shard
-//! presumed-aborts its in-doubt prepare at resolve. Crash after step 2
-//! and the transaction IS committed — recovery re-delivers the
-//! decision. There is no window where shards can disagree (split-brain)
-//! because no shard ever decides unilaterally: prepared state waits for
-//! a decision or a resolve, nothing else.
+//! The round and the decision log are [`xst_storage::twopc`] — the same
+//! code the in-process engine runs; that module states the protocol
+//! and the presumed-abort rule. Here a participant is one shard
+//! connection: prepare is `Prepare(gtxn)`, rollback is `Decide(gtxn,
+//! abort)`, and delivery is `Decide(gtxn, commit)`, **best effort** — a
+//! lost decision message cannot change the outcome, because the
+//! decision is durable and [`Coordinator::recover`] replays the log and
+//! sends [`Request::Resolve`] so every reachable shard converges.
 //!
 //! ## Sequencing
 //!
@@ -40,19 +29,16 @@
 //! sequential rounds make the numbering a total order.
 
 use crate::{Client, ClientError};
-use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use xst_core::ops::{gather, Parallelism};
 use xst_core::{ExtendedSet, SetBuilder};
-use xst_obs::{registry, Counter, Gauge};
+use xst_obs::names::handle as m;
 use xst_query::{eval_sharded, Expr, ShardedBindings};
 use xst_server::proto::ErrorCode;
 use xst_server::set_to_records;
-use xst_storage::{
-    decision_schema, shard_of, BufferPool, LoggedTable, Record, Storage, StorageError, Wal,
-};
+use xst_storage::twopc::{self, DecisionLog, Participant};
+use xst_storage::{shard_of, Storage, StorageError, Wal};
 
 /// Everything that can go wrong driving the cluster.
 #[derive(Debug)]
@@ -94,91 +80,17 @@ impl fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
+impl From<StorageError> for CoordError {
+    fn from(e: StorageError) -> CoordError {
+        CoordError::DecisionLog(e)
+    }
+}
+
 /// Result alias for every coordinator call.
 pub type CoordResult<T> = Result<T, CoordError>;
 
 fn shard_err(shard: usize, source: ClientError) -> CoordError {
     CoordError::Shard { shard, source }
-}
-
-fn shards_gauge() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            xst_obs::names::COORD_SHARDS,
-            "Shard processes the wire coordinator is connected to.",
-        )
-    })
-}
-
-fn txn_begins_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_TXN_BEGINS_TOTAL,
-            "Distributed transactions begun by the wire coordinator.",
-        )
-    })
-}
-
-fn single_commits_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_SINGLE_COMMITS_TOTAL,
-            "Coordinator commits settled on at most one shard (no 2PC round).",
-        )
-    })
-}
-
-fn two_pc_commits_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_2PC_COMMITS_TOTAL,
-            "Multi-shard wire commits acknowledged by a durable coordinator decision.",
-        )
-    })
-}
-
-fn two_pc_aborts_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_2PC_ABORTS_TOTAL,
-            "Multi-shard wire commits aborted before a decision was recorded.",
-        )
-    })
-}
-
-fn frag_reads_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_FRAG_READS_TOTAL,
-            "Per-shard fragment reads issued by the wire coordinator.",
-        )
-    })
-}
-
-fn resolves_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_RESOLVES_TOTAL,
-            "Resolve rounds the wire coordinator delivered to shards.",
-        )
-    })
-}
-
-fn decisions_replayed_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::COORD_DECISIONS_REPLAYED_TOTAL,
-            "Committed decisions replayed from the log at coordinator recovery.",
-        )
-    })
 }
 
 /// A cross-process 2PC coordinator: one [`Client`] per shard process,
@@ -188,13 +100,9 @@ pub struct Coordinator {
     shards: Vec<Client>,
     addrs: Vec<String>,
     timeout: Option<Duration>,
-    storage: Storage,
-    wal: Wal,
-    decisions: LoggedTable,
-    /// Every gtxn this coordinator ever durably committed (replayed
-    /// from the log at recovery) — what Resolve ships to shards.
-    committed: BTreeSet<u64>,
-    next_gtxn: u64,
+    /// The durable decision log; its committed set (replayed at
+    /// recovery) is what Resolve ships to shards.
+    log: DecisionLog,
     in_txn: bool,
     /// Which shards received at least one non-empty write in the open
     /// transaction — the 2PC participant set.
@@ -208,23 +116,30 @@ impl Coordinator {
     /// read/write on every shard connection — a stalled shard surfaces
     /// as a typed timeout instead of a hang.
     pub fn connect(addrs: &[String], timeout: Option<Duration>) -> CoordResult<Coordinator> {
-        let storage = Storage::new();
-        let wal = Wal::new();
-        let decisions = LoggedTable::create(&storage, decision_schema(), wal.clone());
-        let shards = Coordinator::dial(addrs, timeout)?;
+        Coordinator::over(DecisionLog::create(), addrs, timeout)
+    }
+
+    fn over(
+        log: DecisionLog,
+        addrs: &[String],
+        timeout: Option<Duration>,
+    ) -> CoordResult<Coordinator> {
+        let mut shards = Vec::with_capacity(addrs.len());
+        for (i, addr) in addrs.iter().enumerate() {
+            let name = format!("xst-coord/{i}");
+            let client =
+                Client::connect_with_timeout(addr, &name, timeout).map_err(|e| shard_err(i, e))?;
+            shards.push(client);
+        }
         let n = shards.len();
         if xst_obs::enabled() {
-            shards_gauge().set(n as f64);
+            m::COORD_SHARDS.set(n as f64);
         }
         Ok(Coordinator {
             shards,
             addrs: addrs.to_vec(),
             timeout,
-            storage,
-            wal,
-            decisions,
-            committed: BTreeSet::new(),
-            next_gtxn: 1,
+            log,
             in_txn: false,
             wrote: vec![false; n],
             kill_after_decision: false,
@@ -243,75 +158,20 @@ impl Coordinator {
         wal: Wal,
         timeout: Option<Duration>,
     ) -> CoordResult<Coordinator> {
-        storage.clear_faults();
-        wal.clear_faults();
-        wal.drop_staged();
-        let fresh = Wal::new();
-        let decisions = LoggedTable::recover_onto(&storage, decision_schema(), wal, fresh.clone())
-            .map_err(CoordError::DecisionLog)?;
-        let pool = BufferPool::new(storage.clone(), 8);
-        let mut committed: BTreeSet<u64> = BTreeSet::new();
-        let mut max_gtxn = 0u64;
-        let records = decisions
-            .table
-            .file
-            .read_all(&pool)
-            .map_err(CoordError::DecisionLog)?;
-        for rec in records {
-            let [xst_core::Value::Int(g)] = rec.values() else {
-                return Err(CoordError::DecisionLog(StorageError::Corrupt {
-                    reason: "decision log record is not a single gtxn".to_string(),
-                }));
-            };
-            let g = u64::try_from(*g).map_err(|_| {
-                CoordError::DecisionLog(StorageError::Corrupt {
-                    reason: "negative gtxn in decision log".to_string(),
-                })
-            })?;
-            committed.insert(g);
-            max_gtxn = max_gtxn.max(g);
-        }
+        let log = DecisionLog::recover(storage, wal)?;
         if xst_obs::enabled() {
-            decisions_replayed_total().add(committed.len() as u64);
+            m::COORD_DECISIONS_REPLAYED_TOTAL.add(log.committed().len() as u64);
         }
-        let shards = Coordinator::dial(addrs, timeout)?;
-        let n = shards.len();
-        if xst_obs::enabled() {
-            shards_gauge().set(n as f64);
-        }
-        let mut coord = Coordinator {
-            shards,
-            addrs: addrs.to_vec(),
-            timeout,
-            storage,
-            wal: fresh,
-            decisions,
-            committed,
-            next_gtxn: max_gtxn + 1,
-            in_txn: false,
-            wrote: vec![false; n],
-            kill_after_decision: false,
-        };
+        let mut coord = Coordinator::over(log, addrs, timeout)?;
         coord.resolve_all()?;
         Ok(coord)
-    }
-
-    fn dial(addrs: &[String], timeout: Option<Duration>) -> CoordResult<Vec<Client>> {
-        let mut shards = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            let name = format!("xst-coord/{i}");
-            let client =
-                Client::connect_with_timeout(addr, &name, timeout).map_err(|e| shard_err(i, e))?;
-            shards.push(client);
-        }
-        Ok(shards)
     }
 
     /// The coordinator's durable devices. Hold on to these to later
     /// [`Coordinator::recover`] "the same node" after dropping this
     /// instance — the decision log lives on them.
     pub fn devices(&self) -> (Storage, Wal) {
-        (self.storage.clone(), self.wal.clone())
+        self.log.devices()
     }
 
     /// The shard addresses this coordinator was built over.
@@ -332,7 +192,7 @@ impl Coordinator {
     /// Every globally-committed transaction id this coordinator knows
     /// (logged this run plus replayed at recovery), in id order.
     pub fn committed_gtxns(&self) -> Vec<u64> {
-        self.committed.iter().copied().collect()
+        self.log.committed().iter().copied().collect()
     }
 
     /// The configured per-request timeout.
@@ -360,12 +220,20 @@ impl Coordinator {
             ));
         }
         for i in 0..self.shards.len() {
-            self.shards[i].begin().map_err(|e| shard_err(i, e))?;
+            if let Err(e) = self.shards[i].begin() {
+                // Shards 0..i now hold an open transaction only this
+                // call knows about: abort them (best effort) or they
+                // wedge the next begin and pin their snapshots.
+                for begun in &mut self.shards[..i] {
+                    let _ = begun.abort();
+                }
+                return Err(shard_err(i, e));
+            }
         }
         self.in_txn = true;
         self.wrote.iter_mut().for_each(|w| *w = false);
         if xst_obs::enabled() {
-            txn_begins_total().inc();
+            m::COORD_TXN_BEGINS_TOTAL.inc();
         }
         Ok(())
     }
@@ -383,6 +251,23 @@ impl Coordinator {
         builders.into_iter().map(SetBuilder::build).collect()
     }
 
+    /// Run `write` as a transaction of its own. A failed write aborts the
+    /// implicit transaction — left open, the next autocommit would join
+    /// it; a failed commit has already closed it.
+    fn autocommit(
+        &mut self,
+        write: impl FnOnce(&mut Coordinator) -> CoordResult<u64>,
+    ) -> CoordResult<u64> {
+        self.begin()?;
+        match write(self) {
+            Ok(rows) => self.commit().map(|_| rows),
+            Err(e) => {
+                let _ = self.abort();
+                Err(e)
+            }
+        }
+    }
+
     /// Insert every member of `set` into `table`, routed by member
     /// hash. **Every** shard receives a Put — empty subsets included —
     /// so the table exists in every shard's catalog (reads and recovery
@@ -390,10 +275,7 @@ impl Coordinator {
     /// itself in begin/commit, keeping cross-shard atomicity.
     pub fn put(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
         if !self.in_txn {
-            self.begin()?;
-            let rows = self.put(table, set)?;
-            self.commit()?;
-            return Ok(rows);
+            return self.autocommit(|coord| coord.put(table, set));
         }
         let parts = self.route(set);
         let mut rows = 0u64;
@@ -412,10 +294,7 @@ impl Coordinator {
     /// Delete every member of `set` from `table`, routed by member hash.
     pub fn delete(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
         if !self.in_txn {
-            self.begin()?;
-            let rows = self.delete(table, set)?;
-            self.commit()?;
-            return Ok(rows);
+            return self.autocommit(|coord| coord.delete(table, set));
         }
         let parts = self.route(set);
         let mut rows = 0u64;
@@ -455,7 +334,7 @@ impl Coordinator {
                 Err(e) => return Err(shard_err(i, e)),
             }
             if xst_obs::enabled() {
-                frag_reads_total().inc();
+                m::COORD_FRAG_READS_TOTAL.inc();
             }
         }
         if known == 0 {
@@ -556,7 +435,7 @@ impl Coordinator {
                     return Err(e);
                 }
                 if xst_obs::enabled() {
-                    single_commits_total().inc();
+                    m::COORD_SINGLE_COMMITS_TOTAL.inc();
                 }
                 Ok(ts)
             }
@@ -571,7 +450,7 @@ impl Coordinator {
                 }
                 let ts = self.shards[w].commit().map_err(|e| shard_err(w, e))?;
                 if xst_obs::enabled() {
-                    single_commits_total().inc();
+                    m::COORD_SINGLE_COMMITS_TOTAL.inc();
                 }
                 Ok(ts)
             }
@@ -580,74 +459,38 @@ impl Coordinator {
     }
 
     fn commit_2pc(&mut self, writers: &[usize]) -> CoordResult<u64> {
-        let gtxn = self.next_gtxn;
-        self.next_gtxn += 1;
         // Read-only shards just abort; they are not participants.
         for i in 0..self.shards.len() {
             if !writers.contains(&i) {
                 let _ = self.shards[i].abort();
             }
         }
-        // Phase one: prepare every writer. A failure here — a conflict,
-        // a dead shard, a timeout — aborts the transaction *before* any
-        // decision exists: decide-abort the already-prepared shards
-        // (best effort; presumed abort covers the unreachable) and
-        // abort the unprepared remainder, whose sessions still hold the
-        // open transaction.
-        let mut prepared: Vec<usize> = Vec::with_capacity(writers.len());
-        let mut prepare_err: Option<CoordError> = None;
-        for &i in writers {
-            if prepare_err.is_some() {
-                let _ = self.shards[i].abort();
-                continue;
-            }
-            match self.shards[i].prepare(gtxn) {
-                Ok(_participants) => prepared.push(i),
-                Err(e) => prepare_err = Some(shard_err(i, e)),
-            }
-        }
-        if prepare_err.is_none() && self.kill_after_decision {
-            // The test hook crashes "the coordinator" after its commit
-            // point: flush the decision, deliver nothing.
-            self.kill_after_decision = false;
-            let decision = Record::new([xst_core::Value::Int(gtxn as i64)]);
-            if let Err(e) = self.decisions.append_batch(&[decision]) {
-                prepare_err = Some(CoordError::DecisionLog(e));
-            } else {
-                self.committed.insert(gtxn);
-                return Err(CoordError::KilledAfterDecision { gtxn });
-            }
-        }
-        if prepare_err.is_none() {
-            // The decision flush: THE acknowledgement of the whole
-            // distributed transaction.
-            let decision = Record::new([xst_core::Value::Int(gtxn as i64)]);
-            if let Err(e) = self.decisions.append_batch(&[decision]) {
-                prepare_err = Some(CoordError::DecisionLog(e));
-            }
-        }
-        if let Some(e) = prepare_err {
-            for i in prepared {
-                let _ = self.shards[i].decide(gtxn, false);
-            }
+        let participants: Vec<ShardLink<'_>> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| writers.contains(i))
+            .map(|(shard, client)| ShardLink { shard, client })
+            .collect();
+        // A failure before the decision — a conflict, a dead shard, a
+        // timeout, the flush itself — aborts the transaction; presumed
+        // abort covers any shard the rollback could not reach.
+        let decided = twopc::commit_round(&mut self.log, participants).inspect_err(|_| {
             if xst_obs::enabled() {
-                two_pc_aborts_total().inc();
+                m::COORD_2PC_ABORTS_TOTAL.inc();
             }
-            return Err(e);
+        })?;
+        if std::mem::take(&mut self.kill_after_decision) {
+            // The test hook crashes "the coordinator" after its commit
+            // point: the decision is flushed, nothing is delivered.
+            return Err(CoordError::KilledAfterDecision { gtxn: decided.gtxn });
         }
-        self.committed.insert(gtxn);
-        // Phase two: deliver the decision, best effort. The outcome is
-        // already fixed; a shard that misses its Decide stays prepared
-        // until a Resolve (recovery, or the next resolve_all) commits
-        // it from the log.
-        let mut ts = 0u64;
-        for i in prepared {
-            if let Ok(t) = self.shards[i].decide(gtxn, true) {
-                ts = ts.max(t);
-            }
-        }
+        // Delivery is best effort. The outcome is already fixed; a shard
+        // that misses its Decide stays prepared until a Resolve
+        // (recovery, or the next resolve_all) commits it from the log.
+        let ts = decided.deliver().flatten().max().unwrap_or(0);
         if xst_obs::enabled() {
-            two_pc_commits_total().inc();
+            m::COORD_2PC_COMMITS_TOTAL.inc();
         }
         Ok(ts)
     }
@@ -658,7 +501,7 @@ impl Coordinator {
     /// summed `(committed, aborted)` counts. Unreachable shards are
     /// skipped (they settle on the next resolve).
     pub fn resolve_all(&mut self) -> CoordResult<(u64, u64)> {
-        let committed: Vec<u64> = self.committed.iter().copied().collect();
+        let committed = self.committed_gtxns();
         let mut totals = (0u64, 0u64);
         for i in 0..self.shards.len() {
             if let Ok((c, a)) = self.shards[i].resolve(&committed) {
@@ -667,7 +510,7 @@ impl Coordinator {
             }
         }
         if xst_obs::enabled() {
-            resolves_total().inc();
+            m::COORD_RESOLVES_TOTAL.inc();
         }
         Ok(totals)
     }
@@ -675,12 +518,43 @@ impl Coordinator {
     /// A one-line human status of the cluster, for the shell.
     pub fn status(&self) -> String {
         format!(
-            "cluster: {} shard(s) [{}], {} committed decision(s), next gtxn {}, txn open: {}",
+            "cluster: {} shard(s) [{}], {} decision-log entries, txn open: {}",
             self.shards.len(),
             self.addrs.join(", "),
-            self.committed.len(),
-            self.next_gtxn,
+            self.log.committed().len(),
             self.in_txn
         )
+    }
+}
+
+/// One written shard's side of a commit round: its connection.
+struct ShardLink<'a> {
+    shard: usize,
+    client: &'a mut Client,
+}
+
+impl Participant for ShardLink<'_> {
+    type Error = CoordError;
+
+    fn prepare(&mut self, gtxn: u64) -> CoordResult<()> {
+        self.client
+            .prepare(gtxn)
+            .map(drop)
+            .map_err(|e| shard_err(self.shard, e))
+    }
+
+    // The session still holds the open transaction.
+    fn release(&mut self) {
+        let _ = self.client.abort();
+    }
+
+    fn rollback(&mut self, gtxn: u64) {
+        let _ = self.client.decide(gtxn, false);
+    }
+
+    fn commit(&mut self, gtxn: u64) -> CoordResult<u64> {
+        self.client
+            .decide(gtxn, true)
+            .map_err(|e| shard_err(self.shard, e))
     }
 }

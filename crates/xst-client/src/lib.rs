@@ -171,26 +171,6 @@ pub struct Client {
     tracing: bool,
 }
 
-fn requests_total() -> &'static std::sync::Arc<xst_obs::Counter> {
-    static C: std::sync::OnceLock<std::sync::Arc<xst_obs::Counter>> = std::sync::OnceLock::new();
-    C.get_or_init(|| {
-        xst_obs::registry().counter(
-            xst_obs::names::CLIENT_REQUESTS_TOTAL,
-            "Requests issued by xst-client connections.",
-        )
-    })
-}
-
-fn request_ns_hist() -> &'static std::sync::Arc<xst_obs::Histogram> {
-    static H: std::sync::OnceLock<std::sync::Arc<xst_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| {
-        xst_obs::registry().histogram(
-            xst_obs::names::CLIENT_REQUEST_NS,
-            "Nanoseconds from request write to response decode on the client.",
-        )
-    })
-}
-
 impl Client {
     /// Connect to `addr` and perform the handshake, identifying as
     /// `client_name` in the server's diagnostics.
@@ -300,8 +280,8 @@ impl Client {
             None => self.round_trip(&req)?,
         };
         if let Some(start) = timer {
-            requests_total().inc();
-            request_ns_hist().observe_since(start);
+            xst_obs::names::handle::CLIENT_REQUESTS_TOTAL.inc();
+            xst_obs::names::handle::CLIENT_REQUEST_NS.observe_since(start);
         }
         match resp {
             Response::Error(e) => Err(ClientError::Remote(e)),

@@ -27,39 +27,18 @@ use crate::ops::rescope::rescope_value_by_scope;
 use crate::ops::restrict::restriction_witnesses;
 use crate::set::{ExtendedSet, Member, SetBuilder};
 use crate::value::Value;
-use std::sync::{Arc, OnceLock};
-use xst_obs::{registry, Counter};
+use xst_obs::names::handle as m;
 
 /// Times a kernel actually fanned out to threads (threshold met).
-fn par_fanouts_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::CORE_PAR_FANOUTS_TOTAL,
-            "Parallel kernel invocations that crossed the threshold and fanned out to threads.",
-        )
-    })
-}
-
 /// Total worker chunks dispatched across all fanned-out kernel calls.
-fn par_chunks_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::CORE_PAR_CHUNKS_TOTAL,
-            "Worker chunks dispatched by fanned-out parallel kernels.",
-        )
-    })
-}
-
 /// Record one fan-out of `workers` chunks on the kernel's span +
 /// counters, and charge it to the ambient per-request cost scope (the
 /// fan-out decision happens on the request thread, so the charge lands
 /// on the right request even though chunk work runs on workers).
 fn note_fanout(span: &mut xst_obs::SpanGuard, workers: usize) {
     span.attr("chunks", workers);
-    par_fanouts_total().inc();
-    par_chunks_total().add(workers as u64);
+    m::CORE_PAR_FANOUTS_TOTAL.inc();
+    m::CORE_PAR_CHUNKS_TOTAL.add(workers as u64);
     xst_obs::cost::add_par_fanout();
 }
 

@@ -36,34 +36,13 @@ use crate::ops::par::{
 };
 use crate::set::ExtendedSet;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
-use xst_obs::{registry, Counter};
-
-fn scatter_ops_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_SCATTER_OPS_TOTAL,
-            "Per-fragment kernel invocations dispatched by scatter-gather evaluation.",
-        )
-    })
-}
-
-fn gather_merges_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_GATHER_MERGES_TOTAL,
-            "Gather steps that merged per-shard fragments by ordered union.",
-        )
-    })
-}
+use xst_obs::names::handle as m;
 
 /// Charge one per-fragment kernel run to shard slot `i`.
 #[inline]
 fn note_scatter(i: usize) {
     if xst_obs::enabled() {
-        scatter_ops_total().inc();
+        m::SHARD_SCATTER_OPS_TOTAL.inc();
         xst_obs::cost::add_shard_op(i);
     }
 }
@@ -94,7 +73,7 @@ pub fn partition_members(set: &ExtendedSet, shards: usize) -> Vec<ExtendedSet> {
 /// ordered union. Exact — no fragment member is dropped or reweighted.
 pub fn gather(fragments: &[ExtendedSet]) -> ExtendedSet {
     if xst_obs::enabled() {
-        gather_merges_total().inc();
+        m::SHARD_GATHER_MERGES_TOTAL.inc();
     }
     union_all(fragments.iter())
 }

@@ -12,6 +12,7 @@
 //! the series stays zero while disabled).
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -278,6 +279,59 @@ pub struct Registry {
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::default)
+}
+
+/// A metric kind a registry can create by family name.
+pub trait Registered: Sized {
+    /// Get or create the unlabeled series `name` in `registry`.
+    fn register(registry: &Registry, name: &str, help: &str) -> Arc<Self>;
+}
+
+impl Registered for Counter {
+    fn register(registry: &Registry, name: &str, help: &str) -> Arc<Counter> {
+        registry.counter(name, help)
+    }
+}
+
+impl Registered for Gauge {
+    fn register(registry: &Registry, name: &str, help: &str) -> Arc<Gauge> {
+        registry.gauge(name, help)
+    }
+}
+
+impl Registered for Histogram {
+    fn register(registry: &Registry, name: &str, help: &str) -> Arc<Histogram> {
+        registry.histogram(name, help)
+    }
+}
+
+/// A handle to one unlabeled family of the global registry that
+/// registers itself on first use, so a family nobody has touched stays
+/// out of the exposition. Dereferences to the metric; every handle is
+/// declared once, in [`crate::names`].
+pub struct Lazy<M> {
+    name: &'static str,
+    help: &'static str,
+    cell: OnceLock<Arc<M>>,
+}
+
+impl<M> Lazy<M> {
+    pub(crate) const fn new(name: &'static str, help: &'static str) -> Lazy<M> {
+        Lazy {
+            name,
+            help,
+            cell: OnceLock::new(),
+        }
+    }
+}
+
+impl<M: Registered> Deref for Lazy<M> {
+    type Target = M;
+
+    fn deref(&self) -> &M {
+        self.cell
+            .get_or_init(|| M::register(registry(), self.name, self.help))
+    }
 }
 
 /// Render a label set as the canonical `key="value"` list (sorted input

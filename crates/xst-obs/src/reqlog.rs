@@ -16,11 +16,10 @@
 //! through the `RequestLog` request kind.
 
 use crate::cost::QueryCost;
-use crate::metrics::Counter;
 use crate::span::fmt_ns;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One request's structured log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,26 +58,6 @@ pub struct RequestLog {
     slow_threshold_ns: AtomicU64,
 }
 
-fn records_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        crate::registry().counter(
-            crate::names::REQLOG_RECORDS_TOTAL,
-            "Requests recorded in the structured request log.",
-        )
-    })
-}
-
-fn slow_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        crate::registry().counter(
-            crate::names::REQLOG_SLOW_TOTAL,
-            "Requests whose wall time crossed the slow-query threshold.",
-        )
-    })
-}
-
 impl RequestLog {
     /// Requests the main ring retains (oldest evicted first).
     pub const CAPACITY: usize = 512;
@@ -102,7 +81,7 @@ impl RequestLog {
         if !crate::enabled() {
             return;
         }
-        records_total().inc();
+        crate::names::handle::REQLOG_RECORDS_TOTAL.inc();
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // Retention is decided — and the counter bumped — under the same
         // lock as the ring insertion, so `xst_reqlog_slow_total` always
@@ -115,7 +94,7 @@ impl RequestLog {
         record.seq = st.next_seq;
         st.next_seq += 1;
         if is_slow {
-            slow_total().inc();
+            crate::names::handle::REQLOG_SLOW_TOTAL.inc();
             if st.slow.len() >= RequestLog::SLOW_CAPACITY {
                 st.slow.pop_front();
             }
@@ -291,9 +270,9 @@ mod tests {
         crate::enable();
         let log = RequestLog::new();
         let counted = |f: &dyn Fn()| {
-            let before = super::slow_total().get();
+            let before = crate::names::handle::REQLOG_SLOW_TOTAL.get();
             f();
-            super::slow_total().get() - before
+            crate::names::handle::REQLOG_SLOW_TOTAL.get() - before
         };
         log.set_slow_threshold_ns(1_000);
         // A slow record while the ring is on: counted AND retained.
@@ -321,7 +300,7 @@ mod tests {
         crate::enable();
         let log = std::sync::Arc::new(RequestLog::new());
         log.set_slow_threshold_ns(1);
-        let before = super::slow_total().get();
+        let before = crate::names::handle::REQLOG_SLOW_TOTAL.get();
         let flipper = {
             let log = std::sync::Arc::clone(&log);
             std::thread::spawn(move || {
@@ -336,7 +315,7 @@ mod tests {
             log.record(rec("maybe-slow", 10));
         }
         flipper.join().expect("flipper thread");
-        let counted = super::slow_total().get() - before;
+        let counted = crate::names::handle::REQLOG_SLOW_TOTAL.get() - before;
         let retained = log.slow(RequestLog::SLOW_CAPACITY).len() as u64;
         assert_eq!(
             counted, retained,

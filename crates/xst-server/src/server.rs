@@ -25,79 +25,9 @@ use crate::wire::{read_frame, write_frame, FrameError};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use xst_obs::{registry, Counter, Gauge, Histogram};
-
-fn accepted_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SERVER_ACCEPTED_TOTAL,
-            "Connections accepted by the server (admitted into a session).",
-        )
-    })
-}
-
-fn admission_rejected_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SERVER_ADMISSION_REJECTED_TOTAL,
-            "Connections rejected by admission control (cap and queue both full).",
-        )
-    })
-}
-
-fn active_sessions_gauge() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            xst_obs::names::SERVER_ACTIVE_SESSIONS,
-            "Sessions currently open.",
-        )
-    })
-}
-
-fn queue_depth_gauge() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            xst_obs::names::SERVER_QUEUE_DEPTH,
-            "Connections waiting in the admission queue for a session slot.",
-        )
-    })
-}
-
-fn requests_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SERVER_REQUESTS_TOTAL,
-            "Requests served across all sessions.",
-        )
-    })
-}
-
-fn protocol_errors_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SERVER_PROTOCOL_ERRORS_TOTAL,
-            "Malformed frames / protocol violations answered with a structured error.",
-        )
-    })
-}
-
-fn request_ns_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::SERVER_REQUEST_NS,
-            "Latency of handling one request (decode, dispatch, encode).",
-        )
-    })
-}
+use xst_obs::names::handle as m;
 
 /// Tuning knobs for one [`Server`] instance.
 #[derive(Debug, Clone)]
@@ -206,8 +136,8 @@ impl Gate {
 /// Mirror the gate counters onto their gauges.
 fn publish_gate(st: &GateState) {
     if xst_obs::enabled() {
-        active_sessions_gauge().set(st.active as f64);
-        queue_depth_gauge().set(st.waiting as f64);
+        m::SERVER_ACTIVE_SESSIONS.set(st.active as f64);
+        m::SERVER_QUEUE_DEPTH.set(st.waiting as f64);
     }
 }
 
@@ -353,7 +283,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     if !shared.gate.admit(&shared.config, &shared.shutdown) {
         if xst_obs::enabled() {
-            admission_rejected_total().inc();
+            m::SERVER_ADMISSION_REJECTED_TOTAL.inc();
         }
         write_response(
             &mut stream,
@@ -369,7 +299,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         return;
     }
     if xst_obs::enabled() {
-        accepted_total().inc();
+        m::SERVER_ACCEPTED_TOTAL.inc();
     }
     let conn_id = shared.register(&stream);
     // 1-based session id so 0 stays "not a served connection" in the
@@ -394,7 +324,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
         Err(FrameError::Closed | FrameError::Truncated | FrameError::Io(_)) => return,
         Err(e) => {
             if xst_obs::enabled() {
-                protocol_errors_total().inc();
+                m::SERVER_PROTOCOL_ERRORS_TOTAL.inc();
             }
             write_response(
                 stream,
@@ -420,7 +350,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
         }
         Ok(Request::Hello { version, .. }) => {
             if xst_obs::enabled() {
-                protocol_errors_total().inc();
+                m::SERVER_PROTOCOL_ERRORS_TOTAL.inc();
             }
             write_response(
                 stream,
@@ -436,7 +366,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
         }
         Ok(_) | Err(_) => {
             if xst_obs::enabled() {
-                protocol_errors_total().inc();
+                m::SERVER_PROTOCOL_ERRORS_TOTAL.inc();
             }
             write_response(
                 stream,
@@ -462,7 +392,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
                 e @ (FrameError::BadMagic(_) | FrameError::Oversize(_) | FrameError::BadCrc { .. }),
             ) => {
                 if xst_obs::enabled() {
-                    protocol_errors_total().inc();
+                    m::SERVER_PROTOCOL_ERRORS_TOTAL.inc();
                 }
                 write_response(
                     stream,
@@ -475,7 +405,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
         let resp = match Request::decode(&payload) {
             Ok(req) => {
                 if xst_obs::enabled() {
-                    requests_total().inc();
+                    m::SERVER_REQUESTS_TOTAL.inc();
                 }
                 session.serve_one(req)
             }
@@ -483,13 +413,13 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
             // in sync, so the session survives the structured error.
             Err(e) => {
                 if xst_obs::enabled() {
-                    protocol_errors_total().inc();
+                    m::SERVER_PROTOCOL_ERRORS_TOTAL.inc();
                 }
                 Response::Error(WireError::new(ErrorCode::Protocol, e.to_string()))
             }
         };
         if xst_obs::enabled() {
-            request_ns_hist().observe_since(start);
+            m::SERVER_REQUEST_NS.observe_since(start);
         }
         if !write_response(stream, &resp) {
             break;

@@ -24,11 +24,11 @@
 //! the wire image of [`StorageError::TxnConflict`].
 
 use crate::proto::{ErrorCode, Request, Response, WireError, PROTO_VERSION};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use xst_core::ops::Parallelism;
 use xst_core::{ExtendedSet, SetBuilder, XstError};
-use xst_obs::{registry, Counter};
+use xst_obs::names::handle as m;
 use xst_query::{
     eval_sharded, explain_analyze_sharded, merge_bindings, Bindings, Expr, ShardedBindings,
 };
@@ -215,16 +215,6 @@ fn xst_error(e: XstError) -> Response {
 
 fn txn_state_error(message: &str) -> Response {
     Response::Error(WireError::new(ErrorCode::TxnState, message))
-}
-
-fn traced_requests_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SERVER_TRACED_REQUESTS_TOTAL,
-            "Requests that arrived wrapped in a client trace context.",
-        )
-    })
 }
 
 /// One connection's dispatch state: the shared engine plus at most one
@@ -574,7 +564,7 @@ impl Session {
         };
         let _adopted = ctx.map(|ctx| {
             if xst_obs::enabled() {
-                traced_requests_total().inc();
+                m::SERVER_TRACED_REQUESTS_TOTAL.inc();
             }
             xst_obs::span::adopt(ctx)
         });

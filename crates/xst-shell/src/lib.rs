@@ -719,7 +719,7 @@ impl Session {
     }
 
     /// `.shards` — introspect the transactional store's sharding: shard
-    /// count and, per shard, last commit timestamp, open sub-transactions,
+    /// count, decision-log entries and, per shard, last commit timestamp, open sub-transactions,
     /// retained and reclaimed versions, and in-doubt prepares. `.shards N`
     /// re-creates the store partitioned across N shards — only before any
     /// table exists, because resharding would reroute every member hash.
@@ -750,9 +750,10 @@ impl Session {
         };
         let sharded = txn_store.engine.sharded();
         let mut out = format!(
-            "{} shard(s), {} distributed txn(s) open",
+            "{} shard(s), {} distributed txn(s) open, {} decision-log entries",
             sharded.shard_count(),
-            sharded.active_txns()
+            sharded.active_txns(),
+            sharded.committed_gtxns().len()
         );
         for i in 0..sharded.shard_count() {
             let mgr = sharded.shard_mgr(i);
@@ -1860,6 +1861,7 @@ mod tests {
         assert_eq!(evaled.to_string(), run(&mut s, "show w"));
         let status = run(&mut s, ".cluster status");
         assert!(status.contains("2 shard(s)"), "{status}");
+        assert!(status.contains("decision-log entries"), "{status}");
         // The coordinator runs in-process, so its series land in the
         // local registry — no wire pull needed.
         assert!(
@@ -2042,7 +2044,12 @@ mod tests {
         // the bound is readable from the status line and the metrics.
         let after = run(&mut s, ".shards");
         assert!(after.contains("1 version(s) retained ("), "{after}");
+        assert!(after.contains("1 decision-log entries"), "{after}");
         let metrics = run(&mut s, ".metrics");
+        assert!(
+            metrics.contains("xst_twopc_decision_log_entries 1"),
+            "{metrics}"
+        );
         assert!(metrics.contains("xst_txn_versions_retained"), "{metrics}");
         assert!(
             metrics.contains("xst_txn_versions_reclaimed_total"),

@@ -16,33 +16,14 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-use xst_obs::{registry, Counter, Histogram};
+use xst_obs::names::handle as m;
+use xst_obs::{registry, Counter};
 
 /// Registry prefix for every metric this module emits; reset routing
 /// ([`Storage::reset_stats`], [`BufferPool::reset_stats`]) keys off it.
 pub const STORAGE_METRIC_PREFIX: &str = xst_obs::names::STORAGE_PREFIX;
-
-fn page_read_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::STORAGE_PAGE_READ_NS,
-            "Latency of one page read from the simulated disk.",
-        )
-    })
-}
-
-fn page_write_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::STORAGE_PAGE_WRITE_NS,
-            "Latency of one page write (append or overwrite) to the simulated disk.",
-        )
-    })
-}
 
 /// Identifier of a file on the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -209,7 +190,7 @@ impl Storage {
         };
         drop(inner);
         if let Some(t) = timer {
-            page_write_hist().observe_since(t);
+            m::STORAGE_PAGE_WRITE_NS.observe_since(t);
         }
         Ok(written)
     }
@@ -252,7 +233,7 @@ impl Storage {
         inner.stats.disk_reads += 1;
         drop(inner);
         if let Some(t) = timer {
-            page_read_hist().observe_since(t);
+            m::STORAGE_PAGE_READ_NS.observe_since(t);
         }
         Ok(page)
     }
@@ -303,7 +284,7 @@ impl Storage {
         if let Some(t) = timer {
             // One observation for the bulk transfer: the histogram tracks
             // I/O call latency, and a range read is a single call.
-            page_read_hist().observe_since(t);
+            m::STORAGE_PAGE_READ_NS.observe_since(t);
         }
         pages
     }

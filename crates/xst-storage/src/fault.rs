@@ -17,18 +17,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use xst_obs::{registry, Counter};
-
-fn faults_injected_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_FAULTS_INJECTED_TOTAL,
-            "Faults injected into the storage substrate by an installed FaultPlan.",
-        )
-    })
-}
+use std::sync::Arc;
+use xst_obs::names::handle as m;
 
 /// What goes wrong at a firing fault site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +168,7 @@ impl FaultPlan {
             return None;
         }
         self.inner.injected.fetch_add(1, Ordering::SeqCst);
-        faults_injected_total().inc();
+        m::STORAGE_FAULTS_INJECTED_TOTAL.inc();
         Some(match (self.inner.kind, class) {
             (FaultKind::Transient, _) => Injection::Transient,
             (FaultKind::TornWrite(n), SiteClass::Write | SiteClass::Sync) => Injection::Torn(n),

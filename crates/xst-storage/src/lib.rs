@@ -27,7 +27,9 @@
 //! * [`txn`] — snapshot-isolated transactions over versioned set
 //!   identities (first committer wins, group-commit durability);
 //! * [`shard`] — hash-partitioned engines with scatter-gather reads and
-//!   two-phase-commit cross-shard atomicity.
+//!   two-phase-commit cross-shard atomicity;
+//! * [`twopc`] — the one decision log and the one commit round that
+//!   [`shard`] and the wire coordinator in `xst-client` both run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,6 +49,7 @@ pub mod restructure;
 pub mod retry;
 pub mod shard;
 pub mod snapshot;
+pub mod twopc;
 pub mod txn;
 pub mod wal;
 
@@ -64,7 +67,8 @@ pub use parallel::load_identity_parallel;
 pub use record::{file_identity, Record, Schema};
 pub use restructure::{restructure_records, restructure_set, Restructuring};
 pub use retry::{with_retry, RetryPolicy};
-pub use shard::{decision_schema, shard_of, ShardedEngine, ShardedTxn};
+pub use shard::{shard_of, ShardedEngine, ShardedTxn};
 pub use snapshot::{restore, snapshot};
+pub use twopc::DecisionLog;
 pub use txn::{CommitTs, RecoveredParticipant, Txn, TxnId, TxnManager, TxnOp};
 pub use wal::{Checkpoint, LoggedTable, Wal};

@@ -12,38 +12,7 @@
 //! [`StorageError::Transient`]: crate::error::StorageError::Transient
 
 use crate::error::StorageResult;
-use std::sync::{Arc, OnceLock};
-use xst_obs::{registry, Counter, Histogram};
-
-fn retries_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_RETRIES_TOTAL,
-            "Transient storage failures that were retried.",
-        )
-    })
-}
-
-fn give_ups_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_RETRY_GIVE_UPS_TOTAL,
-            "Operations abandoned after exhausting their retry budget.",
-        )
-    })
-}
-
-fn backoff_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::STORAGE_RETRY_BACKOFF_NS,
-            "Simulated exponential-backoff delay before each retry.",
-        )
-    })
-}
+use xst_obs::names::handle as m;
 
 /// Bounded-attempt retry with exponential backoff. `Copy` and tiny: thread
 /// it by value through pools, files, and engines.
@@ -111,14 +80,14 @@ pub fn with_retry<T>(
         match f() {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() && attempt < policy.max_attempts() => {
-                retries_total().inc();
-                backoff_hist().observe(policy.backoff_ns(attempt));
+                m::STORAGE_RETRIES_TOTAL.inc();
+                m::STORAGE_RETRY_BACKOFF_NS.observe(policy.backoff_ns(attempt));
                 xst_obs::cost::add_retry();
                 attempt += 1;
             }
             Err(e) => {
                 if e.is_transient() {
-                    give_ups_total().inc();
+                    m::STORAGE_RETRY_GIVE_UPS_TOTAL.inc();
                 }
                 return Err(e);
             }

@@ -11,132 +11,34 @@
 //! construction, so `⋃ᵢ fragᵢ` is exact, not approximate); writes route
 //! to the owning shard.
 //!
-//! **Atomicity across shards is two-phase commit** built from the group
-//! commit primitive the single engine already has:
-//!
-//! 1. **Prepare.** Each written shard validates first-committer-wins and
-//!    flushes its write set — gtxn-tagged and sealed with a PREPARE
-//!    control record — as ONE marker-sealed batch
-//!    ([`Txn::into_prepared`]). Nothing is published.
-//! 2. **Decide.** The coordinator appends the global transaction id to
-//!    its own decision log ([`LoggedTable::append_batch`]). *This flush
-//!    is the acknowledgement*: before it, no decision exists and every
-//!    prepare defaults to abort; after it, the transaction is committed
-//!    on every shard no matter what else fails.
-//! 3. **Commit.** Each shard writes a best-effort local COMMIT marker
-//!    and publishes its versions ([`TxnManager::commit_prepared`]). A
-//!    crash anywhere here leaves the shard *in doubt*, and
-//!    [`ShardedEngine::recover`] resolves it from the decision log.
+//! **Atomicity across shards is two-phase commit** — the round and the
+//! decision log of [`crate::twopc`], which states the protocol and the
+//! presumed-abort rule. Here a participant is one shard's
+//! sub-transaction: prepare is [`Txn::into_prepared`] (ONE marker-sealed
+//! batch), delivery is [`TxnManager::commit_prepared`] (a best-effort
+//! local COMMIT marker, then publish), a failed delivery propagates, and
+//! [`ShardedEngine::recover`] resolves in-doubt shards from the log.
 //!
 //! Transactions touching a **single** shard skip the protocol entirely
 //! and use the ordinary one-flush commit — a sharded deployment with one
 //! shard pays one extra in-memory hash per write, not an extra fsync
 //! (experiment E18 holds this to ≤1.05× the unsharded engine).
 
-use crate::bufpool::{BufferPool, Storage};
+use crate::bufpool::Storage;
 use crate::engine::SetEngine;
 use crate::error::{StorageError, StorageResult};
 use crate::fault::{FaultKind, FaultPlan, FaultSchedule};
 use crate::record::{Record, Schema};
 use crate::retry::RetryPolicy;
-use crate::txn::{self, CommitTs, Txn, TxnId, TxnManager};
-use crate::wal::{LoggedTable, Wal};
+use crate::twopc::{self, DecisionLog, Participant};
+use crate::txn::{CommitTs, Txn, TxnId, TxnManager};
+use crate::wal::Wal;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use xst_core::ops::union_all;
 use xst_core::{ExtendedSet, Value};
-use xst_obs::{registry, Counter, Gauge};
-
-fn shard_count_gauge() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            xst_obs::names::SHARD_COUNT,
-            "Shards in the serving engine's hash partition.",
-        )
-    })
-}
-
-fn shard_txn_begins_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_TXN_BEGINS_TOTAL,
-            "Distributed transactions begun on the sharded engine.",
-        )
-    })
-}
-
-fn shard_single_commits_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_SINGLE_COMMITS_TOTAL,
-            "Distributed commits that touched one shard and took the one-flush fast path.",
-        )
-    })
-}
-
-fn shard_2pc_commits_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_2PC_COMMITS_TOTAL,
-            "Multi-shard commits acknowledged by a durable coordinator decision.",
-        )
-    })
-}
-
-fn shard_2pc_aborts_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_2PC_ABORTS_TOTAL,
-            "Multi-shard commits aborted before a decision was recorded.",
-        )
-    })
-}
-
-fn shard_2pc_prepares_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_2PC_PREPARES_TOTAL,
-            "Per-shard prepare flushes performed by the 2PC coordinator.",
-        )
-    })
-}
-
-fn shard_2pc_in_doubt_resolved_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_2PC_IN_DOUBT_RESOLVED_TOTAL,
-            "In-doubt prepares resolved from the coordinator decision log at recovery.",
-        )
-    })
-}
-
-fn shard_gather_merges_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::SHARD_GATHER_MERGES_TOTAL,
-            "Gather steps that merged per-shard fragments by ordered union.",
-        )
-    })
-}
-
-/// The schema of the coordinator's decision log: one committed global
-/// transaction id per record. Presence == COMMIT; absence == ABORT
-/// (presumed abort needs no abort records). Shared with the wire
-/// coordinator in `xst-client`, whose decision log is the same table
-/// shape on its own device.
-pub fn decision_schema() -> Schema {
-    Schema::new(["gtxn"])
-}
+use xst_obs::names::handle as m;
 
 /// Route a record to its owning shard: FNV-1a over the record's
 /// bit-exact codec bytes, reduced mod the shard count. The hash covers
@@ -167,16 +69,12 @@ struct Shard {
 
 struct EngineInner {
     shards: Vec<Shard>,
-    /// The coordinator's own durable device and decision log, separate
-    /// from every shard (a real deployment's coordinator node).
-    coord_storage: Storage,
-    coord_wal: Wal,
-    decisions: Mutex<LoggedTable>,
-    /// Serializes every commit round (prepare → decide → commit) and
-    /// every begin, so a begin can never observe a distributed commit
-    /// published on some shards but not others.
-    commit_lock: Mutex<()>,
-    next_gtxn: AtomicU64,
+    /// The coordinator's decision log, on devices separate from every
+    /// shard (a real deployment's coordinator node). Its lock IS the
+    /// commit lock: it serializes every commit round (prepare → decide →
+    /// commit) and every begin, so a begin can never observe a
+    /// distributed commit published on some shards but not others.
+    round: Mutex<DecisionLog>,
     /// Registered tables (the in-memory catalog, mirrored on every
     /// shard), kept so recovery can rebuild each shard's manager.
     catalog: Mutex<BTreeMap<String, Schema>>,
@@ -203,20 +101,13 @@ impl ShardedEngine {
                 Shard { storage, wal, mgr }
             })
             .collect();
-        let coord_storage = Storage::new();
-        let coord_wal = Wal::new();
-        let decisions = LoggedTable::create(&coord_storage, decision_schema(), coord_wal.clone());
         if xst_obs::enabled() {
-            shard_count_gauge().set(shards as f64);
+            m::SHARD_COUNT.set(shards as f64);
         }
         ShardedEngine {
             inner: Arc::new(EngineInner {
                 shards: built,
-                coord_storage,
-                coord_wal,
-                decisions: Mutex::new(decisions),
-                commit_lock: Mutex::new(()),
-                next_gtxn: AtomicU64::new(1),
+                round: Mutex::new(DecisionLog::create()),
                 catalog: Mutex::new(BTreeMap::new()),
                 faults: Mutex::new(None),
             }),
@@ -231,14 +122,7 @@ impl ShardedEngine {
         for shard in &self.inner.shards {
             let _ = shard.mgr.clone().with_retry_policy(retry);
         }
-        {
-            let mut decisions = self.inner.decisions.lock();
-            let taken = std::mem::replace(
-                &mut *decisions,
-                LoggedTable::create(&Storage::new(), decision_schema(), Wal::new()),
-            );
-            *decisions = taken.with_retry_policy(retry);
-        }
+        self.inner.round.lock().set_retry_policy(retry);
         self
     }
 
@@ -268,8 +152,20 @@ impl ShardedEngine {
     }
 
     /// The coordinator's decision-log WAL.
-    pub fn coordinator_wal(&self) -> &Wal {
-        &self.inner.coord_wal
+    pub fn coordinator_wal(&self) -> Wal {
+        self.inner.round.lock().devices().1
+    }
+
+    /// Every global transaction id the coordinator durably committed, in
+    /// id order — the in-process twin of `Coordinator::committed_gtxns`.
+    pub fn committed_gtxns(&self) -> Vec<u64> {
+        self.inner
+            .round
+            .lock()
+            .committed()
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// Register a table on every shard and in the catalog.
@@ -302,7 +198,7 @@ impl ShardedEngine {
     /// snapshot is consistent (no shard's view includes a distributed
     /// commit another shard's view lacks).
     pub fn begin(&self) -> ShardedTxn {
-        let _commit = self.inner.commit_lock.lock();
+        let _round = self.inner.round.lock();
         let subs: Vec<Txn> = self
             .inner
             .shards
@@ -311,9 +207,9 @@ impl ShardedEngine {
             .collect();
         let gauge_counted = xst_obs::enabled();
         if gauge_counted {
-            txn::txn_begins_total().inc();
-            txn::txn_active_gauge().add(1.0);
-            shard_txn_begins_total().inc();
+            m::TXN_BEGINS_TOTAL.inc();
+            m::TXN_ACTIVE.add(1.0);
+            m::SHARD_TXN_BEGINS_TOTAL.inc();
         }
         ShardedTxn {
             engine: self.clone(),
@@ -346,7 +242,7 @@ impl ShardedEngine {
     pub fn latest_identity(&self, name: &str) -> StorageResult<ExtendedSet> {
         let frags = self.latest_fragments(name)?;
         if xst_obs::enabled() {
-            shard_gather_merges_total().inc();
+            m::SHARD_GATHER_MERGES_TOTAL.inc();
         }
         Ok(union_all(frags.iter()))
     }
@@ -389,8 +285,9 @@ impl ShardedEngine {
             shard.storage.install_faults(plan);
             shard.wal.install_faults(plan);
         }
-        self.inner.coord_storage.install_faults(plan);
-        self.inner.coord_wal.install_faults(plan);
+        let (storage, wal) = self.inner.round.lock().devices();
+        storage.install_faults(plan);
+        wal.install_faults(plan);
     }
 
     /// Disarm and drop any armed plan, everywhere.
@@ -399,8 +296,9 @@ impl ShardedEngine {
             shard.storage.clear_faults();
             shard.wal.clear_faults();
         }
-        self.inner.coord_storage.clear_faults();
-        self.inner.coord_wal.clear_faults();
+        let (storage, wal) = self.inner.round.lock().devices();
+        storage.clear_faults();
+        wal.clear_faults();
         *self.inner.faults.lock() = None;
     }
 
@@ -429,36 +327,33 @@ impl ShardedEngine {
     /// decide). On `Err` every shard is clean: already-prepared shards
     /// are rolled back and unvalidated writes discarded.
     pub fn prepare_external(&self, txn: ShardedTxn, gtxn: u64) -> StorageResult<usize> {
-        // lint: lock-across-io: the commit lock serializes whole 2PC rounds — overlapping prepares on one participant would both pass validation (see Txn::into_prepared)
-        let _commit = self.inner.commit_lock.lock();
+        // Held across the prepare flushes: the round lock serializes whole
+        // 2PC rounds — overlapping prepares on one participant would both
+        // pass validation (see Txn::into_prepared).
+        let _round = self.inner.round.lock();
         let mut txn = txn;
         txn.finished = true;
         let subs: Vec<Txn> = txn.subs.iter_mut().filter_map(Option::take).collect();
         txn.release_metrics();
-        let mut prepared: Vec<usize> = Vec::new();
-        let mut prepare_err: Option<StorageError> = None;
-        for (i, sub) in subs.into_iter().enumerate() {
-            if prepare_err.is_some() || sub.is_read_only() {
+        twopc::prepare_all(gtxn, self.writers(subs)).map(|prepared| prepared.len())
+    }
+
+    /// The 2PC participants among one transaction's per-shard `subs`:
+    /// the shards that buffered writes, in shard order. Read-only
+    /// sub-transactions have nothing to decide and are released here.
+    fn writers(&self, subs: Vec<Txn>) -> Vec<ShardWriter<'_>> {
+        let mut writers = Vec::new();
+        for (shard, sub) in self.inner.shards.iter().zip(subs) {
+            if sub.is_read_only() {
                 sub.abort();
-                continue;
-            }
-            match sub.into_prepared(gtxn) {
-                Ok(()) => {
-                    if xst_obs::enabled() {
-                        shard_2pc_prepares_total().inc();
-                    }
-                    prepared.push(i);
-                }
-                Err(e) => prepare_err = Some(e),
+            } else {
+                writers.push(ShardWriter {
+                    mgr: &shard.mgr,
+                    sub: Some(sub),
+                });
             }
         }
-        if let Some(e) = prepare_err {
-            for i in prepared {
-                self.inner.shards[i].mgr.abort_prepared(gtxn);
-            }
-            return Err(e);
-        }
-        Ok(prepared.len())
+        writers
     }
 
     /// **Decision delivery, commit.** Publish `gtxn`'s prepared writes on
@@ -467,7 +362,7 @@ impl ShardedEngine {
     /// prepared nowhere (a protocol violation worth surfacing).
     pub fn commit_external(&self, gtxn: u64) -> StorageResult<CommitTs> {
         // lint: lock-across-io: decision delivery runs under the round lock so publishes on every shard land before the next round's prepares validate
-        let _commit = self.inner.commit_lock.lock();
+        let _round = self.inner.round.lock();
         let mut ts = None;
         for shard in &self.inner.shards {
             if shard.mgr.has_prepared(gtxn) {
@@ -477,8 +372,8 @@ impl ShardedEngine {
         match ts {
             Some(ts) => {
                 if xst_obs::enabled() {
-                    shard_2pc_commits_total().inc();
-                    txn::txn_commits_total().inc();
+                    m::SHARD_2PC_COMMITS_TOTAL.inc();
+                    m::TXN_COMMITS_TOTAL.inc();
                 }
                 Ok(ts)
             }
@@ -492,15 +387,15 @@ impl ShardedEngine {
     /// everywhere. Infallible and idempotent, like
     /// [`TxnManager::abort_prepared`].
     pub fn abort_external(&self, gtxn: u64) {
-        let _commit = self.inner.commit_lock.lock();
+        let _round = self.inner.round.lock();
         let mut dropped = false;
         for shard in &self.inner.shards {
             dropped |= shard.mgr.has_prepared(gtxn);
             shard.mgr.abort_prepared(gtxn);
         }
         if dropped && xst_obs::enabled() {
-            shard_2pc_aborts_total().inc();
-            txn::txn_aborts_total().inc();
+            m::SHARD_2PC_ABORTS_TOTAL.inc();
+            m::TXN_ABORTS_TOTAL.inc();
         }
     }
 
@@ -522,7 +417,7 @@ impl ShardedEngine {
             }
         }
         if xst_obs::enabled() {
-            shard_2pc_in_doubt_resolved_total().add(done.0 + done.1);
+            m::SHARD_2PC_IN_DOUBT_RESOLVED_TOTAL.add(done.0 + done.1);
         }
         Ok(done)
     }
@@ -560,37 +455,12 @@ impl ShardedEngine {
             shard.wal.clear_faults();
             shard.wal.drop_staged();
         }
-        self.inner.coord_storage.clear_faults();
-        self.inner.coord_wal.clear_faults();
-        self.inner.coord_wal.drop_staged();
         // The coordinator first: its surviving records ARE the set of
         // committed global transactions.
-        let coord_fresh = Wal::new();
-        let decisions_log = LoggedTable::recover_onto(
-            &self.inner.coord_storage,
-            decision_schema(),
-            self.inner.coord_wal.clone(),
-            coord_fresh.clone(),
-        )?;
-        let pool = BufferPool::new(self.inner.coord_storage.clone(), 8);
-        let mut committed: BTreeSet<u64> = BTreeSet::new();
-        let mut max_gtxn = 0u64;
-        for rec in decisions_log.table.file.read_all(&pool)? {
-            let [Value::Int(g)] = rec.values() else {
-                return Err(StorageError::Corrupt {
-                    reason: "decision log record is not a single gtxn".to_string(),
-                });
-            };
-            let g = u64::try_from(*g).map_err(|_| StorageError::Corrupt {
-                reason: "negative gtxn in decision log".to_string(),
-            })?;
-            committed.insert(g);
-            max_gtxn = max_gtxn.max(g);
-        }
-        for &g in extra {
-            committed.insert(g);
-            max_gtxn = max_gtxn.max(g);
-        }
+        let (coord_storage, coord_wal) = self.inner.round.lock().devices();
+        let mut log = DecisionLog::recover(coord_storage, coord_wal)?;
+        let committed: BTreeSet<u64> = log.committed().union(extra).copied().collect();
+        let mut max_gtxn = extra.last().copied().unwrap_or(0);
         let catalog = self.inner.catalog.lock().clone();
         let catalog_refs: Vec<(&str, Schema)> = catalog
             .iter()
@@ -615,17 +485,14 @@ impl ShardedEngine {
             });
         }
         if xst_obs::enabled() {
-            shard_2pc_in_doubt_resolved_total().add(resolved);
-            shard_count_gauge().set(shards.len() as f64);
+            m::SHARD_2PC_IN_DOUBT_RESOLVED_TOTAL.add(resolved);
+            m::SHARD_COUNT.set(shards.len() as f64);
         }
+        log.skip_past(max_gtxn);
         Ok(ShardedEngine {
             inner: Arc::new(EngineInner {
                 shards,
-                coord_storage: self.inner.coord_storage.clone(),
-                coord_wal: coord_fresh,
-                decisions: Mutex::new(decisions_log),
-                commit_lock: Mutex::new(()),
-                next_gtxn: AtomicU64::new(max_gtxn + 1),
+                round: Mutex::new(log),
                 catalog: Mutex::new(catalog),
                 faults: Mutex::new(None),
             }),
@@ -707,7 +574,7 @@ impl ShardedTxn {
     pub fn read_identity(&mut self, table: &str) -> StorageResult<ExtendedSet> {
         let frags = self.read_fragments(table)?;
         if xst_obs::enabled() {
-            shard_gather_merges_total().inc();
+            m::SHARD_GATHER_MERGES_TOTAL.inc();
         }
         Ok(union_all(frags.iter()))
     }
@@ -749,19 +616,19 @@ impl ShardedTxn {
         self.finished = true;
         let engine = self.engine.clone();
         // lint: lock-across-io: the commit lock spans prepare, decision flush, and publish — the whole 2PC round must be one critical section for first-committer-wins
-        let _commit = engine.inner.commit_lock.lock();
+        let mut log = engine.inner.round.lock();
         let subs: Vec<Txn> = self.subs.iter_mut().filter_map(Option::take).collect();
         self.release_metrics();
-        let result = commit_subs(&engine, subs);
+        let result = commit_subs(&engine, &mut log, subs);
         if xst_obs::enabled() {
             match &result {
                 Ok(_) => {
-                    txn::txn_commits_total().inc();
+                    m::TXN_COMMITS_TOTAL.inc();
                     if let Some(t) = timer {
-                        txn::txn_commit_hist().observe_since(t);
+                        m::TXN_COMMIT_NS.observe_since(t);
                     }
                 }
-                Err(_) => txn::txn_aborts_total().inc(),
+                Err(_) => m::TXN_ABORTS_TOTAL.inc(),
             }
         }
         result
@@ -775,14 +642,14 @@ impl ShardedTxn {
         }
         self.release_metrics();
         if xst_obs::enabled() {
-            txn::txn_aborts_total().inc();
+            m::TXN_ABORTS_TOTAL.inc();
         }
     }
 
     fn release_metrics(&mut self) {
         if self.gauge_counted {
             self.gauge_counted = false;
-            txn::txn_active_gauge().force_add(-1.0);
+            m::TXN_ACTIVE.force_add(-1.0);
         }
     }
 }
@@ -794,7 +661,7 @@ impl Drop for ShardedTxn {
             self.subs.clear();
             self.release_metrics();
             if xst_obs::enabled() {
-                txn::txn_aborts_total().inc();
+                m::TXN_ABORTS_TOTAL.inc();
             }
         } else {
             self.release_metrics();
@@ -802,83 +669,84 @@ impl Drop for ShardedTxn {
     }
 }
 
-/// The commit protocol proper, under the engine's commit lock.
-fn commit_subs(engine: &ShardedEngine, subs: Vec<Txn>) -> StorageResult<CommitTs> {
-    let inner = &engine.inner;
-    let mut writers: Vec<(usize, Txn)> = Vec::new();
-    for (i, sub) in subs.into_iter().enumerate() {
-        if sub.is_read_only() {
-            sub.abort(); // nothing buffered: just release the slot
-        } else {
-            writers.push((i, sub));
-        }
+/// One written shard's side of a commit round: its sub-transaction until
+/// prepared, its manager (holding the prepare) after.
+struct ShardWriter<'a> {
+    mgr: &'a TxnManager,
+    sub: Option<Txn>,
+}
+
+impl ShardWriter<'_> {
+    fn take(&mut self) -> StorageResult<Txn> {
+        self.sub.take().ok_or_else(|| StorageError::Corrupt {
+            reason: "shard writer lost its sub-transaction".to_string(),
+        })
     }
-    match writers.len() {
+}
+
+impl Participant for ShardWriter<'_> {
+    type Error = StorageError;
+
+    fn prepare(&mut self, gtxn: u64) -> StorageResult<()> {
+        self.take()?.into_prepared(gtxn)?;
+        if xst_obs::enabled() {
+            m::SHARD_2PC_PREPARES_TOTAL.inc();
+        }
+        Ok(())
+    }
+
+    fn release(&mut self) {
+        self.sub = None; // the sub-transaction aborts via its Drop
+    }
+
+    // In-memory only: recovery default-aborts the durable prepare because
+    // the decision log does not name it.
+    fn rollback(&mut self, gtxn: u64) {
+        self.mgr.abort_prepared(gtxn);
+    }
+
+    // Absorbs local marker I/O failures; errors only on invariant
+    // corruption.
+    fn commit(&mut self, gtxn: u64) -> StorageResult<CommitTs> {
+        self.mgr.commit_prepared(gtxn)
+    }
+}
+
+/// The commit protocol proper, under the engine's round lock (`log`).
+fn commit_subs(
+    engine: &ShardedEngine,
+    log: &mut DecisionLog,
+    subs: Vec<Txn>,
+) -> StorageResult<CommitTs> {
+    let mut writers = engine.writers(subs);
+    match writers.as_mut_slice() {
         // Read-only everywhere: nothing to decide, nothing to flush.
-        0 => Ok(engine.last_commit_ts()),
+        [] => Ok(engine.last_commit_ts()),
         // One shard wrote: the ordinary single-flush commit IS atomic,
         // no coordinator round needed. This is why a 1-shard deployment
         // keeps single-engine commit costs.
-        1 => {
-            let (_, sub) = writers.swap_remove(0);
-            let ts = sub.commit()?;
+        [only] => {
+            let ts = only.take()?.commit()?;
             if xst_obs::enabled() {
-                shard_single_commits_total().inc();
+                m::SHARD_SINGLE_COMMITS_TOTAL.inc();
             }
             Ok(ts)
         }
         // Two or more shards wrote: two-phase commit.
         _ => {
-            let gtxn = inner.next_gtxn.fetch_add(1, Ordering::Relaxed);
-            let mut prepared: Vec<usize> = Vec::with_capacity(writers.len());
-            let mut participants: Vec<usize> = Vec::with_capacity(writers.len());
-            let mut prepare_err: Option<StorageError> = None;
-            for (i, sub) in writers {
-                if prepare_err.is_some() {
-                    sub.abort();
-                    continue;
-                }
-                match sub.into_prepared(gtxn) {
-                    Ok(()) => {
-                        if xst_obs::enabled() {
-                            shard_2pc_prepares_total().inc();
-                        }
-                        prepared.push(i);
-                    }
-                    Err(e) => prepare_err = Some(e),
-                }
-                participants.push(i);
-            }
-            if prepare_err.is_none() {
-                // The decision flush: THE acknowledgement of the whole
-                // distributed transaction.
-                let decision = Record::new([Value::Int(gtxn as i64)]);
-                // lint: lock-across-io: the decisions table is only ever touched here, already under the round-wide commit lock; the temp guard spans exactly the flush
-                if let Err(e) = inner.decisions.lock().append_batch(&[decision]) {
-                    prepare_err = Some(e);
-                }
-            }
-            if let Some(e) = prepare_err {
-                // No decision was recorded: roll every prepared shard
-                // back (in-memory; recovery default-aborts the durable
-                // prepares because the decision log does not name them).
-                for i in prepared {
-                    inner.shards[i].mgr.abort_prepared(gtxn);
-                }
+            let decided = twopc::commit_round(log, writers).inspect_err(|_| {
                 if xst_obs::enabled() {
-                    shard_2pc_aborts_total().inc();
+                    m::SHARD_2PC_ABORTS_TOTAL.inc();
                 }
-                return Err(e);
-            }
-            // Decided: commit every participant. Past this point the
-            // outcome is fixed — commit_prepared absorbs local marker
-            // I/O failures and only errors on invariant corruption.
+            })?;
+            // Decided: the outcome is fixed, so a shard that fails to
+            // publish is an error worth surfacing, not an abort.
             let mut ts = 0;
-            for i in prepared {
-                ts = ts.max(inner.shards[i].mgr.commit_prepared(gtxn)?);
+            for delivered in decided.deliver() {
+                ts = ts.max(delivered?);
             }
             if xst_obs::enabled() {
-                shard_2pc_commits_total().inc();
+                m::SHARD_2PC_COMMITS_TOTAL.inc();
             }
             Ok(ts)
         }
@@ -944,14 +812,9 @@ mod tests {
         // All writes to one record — exactly one shard participates, so
         // no decision record is appended to the coordinator log.
         engine.autocommit_insert("t", &[row(1, 10)]).unwrap();
-        let decided = engine
-            .inner
-            .decisions
-            .lock()
-            .wal()
-            .records()
-            .map(|r| r.len());
+        let decided = engine.coordinator_wal().records().map(|r| r.len());
         assert_eq!(decided.unwrap_or(0), 0, "no 2PC round for one shard");
+        assert!(engine.committed_gtxns().is_empty());
     }
 
     #[test]

@@ -63,10 +63,10 @@ use crate::wal::{LoggedTable, Wal};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::DerefMut;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use xst_core::{ExtendedSet, Member, Value};
-use xst_obs::{registry, Counter, Gauge, Histogram};
+use xst_obs::names::handle as m;
 
 /// Monotonic transaction id (assigned at [`TxnManager::begin`]).
 pub type TxnId = u64;
@@ -74,78 +74,6 @@ pub type TxnId = u64;
 /// Monotonic commit timestamp; `0` is the pre-history timestamp every
 /// empty table is born at.
 pub type CommitTs = u64;
-
-pub(crate) fn txn_begins_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| registry().counter(xst_obs::names::TXN_BEGINS_TOTAL, "Transactions begun."))
-}
-
-pub(crate) fn txn_commits_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(xst_obs::names::TXN_COMMITS_TOTAL, "Transactions committed.")
-    })
-}
-
-pub(crate) fn txn_aborts_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::TXN_ABORTS_TOTAL,
-            "Transactions aborted (explicitly or by conflict/IO failure).",
-        )
-    })
-}
-
-fn txn_conflicts_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::TXN_CONFLICTS_TOTAL,
-            "Commit attempts rejected by first-committer-wins validation.",
-        )
-    })
-}
-
-pub(crate) fn txn_active_gauge() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            xst_obs::names::TXN_ACTIVE,
-            "Transactions currently open (each pins a snapshot identity).",
-        )
-    })
-}
-
-pub(crate) fn txn_commit_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::TXN_COMMIT_NS,
-            "Latency of a successful commit (validation + WAL group commit + version publish).",
-        )
-    })
-}
-
-fn versions_retained_gauge() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            xst_obs::names::TXN_VERSIONS_RETAINED,
-            "Committed table versions held in version chains (bounded by the oldest open snapshot).",
-        )
-    })
-}
-
-fn versions_reclaimed_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::TXN_VERSIONS_RECLAIMED_TOTAL,
-            "Committed table versions cut from their chain below the oldest open snapshot.",
-        )
-    })
-}
 
 /// One buffered write of a transaction, in program order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -383,8 +311,8 @@ impl ManagerInner {
         }
         self.reclaimed += cut.len() as u64;
         if xst_obs::enabled() {
-            versions_reclaimed_total().add(cut.len() as u64);
-            versions_retained_gauge().add(retained as f64 - self.gauge_share as f64);
+            m::TXN_VERSIONS_RECLAIMED_TOTAL.add(cut.len() as u64);
+            m::TXN_VERSIONS_RETAINED.add(retained as f64 - self.gauge_share as f64);
             self.gauge_share = retained;
         }
         cut
@@ -394,7 +322,7 @@ impl ManagerInner {
 impl Drop for ManagerInner {
     fn drop(&mut self) {
         if self.gauge_share != 0 {
-            versions_retained_gauge().force_add(-(self.gauge_share as f64));
+            m::TXN_VERSIONS_RETAINED.force_add(-(self.gauge_share as f64));
         }
     }
 }
@@ -500,8 +428,8 @@ impl TxnManager {
         // toggled while the transaction is open.
         let gauge_counted = !internal && xst_obs::enabled();
         if gauge_counted {
-            txn_begins_total().inc();
-            txn_active_gauge().add(1.0);
+            m::TXN_BEGINS_TOTAL.inc();
+            m::TXN_ACTIVE.add(1.0);
         }
         Txn {
             mgr: self.clone(),
@@ -811,7 +739,7 @@ fn validate_writes(
             }
             if let Some(op) = ops.iter().find(|op| v.writes.contains(op.record())) {
                 if xst_obs::enabled() {
-                    txn_conflicts_total().inc();
+                    m::TXN_CONFLICTS_TOTAL.inc();
                     xst_obs::cost::add_conflict();
                 }
                 return Err(StorageError::TxnConflict {
@@ -1072,12 +1000,12 @@ impl Txn {
         if !self.internal && xst_obs::enabled() {
             match &result {
                 Ok(_) => {
-                    txn_commits_total().inc();
+                    m::TXN_COMMITS_TOTAL.inc();
                     if let Some(t) = timer {
-                        txn_commit_hist().observe_since(t);
+                        m::TXN_COMMIT_NS.observe_since(t);
                     }
                 }
-                Err(_) => txn_aborts_total().inc(),
+                Err(_) => m::TXN_ABORTS_TOTAL.inc(),
             }
         }
         result
@@ -1120,7 +1048,7 @@ impl Txn {
     /// other with their local counts.
     fn release_gauge(&self) {
         if self.gauge_counted {
-            txn_active_gauge().force_add(-1.0);
+            m::TXN_ACTIVE.force_add(-1.0);
         }
     }
 }
@@ -1131,7 +1059,7 @@ impl Drop for Txn {
             self.mgr.inner.lock().unpin(self.begin_ts);
             self.release_gauge();
             if !self.internal && xst_obs::enabled() {
-                txn_aborts_total().inc();
+                m::TXN_ABORTS_TOTAL.inc();
             }
         }
     }

@@ -44,9 +44,9 @@ use crate::retry::{with_retry, RetryPolicy};
 use crate::snapshot::crc32;
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-use xst_obs::{registry, Counter, Histogram};
+use xst_obs::names::handle as m;
 
 /// Bytes of framing around each payload: `len + crc32(len)` before,
 /// `crc32(payload)` after.
@@ -59,66 +59,6 @@ const MARKER_LEN: u32 = u32::MAX;
 
 /// A commit marker is a bare header: sentinel length + its checksum.
 const MARKER_SIZE: usize = 8;
-
-fn wal_append_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::STORAGE_WAL_APPEND_NS,
-            "Latency of staging one WAL frame (length + header crc + payload + crc).",
-        )
-    })
-}
-
-fn wal_fsync_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            xst_obs::names::STORAGE_WAL_FSYNC_NS,
-            "Latency of one WAL flush (the fsync-equivalent commit point).",
-        )
-    })
-}
-
-fn wal_appends_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_WAL_APPENDS_TOTAL,
-            "Records staged into the write-ahead log.",
-        )
-    })
-}
-
-fn wal_bytes_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_WAL_BYTES_TOTAL,
-            "Payload bytes staged into the write-ahead log (framing excluded).",
-        )
-    })
-}
-
-fn group_commits_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_WAL_GROUP_COMMITS_TOTAL,
-            "Batches acknowledged by a single WAL flush (group commit).",
-        )
-    })
-}
-
-fn group_commit_records_total() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            xst_obs::names::STORAGE_WAL_GROUP_COMMIT_RECORDS_TOTAL,
-            "Records acknowledged through group commit.",
-        )
-    })
-}
 
 /// The checkpoint control record: how much of the heap file was durable
 /// when the log was last truncated.
@@ -182,9 +122,9 @@ impl Wal {
         inner.staged.put_u32_le(crc32(payload));
         drop(inner);
         if let Some(t) = timer {
-            wal_append_hist().observe_since(t);
-            wal_appends_total().inc();
-            wal_bytes_total().add(payload.len() as u64);
+            m::STORAGE_WAL_APPEND_NS.observe_since(t);
+            m::STORAGE_WAL_APPENDS_TOTAL.inc();
+            m::STORAGE_WAL_BYTES_TOTAL.add(payload.len() as u64);
             xst_obs::cost::add_wal_append();
         }
     }
@@ -237,7 +177,7 @@ impl Wal {
         inner.committed = inner.durable.len();
         drop(inner);
         if let Some(t) = timer {
-            wal_fsync_hist().observe_since(t);
+            m::STORAGE_WAL_FSYNC_NS.observe_since(t);
             xst_obs::cost::add_wal_fsync();
         }
         Ok(())
@@ -416,9 +356,13 @@ impl LoggedTable {
     /// Replace the retry policy for WAL flushes, checkpoint marks, and the
     /// heap flushes underneath.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> LoggedTable {
+        self.set_retry_policy(retry);
+        self
+    }
+
+    pub(crate) fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
         self.table.file.set_retry_policy(retry);
-        self
     }
 
     /// Append one record: a batch of one.
@@ -455,8 +399,8 @@ impl LoggedTable {
             self.wal.drop_staged();
             return Err(e);
         }
-        group_commits_total().inc();
-        group_commit_records_total().add(records.len() as u64);
+        m::STORAGE_WAL_GROUP_COMMITS_TOTAL.inc();
+        m::STORAGE_WAL_GROUP_COMMIT_RECORDS_TOTAL.add(records.len() as u64);
         // Acknowledged: apply to the heap. Failure past the commit point
         // wedges the handle — the records stay recoverable from the log.
         for r in records {

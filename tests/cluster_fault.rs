@@ -22,6 +22,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 use xst_client::coord::{CoordError, Coordinator};
 use xst_core::ExtendedSet;
+use xst_server::{member_schema, set_to_records};
+use xst_storage::{shard_of, ShardedEngine};
 use xst_testkit::cluster::{
     count_message_sites, drive_cluster_workload, expected_set, run_with_fault, start_shard_servers,
     sweep_fault_kind, txn_set, verify_recovery, CLUSTER_SHARDS, CLUSTER_TABLE, CLUSTER_TIMEOUT,
@@ -208,4 +210,214 @@ fn recovered_reads_match_workload_exactly() {
     let mut other = Coordinator::connect(&cluster.addrs, Some(Duration::from_secs(5)))
         .expect("second coordinator");
     assert_eq!(other.get(CLUSTER_TABLE).expect("gather 2"), want);
+}
+
+/// Message sites a fresh coordinator's connect consumes (the handshake
+/// round-trips), counted on a throwaway cluster so a later plan can aim
+/// at "the n-th message after connect".
+fn sites_after_connect() -> u64 {
+    let cluster = start_shard_servers(CLUSTER_SHARDS);
+    let plan = NetFaultPlan::count_only();
+    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
+    let _coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
+    plan.sites_seen()
+}
+
+/// Regression: shard 1's `Begin` fails after shard 0's succeeded. The
+/// coordinator must abort what it already began — otherwise shard 0
+/// keeps an open transaction nobody can reach (`abort()` says nothing is
+/// open, the next `begin()` trips over it) and its snapshot pins every
+/// version chain.
+#[test]
+fn failed_begin_aborts_the_shards_already_begun() {
+    let _guard = serial();
+    let connected = sites_after_connect();
+    let cluster = start_shard_servers(CLUSTER_SHARDS);
+    // After connect: Begin→shard 0, its reply, then Begin→shard 1.
+    let plan = NetFaultPlan::at_site(connected + 2, NetFaultKind::Sever);
+    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
+    let mut coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
+    let err = coord.begin().expect_err("shard 1's Begin was severed");
+    assert!(plan.fired());
+    assert!(
+        matches!(err, CoordError::Shard { shard: 1, .. }),
+        "wanted shard 1's failure, got {err}"
+    );
+    assert!(!coord.in_txn());
+    assert_eq!(
+        cluster.engines[0].mgr().active_txns(),
+        0,
+        "shard 0 must not be left holding the half-begun transaction"
+    );
+}
+
+/// Regression: an autocommit `put` whose inner Put fails must abort its
+/// implicit transaction. Left open, `in_txn` stays true and the *next*
+/// autocommit silently joins the stale transaction.
+#[test]
+fn failed_autocommit_put_aborts_its_implicit_transaction() {
+    let _guard = serial();
+    let connected = sites_after_connect();
+    let cluster = start_shard_servers(CLUSTER_SHARDS);
+    // After connect: Begin ×2 shards (4 messages), Put→shard 0 and its
+    // reply (2), then Put→shard 1.
+    let plan = NetFaultPlan::at_site(connected + 6, NetFaultKind::Sever);
+    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
+    let mut coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
+    let err = coord
+        .put(CLUSTER_TABLE, &txn_set(0))
+        .expect_err("shard 1's Put was severed");
+    assert!(plan.fired());
+    assert!(
+        matches!(err, CoordError::Shard { shard: 1, .. }),
+        "wanted shard 1's failure, got {err}"
+    );
+    assert!(!coord.in_txn(), "the implicit transaction must not linger");
+    assert_eq!(cluster.engines[0].mgr().active_txns(), 0);
+    let devices = coord.devices();
+    drop(coord);
+    drop(proxies);
+    verify_recovery(xst_testkit::cluster::RunOutcome {
+        acked: vec![],
+        error: Some(err),
+        devices: Some(devices),
+        cluster,
+    });
+}
+
+/// One scripted multi-shard transaction of the differential below.
+struct Scripted {
+    put: ExtendedSet,
+    delete: ExtendedSet,
+    /// Written and committed by a concurrent session between this
+    /// transaction's writes and its commit.
+    rival: ExtendedSet,
+}
+
+/// What a deployment is left with after the script.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// Per transaction: was its commit acknowledged?
+    acked: Vec<bool>,
+    /// The coordinator's committed gtxn set.
+    gtxns: Vec<u64>,
+    /// Each shard's committed identity of the table.
+    fragments: Vec<ExtendedSet>,
+    /// Prepares still awaiting a decision anywhere.
+    in_doubt: usize,
+}
+
+/// The members of `set` that route to `shard`.
+fn on_shard(set: &ExtendedSet, shard: usize) -> ExtendedSet {
+    let mut b = xst_core::SetBuilder::new();
+    for (m, rec) in set.members().iter().zip(set_to_records(set)) {
+        if shard_of(&rec, CLUSTER_SHARDS) == shard {
+            b.scoped(m.element.clone(), m.scope.clone());
+        }
+    }
+    b.build()
+}
+
+fn differential_script() -> Vec<Scripted> {
+    let none = ExtendedSet::empty;
+    vec![
+        Scripted {
+            put: txn_set(0),
+            delete: none(),
+            rival: none(),
+        },
+        // The rival commits this transaction's shard-1 member first, so
+        // shard 0 prepares and then shard 1 loses first-committer-wins:
+        // the round must roll shard 0 back and write no decision.
+        Scripted {
+            put: txn_set(1),
+            delete: none(),
+            rival: on_shard(&txn_set(1), 1),
+        },
+        Scripted {
+            put: txn_set(2),
+            delete: txn_set(0),
+            rival: none(),
+        },
+        Scripted {
+            put: txn_set(3),
+            delete: none(),
+            rival: none(),
+        },
+    ]
+}
+
+fn run_in_process(script: &[Scripted]) -> Outcome {
+    let engine = ShardedEngine::with_shards(CLUSTER_SHARDS);
+    engine
+        .create_table(CLUSTER_TABLE, member_schema())
+        .expect("create table");
+    let mut acked = Vec::new();
+    for step in script {
+        let mut txn = engine.begin();
+        for rec in set_to_records(&step.put) {
+            txn.insert(CLUSTER_TABLE, rec).expect("insert");
+        }
+        for rec in set_to_records(&step.delete) {
+            txn.delete(CLUSTER_TABLE, rec).expect("delete");
+        }
+        if step.rival.card() > 0 {
+            engine
+                .autocommit_insert(CLUSTER_TABLE, &set_to_records(&step.rival))
+                .expect("rival commit");
+        }
+        acked.push(txn.commit().is_ok());
+    }
+    Outcome {
+        acked,
+        gtxns: engine.committed_gtxns(),
+        fragments: engine.latest_fragments(CLUSTER_TABLE).expect("fragments"),
+        in_doubt: engine.prepared_external().len(),
+    }
+}
+
+fn run_over_the_wire(script: &[Scripted]) -> Outcome {
+    let cluster = start_shard_servers(CLUSTER_SHARDS);
+    let timeout = Some(Duration::from_secs(5));
+    let mut coord = Coordinator::connect(&cluster.addrs, timeout).expect("connect");
+    let mut rival = Coordinator::connect(&cluster.addrs, timeout).expect("connect rival");
+    let mut acked = Vec::new();
+    for step in script {
+        coord.begin().expect("begin");
+        coord.put(CLUSTER_TABLE, &step.put).expect("put");
+        coord.delete(CLUSTER_TABLE, &step.delete).expect("delete");
+        if step.rival.card() > 0 {
+            rival.put(CLUSTER_TABLE, &step.rival).expect("rival commit");
+        }
+        acked.push(coord.commit().is_ok());
+    }
+    let engines = &cluster.engines;
+    Outcome {
+        acked,
+        gtxns: coord.committed_gtxns(),
+        fragments: engines
+            .iter()
+            .flat_map(|e| {
+                e.sharded()
+                    .latest_fragments(CLUSTER_TABLE)
+                    .expect("fragment")
+            })
+            .collect(),
+        in_doubt: engines.iter().map(|e| e.prepared_gtxns().len()).sum(),
+    }
+}
+
+/// The same script through both deployments of the one commit round: a
+/// 2-shard in-process `ShardedEngine` and a `Coordinator` over two
+/// single-shard servers. Same verdict per transaction, same committed
+/// gtxn set, identical per-shard fragments, nothing left in doubt.
+#[test]
+fn in_process_and_wire_rounds_agree_on_a_scripted_workload() {
+    let _guard = serial();
+    let script = differential_script();
+    let local = run_in_process(&script);
+    assert_eq!(local.acked, [true, false, true, true]);
+    assert_eq!(local.gtxns, [1, 3, 4], "the aborted round spent gtxn 2");
+    assert_eq!(local.in_doubt, 0);
+    assert_eq!(local, run_over_the_wire(&script));
 }
