@@ -37,7 +37,7 @@ use xst_obs::names::handle as m;
 use xst_query::{eval_sharded, Expr, ShardedBindings};
 use xst_server::proto::ErrorCode;
 use xst_server::set_to_records;
-use xst_storage::twopc::{self, DecisionLog, Participant};
+use xst_storage::twopc::{self, DecisionLog, Participant, Prepared};
 use xst_storage::{shard_of, Storage, StorageError, Wal};
 
 /// Everything that can go wrong driving the cluster.
@@ -518,41 +518,47 @@ impl Coordinator {
     /// A one-line human status of the cluster, for the shell.
     pub fn status(&self) -> String {
         format!(
-            "cluster: {} shard(s) [{}], {} decision-log entries, txn open: {}",
+            "cluster: {} shard(s) [{}], {n} committed decision(s) ({n} decision-log entries), \
+             next gtxn {}, txn open: {}",
             self.shards.len(),
             self.addrs.join(", "),
-            self.log.committed().len(),
-            self.in_txn
+            self.log.peek_gtxn(),
+            self.in_txn,
+            n = self.log.committed().len()
         )
     }
 }
 
-/// One written shard's side of a commit round: its connection.
+/// One written shard's side of a commit round, before and after its
+/// prepare: the connection to it.
 struct ShardLink<'a> {
     shard: usize,
     client: &'a mut Client,
 }
 
-impl Participant for ShardLink<'_> {
+impl<'a> Participant for ShardLink<'a> {
     type Error = CoordError;
+    type Prepared = ShardLink<'a>;
 
-    fn prepare(&mut self, gtxn: u64) -> CoordResult<()> {
-        self.client
-            .prepare(gtxn)
-            .map(drop)
-            .map_err(|e| shard_err(self.shard, e))
+    fn prepare(self, gtxn: u64) -> CoordResult<ShardLink<'a>> {
+        match self.client.prepare(gtxn) {
+            Ok(_) => Ok(self),
+            Err(e) => Err(shard_err(self.shard, e)),
+        }
     }
 
     // The session still holds the open transaction.
-    fn release(&mut self) {
+    fn release(self) {
         let _ = self.client.abort();
     }
+}
 
-    fn rollback(&mut self, gtxn: u64) {
+impl Prepared<CoordError> for ShardLink<'_> {
+    fn rollback(self, gtxn: u64) {
         let _ = self.client.decide(gtxn, false);
     }
 
-    fn commit(&mut self, gtxn: u64) -> CoordResult<u64> {
+    fn commit(self, gtxn: u64) -> CoordResult<u64> {
         self.client
             .decide(gtxn, true)
             .map_err(|e| shard_err(self.shard, e))

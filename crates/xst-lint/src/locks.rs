@@ -19,9 +19,12 @@
 //! Acquisitions-while-held and blocking operations propagate through an
 //! intra-workspace call graph resolved by method name + arity, filtered
 //! by a receiver hint (the declared type of the named field, or the
-//! `impl` type for `self`). Ambiguous calls with no hint are dropped —
-//! the analysis deliberately under-approximates rather than invent
-//! edges. Condvar waits (`wait`/`wait_timeout`) are not blocking ops:
+//! `impl` type for `self`). A hint-less method call whose name is
+//! ambiguous workspace-wide resolves only if the caller's own crate
+//! holds exactly one candidate — which is how a generic helper's
+//! `p.prepare(..)` finds the trait impl beside it. Other ambiguous calls
+//! are dropped — the analysis deliberately under-approximates rather
+//! than invent edges. Condvar waits (`wait`/`wait_timeout`) are not blocking ops:
 //! waiting releases the guard by design.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -559,6 +562,18 @@ fn resolve(
         }
         if cands.len() == 1 {
             return cands.clone();
+        }
+        // No hint, several candidates: a trait method called on a generic
+        // receiver lands here. Take the caller's own crate's impl, if it
+        // has exactly one.
+        let crate_name = &ws.files[file].crate_name;
+        let same_crate: Vec<usize> = cands
+            .iter()
+            .copied()
+            .filter(|&c| &ws.files[fns[c].file].crate_name == crate_name)
+            .collect();
+        if same_crate.len() == 1 {
+            return same_crate;
         }
         Vec::new()
     } else {

@@ -55,6 +55,22 @@ fn lock_across_io_fixture_flags_guard_across_sync_and_honors_justification() {
 }
 
 #[test]
+fn trait_dispatch_fixture_resolves_to_the_callers_own_crate() {
+    let report = lint("trait_dispatch");
+    assert_eq!(
+        errors(&report),
+        vec![
+            "crates/app/src/lib.rs:35: [lock-across-io] guard on `Engine.round` \
+             (acquired line 34) held across `run_all()` (reaches blocking \
+             `sync_all()` via Local::prepare)"
+        ]
+    );
+    // `wire` has two `prepare` methods of its own: `Relay::unsure` stays
+    // unresolved and silent.
+    assert_eq!(report.findings.len(), 1);
+}
+
+#[test]
 fn unnumbered_io_fixture_flags_raw_write_and_honors_justification() {
     let report = lint("unnumbered_io");
     assert_eq!(

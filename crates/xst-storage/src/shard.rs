@@ -30,7 +30,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::fault::{FaultKind, FaultPlan, FaultSchedule};
 use crate::record::{Record, Schema};
 use crate::retry::RetryPolicy;
-use crate::twopc::{self, DecisionLog, Participant};
+use crate::twopc::{self, DecisionLog, Participant, Prepared};
 use crate::txn::{CommitTs, Txn, TxnId, TxnManager};
 use crate::wal::Wal;
 use parking_lot::Mutex;
@@ -327,9 +327,7 @@ impl ShardedEngine {
     /// decide). On `Err` every shard is clean: already-prepared shards
     /// are rolled back and unvalidated writes discarded.
     pub fn prepare_external(&self, txn: ShardedTxn, gtxn: u64) -> StorageResult<usize> {
-        // Held across the prepare flushes: the round lock serializes whole
-        // 2PC rounds — overlapping prepares on one participant would both
-        // pass validation (see Txn::into_prepared).
+        // lint: lock-across-io: the round lock serializes whole 2PC rounds — overlapping prepares on one participant would both pass validation (see Txn::into_prepared)
         let _round = self.inner.round.lock();
         let mut txn = txn;
         txn.finished = true;
@@ -349,7 +347,7 @@ impl ShardedEngine {
             } else {
                 writers.push(ShardWriter {
                     mgr: &shard.mgr,
-                    sub: Some(sub),
+                    sub,
                 });
             }
         }
@@ -489,6 +487,9 @@ impl ShardedEngine {
             m::SHARD_COUNT.set(shards.len() as f64);
         }
         log.skip_past(max_gtxn);
+        // `self` may outlive this call; the recovered log reports the
+        // entries from here on.
+        self.inner.round.lock().retire();
         Ok(ShardedEngine {
             inner: Arc::new(EngineInner {
                 shards,
@@ -669,46 +670,44 @@ impl Drop for ShardedTxn {
     }
 }
 
-/// One written shard's side of a commit round: its sub-transaction until
-/// prepared, its manager (holding the prepare) after.
+/// One written shard's side of a commit round: its open sub-transaction.
 struct ShardWriter<'a> {
     mgr: &'a TxnManager,
-    sub: Option<Txn>,
+    sub: Txn,
 }
 
-impl ShardWriter<'_> {
-    fn take(&mut self) -> StorageResult<Txn> {
-        self.sub.take().ok_or_else(|| StorageError::Corrupt {
-            reason: "shard writer lost its sub-transaction".to_string(),
-        })
-    }
-}
-
-impl Participant for ShardWriter<'_> {
+impl<'a> Participant for ShardWriter<'a> {
     type Error = StorageError;
+    type Prepared = PreparedShard<'a>;
 
-    fn prepare(&mut self, gtxn: u64) -> StorageResult<()> {
-        self.take()?.into_prepared(gtxn)?;
+    fn prepare(self, gtxn: u64) -> StorageResult<PreparedShard<'a>> {
+        self.sub.into_prepared(gtxn)?;
         if xst_obs::enabled() {
             m::SHARD_2PC_PREPARES_TOTAL.inc();
         }
-        Ok(())
+        Ok(PreparedShard(self.mgr))
     }
 
-    fn release(&mut self) {
-        self.sub = None; // the sub-transaction aborts via its Drop
+    fn release(self) {
+        self.sub.abort();
     }
+}
 
+/// The same shard once prepared: its manager, now holding the writes
+/// under the gtxn.
+struct PreparedShard<'a>(&'a TxnManager);
+
+impl Prepared<StorageError> for PreparedShard<'_> {
     // In-memory only: recovery default-aborts the durable prepare because
     // the decision log does not name it.
-    fn rollback(&mut self, gtxn: u64) {
-        self.mgr.abort_prepared(gtxn);
+    fn rollback(self, gtxn: u64) {
+        self.0.abort_prepared(gtxn);
     }
 
     // Absorbs local marker I/O failures; errors only on invariant
     // corruption.
-    fn commit(&mut self, gtxn: u64) -> StorageResult<CommitTs> {
-        self.mgr.commit_prepared(gtxn)
+    fn commit(self, gtxn: u64) -> StorageResult<CommitTs> {
+        self.0.commit_prepared(gtxn)
     }
 }
 
@@ -719,14 +718,14 @@ fn commit_subs(
     subs: Vec<Txn>,
 ) -> StorageResult<CommitTs> {
     let mut writers = engine.writers(subs);
-    match writers.as_mut_slice() {
+    match writers.len() {
         // Read-only everywhere: nothing to decide, nothing to flush.
-        [] => Ok(engine.last_commit_ts()),
+        0 => Ok(engine.last_commit_ts()),
         // One shard wrote: the ordinary single-flush commit IS atomic,
         // no coordinator round needed. This is why a 1-shard deployment
         // keeps single-engine commit costs.
-        [only] => {
-            let ts = only.take()?.commit()?;
+        1 => {
+            let ts = writers.swap_remove(0).sub.commit()?;
             if xst_obs::enabled() {
                 m::SHARD_SINGLE_COMMITS_TOTAL.inc();
             }

@@ -60,7 +60,7 @@ pub struct DecisionLog {
     /// This log's contribution to the process-wide
     /// `xst_twopc_decision_log_entries` gauge: moved by the difference
     /// at each commit (so a collector toggled mid-run self-corrects) and
-    /// returned on drop.
+    /// returned on [`DecisionLog::retire`] or drop.
     gauge_share: u64,
 }
 
@@ -121,6 +121,11 @@ impl DecisionLog {
         gtxn
     }
 
+    /// The id the next round will get, without allocating it.
+    pub fn peek_gtxn(&self) -> u64 {
+        self.next_gtxn
+    }
+
     /// Never hand out `gtxn` or anything below it — for ids the caller
     /// saw outside this log (a participant's WAL, another coordinator).
     pub fn skip_past(&mut self, gtxn: u64) {
@@ -153,6 +158,16 @@ impl DecisionLog {
         self.table.set_retry_policy(retry);
     }
 
+    /// Hand this log's gauge share back: a log recovered over the same
+    /// devices now reports those entries, and counting the superseded
+    /// instance too would double them for as long as it stays alive.
+    pub fn retire(&mut self) {
+        if self.gauge_share != 0 {
+            m::TWOPC_DECISION_LOG_ENTRIES.force_add(-(self.gauge_share as f64));
+            self.gauge_share = 0;
+        }
+    }
+
     fn publish_len(&mut self) {
         if xst_obs::enabled() {
             let len = self.committed.len() as u64;
@@ -164,57 +179,64 @@ impl DecisionLog {
 
 impl Drop for DecisionLog {
     fn drop(&mut self) {
-        if self.gauge_share != 0 {
-            m::TWOPC_DECISION_LOG_ENTRIES.force_add(-(self.gauge_share as f64));
-        }
+        self.retire();
     }
 }
 
-/// One side of a commit round, holding a transaction's writes for one
-/// shard. The round calls either `release` (an earlier participant
-/// failed; never asked to prepare) or `prepare`; a participant whose
-/// prepare succeeded then hears exactly one of `rollback` (round aborted)
-/// or `commit` (decision durable), one whose prepare failed nothing more.
+/// One side of a commit round before phase one: a transaction's still
+/// open writes for one shard. The round consumes it exactly once — by
+/// `prepare`, or by `release` when an earlier participant already failed.
 pub trait Participant {
     /// The caller's error type; a failed decision flush converts into it.
     type Error: From<StorageError>;
+    /// What a successful prepare leaves behind, awaiting the decision.
+    type Prepared: Prepared<Self::Error>;
 
     /// Phase one: make the writes durable under `gtxn`, publish nothing.
-    fn prepare(&mut self, gtxn: u64) -> Result<(), Self::Error>;
+    /// On `Err` the participant holds nothing and hears nothing more.
+    fn prepare(self, gtxn: u64) -> Result<Self::Prepared, Self::Error>;
 
     /// An earlier participant failed before this one was asked: let go of
     /// the still-open transaction.
-    fn release(&mut self);
+    fn release(self);
+}
 
+/// A participant past phase one. It hears exactly one of `rollback` (the
+/// round aborted) or `commit` (the decision is durable) — or neither, when
+/// the coordinator dies first and recovery settles it from the log.
+pub trait Prepared<E> {
     /// Drop the prepare; the round wrote no decision. Best effort — a
     /// prepare that outlives it is presumed aborted at recovery.
-    fn rollback(&mut self, gtxn: u64);
+    fn rollback(self, gtxn: u64);
 
     /// Decision delivery: publish the prepared writes.
-    fn commit(&mut self, gtxn: u64) -> Result<CommitTs, Self::Error>;
+    fn commit(self, gtxn: u64) -> Result<CommitTs, E>;
 }
 
 /// Phase one alone: prepare `participants` in order under `gtxn`. On the
 /// first failure the remainder is released, the prepared ones are rolled
 /// back, and the failure is returned; otherwise every participant comes
 /// back prepared, awaiting a decision.
-pub fn prepare_all<P: Participant>(gtxn: u64, participants: Vec<P>) -> Result<Vec<P>, P::Error> {
+pub fn prepare_all<P: Participant>(
+    gtxn: u64,
+    participants: Vec<P>,
+) -> Result<Vec<P::Prepared>, P::Error> {
     let mut prepared = Vec::with_capacity(participants.len());
     let mut failure = None;
-    for mut p in participants {
+    for p in participants {
         if failure.is_some() {
             p.release();
             continue;
         }
         match p.prepare(gtxn) {
-            Ok(()) => prepared.push(p),
+            Ok(p) => prepared.push(p),
             Err(e) => failure = Some(e),
         }
     }
     match failure {
         None => Ok(prepared),
         Some(e) => {
-            prepared.iter_mut().for_each(|p| p.rollback(gtxn));
+            prepared.into_iter().for_each(|p| p.rollback(gtxn));
             Err(e)
         }
     }
@@ -223,10 +245,10 @@ pub fn prepare_all<P: Participant>(gtxn: u64, participants: Vec<P>) -> Result<Ve
 /// A round past its commit point: `gtxn` is in the decision log and the
 /// participants are prepared. Dropping it undelivered is a coordinator
 /// crash between decision and delivery — recovery finishes the job.
-pub struct Decided<P> {
+pub struct Decided<P: Participant> {
     /// The committed global transaction id.
     pub gtxn: u64,
-    prepared: Vec<P>,
+    prepared: Vec<P::Prepared>,
 }
 
 impl<P: Participant> Decided<P> {
@@ -234,7 +256,7 @@ impl<P: Participant> Decided<P> {
     /// caller sees each result and chooses to stop or carry on.
     pub fn deliver(self) -> impl Iterator<Item = Result<CommitTs, P::Error>> {
         let gtxn = self.gtxn;
-        self.prepared.into_iter().map(move |mut p| p.commit(gtxn))
+        self.prepared.into_iter().map(move |p| p.commit(gtxn))
     }
 }
 
@@ -247,9 +269,9 @@ pub fn commit_round<P: Participant>(
     participants: Vec<P>,
 ) -> Result<Decided<P>, P::Error> {
     let gtxn = log.next_gtxn();
-    let mut prepared = prepare_all(gtxn, participants)?;
+    let prepared = prepare_all(gtxn, participants)?;
     if let Err(e) = log.commit(gtxn) {
-        prepared.iter_mut().for_each(|p| p.rollback(gtxn));
+        prepared.into_iter().for_each(|p| p.rollback(gtxn));
         return Err(e.into());
     }
     Ok(Decided { gtxn, prepared })
@@ -341,28 +363,31 @@ mod tests {
         }
     }
 
-    impl Participant for Scripted<'_> {
+    impl<'a> Participant for Scripted<'a> {
         type Error = StorageError;
+        type Prepared = Scripted<'a>;
 
-        fn prepare(&mut self, _gtxn: u64) -> StorageResult<()> {
+        fn prepare(self, _gtxn: u64) -> StorageResult<Scripted<'a>> {
             self.note('P');
             if self.fail_prepare {
                 return Err(StorageError::Corrupt {
                     reason: "scripted".to_string(),
                 });
             }
-            Ok(())
+            Ok(self)
         }
 
-        fn release(&mut self) {
+        fn release(self) {
             self.note('X');
         }
+    }
 
-        fn rollback(&mut self, _gtxn: u64) {
+    impl Prepared<StorageError> for Scripted<'_> {
+        fn rollback(self, _gtxn: u64) {
             self.note('R');
         }
 
-        fn commit(&mut self, gtxn: u64) -> StorageResult<CommitTs> {
+        fn commit(self, gtxn: u64) -> StorageResult<CommitTs> {
             self.note('C');
             Ok(gtxn)
         }

@@ -348,6 +348,36 @@ fn idle_pool_hit_ratio_exports_the_negative_sentinel() {
 }
 
 // ---------------------------------------------------------------------------
+// The decision-log gauge counts each log once, across an in-process recovery.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_recovered_engine_takes_over_the_decision_log_gauge() {
+    use xst_storage::{Record, Schema, ShardedEngine};
+
+    let _g = obs_lock();
+    xst_obs::enable();
+    let gauge = &xst_obs::names::handle::TWOPC_DECISION_LOG_ENTRIES;
+    let before = gauge.get();
+
+    let engine = ShardedEngine::with_shards(2);
+    engine.create_table("t", Schema::new(["k"])).unwrap();
+    let rows: Vec<Record> = (0..16).map(|k| Record::new([Value::Int(k)])).collect();
+    engine.autocommit_insert("t", &rows).unwrap();
+    assert_eq!(engine.committed_gtxns(), vec![1], "one 2PC round ran");
+    assert_eq!(gauge.get(), before + 1.0);
+
+    // The crashed engine is still alive here; its log must not be
+    // counted beside the one recovered over the same devices.
+    let recovered = engine.recover().unwrap();
+    assert_eq!(gauge.get(), before + 1.0, "superseded log counted twice");
+    drop(engine);
+    assert_eq!(gauge.get(), before + 1.0);
+    drop(recovered);
+    assert_eq!(gauge.get(), before);
+}
+
+// ---------------------------------------------------------------------------
 // Trace toggling through the shell switches the whole process.
 // ---------------------------------------------------------------------------
 
