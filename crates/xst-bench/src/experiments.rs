@@ -1453,7 +1453,7 @@ pub fn e15_analysis(n: usize, iters: usize) -> (String, Vec<crate::report_json::
 /// same one-table plan over the wire, repeatedly, through its own TCP
 /// connection. The baseline runs the identical plan through
 /// `eval_parallel` in-process on the same bindings, so "wire overhead"
-/// prices exactly the protocol round trip (framing, CRC, text codec,
+/// prices exactly the protocol round trip (framing, CRC, value codec,
 /// session dispatch) and nothing else.
 ///
 /// Read the concurrency rows honestly: this box has ONE CPU, so 4 and 16

@@ -15,8 +15,8 @@
 //!
 //! ## Distributed tracing
 //!
-//! When the observability collector is on and the negotiated protocol
-//! is v2+, every call **originates a trace**: it opens a
+//! When the observability collector is on, every call **originates a
+//! trace**: it opens a
 //! `client.request` root span and ships its
 //! [`TraceContext`](xst_obs::TraceContext) inside a
 //! [`Request::Traced`] wrapper, so the server-side spans
@@ -24,8 +24,7 @@
 //! the same 64-bit trace id. [`Client::trace_dump`] fetches the
 //! server's collected spans as `xst-trace/1` JSON and
 //! [`Client::request_log`] its structured per-request cost records.
-//! Against a v1 server — or with [`Client::set_tracing`] off — calls
-//! travel bare, exactly as a v1 client would send them.
+//! With [`Client::set_tracing`] off, calls travel bare.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,9 +34,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use xst_core::ExtendedSet;
 use xst_query::Expr;
-use xst_server::proto::{
-    ErrorCode, Request, Response, WireError, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use xst_server::proto::{ErrorCode, Request, Response, WireError, PROTO_VERSION};
 use xst_server::wire::{read_frame, write_frame, FrameError};
 use xst_storage::{FaultKind, FaultSchedule};
 
@@ -164,10 +161,7 @@ pub struct TxnInfo {
 pub struct Client {
     stream: TcpStream,
     banner: String,
-    /// The protocol version the handshake negotiated (the server echo).
-    version: u32,
-    /// Wrap calls in a trace context when the collector is on and the
-    /// negotiated protocol supports it.
+    /// Wrap calls in a trace context when the collector is on.
     tracing: bool,
 }
 
@@ -194,7 +188,6 @@ impl Client {
         let mut c = Client {
             stream,
             banner: String::new(),
-            version: PROTO_VERSION,
             tracing: true,
         };
         let resp = c.round_trip(&Request::Hello {
@@ -202,11 +195,8 @@ impl Client {
             client: client_name.to_string(),
         })?;
         match resp {
-            Response::Welcome { version, banner }
-                if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) =>
-            {
+            Response::Welcome { version, banner } if version == PROTO_VERSION => {
                 c.banner = banner;
-                c.version = version;
                 Ok(c)
             }
             Response::Welcome { version, .. } => Err(ClientError::Handshake(format!(
@@ -229,14 +219,8 @@ impl Client {
         &self.banner
     }
 
-    /// The protocol version the handshake negotiated.
-    pub fn negotiated_version(&self) -> u32 {
-        self.version
-    }
-
     /// Control trace origination (default on). Even when on, calls only
-    /// carry a context if the collector is enabled and the negotiated
-    /// protocol is v2+.
+    /// carry a context if the collector is enabled.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
     }
@@ -264,12 +248,12 @@ impl Client {
 
     /// Issue `req`; treat a [`Response::Error`] as [`ClientError::Remote`].
     ///
-    /// This is where a trace originates: with the collector on and a
-    /// v2+ peer, the call opens a `client.request` root span and wraps
+    /// This is where a trace originates: with the collector on, the
+    /// call opens a `client.request` root span and wraps
     /// `req` in [`Request::Traced`] carrying the span's context, so the
     /// server's spans stitch under the same trace id.
     fn call(&mut self, req: Request) -> ClientResult<Response> {
-        let span = (self.tracing && self.version >= 2 && xst_obs::enabled())
+        let span = (self.tracing && xst_obs::enabled())
             .then(|| xst_obs::span!("client.request", kind = req.kind_name()));
         let timer = xst_obs::enabled().then(Instant::now);
         let resp = match span.as_ref().and_then(xst_obs::SpanGuard::context) {
@@ -396,7 +380,7 @@ impl Client {
 
     /// Read this shard's **raw local fragment** of `table` — its
     /// members only, no gather — as the member set it denotes. The
-    /// coordinator's scatter read (requires a v2+ server).
+    /// coordinator's scatter read.
     pub fn frag_read(&mut self, table: &str) -> ClientResult<ExtendedSet> {
         match self.call(Request::FragRead {
             table: table.to_string(),
@@ -410,7 +394,7 @@ impl Client {
     /// in-doubt prepare under the coordinator's global id `gtxn`.
     /// Returns how many local shards staged writes. After success the
     /// session has no open transaction and a disconnect no longer
-    /// aborts the staged writes (requires a v2+ server).
+    /// aborts the staged writes.
     pub fn prepare(&mut self, gtxn: u64) -> ClientResult<u64> {
         match self.call(Request::Prepare { gtxn })? {
             Response::Prepared {
@@ -422,8 +406,7 @@ impl Client {
     }
 
     /// 2PC phase two: deliver the coordinator's durable decision for
-    /// `gtxn`. Returns the local commit timestamp (0 on abort). Requires
-    /// a v2+ server.
+    /// `gtxn`. Returns the local commit timestamp (0 on abort).
     pub fn decide(&mut self, gtxn: u64, commit: bool) -> ClientResult<u64> {
         match self.call(Request::Decide { gtxn, commit })? {
             Response::Decided { ts, .. } => Ok(ts),
@@ -433,8 +416,7 @@ impl Client {
 
     /// Settle every in-doubt prepare on the server against the
     /// coordinator's committed set: commit the named gtxns, presume
-    /// abort for the rest. Returns `(committed, aborted)` counts
-    /// (requires a v2+ server).
+    /// abort for the rest. Returns `(committed, aborted)` counts.
     pub fn resolve(&mut self, committed: &[u64]) -> ClientResult<(u64, u64)> {
         match self.call(Request::Resolve {
             committed: committed.to_vec(),
@@ -469,7 +451,7 @@ impl Client {
     }
 
     /// Fetch the server's collected spans as an `xst-trace/1` JSON
-    /// document (requires a v2+ server).
+    /// document.
     pub fn trace_dump(&mut self) -> ClientResult<String> {
         match self.call(Request::TraceDump)? {
             Response::Report { text } => Ok(text),
@@ -479,7 +461,7 @@ impl Client {
 
     /// Fetch the server's structured request log as a rendered table:
     /// the slowest retained requests, or the threshold-gated slow ring
-    /// when `slow` is set (requires a v2+ server).
+    /// when `slow` is set.
     pub fn request_log(&mut self, slow: bool, limit: u32) -> ClientResult<String> {
         match self.call(Request::RequestLog { slow, limit })? {
             Response::Report { text } => Ok(text),
@@ -549,6 +531,30 @@ mod tests {
         let io_err = stream.read_exact(&mut buf).expect_err("must time out");
         let err = ClientError::from(io_err);
         assert!(err.is_timeout(), "wanted Timeout, got {err:?}");
+    }
+
+    #[test]
+    fn a_welcome_at_another_version_fails_the_handshake() {
+        // A server still speaking v2: it reads the Hello and welcomes the
+        // client at its own version. One version is seated, so this is a
+        // handshake failure, not a downgrade.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            read_frame(&mut stream).expect("hello frame");
+            let welcome = Response::Welcome {
+                version: PROTO_VERSION - 1,
+                banner: "old".into(),
+            };
+            write_frame(&mut stream, &welcome.encode()).expect("welcome frame");
+        });
+        let err = Client::connect(&addr, "t").expect_err("must not be seated");
+        server.join().expect("fake server thread");
+        assert!(
+            matches!(&err, ClientError::Handshake(m) if m.contains("v2")),
+            "wanted Handshake naming v2, got {err:?}"
+        );
     }
 
     #[test]

@@ -47,10 +47,13 @@
 //! | [`spaces`] | process/function space taxonomy (§5, §6, App. D/E) |
 //! | [`cst`] | classical compatibility layer (§3, Thm 9.10) |
 //! | [`parse`] / `display` | round-trippable textual notation |
+//! | [`codec`] / [`crc`] | the one binary value codec and the one checksum |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
+pub mod crc;
 pub mod cst;
 mod display;
 pub mod error;

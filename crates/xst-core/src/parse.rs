@@ -16,7 +16,11 @@
 //! Tuples parse into their Definition 9.1 set form `{x1^1, ..., xn^n}`, so
 //! `⟨a,b⟩` and `{a^1, b^2}` denote the same value. Round-tripping is tested
 //! both here and by property tests in the integration crate.
+//!
+//! Sets and tuples nest at most [`MAX_DEPTH`] deep — the binary codec's
+//! cap — so pasted text cannot recurse the parser off the stack.
 
+use crate::codec::MAX_DEPTH;
 use crate::error::{XstError, XstResult};
 use crate::set::{ExtendedSet, SetBuilder};
 use crate::value::Value;
@@ -47,6 +51,8 @@ pub fn parse_set(input: &str) -> XstResult<ExtendedSet> {
 struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Sets and tuples currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -54,6 +60,7 @@ impl Parser {
         Parser {
             chars: input.char_indices().collect(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -111,12 +118,22 @@ impl Parser {
                 self.bump();
                 Ok(Value::empty_set())
             }
-            Some('{') => self.set(),
-            Some('⟨') | Some('<') => self.tuple(),
+            Some('{') => self.nested(Parser::set),
+            Some('⟨') | Some('<') => self.nested(Parser::tuple),
             Some('"') => self.string(),
             Some('b') if self.chars.get(self.pos + 1).map(|&(_, c)| c) == Some('"') => self.bytes(),
             Some(_) => self.word(),
         }
+    }
+
+    fn nested(&mut self, body: fn(&mut Parser) -> XstResult<Value>) -> XstResult<Value> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn set(&mut self) -> XstResult<Value> {
@@ -330,6 +347,10 @@ mod tests {
         assert!(parse_value("b\"zz\"").is_err(), "non-hex");
         assert!(parse_set("atom").is_err(), "atoms are not sets");
         assert!(parse_value("a b").is_err(), "trailing input");
+        let deep = |n: usize| "{".repeat(n) + &"}".repeat(n);
+        assert_eq!(parse_value(&deep(MAX_DEPTH)).unwrap().depth(), MAX_DEPTH);
+        assert!(parse_value(&deep(MAX_DEPTH + 1)).is_err(), "nesting cap");
+        assert!(parse_value(&"{⟨".repeat(100_000)).is_err(), "no overflow");
     }
 
     #[test]

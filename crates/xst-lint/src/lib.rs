@@ -26,10 +26,8 @@
 //! 7. **unnumbered-io** ([`faults`]) — every function touching device
 //!    state in `xst-storage` goes through a `FaultPlan` site check or is
 //!    justified, so "crash at every site" is a checked invariant.
-//! 8. **proto-dispatch** / **version-gate** ([`proto`]) — wire tags,
-//!    decode arms, and `Session::handle` dispatch agree; v2+ requests
-//!    are version-gated in their arm (reported as `version-gate`, the
-//!    one justifiable protocol finding).
+//! 8. **proto-dispatch** ([`proto`]) — wire tags, decode arms, and
+//!    `Session::handle` dispatch agree.
 //!
 //! Justification comments are the living allowlist: they must carry a
 //! non-empty reason, survive `--deny-all` (unlike the legacy static
@@ -56,7 +54,7 @@ use syntax::FileModel;
 pub const ALLOWLIST: &[(&str, &str)] = &[];
 
 /// Rules that accept `// lint: <rule>: <why>` justification comments.
-pub const JUSTIFIABLE_RULES: &[&str] = &["lock-across-io", "unnumbered-io", "version-gate"];
+pub const JUSTIFIABLE_RULES: &[&str] = &["lock-across-io", "unnumbered-io"];
 
 /// One lint finding. `justified` findings are reported but do not fail
 /// the run (they are the documented, counted exemptions).
@@ -178,7 +176,7 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     let mut used: BTreeSet<(usize, usize)> = BTreeSet::new();
     locks::analyze(&ws, &mut findings, &mut used);
     faults::analyze(&ws, &mut findings, &mut used);
-    proto::analyze(&ws, &mut findings, &mut used);
+    proto::analyze(&ws, &mut findings);
     justification_hygiene(&ws, &used, &mut findings);
 
     findings.sort_by(|a, b| {

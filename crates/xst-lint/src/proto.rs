@@ -13,10 +13,7 @@
 //! It then checks: encode tags are a bijection (no duplicate or missing
 //! tags), decode agrees with encode tag-for-tag, every request variant
 //! is dispatched by name in `handle` (a `_ =>` wildcard cannot silently
-//! swallow a new kind — the by-name check still fails), and every
-//! variant whose doc comment marks it `v2+` is version-gated in its
-//! dispatch arm (`v2_only(` / `self.version`) or carries a
-//! `// lint: version-gate: <why>` justification.
+//! swallow a new kind — the by-name check still fails).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,15 +24,9 @@ struct Variant {
     name: String,
     /// Offset of the variant name in the blanked code.
     at: usize,
-    /// Marked "v2+" in its doc comment.
-    v2: bool,
 }
 
-pub fn analyze(
-    ws: &Workspace,
-    findings: &mut Vec<crate::Finding>,
-    used: &mut BTreeSet<(usize, usize)>,
-) {
+pub fn analyze(ws: &Workspace, findings: &mut Vec<crate::Finding>) {
     let proto = ws
         .files
         .iter()
@@ -165,7 +156,7 @@ pub fn analyze(
             }
         }
 
-        // Dispatch + version gates: requests only.
+        // Dispatch: requests only.
         if enum_name != "Request" {
             continue;
         }
@@ -194,8 +185,8 @@ pub fn analyze(
         };
         let body = handle.body.expect("handle has a body");
         let code = &srec.view.code;
-        // Offsets of each `Request::X` pattern in handle, in order.
-        let mut occurrences: Vec<(usize, String)> = Vec::new();
+        // Every `Request::X` pattern named in handle.
+        let mut dispatched: BTreeSet<&str> = BTreeSet::new();
         let mut from = body.0;
         while let Some(p) = code[from..body.1].find("Request::") {
             let at = from + p;
@@ -208,66 +199,28 @@ pub fn analyze(
             while k < b.len() && syntax::is_ident_char(b[k]) {
                 k += 1;
             }
-            occurrences.push((at, code[from..k].to_string()));
+            dispatched.insert(&code[from..k]);
         }
-        for v in &variants {
-            let occ: Vec<&(usize, String)> =
-                occurrences.iter().filter(|(_, n)| *n == v.name).collect();
-            if occ.is_empty() {
-                push_finding(
-                    findings,
-                    &srec.rel,
-                    srec.view.line_of(body.0),
-                    "proto-dispatch",
-                    format!(
-                        "`Request::{}` is not dispatched in `Session::handle`",
-                        v.name
-                    ),
-                    false,
-                );
-                continue;
-            }
-            if !v.v2 {
-                continue;
-            }
-            // Arm span: from the first occurrence to the next different
-            // occurrence (or end of handle).
-            let start = occ[0].0;
-            let arm_end = occurrences
-                .iter()
-                .filter(|(a, n)| *a > start && *n != v.name)
-                .map(|(a, _)| *a)
-                .min()
-                .unwrap_or(body.1);
-            let arm = &code[start..arm_end];
-            if arm.contains("v2_only(") || arm.contains("self.version") {
-                continue;
-            }
-            let line = srec.view.line_of(start);
-            let js = srec
-                .view
-                .justifications_on("version-gate", &[line, line.saturating_sub(1)]);
-            let justified = !js.is_empty();
-            for j in js {
-                used.insert((si, j));
-            }
+        for v in variants
+            .iter()
+            .filter(|v| !dispatched.contains(v.name.as_str()))
+        {
             push_finding(
                 findings,
                 &srec.rel,
-                line,
-                "version-gate",
+                srec.view.line_of(body.0),
+                "proto-dispatch",
                 format!(
-                    "`Request::{}` is marked v2+ in proto.rs but its `Session::handle` arm has no version gate",
+                    "`Request::{}` is not dispatched in `Session::handle`",
                     v.name
                 ),
-                justified,
+                false,
             );
         }
     }
 }
 
-/// Parse the named enum's variants, with "v2+" doc markers read from the
-/// *raw* source (doc comments are blanked in the code view).
+/// Parse the named enum's variants.
 fn parse_enum(rec: &FileRecord, name: &str) -> Option<Vec<Variant>> {
     let code = &rec.view.code;
     let b = code.as_bytes();
@@ -289,7 +242,6 @@ fn parse_enum(rec: &FileRecord, name: &str) -> Option<Vec<Variant>> {
     };
     let close = syntax::matching(b, open);
     let mut variants = Vec::new();
-    let mut prev_end = open + 1;
     let mut depth = 0isize;
     let mut i = open + 1;
     let mut piece_start = open + 1;
@@ -302,14 +254,8 @@ fn parse_enum(rec: &FileRecord, name: &str) -> Option<Vec<Variant>> {
         }
         if (c == b',' && depth == 0) || i == close {
             let piece = &code[piece_start..i];
-            if let Some(v) = variant_name(piece, piece_start) {
-                let doc = &rec.source[prev_end..v.0.min(rec.source.len())];
-                variants.push(Variant {
-                    name: v.1,
-                    at: v.0,
-                    v2: doc.contains("v2+"),
-                });
-                prev_end = i + 1;
+            if let Some((at, name)) = variant_name(piece, piece_start) {
+                variants.push(Variant { name, at });
             }
             piece_start = i + 1;
         }

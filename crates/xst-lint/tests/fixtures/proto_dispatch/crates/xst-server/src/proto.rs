@@ -1,12 +1,10 @@
 //! Fixture wire protocol: four request tags, one response tag. The
 //! `Drop` request is deliberately absent from `Session::handle` in
-//! session.rs (positive); the v2+ `Stats` request is properly gated
-//! there (negative).
+//! session.rs (positive); the other three are dispatched (negative).
 
 pub enum Request {
     Ping,
     Get { key: u64 },
-    /// v2+ observability dump.
     Stats,
     Drop,
 }

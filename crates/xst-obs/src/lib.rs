@@ -36,7 +36,7 @@
 //! processes on one machine draw from different sequences). A
 //! [`TraceContext`] — `{trace_id, parent_span}` — is the portable
 //! identity of an in-flight trace: the wire protocol carries it beside
-//! each request (protocol v2+), and the serving thread
+//! each request, and the serving thread
 //! [`adopt`](span::adopt)s it so its root spans join the remote
 //! caller's trace, parented under the caller's span id. The result is
 //! one stitched trace per wire request: the client's `client.request`

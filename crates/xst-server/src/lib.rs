@@ -14,9 +14,9 @@
 //!   can be malformed is a distinct structured error; oversize lengths
 //!   are rejected before allocation.
 //! * [`proto`] — typed [`Request`]/[`Response`] messages inside frames.
-//!   Sets travel as their canonical display text (the round-trip the
-//!   core crate property-proves); expressions are encoded structurally
-//!   with a decode-side depth cap.
+//!   Sets travel in the one binary value codec ([`xst_core::codec`], the
+//!   bytes pages and the WAL already hold); expressions are encoded
+//!   structurally with a decode-side depth cap.
 //! * [`session`] — per-connection dispatch over the shared
 //!   [`ServedEngine`]: snapshot-isolated transactions with autocommit
 //!   default, read-your-own-writes, abort-on-disconnect, and the armable
@@ -39,9 +39,7 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-pub use proto::{
-    ErrorCode, ProtoError, Request, Response, WireError, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+pub use proto::{ErrorCode, ProtoError, Request, Response, WireError, PROTO_VERSION};
 pub use server::{Server, ServerConfig};
 pub use session::{member_schema, records_identity_to_set, set_to_records, ServedEngine, Session};
 pub use wire::{encode_frame, read_frame, write_frame, FrameError, MAGIC, MAX_FRAME};

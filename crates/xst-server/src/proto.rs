@@ -3,42 +3,40 @@
 //! Inside each [`crate::wire`] frame sits exactly one message, encoded
 //! with a hand-rolled tagged binary format: one tag byte per variant,
 //! little-endian fixed-width integers, and length-prefixed UTF-8 for
-//! text. Extended sets travel as their **canonical display text** — the
-//! same grammar `xst_core::parse_set` accepts — so the wire format
-//! inherits the display↔parse round-trip property the core crate already
-//! proves, and a captured frame is inspectable with nothing more than a
-//! hex dump. [`xst_query::Expr`] trees are encoded structurally
-//! (recursively, one tag per operator) with a decode-side depth cap so a
-//! hostile payload cannot recurse the decoder off the stack.
+//! text. Extended sets travel in the **one value codec**,
+//! [`xst_core::codec`] — the same bytes a page slot, a WAL frame and the
+//! shard-routing hash hold; its module doc carries the layout table and
+//! the hostile-input rules (nesting cap, count bound before allocation,
+//! UTF-8 validation, strict canonical order). Text (`Display` and the
+//! core parser) is the shell's human syntax and never crosses the wire.
+//! [`xst_query::Expr`] trees are encoded structurally (recursively, one
+//! tag per operator) with a decode-side depth cap so a hostile payload
+//! cannot recurse the decoder off the stack.
 //!
 //! Decoding is total: every malformed payload maps to a structured
 //! [`ProtoError`] — unknown tags, truncated fields, non-UTF-8 text,
-//! unparseable sets, excess trailing bytes — and never panics.
+//! over-deep, over-counted or non-canonical sets, excess trailing bytes
+//! — and never panics.
 
 use std::fmt;
-use xst_core::parse::parse_set;
+use xst_core::codec::{encode_set, put_bytes, put_u32, put_u64, CodecError, Reader, MAX_DEPTH};
 use xst_core::{ExtendedSet, Scope};
 use xst_obs::TraceContext;
 use xst_query::Expr;
 use xst_storage::{FaultKind, FaultSchedule};
 
-/// Protocol version sent in [`Request::Hello`] and echoed in
-/// [`Response::Welcome`]. Bump on any wire-incompatible change.
+/// The protocol version: sent in [`Request::Hello`], echoed in
+/// [`Response::Welcome`], and the only one seated. Bump on any
+/// wire-incompatible change.
 ///
-/// v2 added distributed tracing: the [`Request::Traced`] wrapper
-/// carrying a [`TraceContext`], plus the [`Request::TraceDump`] and
-/// [`Request::RequestLog`] observability fetches. Every v1 message is
-/// unchanged, so the server still seats v1 peers (see
-/// [`MIN_PROTO_VERSION`]) — they simply run untraced.
-pub const PROTO_VERSION: u32 = 2;
-
-/// Oldest protocol version the server still accepts in the handshake.
-/// The negotiated session version is the client's `Hello` version,
-/// echoed back in [`Response::Welcome`].
-pub const MIN_PROTO_VERSION: u32 = 1;
+/// v3 ships every set in the binary value codec (v1 and v2 shipped
+/// display text). The `Hello` layout is unchanged, so an older peer's
+/// handshake still decodes and is refused with a typed
+/// [`ErrorCode::Version`] naming this version.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Maximum [`Expr`] nesting depth the decoder will follow.
-pub const MAX_EXPR_DEPTH: usize = 64;
+pub const MAX_EXPR_DEPTH: usize = MAX_DEPTH;
 
 /// Everything that can go wrong decoding a message payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,10 +54,27 @@ pub enum ProtoError {
     },
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8,
-    /// A set's display text failed to parse back.
-    BadSet(String),
-    /// An [`Expr`] nested deeper than [`MAX_EXPR_DEPTH`].
+    /// An [`Expr`] nested deeper than [`MAX_EXPR_DEPTH`], or a set deeper
+    /// than [`xst_core::codec::MAX_DEPTH`].
     TooDeep,
+    /// A set claimed more members than the payload could hold.
+    CountExceedsInput,
+    /// A set's members were not in strictly ascending canonical order.
+    NotCanonical,
+}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> ProtoError {
+        match e {
+            CodecError::Truncated => ProtoError::Truncated,
+            CodecError::BadTag(tag) => ProtoError::BadTag { what: "value", tag },
+            CodecError::BadUtf8 => ProtoError::BadUtf8,
+            CodecError::TooDeep => ProtoError::TooDeep,
+            CodecError::CountExceedsInput => ProtoError::CountExceedsInput,
+            CodecError::NotCanonical => ProtoError::NotCanonical,
+            CodecError::Trailing(n) => ProtoError::Trailing(n),
+        }
+    }
 }
 
 impl fmt::Display for ProtoError {
@@ -69,9 +84,17 @@ impl fmt::Display for ProtoError {
             ProtoError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
             ProtoError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag:#04x}"),
             ProtoError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            ProtoError::BadSet(e) => write!(f, "set text failed to parse: {e}"),
             ProtoError::TooDeep => {
-                write!(f, "expression nests deeper than {MAX_EXPR_DEPTH} levels")
+                write!(
+                    f,
+                    "expression or set nests deeper than {MAX_EXPR_DEPTH} levels"
+                )
+            }
+            ProtoError::CountExceedsInput => {
+                write!(f, "set count exceeds what the payload can hold")
+            }
+            ProtoError::NotCanonical => {
+                write!(f, "set members are not in strictly ascending order")
             }
         }
     }
@@ -242,7 +265,7 @@ pub enum Request {
     },
     /// Disarm and clear any armed fault plan.
     ClearFaults,
-    /// A request annotated with the client's trace context (v2+): the
+    /// A request annotated with the client's trace context: the
     /// server adopts `ctx` while handling `req`, so every server-side
     /// span stitches under the client's trace. Never nests.
     Traced {
@@ -252,9 +275,9 @@ pub enum Request {
         req: Box<Request>,
     },
     /// Fetch the server's collected spans as an `xst-trace/1` JSON
-    /// document (v2+), answered with [`Response::Report`].
+    /// document, answered with [`Response::Report`].
     TraceDump,
-    /// Fetch the server's structured request log (v2+), answered with a
+    /// Fetch the server's structured request log, answered with a
     /// rendered [`Response::Report`] table.
     RequestLog {
         /// `true` for the threshold-gated slow ring, `false` for the
@@ -265,13 +288,13 @@ pub enum Request {
     },
     /// Read the shard-local **fragment** of `table` this server owns —
     /// the member set, not the row-tuple identity — through the
-    /// session's visible snapshot (v2+; the scatter half of the wire
+    /// session's visible snapshot (the scatter half of the wire
     /// coordinator's scatter-gather). Answered with [`Response::Value`].
     FragRead {
         /// Table whose local fragment to read.
         table: String,
     },
-    /// **Phase one of wire 2PC** (v2+): consume the session's open
+    /// **Phase one of wire 2PC**: consume the session's open
     /// transaction and stage its writes as a durable prepare tagged with
     /// the coordinator's global transaction id. After this the session
     /// has no open transaction — a disconnect no longer aborts the
@@ -280,7 +303,7 @@ pub enum Request {
         /// The coordinator's global transaction id.
         gtxn: u64,
     },
-    /// **Phase two of wire 2PC** (v2+): deliver the coordinator's
+    /// **Phase two of wire 2PC**: deliver the coordinator's
     /// already-durable decision for a prepared transaction.
     Decide {
         /// The global transaction id the decision names.
@@ -291,7 +314,7 @@ pub enum Request {
     /// Resolve **every** transaction still prepared on this server
     /// against the coordinator's committed set: named gtxns publish,
     /// all others abort (presumed abort). Sent by a recovering or
-    /// reconnecting coordinator (v2+).
+    /// reconnecting coordinator.
     Resolve {
         /// Every committed gtxn the coordinator's decision log records.
         committed: Vec<u64>,
@@ -394,7 +417,7 @@ pub enum Response {
     /// The request failed; the session survives (except version and
     /// admission errors, after which the server closes the stream).
     Error(WireError),
-    /// A [`Request::Prepare`] staged a durable prepare (v2+).
+    /// A [`Request::Prepare`] staged a durable prepare.
     Prepared {
         /// The global transaction id, echoed for sanity.
         gtxn: u64,
@@ -402,14 +425,14 @@ pub enum Response {
         /// read-only here and there is nothing to decide).
         participants: u64,
     },
-    /// A [`Request::Decide`] was applied (v2+).
+    /// A [`Request::Decide`] was applied.
     Decided {
         /// Whether the decision was commit.
         committed: bool,
         /// The local commit timestamp (0 for an abort).
         ts: u64,
     },
-    /// A [`Request::Resolve`] swept the prepared set (v2+).
+    /// A [`Request::Resolve`] swept the prepared set.
     Resolved {
         /// In-doubt transactions published as committed.
         committed: u64,
@@ -430,36 +453,23 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding primitives.
+// Field codecs over the core writer functions and `Reader`.
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_set(out: &mut Vec<u8>, s: &ExtendedSet) {
-    put_str(out, &s.to_string());
+    put_bytes(out, s.as_bytes());
 }
 
 fn put_scope(out: &mut Vec<u8>, s: &Scope) {
-    put_set(out, &s.sigma1);
-    put_set(out, &s.sigma2);
+    encode_set(&s.sigma1, out);
+    encode_set(&s.sigma2, out);
 }
 
 fn put_expr(out: &mut Vec<u8>, e: &Expr) {
     match e {
         Expr::Literal(s) => {
             out.push(0);
-            put_set(out, s);
+            encode_set(s, out);
         }
         Expr::Table(name) => {
             out.push(1);
@@ -483,13 +493,13 @@ fn put_expr(out: &mut Vec<u8>, e: &Expr) {
         Expr::Restrict { r, sigma, a } => {
             out.push(5);
             put_expr(out, r);
-            put_set(out, sigma);
+            encode_set(sigma, out);
             put_expr(out, a);
         }
         Expr::Domain { r, sigma } => {
             out.push(6);
             put_expr(out, r);
-            put_set(out, sigma);
+            encode_set(sigma, out);
         }
         Expr::Image { r, a, scope } => {
             out.push(7);
@@ -509,120 +519,6 @@ fn put_expr(out: &mut Vec<u8>, e: &Expr) {
             put_expr(out, a);
             put_expr(out, b);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Decoding primitives.
-// ---------------------------------------------------------------------------
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Rd<'a> {
-        Rd { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, ProtoError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(ProtoError::BadTag { what, tag }),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    fn set(&mut self) -> Result<ExtendedSet, ProtoError> {
-        let text = self.str()?;
-        parse_set(&text).map_err(|e| ProtoError::BadSet(e.to_string()))
-    }
-
-    fn scope(&mut self) -> Result<Scope, ProtoError> {
-        let sigma1 = self.set()?;
-        let sigma2 = self.set()?;
-        Ok(Scope::new(sigma1, sigma2))
-    }
-
-    fn expr(&mut self, depth: usize) -> Result<Expr, ProtoError> {
-        if depth >= MAX_EXPR_DEPTH {
-            return Err(ProtoError::TooDeep);
-        }
-        let d = depth + 1;
-        Ok(match self.u8()? {
-            0 => Expr::Literal(self.set()?),
-            1 => Expr::Table(self.str()?),
-            2 => Expr::Union(Box::new(self.expr(d)?), Box::new(self.expr(d)?)),
-            3 => Expr::Intersect(Box::new(self.expr(d)?), Box::new(self.expr(d)?)),
-            4 => Expr::Difference(Box::new(self.expr(d)?), Box::new(self.expr(d)?)),
-            5 => Expr::Restrict {
-                r: Box::new(self.expr(d)?),
-                sigma: self.set()?,
-                a: Box::new(self.expr(d)?),
-            },
-            6 => Expr::Domain {
-                r: Box::new(self.expr(d)?),
-                sigma: self.set()?,
-            },
-            7 => Expr::Image {
-                r: Box::new(self.expr(d)?),
-                a: Box::new(self.expr(d)?),
-                scope: self.scope()?,
-            },
-            8 => Expr::RelProduct {
-                f: Box::new(self.expr(d)?),
-                sigma: self.scope()?,
-                g: Box::new(self.expr(d)?),
-                omega: self.scope()?,
-            },
-            9 => Expr::Cross(Box::new(self.expr(d)?), Box::new(self.expr(d)?)),
-            tag => return Err(ProtoError::BadTag { what: "expr", tag }),
-        })
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        let left = self.buf.len() - self.pos;
-        if left > 0 {
-            return Err(ProtoError::Trailing(left));
-        }
-        Ok(())
     }
 }
 
@@ -655,35 +551,87 @@ fn put_kind(out: &mut Vec<u8>, k: &FaultKind) {
     }
 }
 
-impl Rd<'_> {
-    fn schedule(&mut self) -> Result<FaultSchedule, ProtoError> {
-        Ok(match self.u8()? {
-            0 => FaultSchedule::AtSite(self.u64()?),
-            1 => FaultSchedule::EveryNth(self.u64()?),
-            tag => {
-                return Err(ProtoError::BadTag {
-                    what: "fault schedule",
-                    tag,
-                })
-            }
-        })
+fn get_bool(rd: &mut Reader, what: &'static str) -> Result<bool, ProtoError> {
+    match rd.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(ProtoError::BadTag { what, tag }),
     }
+}
 
-    fn kind(&mut self) -> Result<FaultKind, ProtoError> {
-        Ok(match self.u8()? {
-            0 => FaultKind::WriteFail,
-            1 => FaultKind::TornWrite(self.u64()? as usize),
-            2 => FaultKind::ShortRead(self.u64()? as usize),
-            3 => FaultKind::SyncFail,
-            4 => FaultKind::Transient,
-            tag => {
-                return Err(ProtoError::BadTag {
-                    what: "fault kind",
-                    tag,
-                })
-            }
-        })
+fn get_string(rd: &mut Reader) -> Result<String, ProtoError> {
+    Ok(rd.str()?.to_owned())
+}
+
+fn get_scope(rd: &mut Reader) -> Result<Scope, ProtoError> {
+    let sigma1 = rd.set()?;
+    let sigma2 = rd.set()?;
+    Ok(Scope::new(sigma1, sigma2))
+}
+
+fn get_expr(rd: &mut Reader, depth: usize) -> Result<Expr, ProtoError> {
+    if depth >= MAX_EXPR_DEPTH {
+        return Err(ProtoError::TooDeep);
     }
+    let d = depth + 1;
+    Ok(match rd.u8()? {
+        0 => Expr::Literal(rd.set()?),
+        1 => Expr::Table(get_string(rd)?),
+        2 => Expr::Union(Box::new(get_expr(rd, d)?), Box::new(get_expr(rd, d)?)),
+        3 => Expr::Intersect(Box::new(get_expr(rd, d)?), Box::new(get_expr(rd, d)?)),
+        4 => Expr::Difference(Box::new(get_expr(rd, d)?), Box::new(get_expr(rd, d)?)),
+        5 => Expr::Restrict {
+            r: Box::new(get_expr(rd, d)?),
+            sigma: rd.set()?,
+            a: Box::new(get_expr(rd, d)?),
+        },
+        6 => Expr::Domain {
+            r: Box::new(get_expr(rd, d)?),
+            sigma: rd.set()?,
+        },
+        7 => Expr::Image {
+            r: Box::new(get_expr(rd, d)?),
+            a: Box::new(get_expr(rd, d)?),
+            scope: get_scope(rd)?,
+        },
+        8 => Expr::RelProduct {
+            f: Box::new(get_expr(rd, d)?),
+            sigma: get_scope(rd)?,
+            g: Box::new(get_expr(rd, d)?),
+            omega: get_scope(rd)?,
+        },
+        9 => Expr::Cross(Box::new(get_expr(rd, d)?), Box::new(get_expr(rd, d)?)),
+        tag => return Err(ProtoError::BadTag { what: "expr", tag }),
+    })
+}
+
+fn get_schedule(rd: &mut Reader) -> Result<FaultSchedule, ProtoError> {
+    Ok(match rd.u8()? {
+        0 => FaultSchedule::AtSite(rd.u64()?),
+        1 => FaultSchedule::EveryNth(rd.u64()?),
+        tag => {
+            return Err(ProtoError::BadTag {
+                what: "fault schedule",
+                tag,
+            })
+        }
+    })
+}
+
+fn get_kind(rd: &mut Reader) -> Result<FaultKind, ProtoError> {
+    Ok(match rd.u8()? {
+        0 => FaultKind::WriteFail,
+        1 => FaultKind::TornWrite(rd.u64()? as usize),
+        2 => FaultKind::ShortRead(rd.u64()? as usize),
+        3 => FaultKind::SyncFail,
+        4 => FaultKind::Transient,
+        tag => {
+            return Err(ProtoError::BadTag {
+                what: "fault kind",
+                tag,
+            })
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -724,12 +672,12 @@ impl Request {
             Request::Put { table, set } => {
                 out.push(8);
                 put_str(out, table);
-                put_set(out, set);
+                encode_set(set, out);
             }
             Request::Delete { table, set } => {
                 out.push(9);
                 put_str(out, table);
-                put_set(out, set);
+                encode_set(set, out);
             }
             Request::Get { table } => {
                 out.push(10);
@@ -782,7 +730,7 @@ impl Request {
 
     /// Decode from a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut rd = Rd::new(payload);
+        let mut rd = Reader::new(payload);
         let req = Request::decode_body(&mut rd, true)?;
         rd.finish()?;
         Ok(req)
@@ -791,34 +739,42 @@ impl Request {
     /// Decode one request body. `allow_traced` is false when decoding
     /// the inner request of a [`Request::Traced`] wrapper, so a hostile
     /// payload cannot nest wrappers (and carries no recursion risk).
-    fn decode_body(rd: &mut Rd, allow_traced: bool) -> Result<Request, ProtoError> {
+    fn decode_body(rd: &mut Reader, allow_traced: bool) -> Result<Request, ProtoError> {
         let req = match rd.u8()? {
             0 => Request::Hello {
                 version: rd.u32()?,
-                client: rd.str()?,
+                client: get_string(rd)?,
             },
             1 => Request::Ping,
-            2 => Request::Eval { expr: rd.expr(0)? },
-            3 => Request::Check { expr: rd.expr(0)? },
-            4 => Request::Explain { expr: rd.expr(0)? },
+            2 => Request::Eval {
+                expr: get_expr(rd, 0)?,
+            },
+            3 => Request::Check {
+                expr: get_expr(rd, 0)?,
+            },
+            4 => Request::Explain {
+                expr: get_expr(rd, 0)?,
+            },
             5 => Request::Begin,
             6 => Request::Commit,
             7 => Request::Abort,
             8 => Request::Put {
-                table: rd.str()?,
+                table: get_string(rd)?,
                 set: rd.set()?,
             },
             9 => Request::Delete {
-                table: rd.str()?,
+                table: get_string(rd)?,
                 set: rd.set()?,
             },
-            10 => Request::Get { table: rd.str()? },
+            10 => Request::Get {
+                table: get_string(rd)?,
+            },
             11 => Request::Metrics {
-                json: rd.bool("metrics form")?,
+                json: get_bool(rd, "metrics form")?,
             },
             12 => Request::ArmFaults {
-                schedule: rd.schedule()?,
-                kind: rd.kind()?,
+                schedule: get_schedule(rd)?,
+                kind: get_kind(rd)?,
             },
             13 => Request::ClearFaults,
             14 if allow_traced => {
@@ -840,14 +796,16 @@ impl Request {
             }
             15 => Request::TraceDump,
             16 => Request::RequestLog {
-                slow: rd.bool("slow flag")?,
+                slow: get_bool(rd, "slow flag")?,
                 limit: rd.u32()?,
             },
-            17 => Request::FragRead { table: rd.str()? },
+            17 => Request::FragRead {
+                table: get_string(rd)?,
+            },
             18 => Request::Prepare { gtxn: rd.u64()? },
             19 => Request::Decide {
                 gtxn: rd.u64()?,
-                commit: rd.bool("decide flag")?,
+                commit: get_bool(rd, "decide flag")?,
             },
             20 => {
                 let n = rd.u32()? as usize;
@@ -883,7 +841,7 @@ impl Response {
             Response::Pong => out.push(1),
             Response::Value { set } => {
                 out.push(2);
-                put_set(&mut out, set);
+                encode_set(set, &mut out);
             }
             Response::Report { text } => {
                 out.push(3);
@@ -950,22 +908,24 @@ impl Response {
 
     /// Decode from a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut rd = Rd::new(payload);
+        let rd = &mut Reader::new(payload);
         let resp = match rd.u8()? {
             0 => Response::Welcome {
                 version: rd.u32()?,
-                banner: rd.str()?,
+                banner: get_string(rd)?,
             },
             1 => Response::Pong,
             2 => Response::Value { set: rd.set()? },
-            3 => Response::Report { text: rd.str()? },
+            3 => Response::Report {
+                text: get_string(rd)?,
+            },
             4 => Response::TxnBegun {
                 id: rd.u64()?,
                 snapshot_ts: rd.u64()?,
             },
             5 => Response::Applied {
                 rows: rd.u64()?,
-                autocommit_ts: if rd.bool("option tag")? {
+                autocommit_ts: if get_bool(rd, "option tag")? {
                     Some(rd.u64()?)
                 } else {
                     None
@@ -974,7 +934,7 @@ impl Response {
             6 => Response::Committed { ts: rd.u64()? },
             7 => Response::Aborted,
             8 => Response::FaultsArmed {
-                armed: rd.bool("armed flag")?,
+                armed: get_bool(rd, "armed flag")?,
             },
             9 => {
                 let code_tag = rd.u8()?;
@@ -984,15 +944,15 @@ impl Response {
                         what: "error code",
                         tag: code_tag,
                     })?;
-                let table = if rd.bool("option tag")? {
-                    Some(rd.str()?)
+                let table = if get_bool(rd, "option tag")? {
+                    Some(get_string(rd)?)
                 } else {
                     None
                 };
                 Response::Error(WireError {
                     code,
                     table,
-                    message: rd.str()?,
+                    message: get_string(rd)?,
                 })
             }
             10 => Response::Prepared {
@@ -1000,7 +960,7 @@ impl Response {
                 participants: rd.u64()?,
             },
             11 => Response::Decided {
-                committed: rd.bool("decided flag")?,
+                committed: get_bool(rd, "decided flag")?,
                 ts: rd.u64()?,
             },
             12 => Response::Resolved {

@@ -19,7 +19,7 @@
 //! The accept/admit/active/queue-depth state is exported through the
 //! `xst_server_*` metric families registered in `xst_obs::names`.
 
-use crate::proto::{ErrorCode, Request, Response, WireError, MIN_PROTO_VERSION, PROTO_VERSION};
+use crate::proto::{ErrorCode, Request, Response, WireError, PROTO_VERSION};
 use crate::session::{ServedEngine, Session};
 use crate::wire::{read_frame, write_frame, FrameError};
 use std::collections::HashMap;
@@ -315,10 +315,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 
 /// The handshake and request loop for one admitted connection.
 fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
-    // Handshake: the first frame must be a version-compatible Hello.
-    // Any version in [MIN_PROTO_VERSION, PROTO_VERSION] is seated and
-    // echoed back, so a v1 peer keeps working — it simply never sends
-    // the v2 tracing requests.
+    // Handshake: the first frame must be a Hello at exactly
+    // PROTO_VERSION. Older peers' Hellos still decode (the layout never
+    // changed) and get the typed Version refusal.
     let hello = match read_frame(stream) {
         Ok(payload) => payload,
         Err(FrameError::Closed | FrameError::Truncated | FrameError::Io(_)) => return,
@@ -333,10 +332,8 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
             return;
         }
     };
-    let negotiated = match Request::decode(&hello) {
-        Ok(Request::Hello { version, .. })
-            if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) =>
-        {
+    match Request::decode(&hello) {
+        Ok(Request::Hello { version, .. }) if version == PROTO_VERSION => {
             if !write_response(
                 stream,
                 &Response::Welcome {
@@ -346,7 +343,6 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
             ) {
                 return;
             }
-            version
         }
         Ok(Request::Hello { version, .. }) => {
             if xst_obs::enabled() {
@@ -356,10 +352,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
                 stream,
                 &Response::Error(WireError::new(
                     ErrorCode::Version,
-                    format!(
-                        "server speaks protocol v{MIN_PROTO_VERSION}..v{PROTO_VERSION}, \
-                         client sent v{version}"
-                    ),
+                    format!("server speaks protocol v{PROTO_VERSION} only, client sent v{version}"),
                 )),
             );
             return;
@@ -377,9 +370,9 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, session_id: u64) {
             );
             return;
         }
-    };
+    }
 
-    let mut session = Session::with_version(Arc::clone(&shared.engine), session_id, negotiated);
+    let mut session = Session::with_id(Arc::clone(&shared.engine), session_id);
     loop {
         let payload = match read_frame(stream) {
             Ok(p) => p,

@@ -225,10 +225,6 @@ pub struct Session {
     /// Diagnostic session id carried into spans and the request log
     /// (0 = not a served connection).
     id: u64,
-    /// The protocol version the handshake negotiated. The v2-only
-    /// coordinator requests (frag-read and the 2PC round) are rejected
-    /// with a structured protocol error on a v1 session.
-    version: u32,
 }
 
 impl Session {
@@ -240,17 +236,10 @@ impl Session {
     /// A session carrying a diagnostic `id` (the server uses the
     /// connection id, 1-based so 0 stays "not a served connection").
     pub fn with_id(engine: Arc<ServedEngine>, id: u64) -> Session {
-        Session::with_version(engine, id, PROTO_VERSION)
-    }
-
-    /// A session pinned to the handshake-negotiated protocol `version`
-    /// (the server seats v1 peers; they must not reach v2-only kinds).
-    pub fn with_version(engine: Arc<ServedEngine>, id: u64, version: u32) -> Session {
         Session {
             engine,
             open: None,
             id,
-            version,
         }
     }
 
@@ -510,19 +499,6 @@ impl Session {
         }
     }
 
-    /// Reject a v2-only request on a session negotiated below v2.
-    fn v2_only(&self, kind: &str) -> Option<Response> {
-        (self.version < 2).then(|| {
-            Response::Error(WireError::new(
-                ErrorCode::Protocol,
-                format!(
-                    "{kind} requires protocol v2 (session negotiated v{})",
-                    self.version
-                ),
-            ))
-        })
-    }
-
     fn metrics(&self, json: bool) -> Response {
         let text = if json {
             xst_obs::registry().export_json()
@@ -613,18 +589,10 @@ impl Session {
             Request::Put { table, set } => self.put(table, set),
             Request::Delete { table, set } => self.delete(table, set),
             Request::Get { table } => self.get(table),
-            Request::FragRead { table } => self
-                .v2_only("frag-read")
-                .unwrap_or_else(|| self.frag_read(table)),
-            Request::Prepare { gtxn } => self
-                .v2_only("prepare")
-                .unwrap_or_else(|| self.prepare(gtxn)),
-            Request::Decide { gtxn, commit } => self
-                .v2_only("decide")
-                .unwrap_or_else(|| self.decide(gtxn, commit)),
-            Request::Resolve { committed } => self
-                .v2_only("resolve")
-                .unwrap_or_else(|| self.resolve(committed)),
+            Request::FragRead { table } => self.frag_read(table),
+            Request::Prepare { gtxn } => self.prepare(gtxn),
+            Request::Decide { gtxn, commit } => self.decide(gtxn, commit),
+            Request::Resolve { committed } => self.resolve(committed),
             Request::Metrics { json } => self.metrics(json),
             Request::ArmFaults { schedule, kind } => {
                 self.engine.arm_faults(schedule, kind);
@@ -638,14 +606,11 @@ impl Session {
             // callers) still adopts its context around the inner
             // request; `serve_one` normally peels it first so the
             // request span itself joins the trace.
-            // lint: version-gate: a v1 peer cannot encode Traced, so none arrives to gate; the inner request is dispatched on its own merits
             Request::Traced { ctx, req } => {
                 let _adopted = xst_obs::span::adopt(ctx);
                 self.handle(*req)
             }
-            // lint: version-gate: read-only observability dump — harmless if reached, and v1 peers cannot encode the request
             Request::TraceDump => self.trace_dump(),
-            // lint: version-gate: read-only request-log view — harmless if reached, and v1 peers cannot encode the request
             Request::RequestLog { slow, limit } => self.request_log(slow, limit),
         }
     }

@@ -11,8 +11,8 @@
 //! └──────────┴──────────┴──────────┴─────────────┘
 //! ```
 //!
-//! The CRC (same CRC-32 as the storage snapshot images) covers the
-//! payload only, so header corruption and payload corruption are
+//! The CRC ([`xst_core::crc`], the one the WAL and snapshot images use)
+//! covers the payload only, so header corruption and payload corruption are
 //! distinguishable. Every way a frame can be malformed — wrong magic,
 //! oversize length, truncation mid-header or mid-payload, checksum
 //! mismatch — maps to a distinct [`FrameError`] variant; nothing in this
@@ -21,7 +21,7 @@
 
 use std::fmt;
 use std::io::{Read, Write};
-use xst_storage::snapshot::crc32;
+use xst_core::crc::crc32;
 
 /// Leading magic of every frame.
 pub const MAGIC: [u8; 4] = *b"XSTP";

@@ -16,7 +16,7 @@ use xst_obs::TraceContext;
 use xst_query::Expr;
 use xst_server::proto::{ProtoError, Request, Response, WireError};
 use xst_server::wire::{encode_frame, read_frame, FrameError, HEADER_LEN, MAX_FRAME};
-use xst_server::{ErrorCode, MIN_PROTO_VERSION, PROTO_VERSION};
+use xst_server::{ErrorCode, PROTO_VERSION};
 use xst_storage::{FaultKind, FaultSchedule};
 use xst_testkit::{arb_tricky_atom, arb_tricky_set};
 
@@ -121,7 +121,7 @@ fn arb_request() -> BoxedStrategy<Request> {
         (any::<bool>(), any::<u32>())
             .prop_map(|(slow, limit)| Request::RequestLog { slow, limit })
             .boxed(),
-        // The v2 coordinator kinds: fragment reads and the 2PC round.
+        // The coordinator kinds: fragment reads and the 2PC round.
         arb_text()
             .prop_map(|table| Request::FragRead { table })
             .boxed(),
@@ -158,8 +158,8 @@ fn arb_trace_ctx() -> BoxedStrategy<TraceContext> {
         .boxed()
 }
 
-/// Everything that may head a frame: plain requests (the v1 shapes plus
-/// the v2 observability pulls) and `Traced`-wrapped ones. `Traced` never
+/// Everything that may head a frame: plain requests and
+/// `Traced`-wrapped ones. `Traced` never
 /// nests — the decoder rejects that — so the wrapper draws its inner
 /// request from the plain pool.
 fn arb_wire_request() -> BoxedStrategy<Request> {
@@ -226,7 +226,7 @@ fn arb_response() -> BoxedStrategy<Response> {
                 })
             })
             .boxed(),
-        // The v2 coordinator answers.
+        // The coordinator answers.
         (any::<u64>(), any::<u64>())
             .prop_map(|(gtxn, participants)| Response::Prepared { gtxn, participants })
             .boxed(),
@@ -262,8 +262,8 @@ proptest! {
     }
 
     #[test]
-    fn tricky_sets_survive_the_wire_text_encoding(set in arb_tricky_set(3)) {
-        // The set payload rides as canonical display text: the round trip
+    fn tricky_sets_survive_the_wire_value_codec(set in arb_tricky_set(3)) {
+        // The set payload rides in the binary value codec: the round trip
         // must reproduce the identity exactly, escapes and ∅ included.
         let req = Request::Put { table: "t".into(), set: set.clone() };
         let decoded = Request::decode(&req.encode()).unwrap();
@@ -343,8 +343,9 @@ proptest! {
                 | ProtoError::Trailing(_)
                 | ProtoError::BadTag { .. }
                 | ProtoError::BadUtf8
-                | ProtoError::BadSet(_)
-                | ProtoError::TooDeep,
+                | ProtoError::TooDeep
+                | ProtoError::CountExceedsInput
+                | ProtoError::NotCanonical,
             ) => {}
         }
     }
@@ -457,10 +458,9 @@ proptest! {
     }
 
     #[test]
-    fn absent_context_is_byte_identical_to_v1(req in arb_request()) {
-        // The Traced wrapper is strictly additive: an unwrapped request
-        // encodes exactly as protocol v1 spelled it, so a v1 peer and a
-        // v2 peer that opted out of tracing are indistinguishable.
+    fn absent_trace_context_adds_no_bytes(req in arb_request()) {
+        // The Traced wrapper is strictly additive: a request sent
+        // without a context is exactly its own encoding.
         let bytes = req.encode();
         // No phantom Traced tag may lead the plain encoding.
         prop_assert_ne!(bytes.first(), Some(&14u8));
@@ -486,15 +486,12 @@ proptest! {
 fn version_constant_is_stable() {
     // The handshake contract: bumping this silently would strand every
     // deployed client. Force the change to be visible in review.
-    // v2 = distributed tracing (Traced/TraceDump/RequestLog) plus the
-    // coordinator kinds (FragRead/Prepare/Decide/Resolve); servers
-    // still seat v1 peers, so MIN stays pinned at 1.
-    assert_eq!(PROTO_VERSION, 2);
-    assert_eq!(MIN_PROTO_VERSION, 1);
+    // v3 = sets in the binary value codec; it is the only version seated.
+    assert_eq!(PROTO_VERSION, 3);
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator kinds: truncation hostility and v1-peer gating.
+// Coordinator kinds: truncation hostility.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -531,57 +528,90 @@ fn resolve_with_hostile_count_prefix_is_rejected() {
     assert_eq!(Request::decode(&payload), Err(ProtoError::Truncated));
 }
 
-/// A session negotiated at protocol v1 must reject every coordinator
-/// kind with a structured Protocol error — the state machine stays
-/// untouched (no transaction consumed, no prepare staged).
+// ---------------------------------------------------------------------------
+// Hostile sets: the value codec's checks, reached through a message.
+// ---------------------------------------------------------------------------
+
+/// `Put{table: "t", set: <bytes>}` with the set field written by hand —
+/// the encoder cannot produce any of the payloads below.
+fn put_with_raw_set(set_bytes: &[u8]) -> Vec<u8> {
+    let mut payload = vec![8u8]; // Request::Put
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.push(b't');
+    payload.extend_from_slice(set_bytes);
+    payload
+}
+
+/// The open half of a set nested `depth` deep: `{{{{…` in the codec's
+/// bytes (tag 6, count 1), with nothing closing it.
+fn bottomless_set(depth: usize) -> Vec<u8> {
+    [6u8, 1, 0, 0, 0].repeat(depth)
+}
+
+/// One member `i^∅` in codec bytes.
+fn int_member(i: i64) -> Vec<u8> {
+    let mut m = vec![1u8];
+    m.extend_from_slice(&i.to_le_bytes());
+    m.extend_from_slice(&[6, 0, 0, 0, 0]);
+    m
+}
+
 #[test]
-fn v1_sessions_reject_coordinator_kinds_cleanly() {
-    use std::sync::Arc;
-    use xst_server::{ServedEngine, Session};
+fn a_put_nested_100_000_deep_is_too_deep_not_a_stack_overflow() {
+    // Decoded on a thread with the server's connection-thread stack (the
+    // 2 MiB default), where the text parser this replaced overflowed.
+    let decoded = std::thread::spawn(|| {
+        let payload = put_with_raw_set(&bottomless_set(100_000));
+        Request::decode(&payload)
+    })
+    .join()
+    .expect("decoder must not overflow the stack");
+    assert_eq!(decoded, Err(ProtoError::TooDeep));
+}
 
-    let engine = Arc::new(ServedEngine::new());
-    let mut v1 = Session::with_version(Arc::clone(&engine), 1, 1);
-    let kinds = [
-        Request::FragRead { table: "t".into() },
-        Request::Prepare { gtxn: 7 },
-        Request::Decide {
-            gtxn: 7,
-            commit: true,
-        },
-        Request::Resolve {
-            committed: vec![1, 2, 3],
-        },
-    ];
-    for req in kinds {
-        match v1.handle(req) {
-            Response::Error(e) => assert_eq!(
-                e.code,
-                ErrorCode::Protocol,
-                "v1 rejection must be a Protocol error, got {e:?}"
-            ),
-            other => panic!("v1 session answered a coordinator kind with {other:?}"),
-        }
+#[test]
+fn a_four_giga_member_count_is_rejected_before_allocation() {
+    let payload = put_with_raw_set(&[6, 0xFF, 0xFF, 0xFF, 0xFF]);
+    assert_eq!(
+        Request::decode(&payload),
+        Err(ProtoError::CountExceedsInput)
+    );
+}
+
+#[test]
+fn swapped_and_duplicated_members_are_not_canonical() {
+    for (a, b) in [(2, 1), (1, 1)] {
+        let mut set = vec![6u8, 2, 0, 0, 0];
+        set.extend(int_member(a));
+        set.extend(int_member(b));
+        assert_eq!(
+            Request::decode(&put_with_raw_set(&set)),
+            Err(ProtoError::NotCanonical),
+            "members {a}, {b}"
+        );
     }
-
-    // The same engine behind a v2 session serves them fine (proving the
-    // gate keys on the negotiated version, not on capability).
-    let mut v2 = Session::with_version(engine, 2, 2);
-    assert!(matches!(
-        v2.handle(Request::Put {
+    let mut set = vec![6u8, 2, 0, 0, 0];
+    set.extend(int_member(1));
+    set.extend(int_member(2));
+    assert_eq!(
+        Request::decode(&put_with_raw_set(&set)),
+        Ok(Request::Put {
             table: "t".into(),
             set: ExtendedSet::classical([1, 2]),
-        }),
-        Response::Applied { .. }
-    ));
-    assert!(matches!(
-        v2.handle(Request::FragRead { table: "t".into() }),
-        Response::Value { .. }
-    ));
-    assert!(matches!(
-        v2.handle(Request::Resolve { committed: vec![] }),
-        Response::Resolved {
-            committed: 0,
-            aborted: 0
+        })
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every proper prefix of a set-carrying message is an error — the
+    /// codec never reads past the cut and never settles for less.
+    #[test]
+    fn every_truncation_of_a_put_is_an_error(set in arb_tricky_set(3)) {
+        let bytes = Request::Put { table: "t".into(), set }.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Request::decode(&bytes[..cut]).is_err(), "prefix of {} bytes", cut);
         }
-    ));
+    }
 }

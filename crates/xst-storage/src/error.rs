@@ -118,6 +118,14 @@ impl fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
+impl From<xst_core::codec::CodecError> for StorageError {
+    fn from(e: xst_core::codec::CodecError) -> Self {
+        StorageError::Corrupt {
+            reason: e.to_string(),
+        }
+    }
+}
+
 impl From<xst_core::XstError> for StorageError {
     fn from(e: xst_core::XstError) -> Self {
         StorageError::Xst(e)

@@ -5,7 +5,9 @@
 //! sets, so data management becomes validated set processing. This crate
 //! supplies the stack under that claim:
 //!
-//! * [`codec`] — bit-exact binary codec for any nested [`xst_core::Value`];
+//! * [`xst_core::codec`] — the bit-exact binary codec for any nested
+//!   [`xst_core::Value`] lives beside `Value`; pages, the WAL and shard
+//!   routing call it there;
 //! * [`page`] — slotted 4 KiB pages;
 //! * [`bufpool`] — a simulated disk and an LRU buffer pool that **count
 //!   page transfers** (our stand-in for 1977 disk behavior; the experiments
@@ -35,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bufpool;
-pub mod codec;
 pub mod colstore;
 pub mod engine;
 pub mod error;

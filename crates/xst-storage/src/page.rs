@@ -10,7 +10,7 @@
 //! [ ...payloads packed at the back... ]
 //! ```
 //!
-//! Pages only store bytes; the [`crate::codec`] gives those bytes their
+//! Pages only store bytes; the [`xst_core::codec`] gives those bytes their
 //! mathematical identity.
 
 use crate::error::{StorageError, StorageResult};

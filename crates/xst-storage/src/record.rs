@@ -6,8 +6,8 @@
 //! is then a classical set of record sets, and data management operations
 //! are *set* operations with provable algebraic behavior.
 
-use crate::codec::{decode_exact, encode_to_vec};
 use crate::error::{StorageError, StorageResult};
+use xst_core::codec::{self, Reader};
 use xst_core::{ExtendedSet, SetBuilder, Value};
 
 /// An ordered, named record layout.
@@ -147,19 +147,19 @@ impl Record {
             .map(Record::new)
     }
 
-    /// Encode via the positional identity.
+    /// Encode via the positional identity, in the [`xst_core::codec`]
+    /// layout.
     pub fn encode(&self) -> Vec<u8> {
-        encode_to_vec(&Value::Set(self.to_tuple()))
+        let mut out = Vec::new();
+        codec::encode_set(&self.to_tuple(), &mut out);
+        out
     }
 
     /// Decode from bytes produced by [`Record::encode`].
     pub fn decode(bytes: &[u8]) -> StorageResult<Record> {
-        let v = decode_exact(bytes)?;
-        let Value::Set(s) = v else {
-            return Err(StorageError::Corrupt {
-                reason: "record bytes decoded to an atom".into(),
-            });
-        };
+        let mut rd = Reader::new(bytes);
+        let s = rd.set()?;
+        rd.finish()?;
         Record::from_tuple(&s)
     }
 }
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn atom_record_bytes_rejected() {
-        let atom_bytes = crate::codec::encode_to_vec(&Value::Int(3));
+        let atom_bytes = codec::encode_to_vec(&Value::Int(3));
         assert!(Record::decode(&atom_bytes).is_err());
     }
 }

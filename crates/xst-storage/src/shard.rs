@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xst_core::ops::union_all;
-use xst_core::{ExtendedSet, Value};
+use xst_core::ExtendedSet;
 use xst_obs::names::handle as m;
 
 /// Route a record to its owning shard: FNV-1a over the record's
@@ -50,7 +50,7 @@ pub fn shard_of(record: &Record, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    let bytes = crate::codec::encode_to_vec(&Value::Set(record.to_tuple()));
+    let bytes = record.encode();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(b);
@@ -755,6 +755,7 @@ fn commit_subs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xst_core::Value;
 
     fn kv_schema() -> Schema {
         Schema::new(["k", "v"])

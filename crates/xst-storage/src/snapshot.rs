@@ -14,22 +14,9 @@ use crate::bufpool::Storage;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PAGE_SIZE;
 use bytes::{Buf, BufMut, BytesMut};
+use xst_core::crc::crc32;
 
 const MAGIC: &[u8; 8] = b"XSTSNAP1";
-
-/// CRC-32 (IEEE), bitwise implementation — small, dependency-free, fast
-/// enough for snapshot-sized inputs.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Serialize the whole disk.
 pub fn snapshot(storage: &Storage) -> Vec<u8> {
@@ -190,12 +177,5 @@ mod tests {
         assert!(restore(&wrong).is_err());
         // Tiny input.
         assert!(restore(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // Standard IEEE CRC-32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 }

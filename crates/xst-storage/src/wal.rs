@@ -41,11 +41,11 @@ use crate::error::{StorageError, StorageResult};
 use crate::fault::{FaultPlan, Injection, SiteClass};
 use crate::record::{Record, Schema};
 use crate::retry::{with_retry, RetryPolicy};
-use crate::snapshot::crc32;
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
+use xst_core::crc::crc32;
 use xst_obs::names::handle as m;
 
 /// Bytes of framing around each payload: `len + crc32(len)` before,
@@ -498,6 +498,49 @@ mod tests {
 
     fn rec(i: i64) -> Record {
         Record::new([Value::Int(i), Value::str(format!("r{i}"))])
+    }
+
+    /// A snapshot image and a WAL written by the commit before the value
+    /// codec and the checksum moved to `xst-core` (and the checksum to a
+    /// table): the bytes on disk are the format, so they must restore and
+    /// replay here to exactly the rows that wrote them.
+    #[test]
+    fn images_and_logs_written_before_the_codec_moved_still_read_back() {
+        use xst_core::{xset, xtuple};
+        let rows: Vec<Record> = (0..6i64)
+            .map(|i| {
+                Record::new([
+                    Value::Int(i - 2),
+                    Value::str(format!("row-{i} ✓")),
+                    Value::Set(xset![
+                        Value::float(i as f64 * 0.5) => Value::sym("w"),
+                        Value::bytes([i as u8, 255]),
+                        xtuple!["a", Value::Bool(i % 2 == 0)].into_value()
+                    ]),
+                ])
+            })
+            .collect();
+
+        let image = include_bytes!("../tests/data/pr15_snapshot.bin");
+        let restored = crate::snapshot::restore(image).unwrap();
+        assert_eq!(crate::snapshot::snapshot(&restored), image);
+        let id = crate::bufpool::PageId {
+            file: FileId(0),
+            page: 0,
+        };
+        let page = restored.read_page(id).unwrap();
+        let stored: Vec<Record> = page.iter().map(|b| Record::decode(b).unwrap()).collect();
+        assert_eq!(stored, rows);
+
+        let wal = Wal::new();
+        {
+            let mut inner = wal.inner.lock();
+            inner
+                .durable
+                .put_slice(include_bytes!("../tests/data/pr15_wal.bin"));
+            inner.committed = inner.durable.len();
+        }
+        assert_eq!(wal.records().unwrap(), rows);
     }
 
     #[test]

@@ -323,9 +323,9 @@ proptest! {
 mod routing {
     use proptest::prelude::*;
     use xst_core::ops::{gather, Parallelism};
-    use xst_core::{ExtendedSet, SetBuilder, Value};
+    use xst_core::{codec, ExtendedSet, SetBuilder, Value};
     use xst_query::{eval_parallel, eval_sharded, merge_bindings, Expr, ShardedBindings};
-    use xst_storage::{codec, shard_of, Record};
+    use xst_storage::{shard_of, Record};
     use xst_testkit::arb_set;
 
     const SHARD_COUNTS: [usize; 3] = [1, 2, 4];

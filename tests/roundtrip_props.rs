@@ -3,10 +3,10 @@
 //! over arbitrarily nested heterogeneous values.
 
 use proptest::prelude::*;
+use xst_core::codec::{decode_exact, encode_to_vec};
 use xst_core::ops::{difference, disjoint, intersection, symmetric_difference, union};
 use xst_core::parse::parse_set;
 use xst_core::{ExtendedSet, Value};
-use xst_storage::codec::{decode_exact, encode_to_vec};
 use xst_testkit::{arb_set, arb_tricky_atom, arb_tricky_set, arb_value};
 
 proptest! {

@@ -507,21 +507,108 @@ fn garbage_bytes_get_a_structured_protocol_error_not_a_crash() {
     ));
 }
 
+/// The one malformed `Put` the text codec could not survive: a set
+/// nested 100 000 deep (`{{{{…`, here in the value codec's bytes — tag 6,
+/// count 1 — since no encoder produces it). Followed on the same session
+/// by the other hostile set shapes; each is a typed `Protocol` error and
+/// the session keeps serving.
 #[test]
-fn version_mismatch_is_a_typed_handshake_failure() {
+fn hostile_sets_get_typed_protocol_errors_and_the_session_survives() {
     let _guard = serial();
     let (_server, _engine, addr) = start_server(ServerConfig::default());
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let hello = Request::Hello {
-        version: 999,
-        client: "from the future".into(),
+        version: xst_server::PROTO_VERSION,
+        client: "adversary".into(),
     };
     xst_server::write_frame(&mut raw, &hello.encode()).unwrap();
-    let payload = xst_server::read_frame(&mut raw).unwrap();
-    match Response::decode(&payload).unwrap() {
-        Response::Error(e) => assert_eq!(e.code, ErrorCode::Version),
-        other => unreachable!("expected version error, got {other:?}"),
+    let welcome = xst_server::read_frame(&mut raw).unwrap();
+    assert!(matches!(
+        Response::decode(&welcome).unwrap(),
+        Response::Welcome { .. }
+    ));
+
+    let put_prefix = [8u8, 1, 0, 0, 0, b't']; // Request::Put, table "t"
+    let int_member = |i: u8| [1u8, i, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0]; // i^∅
+    let deep = [6u8, 1, 0, 0, 0].repeat(100_000);
+    let four_giga_count = vec![6u8, 0xFF, 0xFF, 0xFF, 0xFF];
+    let swapped = [&[6u8, 2, 0, 0, 0][..], &int_member(2), &int_member(1)].concat();
+    let honest = Request::Put {
+        table: "t".into(),
+        set: xset![1, 2],
+    }
+    .encode();
+    let mut attacks: Vec<(String, Vec<u8>)> = vec![
+        (
+            "100 000-deep nesting".into(),
+            [&put_prefix[..], &deep].concat(),
+        ),
+        (
+            "4 G member count".into(),
+            [&put_prefix[..], &four_giga_count].concat(),
+        ),
+        (
+            "non-canonical order".into(),
+            [&put_prefix[..], &swapped].concat(),
+        ),
+    ];
+    attacks.extend(
+        (1..honest.len()).map(|cut| (format!("prefix of {cut} bytes"), honest[..cut].to_vec())),
+    );
+    for (what, payload) in attacks {
+        xst_server::write_frame(&mut raw, &payload).unwrap();
+        let reply = xst_server::read_frame(&mut raw).unwrap();
+        match Response::decode(&reply).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::Protocol, "{what}: {e}"),
+            other => unreachable!("{what}: expected protocol error, got {other:?}"),
+        }
+        xst_server::write_frame(&mut raw, &Request::Ping.encode()).unwrap();
+        let reply = xst_server::read_frame(&mut raw).unwrap();
+        assert!(
+            matches!(Response::decode(&reply).unwrap(), Response::Pong),
+            "{what}: the same session must still answer"
+        );
+    }
+}
+
+/// One protocol version is seated. Older peers' `Hello`s still decode
+/// (the layout never changed) and are refused by name, as is anything
+/// newer; the refused connection closes and leaves no session behind.
+#[test]
+fn version_mismatch_is_a_typed_handshake_failure() {
+    let _guard = serial();
+    let (_server, _engine, addr) = start_server(ServerConfig::default());
+    let active = &xst_obs::names::handle::SERVER_ACTIVE_SESSIONS;
+    let _seated = connect(&addr, "control");
+    let baseline = active.get();
+    for version in [1, 2, 999] {
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let hello = Request::Hello {
+            version,
+            client: "from another era".into(),
+        };
+        xst_server::write_frame(&mut raw, &hello.encode()).unwrap();
+        let payload = xst_server::read_frame(&mut raw).unwrap();
+        match Response::decode(&payload).unwrap() {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::Version, "v{version}");
+                let speaks = format!("v{}", xst_server::PROTO_VERSION);
+                assert!(e.message.contains(&speaks), "{}", e.message);
+            }
+            other => unreachable!("v{version}: expected version error, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                xst_server::read_frame(&mut raw),
+                Err(xst_server::FrameError::Closed)
+            ),
+            "v{version}: the refused connection must be closed"
+        );
+        wait_for("the refused connection's slot to be released", || {
+            active.get() == baseline
+        });
     }
 }
 

@@ -40,8 +40,8 @@ fn deep_nesting_roundtrips_through_display_and_codec() {
     let v = tower(12);
     let text = v.to_string();
     assert_eq!(xst_core::parse::parse_value(&text).unwrap(), v);
-    let bytes = xst_storage::codec::encode_to_vec(&v);
-    assert_eq!(xst_storage::codec::decode_exact(&bytes).unwrap(), v);
+    let bytes = xst_core::codec::encode_to_vec(&v);
+    assert_eq!(xst_core::codec::decode_exact(&bytes).unwrap(), v);
 }
 
 #[test]

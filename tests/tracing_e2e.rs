@@ -1,9 +1,9 @@
 //! End-to-end distributed tracing and per-request accounting, over real
 //! TCP.
 //!
-//! The contract under test is the protocol-v2 tentpole: a client that
-//! originates a trace wraps its requests in `Traced{ctx, ..}`; the
-//! serving session adopts the context, so every server-side span —
+//! The contract under test: a client that originates a trace wraps its
+//! requests in `Traced{ctx, ..}`; the serving session adopts the
+//! context, so every server-side span —
 //! `session.request` down through `query.eval`, `txn.*`, `wal.*` —
 //! stitches under the *client's* trace id, parented under the client's
 //! span. The batteries here:
@@ -13,9 +13,8 @@
 //!   JSON through the `TraceDump` request;
 //! * per-request cost accounting: the server's request log attributes
 //!   WAL appends and plan nodes to the exact request that caused them;
-//! * v1 ↔ v2 back-compat: a v1 peer handshakes, is seated at v1, and
-//!   drives the engine with plain (untraced) requests;
-//! * a hand-rolled v2 peer's `Traced` wrapper is adopted verbatim.
+//! * a hand-rolled peer's `Traced` wrapper is adopted verbatim, and a
+//!   client that opts out sends plain requests the server still spans.
 //!
 //! Client and server share this process, hence one span collector: the
 //! stitched forest is directly inspectable without log shipping.
@@ -59,7 +58,6 @@ fn one_wire_request_yields_one_stitched_trace() {
     let _guard = serial();
     let (_server, addr) = start_server();
     let mut client = connect(&addr);
-    assert_eq!(client.negotiated_version(), xst_server::PROTO_VERSION);
 
     let set = client
         .eval(&Expr::lit(xset! {"a", "b"}).union(Expr::lit(xset! {"c"})))
@@ -141,47 +139,6 @@ fn request_log_attributes_costs_to_requests() {
     // The slow ring stays empty while the threshold is disarmed.
     let slow = client.request_log(true, 100).unwrap();
     assert!(slow.contains("(no requests recorded)"), "{slow}");
-}
-
-#[test]
-fn v1_peer_handshakes_and_drives_the_engine_untraced() {
-    let _guard = serial();
-    let (_server, addr) = start_server();
-
-    // A hand-rolled protocol-v1 peer: Hello v1 must be seated at v1.
-    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let hello = Request::Hello {
-        version: 1,
-        client: "legacy".into(),
-    };
-    xst_server::write_frame(&mut raw, &hello.encode()).unwrap();
-    let payload = xst_server::read_frame(&mut raw).unwrap();
-    match Response::decode(&payload).unwrap() {
-        Response::Welcome { version, .. } => assert_eq!(version, 1),
-        other => unreachable!("expected v1 welcome, got {other:?}"),
-    }
-
-    // Plain v1 requests work end to end — no Traced wrapper anywhere.
-    let eval = Request::Eval {
-        expr: Expr::lit(xset! {"v1"}),
-    };
-    xst_server::write_frame(&mut raw, &eval.encode()).unwrap();
-    let payload = xst_server::read_frame(&mut raw).unwrap();
-    match Response::decode(&payload).unwrap() {
-        Response::Value { set } => assert_eq!(set.card(), 1),
-        other => unreachable!("expected value, got {other:?}"),
-    }
-
-    // The session still accounted the request — under its own fresh
-    // trace, since the peer sent no context.
-    let spans = xst_obs::collector().take_spans();
-    let session_span = spans
-        .iter()
-        .find(|s| s.name == "session.request")
-        .expect("v1 requests are still spanned");
-    assert_ne!(session_span.trace_id, 0);
-    assert_eq!(session_span.parent, None);
 }
 
 #[test]
