@@ -142,7 +142,7 @@ fn main() {
     }
     if want("e18") {
         let (n, iters) = if quick { (5_000, 9) } else { (50_000, 15) };
-        let (table, entries) = exp::e18_scatter_gather(n, iters, &[1, 2, 4]);
+        let (table, entries) = exp::e18_sharded_eval(n, iters, &[1, 2, 4]);
         print!("{table}");
         json_entries.extend(entries);
     }

@@ -3,10 +3,73 @@
 //! Union, intersection, difference and symmetric difference operate on the
 //! full `(element, scope)` membership relation: `a^1` and `a^2` are distinct
 //! memberships. Because [`ExtendedSet`] keeps a canonical sorted member
-//! sequence, all four operations are linear merges over the two inputs.
+//! sequence, all four operations are instantiations of one linear
+//! two-pointer `merge` over the two inputs — the only ordered merge of
+//! member slices in `ops/` (the parallel kernels in `par.rs` run the same
+//! function per member range).
 
 use crate::set::{ExtendedSet, Member};
 use std::cmp::Ordering;
+
+/// The one ordered merge of two canonical (sorted, deduplicated) member
+/// slices, appended to `out`. The flags say which members survive: those
+/// only in `x`, those in both, those only in `y` — so every Boolean
+/// operation, sequential or per range of a parallel one, is an
+/// instantiation of this loop. The output is again canonical. Reserves
+/// the flags' upper bound on the output size up front.
+pub(crate) fn merge<const ONLY_X: bool, const BOTH: bool, const ONLY_Y: bool>(
+    x: &[Member],
+    y: &[Member],
+    out: &mut Vec<Member>,
+) {
+    out.reserve(match (ONLY_X, ONLY_Y) {
+        (true, true) => x.len() + y.len(),
+        (true, false) => x.len(),
+        (false, true) => y.len(),
+        (false, false) => x.len().min(y.len()),
+    });
+    let (mut i, mut j) = (0, 0);
+    while i < x.len() && j < y.len() {
+        match x[i].cmp(&y[j]) {
+            Ordering::Less => {
+                if ONLY_X {
+                    out.push(x[i].clone());
+                }
+                i += 1;
+            }
+            Ordering::Greater => {
+                if ONLY_Y {
+                    out.push(y[j].clone());
+                }
+                j += 1;
+            }
+            Ordering::Equal => {
+                if BOTH {
+                    out.push(x[i].clone());
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if ONLY_X {
+        out.extend_from_slice(&x[i..]);
+    }
+    if ONLY_Y {
+        out.extend_from_slice(&y[j..]);
+    }
+}
+
+/// `merge` over two whole sets.
+fn merged<const ONLY_X: bool, const BOTH: bool, const ONLY_Y: bool>(
+    a: &ExtendedSet,
+    b: &ExtendedSet,
+) -> ExtendedSet {
+    let mut out = Vec::new();
+    merge::<ONLY_X, BOTH, ONLY_Y>(a.members(), b.members(), &mut out);
+    // Already sorted and deduplicated by the merge; skip re-canonicalizing.
+    ExtendedSet::from_sorted_unique(out)
+}
 
 /// `A ∪ B`: every scoped membership from either operand.
 pub fn union(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
@@ -16,49 +79,12 @@ pub fn union(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
     if b.is_empty() {
         return a.clone();
     }
-    let (am, bm) = (a.members(), b.members());
-    let mut out: Vec<Member> = Vec::with_capacity(am.len() + bm.len());
-    let (mut i, mut j) = (0, 0);
-    while i < am.len() && j < bm.len() {
-        match am[i].cmp(&bm[j]) {
-            Ordering::Less => {
-                out.push(am[i].clone());
-                i += 1;
-            }
-            Ordering::Greater => {
-                out.push(bm[j].clone());
-                j += 1;
-            }
-            Ordering::Equal => {
-                out.push(am[i].clone());
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&am[i..]);
-    out.extend_from_slice(&bm[j..]);
-    // Already sorted and deduplicated by the merge; skip re-canonicalizing.
-    ExtendedSet::from_sorted_unique(out)
+    merged::<true, true, true>(a, b)
 }
 
 /// `A ∩ B`: scoped memberships present in both operands.
 pub fn intersection(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
-    let (am, bm) = (a.members(), b.members());
-    let mut out: Vec<Member> = Vec::with_capacity(am.len().min(bm.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < am.len() && j < bm.len() {
-        match am[i].cmp(&bm[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                out.push(am[i].clone());
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    ExtendedSet::from_sorted_unique(out)
+    merged::<false, true, false>(a, b)
 }
 
 /// `A ~ B` (the paper's difference notation): memberships of `A` absent
@@ -67,50 +93,12 @@ pub fn difference(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
     if b.is_empty() {
         return a.clone();
     }
-    let (am, bm) = (a.members(), b.members());
-    let mut out: Vec<Member> = Vec::with_capacity(am.len());
-    let (mut i, mut j) = (0, 0);
-    while i < am.len() && j < bm.len() {
-        match am[i].cmp(&bm[j]) {
-            Ordering::Less => {
-                out.push(am[i].clone());
-                i += 1;
-            }
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&am[i..]);
-    ExtendedSet::from_sorted_unique(out)
+    merged::<true, false, false>(a, b)
 }
 
 /// `(A ~ B) ∪ (B ~ A)`.
 pub fn symmetric_difference(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
-    let (am, bm) = (a.members(), b.members());
-    let mut out: Vec<Member> = Vec::with_capacity(am.len() + bm.len());
-    let (mut i, mut j) = (0, 0);
-    while i < am.len() && j < bm.len() {
-        match am[i].cmp(&bm[j]) {
-            Ordering::Less => {
-                out.push(am[i].clone());
-                i += 1;
-            }
-            Ordering::Greater => {
-                out.push(bm[j].clone());
-                j += 1;
-            }
-            Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&am[i..]);
-    out.extend_from_slice(&bm[j..]);
-    ExtendedSet::from_sorted_unique(out)
+    merged::<true, false, true>(a, b)
 }
 
 /// True iff `A ∩ B = ∅`, without materializing the intersection.
@@ -151,7 +139,54 @@ pub fn union_all<'a>(sets: impl IntoIterator<Item = &'a ExtendedSet>) -> Extende
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
     use crate::xset;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// `merge::<X, B, Y>` against the obvious oracle: tag every member
+    /// with the sides it occurs on, keep the tags the flags keep.
+    fn check_merge<const X: bool, const B: bool, const Y: bool>(a: &ExtendedSet, b: &ExtendedSet) {
+        let mut sides: BTreeMap<Member, (bool, bool)> = BTreeMap::new();
+        for m in a.members() {
+            sides.entry(m.clone()).or_default().0 = true;
+        }
+        for m in b.members() {
+            sides.entry(m.clone()).or_default().1 = true;
+        }
+        let keep = |tag: &(bool, bool)| match tag {
+            (true, false) => X,
+            (true, true) => B,
+            (false, true) => Y,
+            (false, false) => false,
+        };
+        let expect: Vec<Member> = sides
+            .into_iter()
+            .filter(|(_, tag)| keep(tag))
+            .map(|(m, _)| m)
+            .collect();
+        let mut out = Vec::new();
+        merge::<X, B, Y>(a.members(), b.members(), &mut out);
+        assert_eq!(out, expect, "flags ({X}, {B}, {Y})");
+        assert!(out.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+    }
+
+    proptest! {
+        #[test]
+        fn merge_is_the_flagged_filter_for_every_triple_in_use(
+            xs in proptest::collection::vec((0i64..30, 0i64..4), 0..40),
+            ys in proptest::collection::vec((0i64..30, 0i64..4), 0..40),
+        ) {
+            let set = |ks: Vec<(i64, i64)>| {
+                ExtendedSet::from_pairs(ks.into_iter().map(|(e, s)| (Value::Int(e), Value::Int(s))))
+            };
+            let (a, b) = (set(xs), set(ys));
+            check_merge::<true, true, true>(&a, &b); // union
+            check_merge::<false, true, false>(&a, &b); // intersection
+            check_merge::<true, false, false>(&a, &b); // difference
+            check_merge::<true, false, true>(&a, &b); // symmetric difference
+        }
+    }
 
     #[test]
     fn union_merges_scoped_members() {

@@ -44,9 +44,5 @@ pub use rescope::{
     rescope_by_element, rescope_by_scope, rescope_value_by_element, rescope_value_by_scope,
 };
 pub use restrict::{sigma_restrict, sigma_restrict_naive};
-pub use scatter::{
-    gather, partition_members, scatter_difference_whole, scatter_image, scatter_intersection_whole,
-    scatter_relative_product, scatter_restrict, scatter_union, scatter_zip_difference,
-    scatter_zip_intersection,
-};
+pub use scatter::{gather, map_parts, partition_members, zip_parts};
 pub use value_of::{labeled_values, sigma_value, value};

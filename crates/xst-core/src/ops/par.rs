@@ -10,7 +10,8 @@
 //!   per-chunk survivors concatenate back into a canonical list —
 //!   [`ExtendedSet::from_sorted_unique`] is exact;
 //! * union/intersection partition both operands by *member ranges* at chunk
-//!   boundaries drawn from the larger side, so per-range merges are
+//!   boundaries drawn from the larger side, so per-range merges — the
+//!   sequential kernels' own `boolean::merge`, run per range — are
 //!   disjoint and ordered and again concatenate exactly;
 //! * image and relative product are defined member-wise over `R`/`F`, and
 //!   canonicalization commutes with union, so chunk results combine with
@@ -20,7 +21,7 @@
 //! `tests/differential.rs`, which drives them at 1, 2, 4 and 8 threads
 //! against random sets.
 
-use crate::ops::boolean::{intersection, union, union_all};
+use crate::ops::boolean::{intersection, merge, union, union_all};
 use crate::ops::image::Scope;
 use crate::ops::product::{index_by_key, probe_member};
 use crate::ops::rescope::rescope_value_by_scope;
@@ -29,8 +30,6 @@ use crate::set::{ExtendedSet, Member, SetBuilder};
 use crate::value::Value;
 use xst_obs::names::handle as m;
 
-/// Times a kernel actually fanned out to threads (threshold met).
-/// Total worker chunks dispatched across all fanned-out kernel calls.
 /// Record one fan-out of `workers` chunks on the kernel's span +
 /// counters, and charge it to the ambient per-request cost scope (the
 /// fan-out decision happens on the request thread, so the charge lands
@@ -108,21 +107,23 @@ fn chunk_slices(members: &[Member], workers: usize) -> Vec<&[Member]> {
     members.chunks(size.max(1)).collect()
 }
 
-/// Fan `chunks` out to scoped threads running `work`, preserving chunk
-/// order in the returned results.
-fn map_chunks<T, F>(chunks: Vec<&[Member]>, work: F) -> Vec<T>
+/// Run `work` over each item on its own scoped thread (inline when there
+/// is at most one item), preserving item order in the returned results.
+/// The one place a kernel spawns threads.
+fn fan_out<I, T, F>(items: Vec<I>, work: F) -> Vec<T>
 where
+    I: Send,
     T: Send,
-    F: Fn(&[Member]) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    if chunks.len() <= 1 {
-        return chunks.into_iter().map(&work).collect();
+    if items.len() <= 1 {
+        return items.into_iter().map(&work).collect();
     }
     let work = &work;
     crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+        let handles: Vec<_> = items
             .into_iter()
-            .map(|chunk| scope.spawn(move |_| work(chunk)))
+            .map(|item| scope.spawn(move |_| work(item)))
             .collect();
         handles
             .into_iter()
@@ -154,7 +155,7 @@ pub fn par_sigma_restrict(
     }
     let workers = par.workers_for(r.card());
     note_fanout(&mut span, workers);
-    let kept = map_chunks(chunk_slices(r.members(), workers), |chunk| {
+    let kept = fan_out(chunk_slices(r.members(), workers), |chunk| {
         chunk
             .iter()
             .filter(|m| witnesses.matches(m))
@@ -185,7 +186,7 @@ pub fn par_image(
     }
     let workers = par.workers_for(r.card());
     note_fanout(&mut span, workers);
-    let parts = map_chunks(chunk_slices(r.members(), workers), |chunk| {
+    let parts = fan_out(chunk_slices(r.members(), workers), |chunk| {
         let mut b = SetBuilder::new();
         for m in chunk {
             if !witnesses.matches(m) {
@@ -224,7 +225,7 @@ pub fn par_relative_product(
     let g_by_key = index_by_key(g, omega);
     let workers = par.workers_for(f.card());
     note_fanout(&mut span, workers);
-    let parts = map_chunks(chunk_slices(f.members(), workers), |chunk| {
+    let parts = fan_out(chunk_slices(f.members(), workers), |chunk| {
         let mut out = SetBuilder::new();
         for m in chunk {
             probe_member(m, sigma, &g_by_key, &mut out);
@@ -249,7 +250,7 @@ pub fn par_union(a: &ExtendedSet, b: &ExtendedSet, par: &Parallelism) -> Extende
         return union(a, b);
     }
     note_fanout(&mut span, par.workers_for(a.card().max(b.card())));
-    merge_by_ranges(a, b, par, merge_union_range)
+    merge_by_ranges(a, b, par, merge::<true, true, true>)
 }
 
 /// `A ∩ B` — parallel intersection by member-range partitioning (same
@@ -264,7 +265,7 @@ pub fn par_intersection(a: &ExtendedSet, b: &ExtendedSet, par: &Parallelism) -> 
         return intersection(a, b);
     }
     note_fanout(&mut span, par.workers_for(a.card().max(b.card())));
-    merge_by_ranges(a, b, par, merge_intersection_range)
+    merge_by_ranges(a, b, par, merge::<false, true, false>)
 }
 
 /// Partition both operands at boundaries drawn from the larger side, run
@@ -293,80 +294,13 @@ fn merge_by_ranges(
         };
         pairs.push((chunk, other_part));
     }
-    // `merge_range` is symmetric, so lead/other order does not matter.
-    let parts: Vec<Vec<Member>> = if pairs.len() <= 1 {
-        pairs
-            .into_iter()
-            .map(|(x, y)| {
-                let mut out = Vec::new();
-                merge_range(x, y, &mut out);
-                out
-            })
-            .collect()
-    } else {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .into_iter()
-                .map(|(x, y)| {
-                    scope.spawn(move |_| {
-                        let mut out = Vec::new();
-                        merge_range(x, y, &mut out);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(out) => out,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-    };
+    // Both merges in use are symmetric, so lead/other order does not matter.
+    let parts = fan_out(pairs, |(x, y)| {
+        let mut out = Vec::new();
+        merge_range(x, y, &mut out);
+        out
+    });
     ExtendedSet::from_sorted_unique(parts.concat())
-}
-
-/// Ordered union merge of two sorted unique ranges.
-fn merge_union_range(x: &[Member], y: &[Member], out: &mut Vec<Member>) {
-    let (mut i, mut j) = (0, 0);
-    out.reserve(x.len() + y.len());
-    while i < x.len() && j < y.len() {
-        match x[i].cmp(&y[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(x[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(y[j].clone());
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(x[i].clone());
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&x[i..]);
-    out.extend_from_slice(&y[j..]);
-}
-
-/// Ordered intersection merge of two sorted unique ranges.
-fn merge_intersection_range(x: &[Member], y: &[Member], out: &mut Vec<Member>) {
-    let (mut i, mut j) = (0, 0);
-    while i < x.len() && j < y.len() {
-        match x[i].cmp(&y[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(x[i].clone());
-                i += 1;
-                j += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

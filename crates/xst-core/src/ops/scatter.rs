@@ -1,44 +1,51 @@
-//! Scatter-gather evaluation: the parallel kernels applied per shard
-//! fragment, with an ordered-union merge.
+//! Scatter-gather evaluation: a kernel applied per part of a partitioned
+//! set, with an ordered-union merge.
 //!
-//! A sharded engine holds a set as N pairwise-disjoint **fragments**
-//! whose union is the whole extension. The algebra distributes over that
-//! partition in two distinct ways, and every function here is one of the
-//! two:
+//! There is one shape: a set held as N pairwise-disjoint **parts** whose
+//! union is the whole extension. A sharded engine's table is its N
+//! per-shard fragments; a whole set is the one-part partition of itself.
+//! Childs' operations are member-wise over a carrier, so they distribute
+//! over any union of it (C 7.1(a): `R[A ∪ B] = R[A] ∪ R[B]`) — and that
+//! does not depend on N. The algebra distributes in two ways, one function
+//! each:
 //!
-//! * **Fragment-vs-whole** — for any partition `A = ⋃ᵢ Aᵢ`:
+//! * [`map_parts`] — **part-vs-whole**, for any partition `A = ⋃ᵢ Aᵢ`:
 //!   `A ∩ B = ⋃ᵢ (Aᵢ ∩ B)`, `A ∖ B = ⋃ᵢ (Aᵢ ∖ B)`, and every member-wise
 //!   operation on the *carrier* operand (σ-restriction, image, relative
 //!   product probe) factors the same way, because each member of the
 //!   result is decided by one member of `A` against all of `B`. Valid for
-//!   ANY partition of the left operand.
-//! * **Aligned zip** — when both operands are partitioned by the same
-//!   member-hash (co-hashed), the right operand's matching member can
-//!   only live in the same-indexed fragment, so
-//!   `A ∩ B = ⋃ᵢ (Aᵢ ∩ Bᵢ)` and likewise for difference. Union zips for
-//!   any equal-count partition (no alignment needed — union never drops
-//!   members).
+//!   ANY partition of the carrier. Subset-producing kernels (restriction,
+//!   `∩`, `∖`) keep every output member in the part it was routed to, so
+//!   the output partition is aligned whenever the carrier was;
+//!   member-transforming kernels (image, relative product) emit new
+//!   members, so theirs is an arbitrary partition.
+//! * [`zip_parts`] — **aligned zip**: when both operands are partitioned
+//!   by the same member hash (co-hashed), the other operand's matching
+//!   member can only live in the same-indexed part, so
+//!   `A ∩ B = ⋃ᵢ (Aᵢ ∩ Bᵢ)` and likewise for difference — a member of
+//!   `Aᵢ` and `Bⱼ` with `i ≠ j` would be silently dropped (or survive)
+//!   otherwise, so the caller must hold the alignment proof. Union zips
+//!   for any equal-count pair of partitions (it never drops members). Two
+//!   one-part partitions are trivially aligned: that zip *is* the
+//!   whole-set operation.
 //!
-//! The **gather** step is ordered union ([`union_all`]): fragments are
+//! The **gather** step is ordered union ([`union_all`]): parts are
 //! canonical sorted member lists, so the merge is exact and
 //! deterministic — the scatter-gather result is *identical* to the
 //! single-set result, which the property tests below assert.
 //!
-//! Observability: each per-fragment kernel invocation charges the
-//! ambient [`xst_obs::cost`] scope under its shard slot and bumps
-//! `xst_shard_scatter_ops_total`; each gather bumps
+//! Observability: each kernel run charges the ambient [`xst_obs::cost`]
+//! scope under its part's shard slot and bumps
+//! `xst_shard_scatter_ops_total` (an unsharded evaluation is one part, so
+//! it bills slot 0); each gather that merged more than one fragment bumps
 //! `xst_shard_gather_merges_total`.
 
-use crate::ops::boolean::{difference, union_all};
-use crate::ops::image::Scope;
-use crate::ops::par::{
-    par_image, par_intersection, par_relative_product, par_sigma_restrict, par_union, Parallelism,
-};
+use crate::ops::boolean::union_all;
 use crate::set::ExtendedSet;
 use std::hash::{Hash, Hasher};
 use xst_obs::names::handle as m;
 
-/// Charge one per-fragment kernel run to shard slot `i`.
+/// Charge one per-part kernel run to shard slot `i`.
 #[inline]
 fn note_scatter(i: usize) {
     if xst_obs::enabled() {
@@ -70,146 +77,55 @@ pub fn partition_members(set: &ExtendedSet, shards: usize) -> Vec<ExtendedSet> {
 }
 
 /// Gather: merge disjoint fragments back into one canonical set by
-/// ordered union. Exact — no fragment member is dropped or reweighted.
+/// ordered union. Exact — no fragment member is dropped or reweighted. A
+/// lone fragment is the set already: returned as is, and not counted as a
+/// merge.
 pub fn gather(fragments: &[ExtendedSet]) -> ExtendedSet {
-    if xst_obs::enabled() {
-        m::SHARD_GATHER_MERGES_TOTAL.inc();
+    match fragments {
+        [] => ExtendedSet::empty(),
+        [whole] => whole.clone(),
+        _ => {
+            if xst_obs::enabled() {
+                m::SHARD_GATHER_MERGES_TOTAL.inc();
+            }
+            union_all(fragments)
+        }
     }
-    union_all(fragments.iter())
 }
 
-/// Zip union: `⋃ᵢ (Aᵢ ∪ Bᵢ)` fragment-wise. Valid for ANY equal-count
-/// pair of partitions (union drops nothing, so misaligned members still
-/// land in the result — just via a different fragment). Returns the
-/// fragment list so downstream ops can stay scattered.
-pub fn scatter_union(a: &[ExtendedSet], b: &[ExtendedSet], par: &Parallelism) -> Vec<ExtendedSet> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
+/// Part-vs-whole: `kernel` over every part of the carrier, in part order
+/// — `⋃ᵢ k(Aᵢ)`, where `k` closes over the operands that stay whole.
+/// Returns the part list so downstream operators can stay scattered.
+pub fn map_parts(
+    parts: &[ExtendedSet],
+    kernel: impl Fn(&ExtendedSet) -> ExtendedSet,
+) -> Vec<ExtendedSet> {
+    parts
+        .iter()
         .enumerate()
-        .map(|(i, (x, y))| {
+        .map(|(i, part)| {
             note_scatter(i);
-            par_union(x, y, par)
+            kernel(part)
         })
         .collect()
 }
 
-/// Zip intersection: `⋃ᵢ (Aᵢ ∩ Bᵢ)` fragment-wise. **Requires aligned
-/// (co-hashed) partitions** — a member present in `Aᵢ` and `Bⱼ` with
-/// `i ≠ j` would be silently dropped otherwise. The query layer tracks
-/// alignment and falls back to [`scatter_intersection_whole`] when it
-/// cannot prove it.
-pub fn scatter_zip_intersection(
+/// Zip: `kernel` over same-indexed parts — `⋃ᵢ k(Aᵢ, Bᵢ)`. For `∩` and
+/// `∖` this **requires aligned (co-hashed) partitions**; the query layer
+/// tracks alignment and falls back to [`map_parts`] against the gathered
+/// other side when it cannot prove it.
+pub fn zip_parts(
     a: &[ExtendedSet],
     b: &[ExtendedSet],
-    par: &Parallelism,
+    kernel: impl Fn(&ExtendedSet, &ExtendedSet) -> ExtendedSet,
 ) -> Vec<ExtendedSet> {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
-        .zip(b.iter())
+        .zip(b)
         .enumerate()
         .map(|(i, (x, y))| {
             note_scatter(i);
-            par_intersection(x, y, par)
-        })
-        .collect()
-}
-
-/// Fragment-vs-whole intersection: `⋃ᵢ (Aᵢ ∩ B)`. Valid for any
-/// partition of `A`.
-pub fn scatter_intersection_whole(
-    a: &[ExtendedSet],
-    b: &ExtendedSet,
-    par: &Parallelism,
-) -> Vec<ExtendedSet> {
-    a.iter()
-        .enumerate()
-        .map(|(i, x)| {
-            note_scatter(i);
-            par_intersection(x, b, par)
-        })
-        .collect()
-}
-
-/// Zip difference: `⋃ᵢ (Aᵢ ∖ Bᵢ)`. **Requires aligned partitions** (a
-/// to-be-removed member in the wrong fragment would survive).
-pub fn scatter_zip_difference(a: &[ExtendedSet], b: &[ExtendedSet]) -> Vec<ExtendedSet> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .enumerate()
-        .map(|(i, (x, y))| {
-            note_scatter(i);
-            difference(x, y)
-        })
-        .collect()
-}
-
-/// Fragment-vs-whole difference: `⋃ᵢ (Aᵢ ∖ B)`. Valid for any partition
-/// of `A`.
-pub fn scatter_difference_whole(a: &[ExtendedSet], b: &ExtendedSet) -> Vec<ExtendedSet> {
-    a.iter()
-        .enumerate()
-        .map(|(i, x)| {
-            note_scatter(i);
-            difference(x, b)
-        })
-        .collect()
-}
-
-/// Scattered σ-restriction `R |_σ A`: the carrier `R` is fragmented, the
-/// (typically small) filter operands stay whole on every shard. The
-/// output fragment `i` is a subset of `Rᵢ`, so restriction **preserves
-/// alignment** — downstream zips remain valid.
-pub fn scatter_restrict(
-    r: &[ExtendedSet],
-    sigma: &ExtendedSet,
-    a: &ExtendedSet,
-    par: &Parallelism,
-) -> Vec<ExtendedSet> {
-    r.iter()
-        .enumerate()
-        .map(|(i, frag)| {
-            note_scatter(i);
-            par_sigma_restrict(frag, sigma, a, par)
-        })
-        .collect()
-}
-
-/// Scattered image `R[A]`: member-wise over the fragmented carrier.
-/// Output members are *transformed* (re-scoped), so the result is NOT
-/// aligned to the input partition — the query layer must treat it as an
-/// arbitrary partition from here on.
-pub fn scatter_image(
-    r: &[ExtendedSet],
-    a: &ExtendedSet,
-    scope: &Scope,
-    par: &Parallelism,
-) -> Vec<ExtendedSet> {
-    r.iter()
-        .enumerate()
-        .map(|(i, frag)| {
-            note_scatter(i);
-            par_image(frag, a, scope, par)
-        })
-        .collect()
-}
-
-/// Scattered relative product `F /ω_σ G`: the probe side `F` is
-/// fragmented, `G` is indexed whole per fragment. Output members are
-/// joined pairs — not aligned to the input partition.
-pub fn scatter_relative_product(
-    f: &[ExtendedSet],
-    sigma: &Scope,
-    g: &ExtendedSet,
-    omega: &Scope,
-    par: &Parallelism,
-) -> Vec<ExtendedSet> {
-    f.iter()
-        .enumerate()
-        .map(|(i, frag)| {
-            note_scatter(i);
-            par_relative_product(frag, sigma, g, omega, par)
+            kernel(x, y)
         })
         .collect()
 }
@@ -217,17 +133,13 @@ pub fn scatter_relative_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::boolean::{intersection, union};
-    use crate::ops::image::image;
+    use crate::ops::boolean::{difference, intersection, union};
+    use crate::ops::image::{image, Scope};
     use crate::ops::product::relative_product;
     use crate::ops::restrict::sigma_restrict;
     use crate::set::SetBuilder;
     use crate::value::Value;
     use proptest::prelude::*;
-
-    fn seq() -> Parallelism {
-        Parallelism::sequential()
-    }
 
     fn rel(ks: impl IntoIterator<Item = (i64, i64)>) -> ExtendedSet {
         let mut b = SetBuilder::new();
@@ -257,10 +169,10 @@ mod tests {
                                    shards in 1usize..5) {
             let a = rel(xs);
             let b = rel(ys);
-            let out = gather(&scatter_union(
+            let out = gather(&zip_parts(
                 &partition_members(&a, shards),
                 &partition_members(&b, shards),
-                &seq(),
+                union,
             ));
             prop_assert_eq!(out, union(&a, &b));
         }
@@ -274,10 +186,10 @@ mod tests {
             let a = rel(xs);
             let b = rel(ys);
             // Co-hashed: both sides partitioned by the same member hash.
-            let out = gather(&scatter_zip_intersection(
+            let out = gather(&zip_parts(
                 &partition_members(&a, shards),
                 &partition_members(&b, shards),
-                &seq(),
+                intersection,
             ));
             prop_assert_eq!(out, intersection(&a, &b));
         }
@@ -292,11 +204,11 @@ mod tests {
             let b = rel(ys);
             let frags = partition_members(&a, shards);
             prop_assert_eq!(
-                gather(&scatter_intersection_whole(&frags, &b, &seq())),
+                gather(&map_parts(&frags, |x| intersection(x, &b))),
                 intersection(&a, &b)
             );
             prop_assert_eq!(
-                gather(&scatter_difference_whole(&frags, &b)),
+                gather(&map_parts(&frags, |x| difference(x, &b))),
                 difference(&a, &b)
             );
         }
@@ -309,15 +221,16 @@ mod tests {
         ) {
             let a = rel(xs);
             let b = rel(ys);
-            let out = gather(&scatter_zip_difference(
+            let out = gather(&zip_parts(
                 &partition_members(&a, shards),
                 &partition_members(&b, shards),
+                difference,
             ));
             prop_assert_eq!(out, difference(&a, &b));
         }
 
         #[test]
-        fn restrict_image_relproduct_scatter_exactly(
+        fn restrict_image_relproduct_map_exactly(
             rs in proptest::collection::vec((0i64..30, 0i64..30), 0..40),
             ks in proptest::collection::vec(0i64..30, 0..10),
             shards in 1usize..5,
@@ -327,17 +240,17 @@ mod tests {
             let sigma = ExtendedSet::classical([Value::str("s")]);
             let frags = partition_members(&r, shards);
             prop_assert_eq!(
-                gather(&scatter_restrict(&frags, &sigma, &a, &seq())),
+                gather(&map_parts(&frags, |p| sigma_restrict(p, &sigma, &a))),
                 sigma_restrict(&r, &sigma, &a)
             );
             let scope = Scope::pairs();
             prop_assert_eq!(
-                gather(&scatter_image(&frags, &a, &scope, &seq())),
+                gather(&map_parts(&frags, |p| image(p, &a, &scope))),
                 image(&r, &a, &scope)
             );
             let g = rel(rs.into_iter().map(|(x, y)| (y, x)));
             prop_assert_eq!(
-                gather(&scatter_relative_product(&frags, &scope, &g, &scope, &seq())),
+                gather(&map_parts(&frags, |p| relative_product(p, &scope, &g, &scope))),
                 relative_product(&r, &scope, &g, &scope)
             );
         }
@@ -352,7 +265,7 @@ mod tests {
             let a = ExtendedSet::classical(ks.into_iter().map(Value::Int));
             let sigma = ExtendedSet::classical([Value::str("s")]);
             let frags = partition_members(&r, shards);
-            let restricted = scatter_restrict(&frags, &sigma, &a, &seq());
+            let restricted = map_parts(&frags, |p| sigma_restrict(p, &sigma, &a));
             // Each output fragment re-routes onto itself: restriction's
             // outputs are a subset of its carrier fragment's members.
             let whole = gather(&restricted);

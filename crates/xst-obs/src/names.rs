@@ -139,9 +139,9 @@ families! {
     Counter SHARD_2PC_IN_DOUBT_RESOLVED_TOTAL = "xst_shard_2pc_in_doubt_resolved_total",
         "In-doubt prepares resolved from the coordinator decision log at recovery.";
     Counter SHARD_SCATTER_OPS_TOTAL = "xst_shard_scatter_ops_total",
-        "Per-fragment kernel invocations dispatched by scatter-gather evaluation.";
+        "Kernel runs dispatched by plan evaluation, one per part (an unsharded evaluation is one part).";
     Counter SHARD_GATHER_MERGES_TOTAL = "xst_shard_gather_merges_total",
-        "Gather steps that merged per-shard fragments by ordered union.";
+        "Gather steps that merged more than one fragment by ordered union.";
     Gauge COORD_SHARDS = "xst_coord_shards",
         "Shard processes the wire coordinator is connected to.";
     Counter COORD_TXN_BEGINS_TOTAL = "xst_coord_txn_begins_total",

@@ -2,7 +2,7 @@
 //!
 //! Execution itself lives in [`crate::sharded`]: `eval` / `eval_counted`
 //! / `eval_parallel` gate the plan, hand whole-set bindings to the one
-//! plan walker as unscattered leaves, and fold the [`PlanNode`] profile
+//! plan walker as one-part leaves, and fold the [`PlanNode`] profile
 //! tree it returns into [`EvalStats`].
 
 use crate::explain::PlanNode;

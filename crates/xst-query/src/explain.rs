@@ -42,7 +42,7 @@ pub struct PlanNode {
     pub total_ns: u64,
     /// Input subtrees, in operand order.
     pub children: Vec<PlanNode>,
-    /// Fragment count, if the node's result stayed scattered across shards.
+    /// Part count, if the node's result stayed scattered over more than one.
     pub(crate) parts: Option<usize>,
     /// The kernel this node ran and its one-invocation profile (`None`
     /// for leaves, which run none).
@@ -163,8 +163,8 @@ pub fn explain_analyze(
 
 /// [`explain_analyze`] over per-shard fragments: the report profiles the
 /// scattered execution [`eval_sharded`](crate::sharded::eval_sharded)
-/// serves, and a node whose result stayed scattered shows its fragment
-/// count (`parts=N`).
+/// serves, and a node whose result stayed scattered over more than one
+/// part shows the count (`parts=N`).
 pub fn explain_analyze_sharded(
     expr: &Expr,
     bindings: &ShardedBindings,

@@ -4,29 +4,35 @@
 //! is only where table leaves come from (a `Scan`) and which fold reads
 //! the [`PlanNode`] profile tree the walk returns.
 //!
-//! A table enters either whole (from [`Bindings`]) or as the list of its
-//! per-shard fragments (from [`ShardedBindings`]: pairwise disjoint,
-//! union = the table). The walker keeps intermediates **scattered** as
-//! long as the algebra allows and tracks one bit of provenance per
-//! intermediate — whether its partition is still *aligned* with the
-//! engine's member-hash routing:
+//! Every leaf and intermediate has one shape, a [`Frag`]: a list of
+//! pairwise-disjoint parts whose union is the set. A table from
+//! [`ShardedBindings`] enters as its per-shard fragments; a literal or a
+//! table from whole [`Bindings`] is the one-part partition of itself —
+//! Childs' operations distribute over any union of their carrier, in one
+//! part or in N, so each operator has ONE lowering. The walker keeps
+//! intermediates **scattered** as long as the algebra allows and tracks
+//! one bit of provenance per intermediate — whether its partition is still
+//! *aligned* with the engine's member-hash routing:
 //!
-//! * table scans start aligned (the engine routed them by member hash);
+//! * table scans start aligned (the engine routed them by member hash),
+//!   and one part is trivially aligned (there is nowhere else to be);
 //! * subset-producing operators (union/intersect/difference/restrict)
 //!   preserve their carrier's alignment — every output member keeps the
 //!   identity it was routed by;
-//! * member-transforming operators (domain, image, relative product,
-//!   cross) emit *new* members, so their outputs are an arbitrary
-//!   partition (`aligned = false`) — still a valid fragmentation, just
-//!   not zip-safe.
+//! * member-transforming operators (image, relative product) emit *new*
+//!   members, so their outputs are an arbitrary partition
+//!   (`aligned = false`) — still a valid fragmentation, just not
+//!   zip-safe; domain and cross gather their operands and yield one part.
 //!
-//! Zip lowerings (`⋃ᵢ Aᵢ∩Bᵢ`) need alignment on BOTH sides; when either
-//! side lost it, the walker falls back to the always-valid
-//! fragment-vs-whole lowering (`⋃ᵢ Aᵢ∩B`) instead of silently dropping
-//! members. Union zips for any equal-count partition. When every operand
-//! is whole, each arm runs the plain parallel kernel. The result is
-//! **identical** whichever way the leaves arrive — the differential tests
-//! below drive whole and scattered leaves over the same inputs.
+//! A binary operator zips part-by-part (`⋃ᵢ Aᵢ∩Bᵢ`) when both sides come
+//! in the same number of parts and — for `∩` and `∖` — both are aligned;
+//! union zips for any equal-count partitions. Otherwise it takes the
+//! always-valid part-vs-whole lowering (`⋃ᵢ Aᵢ∩B`, every part of the
+//! carrier against the gathered other side) instead of silently dropping
+//! members. Two whole sets are the zip of two one-part partitions. The
+//! result is **identical** however the leaves arrive — the differential
+//! tests below drive whole and scattered leaves, in mixed part counts,
+//! over the same inputs.
 //!
 //! The static-analysis gate runs once against the *merged* bindings:
 //! analysis facts are properties of whole tables, and the merge is exact,
@@ -38,10 +44,8 @@ use crate::expr::{Bindings, Expr};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use xst_core::ops::{
-    cross, difference, gather, par_image, par_intersection, par_relative_product,
-    par_sigma_restrict, par_union, scatter_difference_whole, scatter_image,
-    scatter_intersection_whole, scatter_relative_product, scatter_restrict, scatter_union,
-    scatter_zip_difference, scatter_zip_intersection, sigma_domain, Parallelism,
+    cross, difference, gather, map_parts, par_image, par_intersection, par_relative_product,
+    par_sigma_restrict, par_union, sigma_domain, zip_parts, Parallelism,
 };
 use xst_core::{ExtendedSet, XstError, XstResult};
 
@@ -58,41 +62,46 @@ pub fn merge_bindings(sharded: &ShardedBindings) -> Bindings {
         .collect()
 }
 
-/// A leaf or intermediate during the walk.
-pub(crate) enum Frag {
-    /// A single set (literals, whole-set bindings, member-transforming
-    /// results that a later operator needed whole).
-    Whole(ExtendedSet),
-    /// Still scattered across shards.
-    Sharded {
-        parts: Vec<ExtendedSet>,
-        /// Partitioned by the engine's member-hash routing (zip-safe)?
-        aligned: bool,
-    },
+/// A leaf or intermediate during the walk: a partition of the set it
+/// denotes (pairwise-disjoint parts until an image or relative product
+/// re-scopes them; their union is always the set).
+pub(crate) struct Frag {
+    parts: Vec<ExtendedSet>,
+    /// Partitioned by the engine's member-hash routing (zip-safe)?
+    aligned: bool,
 }
 
 impl Frag {
+    /// One part is trivially aligned: every member is in the only part
+    /// any routing could name.
+    fn new(parts: Vec<ExtendedSet>, aligned: bool) -> Frag {
+        let aligned = aligned || parts.len() == 1;
+        Frag { parts, aligned }
+    }
+
+    /// A single set — a literal, a whole-set binding, a gathered operand —
+    /// is the one-part partition of itself.
+    fn whole(set: ExtendedSet) -> Frag {
+        Frag::new(vec![set], true)
+    }
+
     fn card(&self) -> usize {
-        match self {
-            Frag::Whole(s) => s.card(),
-            Frag::Sharded { parts, .. } => parts.iter().map(ExtendedSet::card).sum(),
-        }
+        self.parts.iter().map(ExtendedSet::card).sum()
     }
 
-    /// Fragment count, while scattered.
-    fn parts(&self) -> Option<usize> {
-        match self {
-            Frag::Whole(_) => None,
-            Frag::Sharded { parts, .. } => Some(parts.len()),
-        }
+    /// Cardinality of the largest part: what one kernel run sees.
+    fn widest(&self) -> usize {
+        self.parts.iter().map(ExtendedSet::card).max().unwrap_or(0)
     }
 
-    /// Merge to a single set (gather if scattered).
+    /// Part count, while scattered over more than one.
+    fn scattered(&self) -> Option<usize> {
+        Some(self.parts.len()).filter(|&n| n > 1)
+    }
+
+    /// Merge to a single set (a no-op for one part).
     fn into_whole(self) -> ExtendedSet {
-        match self {
-            Frag::Whole(s) => s,
-            Frag::Sharded { parts, .. } => gather(&parts),
-        }
+        gather(&self.parts)
     }
 }
 
@@ -102,18 +111,12 @@ pub(crate) type Scan<'a> = dyn Fn(&str) -> Option<Frag> + 'a;
 /// Leaves from whole-set bindings (`ExtendedSet` is an `Arc`: the clone
 /// is free).
 pub(crate) fn whole_scan(bindings: &Bindings) -> impl Fn(&str) -> Option<Frag> + '_ {
-    |name| bindings.get(name).cloned().map(Frag::Whole)
+    |name| bindings.get(name).cloned().map(Frag::whole)
 }
 
 /// Leaves from per-shard fragments, aligned as the engine routed them.
 pub(crate) fn shard_scan(bindings: &ShardedBindings) -> impl Fn(&str) -> Option<Frag> + '_ {
-    |name| {
-        let parts = bindings.get(name)?.clone();
-        Some(Frag::Sharded {
-            parts,
-            aligned: true,
-        })
-    }
+    |name| Some(Frag::new(bindings.get(name)?.clone(), true))
 }
 
 /// Evaluate `expr` over per-shard fragments, gathering once at the root.
@@ -162,14 +165,16 @@ pub(crate) fn run(
 /// for operators — the kernel's family and one-invocation profile.
 type Step = (String, Frag, Option<(OpKind, OpStat)>);
 
-/// The one site that runs a kernel: opens the family's `eval.*` span,
-/// clocks the kernel (operand evaluation and gathers excluded) and
-/// records the fan-out width `card` — the dominant-operand cardinality —
-/// buys under `par`.
+/// The one site that runs a kernel: opens the family's `eval.*` span and
+/// clocks the kernel (operand evaluation and gathers excluded). `card` is
+/// the dominant operand's cardinality, recorded as the span's `card_in`;
+/// `widest` is the largest input any single kernel run sees, which is
+/// what decides whether a family with a parallel kernel fanned out.
 fn timed(
     kind: OpKind,
     par: &Parallelism,
     card: usize,
+    widest: usize,
     kernel: impl FnOnce() -> XstResult<Frag>,
 ) -> XstResult<Step> {
     let mut span = xst_obs::SpanGuard::new(kind.span_name());
@@ -180,10 +185,12 @@ fn timed(
         span.attr("rows_out", out.card());
     }
     drop(span);
+    // No parallel difference, domain or cross kernel: always sequential.
+    let sequential = matches!(kind, OpKind::Difference | OpKind::Domain | OpKind::Cross);
     let stat = OpStat {
         invocations: 1,
         wall_nanos: started.elapsed().as_nanos() as u64,
-        max_threads: if par.should_parallelize(card) {
+        max_threads: if !sequential && par.should_parallelize(widest) {
             par.threads as u32
         } else {
             1
@@ -192,10 +199,55 @@ fn timed(
     Ok((kind.name().to_string(), out, Some((kind, stat))))
 }
 
-/// Execute one node: evaluate the operands, pick the lowering their
-/// carriers allow, run it under [`timed`], and record the node's profile.
+/// The one lowering of a carrier family (restrict, image, relative
+/// product): `kernel` over every part of the carrier `r`, the other
+/// operands whole inside the closure — `⋃ᵢ k(Rᵢ)`, valid for any
+/// partition of `r`.
+fn map(
+    kind: OpKind,
+    par: &Parallelism,
+    r: Frag,
+    aligned: bool,
+    kernel: impl Fn(&ExtendedSet) -> ExtendedSet,
+) -> XstResult<Step> {
+    timed(kind, par, r.card(), r.widest(), || {
+        Ok(Frag::new(map_parts(&r.parts, kernel), aligned))
+    })
+}
+
+/// The one lowering of a binary member-wise family (`∪`, `∩`, `∖`). Zip
+/// part-by-part — `⋃ᵢ k(Xᵢ, Yᵢ)` — when `zip_ok` and both sides come in
+/// the same number of parts; otherwise `x` carries: every part of it
+/// against the gathered `y` — `⋃ᵢ k(Xᵢ, Y)`, valid for any partition of
+/// `x`. `card` is the family's dominant-operand cardinality.
+fn pairwise(
+    kind: OpKind,
+    par: &Parallelism,
+    card: usize,
+    x: Frag,
+    y: Frag,
+    zip_ok: bool,
+    kernel: impl Fn(&ExtendedSet, &ExtendedSet) -> ExtendedSet,
+) -> XstResult<Step> {
+    if zip_ok && x.parts.len() == y.parts.len() {
+        let pairs = x.parts.iter().zip(&y.parts);
+        let widest = pairs.map(|(p, q)| p.card() + q.card()).max().unwrap_or(0);
+        timed(kind, par, card, widest, || {
+            let parts = zip_parts(&x.parts, &y.parts, kernel);
+            Ok(Frag::new(parts, x.aligned && y.aligned))
+        })
+    } else {
+        let whole = y.into_whole();
+        timed(kind, par, card, x.widest() + whole.card(), || {
+            let parts = map_parts(&x.parts, |p| kernel(p, &whole));
+            Ok(Frag::new(parts, x.aligned))
+        })
+    }
+}
+
+/// Execute one node: evaluate the operands, run the family's one lowering
+/// under [`timed`], and record the node's profile.
 fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, PlanNode)> {
-    use Frag::{Sharded, Whole};
     let started = Instant::now();
     let mut children = Vec::new();
     let mut operand = |e: &Expr| -> XstResult<Frag> {
@@ -203,10 +255,8 @@ fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, Pla
         children.push(node);
         Ok(frag)
     };
-    // No parallel difference, domain or cross kernel: always sequential.
-    let seq = Parallelism::sequential();
     let (op, result, kernel) = match expr {
-        Expr::Literal(s) => Ok(("literal".to_string(), Whole(s.clone()), None)),
+        Expr::Literal(s) => Ok(("literal".to_string(), Frag::whole(s.clone()), None)),
         Expr::Table(name) => match scan(name) {
             Some(leaf) => Ok((format!("table {name}"), leaf, None)),
             None => Err(XstError::NotComposable {
@@ -214,156 +264,74 @@ fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, Pla
             }),
         },
         Expr::Union(a, b) => {
-            let (x, y) = (operand(a)?, operand(b)?);
-            let card = x.card() + y.card();
-            // Union zips for ANY equal-count partition; alignment of the
-            // result holds only if both inputs were aligned.
-            match (x, y) {
-                (
-                    Sharded {
-                        parts: pa,
-                        aligned: la,
-                    },
-                    Sharded {
-                        parts: pb,
-                        aligned: lb,
-                    },
-                ) if pa.len() == pb.len() => timed(OpKind::Union, par, card, || {
-                    Ok(Sharded {
-                        parts: scatter_union(&pa, &pb, par),
-                        aligned: la && lb,
-                    })
-                }),
-                (x, y) => {
-                    let (xs, ys) = (x.into_whole(), y.into_whole());
-                    timed(OpKind::Union, par, card, || {
-                        Ok(Whole(par_union(&xs, &ys, par)))
-                    })
-                }
+            let (mut x, mut y) = (operand(a)?, operand(b)?);
+            // Union drops nothing, so it zips for ANY equal-count
+            // partitions (the result is aligned only if both were). On
+            // unequal counts neither side can carry — the other's members
+            // would land in every part — so both gather.
+            if x.parts.len() != y.parts.len() {
+                (x, y) = (Frag::whole(x.into_whole()), Frag::whole(y.into_whole()));
             }
+            let card = x.card() + y.card();
+            pairwise(OpKind::Union, par, card, x, y, true, |p, q| {
+                par_union(p, q, par)
+            })
         }
         Expr::Intersect(a, b) => {
-            let (x, y) = (operand(a)?, operand(b)?);
-            let card = x.card() + y.card();
-            match (x, y) {
-                (
-                    Sharded {
-                        parts: pa,
-                        aligned: true,
-                    },
-                    Sharded {
-                        parts: pb,
-                        aligned: true,
-                    },
-                ) if pa.len() == pb.len() => timed(OpKind::Intersect, par, card, || {
-                    Ok(Sharded {
-                        parts: scatter_zip_intersection(&pa, &pb, par),
-                        aligned: true,
-                    })
-                }),
-                // Fragment-vs-whole: valid for any partition of the carrier
-                // (intersection commutes, so either scattered side carries).
-                (Sharded { parts, aligned }, other) | (other, Sharded { parts, aligned }) => {
-                    let whole = other.into_whole();
-                    timed(OpKind::Intersect, par, card, || {
-                        Ok(Sharded {
-                            parts: scatter_intersection_whole(&parts, &whole, par),
-                            aligned,
-                        })
-                    })
-                }
-                (Whole(xs), Whole(ys)) => timed(OpKind::Intersect, par, card, || {
-                    Ok(Whole(par_intersection(&xs, &ys, par)))
-                }),
+            let (mut x, mut y) = (operand(a)?, operand(b)?);
+            // Intersection commutes, so off the zip either side may carry:
+            // the one in more parts does (fewer members to gather).
+            if x.parts.len() < y.parts.len() {
+                std::mem::swap(&mut x, &mut y);
             }
+            let (card, zip_ok) = (x.card() + y.card(), x.aligned && y.aligned);
+            pairwise(OpKind::Intersect, par, card, x, y, zip_ok, |p, q| {
+                par_intersection(p, q, par)
+            })
         }
-        Expr::Difference(a, b) => match (operand(a)?, operand(b)?) {
-            (
-                Sharded {
-                    parts: pa,
-                    aligned: true,
-                },
-                Sharded {
-                    parts: pb,
-                    aligned: true,
-                },
-            ) if pa.len() == pb.len() => timed(OpKind::Difference, &seq, 0, || {
-                Ok(Sharded {
-                    parts: scatter_zip_difference(&pa, &pb),
-                    aligned: true,
-                })
-            }),
-            // Difference is NOT commutative: only the left side may stay
-            // scattered.
-            (Sharded { parts, aligned }, y) => {
-                let whole = y.into_whole();
-                timed(OpKind::Difference, &seq, 0, || {
-                    Ok(Sharded {
-                        parts: scatter_difference_whole(&parts, &whole),
-                        aligned,
-                    })
-                })
-            }
-            (Whole(xs), y) => {
-                let ys = y.into_whole();
-                timed(OpKind::Difference, &seq, 0, || {
-                    Ok(Whole(difference(&xs, &ys)))
-                })
-            }
-        },
+        Expr::Difference(a, b) => {
+            let (x, y) = (operand(a)?, operand(b)?);
+            // Difference is NOT commutative: only the left side may carry.
+            let (card, zip_ok) = (x.card(), x.aligned && y.aligned);
+            pairwise(OpKind::Difference, par, card, x, y, zip_ok, difference)
+        }
         Expr::Restrict { r, sigma, a } => {
             let (rf, av) = (operand(r)?, operand(a)?.into_whole());
-            timed(OpKind::Restrict, par, rf.card(), || {
-                Ok(match rf {
-                    // Restriction outputs a subset of its carrier
-                    // fragment: alignment survives.
-                    Sharded { parts, aligned } => Sharded {
-                        parts: scatter_restrict(&parts, sigma, &av, par),
-                        aligned,
-                    },
-                    Whole(rs) => Whole(par_sigma_restrict(&rs, sigma, &av, par)),
-                })
+            // Restriction outputs a subset of each carrier part: alignment
+            // survives.
+            let aligned = rf.aligned;
+            map(OpKind::Restrict, par, rf, aligned, |p| {
+                par_sigma_restrict(p, sigma, &av, par)
             })
         }
         Expr::Domain { r, sigma } => {
             // σ-domain transforms members; evaluate whole (the gather is
             // exact, and the op is cheap relative to its carriers).
             let rs = operand(r)?.into_whole();
-            timed(OpKind::Domain, &seq, 0, || {
-                Ok(Whole(sigma_domain(&rs, sigma)))
+            timed(OpKind::Domain, par, rs.card(), rs.card(), || {
+                Ok(Frag::whole(sigma_domain(&rs, sigma)))
             })
         }
         Expr::Image { r, a, scope } => {
             let (rf, av) = (operand(r)?, operand(a)?.into_whole());
-            timed(OpKind::Image, par, rf.card(), || {
-                Ok(match rf {
-                    // Image re-scopes members: the output partition is
-                    // arbitrary, not member-hash aligned.
-                    Sharded { parts, .. } => Sharded {
-                        parts: scatter_image(&parts, &av, scope, par),
-                        aligned: false,
-                    },
-                    Whole(rs) => Whole(par_image(&rs, &av, scope, par)),
-                })
+            // Image re-scopes members: the output partition is arbitrary,
+            // not member-hash aligned.
+            map(OpKind::Image, par, rf, false, |p| {
+                par_image(p, &av, scope, par)
             })
         }
         Expr::RelProduct { f, sigma, g, omega } => {
             let (ff, gs) = (operand(f)?, operand(g)?.into_whole());
-            timed(OpKind::RelProduct, par, ff.card(), || {
-                Ok(match ff {
-                    Sharded { parts, .. } => Sharded {
-                        parts: scatter_relative_product(&parts, sigma, &gs, omega, par),
-                        aligned: false,
-                    },
-                    Whole(fs) => Whole(par_relative_product(&fs, sigma, &gs, omega, par)),
-                })
+            map(OpKind::RelProduct, par, ff, false, |p| {
+                par_relative_product(p, sigma, &gs, omega, par)
             })
         }
         Expr::Cross(a, b) => {
             // `⊗` concatenates tuples — inherently whole-vs-whole.
             let (xs, ys) = (operand(a)?.into_whole(), operand(b)?.into_whole());
-            timed(OpKind::Cross, &seq, xs.card() + ys.card(), || {
-                Ok(Whole(cross(&xs, &ys)?))
+            let card = xs.card() + ys.card();
+            timed(OpKind::Cross, par, card, card, || {
+                Ok(Frag::whole(cross(&xs, &ys)?))
             })
         }
     }?;
@@ -371,7 +339,7 @@ fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, Pla
         op,
         sig: String::new(),
         rows_out: result.card() as u64,
-        parts: result.parts(),
+        parts: result.scattered(),
         total_ns: started.elapsed().as_nanos() as u64,
         kernel,
         children,
@@ -395,19 +363,28 @@ mod tests {
         b.build()
     }
 
-    fn shard_env(tables: &[(&str, &ExtendedSet)], shards: usize) -> ShardedBindings {
+    /// Each table partitioned into its own number of parts.
+    fn shard_env(tables: &[(&str, &ExtendedSet, usize)]) -> ShardedBindings {
         tables
             .iter()
-            .map(|(n, s)| (n.to_string(), partition_members(s, shards)))
+            .map(|(n, s, shards)| (n.to_string(), partition_members(s, *shards)))
             .collect()
     }
 
     /// A family of plans exercising every operator family, including
-    /// zip, fragment-vs-whole, alignment-loss (image feeding intersect),
-    /// and whole-only (cross) paths.
-    fn plans() -> Vec<Expr> {
+    /// zip, part-vs-whole (unequal counts, a literal on either side),
+    /// alignment-loss (image feeding intersect), and whole-only (cross)
+    /// paths.
+    fn plans(lit: &ExtendedSet) -> Vec<Expr> {
         let sigma = Scope::pairs();
+        let lit = || Expr::lit(lit.clone());
         vec![
+            Expr::table("x").intersect(lit()),
+            lit().intersect(Expr::table("y")),
+            Expr::table("x").difference(lit()),
+            lit().difference(Expr::table("y")),
+            Expr::table("x").union(lit()),
+            lit().union(Expr::table("y")),
             Expr::table("x").union(Expr::table("y")),
             Expr::table("x").intersect(Expr::table("y")),
             Expr::table("x").difference(Expr::table("y")),
@@ -433,15 +410,21 @@ mod tests {
             xs in proptest::collection::vec((0i64..40, 0i64..40), 0..30),
             ys in proptest::collection::vec((0i64..40, 0i64..40), 0..30),
             ks in proptest::collection::vec(0i64..40, 0..8),
-            shards in 1usize..5,
+            ls in proptest::collection::vec((0i64..40, 0i64..40), 0..10),
+            sx in 1usize..5,
+            sy in 1usize..5,
         ) {
             let x = rel(&xs);
             let y = rel(&ys);
             let k = ExtendedSet::classical(ks.into_iter().map(Value::Int));
             let par = Parallelism::sequential();
-            let sharded = shard_env(&[("x", &x), ("y", &y), ("k", &k)], shards);
+            let sharded = shard_env(&[("x", &x, sx), ("y", &y, sy), ("k", &k, 1)]);
             let merged = merge_bindings(&sharded);
-            for plan in plans() {
+            // The literal shares members with both tables, so `∩` and `∖`
+            // against it are not vacuous.
+            let shared = xs.iter().step_by(2).chain(ys.iter().step_by(3));
+            let lit = rel(&ls.iter().chain(shared).copied().collect::<Vec<_>>());
+            for plan in plans(&lit) {
                 let (whole, whole_stats) = eval_parallel(&plan, &merged, &par).unwrap();
                 let (scattered, stats) = eval_sharded(&plan, &sharded, &par).unwrap();
                 prop_assert_eq!(&scattered, &whole, "plan {:?} diverged", plan);
@@ -462,6 +445,38 @@ mod tests {
         }
     }
 
+    /// An image re-scopes members, so its parts are no longer where the
+    /// member hash would route them: `∩`/`∖` against an aligned table in
+    /// the SAME number of parts must not zip. (The proptest's image plans
+    /// come out empty over `rel`'s non-tuple members; these do not.)
+    #[test]
+    fn alignment_loss_falls_back_to_part_vs_whole() {
+        let tuples = |vs: std::ops::Range<i64>| {
+            ExtendedSet::classical(vs.map(|v| ExtendedSet::tuple([v]).into_value()))
+        };
+        let p = ExtendedSet::classical(
+            (0..40i64).map(|i| ExtendedSet::pair(i, (i * 7) % 40).into_value()),
+        );
+        let (k, t) = (tuples(0..30), tuples(10..40));
+        let par = Parallelism::sequential();
+        let image = || Expr::table("p").image(Expr::table("k"), Scope::pairs());
+        for shards in 2..5 {
+            let sharded = shard_env(&[("p", &p, shards), ("k", &k, 1), ("t", &t, shards)]);
+            let merged = merge_bindings(&sharded);
+            for plan in [
+                image().intersect(Expr::table("t")),
+                Expr::table("t").intersect(image()),
+                image().difference(Expr::table("t")),
+                Expr::table("t").difference(image()),
+            ] {
+                let (whole, _) = eval_parallel(&plan, &merged, &par).unwrap();
+                let (scattered, _) = eval_sharded(&plan, &sharded, &par).unwrap();
+                assert!(!whole.is_empty(), "vacuous: {plan:?}");
+                assert_eq!(scattered, whole, "{shards} shards, {plan:?}");
+            }
+        }
+    }
+
     #[test]
     fn unbound_table_is_rejected_by_the_gate() {
         let env = ShardedBindings::new();
@@ -472,7 +487,7 @@ mod tests {
     #[test]
     fn merge_bindings_is_exact() {
         let x = rel(&[(1, 2), (3, 4), (5, 6), (7, 8)]);
-        let sharded = shard_env(&[("x", &x)], 3);
+        let sharded = shard_env(&[("x", &x, 3)]);
         let merged = merge_bindings(&sharded);
         assert_eq!(merged.get("x"), Some(&x));
     }

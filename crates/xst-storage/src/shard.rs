@@ -36,7 +36,7 @@ use crate::wal::Wal;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use xst_core::ops::union_all;
+use xst_core::ops::gather;
 use xst_core::ExtendedSet;
 use xst_obs::names::handle as m;
 
@@ -240,11 +240,7 @@ impl ShardedEngine {
     /// The latest committed identity of `table`: per-shard latest
     /// identities gathered by ordered union (no transaction needed).
     pub fn latest_identity(&self, name: &str) -> StorageResult<ExtendedSet> {
-        let frags = self.latest_fragments(name)?;
-        if xst_obs::enabled() {
-            m::SHARD_GATHER_MERGES_TOTAL.inc();
-        }
-        Ok(union_all(frags.iter()))
+        Ok(gather(&self.latest_fragments(name)?))
     }
 
     /// The latest committed per-shard fragments of `table`. Fragment `i`
@@ -573,11 +569,7 @@ impl ShardedTxn {
     /// This transaction's view of `table`: gather the fragments by
     /// ordered union.
     pub fn read_identity(&mut self, table: &str) -> StorageResult<ExtendedSet> {
-        let frags = self.read_fragments(table)?;
-        if xst_obs::enabled() {
-            m::SHARD_GATHER_MERGES_TOTAL.inc();
-        }
-        Ok(union_all(frags.iter()))
+        Ok(gather(&self.read_fragments(table)?))
     }
 
     /// A [`SetEngine`] over the gathered view of `table`.

@@ -179,6 +179,105 @@ fn explain_and_sharded_eval_emit_the_evaluators_operator_spans() {
 }
 
 // ---------------------------------------------------------------------------
+// The operator profile tells the truth for every family: `card_in` is the
+// dominant operand, `max_threads` is what the widest kernel run could use,
+// and the gather counter counts merges that happened.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn difference_and_domain_spans_carry_their_carrier_cardinality() {
+    let _g = obs_lock();
+    xst_obs::enable();
+    let env = env();
+    let par = Parallelism::sequential();
+    let mut seen = Vec::new();
+    for expr in shapes() {
+        xst_obs::collector().take_spans();
+        let report = explain_analyze(&expr, &env, &par).unwrap();
+        let spans = xst_obs::collector().take_spans();
+        for node in flatten(&report.root) {
+            let name = match node.op.as_str() {
+                "difference" => "eval.difference",
+                "domain" => "eval.domain",
+                _ => continue,
+            };
+            let span = spans.iter().find(|s| s.name == name).expect(name);
+            let card_in = span.attrs.iter().find(|(k, _)| *k == "card_in");
+            let carrier = node.children[0].rows_out;
+            assert!(carrier > 0, "{name}: empty carrier in {expr:?}");
+            assert_eq!(
+                card_in.map(|(_, v)| v.as_str()),
+                Some(carrier.to_string().as_str()),
+                "{name}: {span:?}"
+            );
+            seen.push(name);
+        }
+    }
+    assert_eq!(seen, ["eval.difference", "eval.domain"]);
+}
+
+#[test]
+fn max_threads_reflects_the_widest_part_not_the_total() {
+    let _g = obs_lock();
+    let r = ExtendedSet::classical(
+        (0..8000).map(|i| Value::Set(ExtendedSet::pair(Value::Int(i % 20), Value::Int(i)))),
+    );
+    let par = Parallelism::new(4);
+    let plan = Expr::table("r").restrict(xtuple![1], Expr::table("probe"));
+    let width = |stats: xst_query::EvalStats| stats.op(OpKind::Restrict).max_threads;
+
+    // One part of 8 000 members clears the threshold and fans out.
+    let whole: Bindings = [
+        ("r".to_string(), r.clone()),
+        ("probe".to_string(), pairs(6)),
+    ]
+    .into_iter()
+    .collect();
+    let (expect, stats) = eval_parallel(&plan, &whole, &par).unwrap();
+    assert_eq!(width(stats), 4);
+
+    // Four parts of ≈ 2 000: the total clears it, no kernel run does.
+    let parts = partition_members(&r, 4);
+    assert!(r.card() >= par.threshold);
+    assert!(parts.iter().all(|p| p.card() < par.threshold));
+    let sharded: ShardedBindings = [
+        ("r".to_string(), parts),
+        ("probe".to_string(), vec![pairs(6)]),
+    ]
+    .into_iter()
+    .collect();
+    let (got, stats) = eval_sharded(&plan, &sharded, &par).unwrap();
+    assert_eq!(got, expect);
+    assert_eq!(width(stats), 1, "every part ran sequentially");
+}
+
+#[test]
+fn gather_merges_count_only_gathers_that_merged() {
+    use xst_storage::{Record, Schema, ShardedEngine};
+
+    let _g = obs_lock();
+    xst_obs::enable();
+    let merges = &xst_obs::names::handle::SHARD_GATHER_MERGES_TOTAL;
+    let moved_over = |shards: usize| {
+        let engine = ShardedEngine::with_shards(shards);
+        engine.create_table("t", Schema::new(["k"])).unwrap();
+        let rows: Vec<Record> = (0..16).map(|k| Record::new([Value::Int(k)])).collect();
+        engine.autocommit_insert("t", &rows).unwrap();
+        let before = merges.get();
+        let whole = engine.latest_identity("t").unwrap();
+        let env: ShardedBindings = [("t".to_string(), engine.latest_fragments("t").unwrap())]
+            .into_iter()
+            .collect();
+        let plan = Expr::table("t").domain(xtuple![1]).union(Expr::table("t"));
+        eval_sharded(&plan, &env, &Parallelism::sequential()).unwrap();
+        assert_eq!(whole.card(), 16);
+        merges.get() - before
+    };
+    assert_eq!(moved_over(1), 0, "one fragment: nothing was merged");
+    assert!(moved_over(3) > 0, "three fragments gather by merging");
+}
+
+// ---------------------------------------------------------------------------
 // Spans nest across crate boundaries: query.eval → eval.* → par.*.
 // ---------------------------------------------------------------------------
 
