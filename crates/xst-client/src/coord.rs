@@ -32,13 +32,13 @@ use crate::{Client, ClientError};
 use std::fmt;
 use std::time::Duration;
 use xst_core::ops::{gather, Parallelism};
-use xst_core::{ExtendedSet, SetBuilder};
+use xst_core::{ExtendedSet, XstResult};
 use xst_obs::names::handle as m;
 use xst_query::{eval_sharded, Expr, ShardedBindings};
-use xst_server::proto::ErrorCode;
-use xst_server::set_to_records;
+use xst_server::proto::{Door, ErrorCode, Request, Response, WireError};
+use xst_server::{storage_error, xst_error};
 use xst_storage::twopc::{self, DecisionLog, Participant, Prepared};
-use xst_storage::{shard_of, Storage, StorageError, Wal};
+use xst_storage::{route_members, Storage, StorageError, Wal};
 
 /// Everything that can go wrong driving the cluster.
 #[derive(Debug)]
@@ -214,20 +214,31 @@ impl Coordinator {
     /// issued under no concurrent coordinator activity — this
     /// coordinator is the only writer session on every shard).
     pub fn begin(&mut self) -> CoordResult<()> {
+        self.begin_at().map(|_| ())
+    }
+
+    /// [`Coordinator::begin`], answering the newest snapshot timestamp
+    /// any shard reported (shard clocks are independent, as with the
+    /// maximum [`Coordinator::commit`] returns).
+    fn begin_at(&mut self) -> CoordResult<u64> {
         if self.in_txn {
             return Err(CoordError::State(
                 "a distributed transaction is already open (commit or abort it)".to_string(),
             ));
         }
+        let mut snapshot_ts = 0u64;
         for i in 0..self.shards.len() {
-            if let Err(e) = self.shards[i].begin() {
-                // Shards 0..i now hold an open transaction only this
-                // call knows about: abort them (best effort) or they
-                // wedge the next begin and pin their snapshots.
-                for begun in &mut self.shards[..i] {
-                    let _ = begun.abort();
+            match self.shards[i].begin() {
+                Ok(info) => snapshot_ts = snapshot_ts.max(info.snapshot_ts),
+                Err(e) => {
+                    // Shards 0..i now hold an open transaction only this
+                    // call knows about: abort them (best effort) or they
+                    // wedge the next begin and pin their snapshots.
+                    for begun in &mut self.shards[..i] {
+                        let _ = begun.abort();
+                    }
+                    return Err(shard_err(i, e));
                 }
-                return Err(shard_err(i, e));
             }
         }
         self.in_txn = true;
@@ -235,32 +246,24 @@ impl Coordinator {
         if xst_obs::enabled() {
             m::COORD_TXN_BEGINS_TOTAL.inc();
         }
-        Ok(())
+        Ok(snapshot_ts)
     }
 
-    /// Split `set` into per-shard member subsets by the engine's member
-    /// hash — the same [`shard_of`] every in-process engine uses, so a
-    /// member lands on the same shard in either deployment.
-    fn route(&self, set: &ExtendedSet) -> Vec<ExtendedSet> {
-        let n = self.shards.len().max(1);
-        let mut builders: Vec<SetBuilder> = (0..n).map(|_| SetBuilder::new()).collect();
-        for (member, record) in set.members().iter().zip(set_to_records(set)) {
-            let shard = shard_of(&record, n);
-            builders[shard].scoped(member.element.clone(), member.scope.clone());
-        }
-        builders.into_iter().map(SetBuilder::build).collect()
-    }
-
-    /// Run `write` as a transaction of its own. A failed write aborts the
-    /// implicit transaction — left open, the next autocommit would join
-    /// it; a failed commit has already closed it.
-    fn autocommit(
+    /// Run `scatter` in the open transaction, or — outside one — as a
+    /// transaction of its own, keeping cross-shard atomicity; answers the
+    /// rows and, when it autocommitted, the commit timestamp. A failed
+    /// autocommit write aborts the implicit transaction — left open, the
+    /// next one would join it; a failed commit has already closed it.
+    fn write(
         &mut self,
-        write: impl FnOnce(&mut Coordinator) -> CoordResult<u64>,
-    ) -> CoordResult<u64> {
+        scatter: impl FnOnce(&mut Coordinator) -> CoordResult<u64>,
+    ) -> CoordResult<(u64, Option<u64>)> {
+        if self.in_txn {
+            return scatter(self).map(|rows| (rows, None));
+        }
         self.begin()?;
-        match write(self) {
-            Ok(rows) => self.commit().map(|_| rows),
+        match scatter(self) {
+            Ok(rows) => self.commit().map(|ts| (rows, Some(ts))),
             Err(e) => {
                 let _ = self.abort();
                 Err(e)
@@ -268,47 +271,33 @@ impl Coordinator {
         }
     }
 
-    /// Insert every member of `set` into `table`, routed by member
-    /// hash. **Every** shard receives a Put — empty subsets included —
-    /// so the table exists in every shard's catalog (reads and recovery
-    /// need the uniform catalog). Outside a transaction this wraps
-    /// itself in begin/commit, keeping cross-shard atomicity.
-    pub fn put(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
-        if !self.in_txn {
-            return self.autocommit(|coord| coord.put(table, set));
-        }
-        let parts = self.route(set);
+    /// Send each shard its [`route_members`] part of `set` as a `Put`
+    /// (or a `Delete`). **Every** shard receives a Put — empty subsets
+    /// included — so the table exists in every shard's catalog (reads and
+    /// recovery need the uniform catalog); an empty Delete is skipped.
+    fn scatter(&mut self, table: &str, set: &ExtendedSet, delete: bool) -> CoordResult<u64> {
         let mut rows = 0u64;
-        for (i, part) in parts.iter().enumerate() {
-            let applied = self.shards[i]
-                .put(table, part)
-                .map_err(|e| shard_err(i, e))?;
-            rows += applied.rows;
-            if part.card() > 0 {
-                self.wrote[i] = true;
-            }
+        for (i, part) in route_members(set, self.shards.len()).iter().enumerate() {
+            let applied = match delete {
+                false => self.shards[i].put(table, part),
+                true if part.is_empty() => continue,
+                true => self.shards[i].delete(table, part),
+            };
+            rows += applied.map_err(|e| shard_err(i, e))?.rows;
+            self.wrote[i] |= !part.is_empty();
         }
         Ok(rows)
     }
 
+    /// Insert every member of `set` into `table`, routed by member hash;
+    /// autocommits outside a transaction. Returns the rows touched.
+    pub fn put(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
+        Ok(self.write(|coord| coord.scatter(table, set, false))?.0)
+    }
+
     /// Delete every member of `set` from `table`, routed by member hash.
     pub fn delete(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
-        if !self.in_txn {
-            return self.autocommit(|coord| coord.delete(table, set));
-        }
-        let parts = self.route(set);
-        let mut rows = 0u64;
-        for (i, part) in parts.iter().enumerate() {
-            if part.card() == 0 {
-                continue;
-            }
-            let applied = self.shards[i]
-                .delete(table, part)
-                .map_err(|e| shard_err(i, e))?;
-            rows += applied.rows;
-            self.wrote[i] = true;
-        }
-        Ok(rows)
+        Ok(self.write(|coord| coord.scatter(table, set, true))?.0)
     }
 
     /// The per-shard member fragments of `table`, in shard order.
@@ -356,6 +345,13 @@ impl Coordinator {
     /// exactly as the in-process engine would. Tables no shard knows
     /// stay unbound, so the static-analysis gate reports them.
     pub fn eval(&mut self, expr: &Expr) -> CoordResult<ExtendedSet> {
+        self.eval_gated(expr)?
+            .map_err(|e| CoordError::State(format!("eval failed: {e}")))
+    }
+
+    /// [`Coordinator::eval`] with the evaluation's own verdict kept typed
+    /// (the door answers it with the code a session would).
+    fn eval_gated(&mut self, expr: &Expr) -> CoordResult<XstResult<ExtendedSet>> {
         let names: Vec<String> = expr.tables().iter().map(|n| n.to_string()).collect();
         let mut bindings = ShardedBindings::new();
         for name in names {
@@ -370,9 +366,7 @@ impl Coordinator {
                 Err(e) => return Err(e),
             }
         }
-        eval_sharded(expr, &bindings, &Parallelism::sequential())
-            .map(|(set, _stats)| set)
-            .map_err(|e| CoordError::State(format!("eval failed: {e}")))
+        Ok(eval_sharded(expr, &bindings, &Parallelism::sequential()).map(|(set, _stats)| set))
     }
 
     /// Abort the open distributed transaction on every shard.
@@ -526,6 +520,69 @@ impl Coordinator {
             self.in_txn,
             n = self.log.committed().len()
         )
+    }
+}
+
+/// The cluster door: each store verb maps onto the typed method above, so
+/// the wire message sequence is theirs. A refusal — the coordinator's own
+/// transaction-state check, a shard's typed answer, an evaluation the gate
+/// rejects, a failed decision-log flush — is answered with the
+/// [`ErrorCode`] a session gives it; only a broken link (or the crash
+/// hook) is `Err`. `TxnBegun` names the gtxn a 2PC commit would spend and
+/// the newest shard snapshot. `Get` and `FragRead` both answer the gathered
+/// member set, so a coordinator can stand where a shard stands. The remaining
+/// kinds (analysis and observability pulls, the 2PC participant side) are
+/// one server's to answer and are refused by name.
+impl Door for Coordinator {
+    type Error = CoordError;
+
+    fn call(&mut self, req: Request) -> CoordResult<Response> {
+        let applied = |(rows, autocommit_ts)| Response::Applied {
+            rows,
+            autocommit_ts,
+        };
+        let answer = match req {
+            Request::Ping => (0..self.shards.len())
+                .try_for_each(|i| self.shards[i].ping().map_err(|e| shard_err(i, e)))
+                .map(|()| Response::Pong),
+            Request::Begin => self.begin_at().map(|snapshot_ts| Response::TxnBegun {
+                id: self.log.peek_gtxn(),
+                snapshot_ts,
+            }),
+            Request::Commit => self.commit().map(|ts| Response::Committed { ts }),
+            Request::Abort => self.abort().map(|()| Response::Aborted),
+            Request::Put { table, set } => self
+                .write(|coord| coord.scatter(&table, &set, false))
+                .map(applied),
+            Request::Delete { table, set } => self
+                .write(|coord| coord.scatter(&table, &set, true))
+                .map(applied),
+            Request::Get { table } | Request::FragRead { table } => {
+                self.get(&table).map(|set| Response::Value { set })
+            }
+            Request::Eval { expr } => self
+                .eval_gated(&expr)
+                .map(|verdict| verdict.map_or_else(xst_error, |set| Response::Value { set })),
+            other => Ok(Response::Error(WireError::new(
+                ErrorCode::Protocol,
+                format!(
+                    "'{}' is one server's to answer, not the coordinator's",
+                    other.kind_name()
+                ),
+            ))),
+        };
+        answer.or_else(|e| match e {
+            CoordError::State(message) => Ok(Response::Error(WireError::new(
+                ErrorCode::TxnState,
+                message,
+            ))),
+            CoordError::Shard {
+                source: ClientError::Remote(e),
+                ..
+            } => Ok(Response::Error(e)),
+            CoordError::DecisionLog(e) => Ok(storage_error(e)),
+            broken => Err(broken),
+        })
     }
 }
 

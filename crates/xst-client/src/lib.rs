@@ -34,7 +34,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use xst_core::ExtendedSet;
 use xst_query::Expr;
-use xst_server::proto::{ErrorCode, Request, Response, WireError, PROTO_VERSION};
+use xst_server::proto::{Door, ErrorCode, Request, Response, WireError, PROTO_VERSION};
 use xst_server::wire::{read_frame, write_frame, FrameError};
 use xst_storage::{FaultKind, FaultSchedule};
 
@@ -245,9 +245,13 @@ impl Client {
         let payload = read_frame(&mut self.stream)?;
         Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
     }
+}
 
-    /// Issue `req`; treat a [`Response::Error`] as [`ClientError::Remote`].
-    ///
+/// The wire door: one framed round trip per request; a refusal comes
+/// back as the server's own [`Response::Error`].
+impl Door for Client {
+    type Error = ClientError;
+
     /// This is where a trace originates: with the collector on, the
     /// call opens a `client.request` root span and wraps
     /// `req` in [`Request::Traced`] carrying the span's context, so the
@@ -267,12 +271,11 @@ impl Client {
             xst_obs::names::handle::CLIENT_REQUESTS_TOTAL.inc();
             xst_obs::names::handle::CLIENT_REQUEST_NS.observe_since(start);
         }
-        match resp {
-            Response::Error(e) => Err(ClientError::Remote(e)),
-            other => Ok(other),
-        }
+        Ok(resp)
     }
+}
 
+impl Client {
     /// Liveness probe.
     pub fn ping(&mut self) -> ClientResult<()> {
         match self.call(Request::Ping)? {
@@ -470,8 +473,13 @@ impl Client {
     }
 }
 
+/// What a typed call makes of an answer it cannot use: the server's
+/// refusal is [`ClientError::Remote`], anything else a desynced stream.
 fn unexpected(what: &str, resp: &Response) -> ClientError {
-    ClientError::Unexpected(format!("{what} answered with {resp:?}"))
+    match resp {
+        Response::Error(e) => ClientError::Remote(e.clone()),
+        other => ClientError::Unexpected(format!("{what} answered with {other:?}")),
+    }
 }
 
 pub mod coord;

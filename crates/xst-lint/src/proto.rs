@@ -14,6 +14,14 @@
 //! tags), decode agrees with encode tag-for-tag, every request variant
 //! is dispatched by name in `handle` (a `_ =>` wildcard cannot silently
 //! swallow a new kind — the by-name check still fails).
+//!
+//! `Session::handle` is the **only** dispatch table held to that. The
+//! other two `Door`s are not second tables to keep exhaustive: the
+//! client forwards every request unread, and the coordinator's `match`
+//! (`xst-client/src/coord.rs`) deliberately answers the store verbs only
+//! and refuses the rest by name with a typed `Protocol` error — a new
+//! request kind is one server's to answer until someone decides what it
+//! means across shards.
 
 use std::collections::{BTreeMap, BTreeSet};
 

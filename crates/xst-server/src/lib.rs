@@ -16,7 +16,9 @@
 //! * [`proto`] — typed [`Request`]/[`Response`] messages inside frames.
 //!   Sets travel in the one binary value codec ([`xst_core::codec`], the
 //!   bytes pages and the WAL already hold); expressions are encoded
-//!   structurally with a decode-side depth cap.
+//!   structurally with a decode-side depth cap. Beside them, [`Door`]:
+//!   answer one request with one response — a [`Session`] here, the
+//!   client and the cluster coordinator in `xst-client`.
 //! * [`session`] — per-connection dispatch over the shared
 //!   [`ServedEngine`]: snapshot-isolated transactions with autocommit
 //!   default, read-your-own-writes, abort-on-disconnect, and the armable
@@ -39,7 +41,10 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-pub use proto::{ErrorCode, ProtoError, Request, Response, WireError, PROTO_VERSION};
+pub use proto::{Door, ErrorCode, ProtoError, Request, Response, WireError, PROTO_VERSION};
 pub use server::{Server, ServerConfig};
-pub use session::{member_schema, records_identity_to_set, set_to_records, ServedEngine, Session};
+pub use session::{
+    member_schema, records_identity_to_set, set_to_records, storage_error, xst_error, ServedEngine,
+    Session,
+};
 pub use wire::{encode_frame, read_frame, write_frame, FrameError, MAGIC, MAX_FRAME};

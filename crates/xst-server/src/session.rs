@@ -23,7 +23,7 @@
 //! surfaces as [`ErrorCode::TxnConflict`] with the table attributed —
 //! the wire image of [`StorageError::TxnConflict`].
 
-use crate::proto::{ErrorCode, Request, Response, WireError, PROTO_VERSION};
+use crate::proto::{Door, ErrorCode, Request, Response, WireError, PROTO_VERSION};
 use std::sync::Arc;
 use std::time::Instant;
 use xst_core::ops::Parallelism;
@@ -191,7 +191,7 @@ impl Default for ServedEngine {
 
 /// Map a storage failure onto the wire: conflicts keep their code and
 /// table attribution, everything else is [`ErrorCode::Storage`].
-fn storage_error(e: StorageError) -> Response {
+pub fn storage_error(e: StorageError) -> Response {
     let (code, table) = match &e {
         StorageError::TxnConflict { table, .. } => (ErrorCode::TxnConflict, Some(table.clone())),
         _ => (ErrorCode::Storage, None),
@@ -204,7 +204,7 @@ fn storage_error(e: StorageError) -> Response {
 }
 
 /// Map an algebra/query failure onto the wire.
-fn xst_error(e: XstError) -> Response {
+pub fn xst_error(e: XstError) -> Response {
     let code = match &e {
         XstError::Parse { .. } => ErrorCode::Parse,
         XstError::Analysis { .. } => ErrorCode::Analysis,
@@ -248,9 +248,14 @@ impl Session {
         self.id
     }
 
-    /// Is an explicit transaction open?
-    pub fn in_txn(&self) -> bool {
-        self.open.is_some()
+    /// The engine this session dispatches against.
+    pub fn engine(&self) -> &Arc<ServedEngine> {
+        &self.engine
+    }
+
+    /// The open explicit transaction's id, if one is open.
+    pub fn txn_id(&self) -> Option<u64> {
+        self.open.as_ref().map(ShardedTxn::id)
     }
 
     /// End the session: abort any open transaction so the connection's
@@ -613,6 +618,17 @@ impl Session {
             Request::TraceDump => self.trace_dump(),
             Request::RequestLog { slow, limit } => self.request_log(slow, limit),
         }
+    }
+}
+
+/// The in-process door: bare [`Session::handle`], no socket and no
+/// request-log record — the caller (the shell) accounts its own commands,
+/// so going through [`Session::serve_one`] would bill each one twice.
+impl Door for Session {
+    type Error = std::convert::Infallible;
+
+    fn call(&mut self, req: Request) -> Result<Response, Self::Error> {
+        Ok(self.handle(req))
     }
 }
 

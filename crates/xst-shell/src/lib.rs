@@ -32,36 +32,45 @@
 //! .load NAME as NEW     read it back through the pool into NEW
 //! ```
 //!
-//! Transaction commands (snapshot isolation over the MVCC layer; see the
-//! README's "Transactions" section):
+//! Store verbs — one vocabulary, three doors (see the README's
+//! "Transactions" section). Each verb is one `Request` answered with one
+//! `Response` by whichever door the prefix selects: bare (`.begin`) is
+//! the **local** store, an in-process server session over this shell's
+//! own engine; `.remote VERB` is the **remote** `.connect` session if one
+//! is open, else the **cluster** `.cluster` coordinator. The replies are
+//! the same text with the door's label in front.
 //!
 //! ```text
 //! .begin                open a snapshot-isolated transaction
-//! .put NAME             write the binding's members into txn table NAME
-//! .get NAME as NEW      snapshot-read table NAME into binding NEW
+//! .put NAME             write the binding's members into table NAME
+//! .delete NAME          delete the binding's members from table NAME
+//! .get NAME as NEW      read table NAME's member set into binding NEW
+//! .eval OP ...          evaluate a plan over the door's tables
 //! .commit               first-committer-wins validate + group-commit
 //! .abort                discard the open transaction's writes
+//! .ping                 liveness round trip
+//! .remote metrics [json] · trace · top [N] · slow
+//!                       the connected server's registry, spans, request
+//!                       log (one server's to answer: the coordinator
+//!                       refuses them; this process's are the commands above)
 //! ```
 //!
-//! `.put`/`.get` outside an open transaction autocommit — each runs as
+//! `.put`/`.delete` outside an open transaction autocommit — each runs as
 //! its own transaction, the interactive default.
 //!
-//! Network commands (serve this session's transactional store over TCP,
-//! or drive a remote one; see the README's "Network server" section):
+//! Doors (serve the local store over TCP, reach another, or run a
+//! cluster; see the README's "Network server" section):
 //!
 //! ```text
-//! .serve start [ADDR|PORT]   serve the txn store (default 127.0.0.1:0)
+//! .serve start [ADDR|PORT]   serve the local store (default 127.0.0.1:0)
 //! .serve stop|status         shut the server down / show where it listens
-//! .shards [N]                show per-shard txn-store state / reshard to N
-//!                            (before any data; 2PC makes multi-shard
+//! .shards [N]                show per-shard local-store state / reshard to
+//!                            N (before any data; 2PC makes multi-shard
 //!                            commits atomic)
-//! .connect HOST:PORT         open a client session against a server
+//! .connect HOST:PORT         open the remote door: a client session
 //! .disconnect                close it (a remote open txn aborts)
-//! .remote CMD ...            ping · begin · commit · abort ·
-//!                            put NAME · get NAME as NEW · eval OP ... ·
-//!                            metrics [json] · trace · top [N] · slow
-//! .cluster start [N]         N in-process shard servers + a wire 2PC
-//!                            coordinator; .remote then drives it
+//! .cluster start [N]         open the cluster door: N in-process shard
+//!                            servers + a wire 2PC coordinator
 //! .cluster status|stop       coordinator state / tear the cluster down
 //! ```
 //!
@@ -84,10 +93,10 @@ use xst_core::ops::{
 use xst_core::parse::parse_set;
 use xst_core::{ExtendedSet, Process, Scope, SetBuilder, XstError, XstResult};
 use xst_query::{explain_analyze, Expr};
-use xst_server::{records_identity_to_set, ServedEngine, Server, ServerConfig};
-use xst_storage::{
-    BufferPool, FaultKind, FaultPlan, FaultSchedule, LoggedTable, Record, Schema, ShardedTxn, Wal,
+use xst_server::{
+    member_schema, set_to_records, Door, Request, Response, ServedEngine, Server, ServerConfig,
 };
+use xst_storage::{BufferPool, FaultKind, FaultPlan, FaultSchedule, LoggedTable, Wal};
 
 /// Persistent backing for `.store`/`.load`: one simulated disk, one buffer
 /// pool, one shared WAL, and the tables stored so far. Created lazily on
@@ -113,7 +122,7 @@ const CLUSTER_RPC_TIMEOUT: Duration = Duration::from_secs(5);
 /// The `.cluster` in-process cluster: N shard servers (each its own
 /// [`ServedEngine`] behind a real TCP listener on an ephemeral port)
 /// plus the wire 2PC [`Coordinator`] driving them. While this is up and
-/// no `.connect` session exists, `.remote` commands route through the
+/// no `.connect` session exists, `.remote` verbs are answered by the
 /// coordinator: puts scatter by member hash, gets/evals gather
 /// fragments, and multi-shard commits run the wire two-phase round.
 struct ShellCluster {
@@ -132,52 +141,15 @@ impl Store {
     }
 }
 
-/// Schema under every stored binding: one row per member, element and
-/// scope as the two columns.
-fn member_schema() -> Schema {
-    Schema::new(["element", "scope"])
-}
-
-/// The transactional store behind `.begin`/`.put`/`.get`/`.commit`: a
-/// [`ServedEngine`] — the same MVCC engine the network server wraps, so
-/// `.serve start` publishes exactly the tables this session's `.put`
-/// writes — plus the session's open transaction, if any. Without an
-/// open transaction, `.put`/`.get` autocommit.
-struct TxnStore {
-    engine: Arc<ServedEngine>,
-    open: Option<ShardedTxn>,
-}
-
-impl TxnStore {
-    fn new() -> TxnStore {
-        TxnStore::with_shards(1)
-    }
-
-    /// A store partitioned across `shards` engine+WAL pairs (`.shards N`
-    /// before any data exists). One shard is the classic single-engine
-    /// behavior.
-    fn with_shards(shards: usize) -> TxnStore {
-        TxnStore {
-            engine: Arc::new(ServedEngine::with_shards(shards)),
-            open: None,
-        }
-    }
-
-    /// Register `name` if this is its first use (the catalog is
-    /// in-memory; re-registration errors are the "already exists" case
-    /// and are fine).
-    fn ensure_table(&self, name: &str) {
-        self.engine.ensure_table(name);
-    }
-}
-
 /// An interactive session: named set bindings plus command evaluation.
 pub struct Session {
     bindings: BTreeMap<String, ExtendedSet>,
     store: Option<Store>,
-    txn: Option<TxnStore>,
-    /// The `.serve` network server, when running (it serves the
-    /// [`TxnStore`]'s engine, so `.put` writes are visible to clients).
+    /// The local door: an in-process server session over this shell's own
+    /// engine — the engine `.serve` publishes, so `.put` writes are
+    /// visible to clients. Created on the first store verb.
+    local: Option<xst_server::Session>,
+    /// The `.serve` network server, when running.
     server: Option<Server>,
     /// The `.connect` client session, when one is open.
     remote: Option<Client>,
@@ -200,7 +172,7 @@ impl Session {
         Session {
             bindings: BTreeMap::new(),
             store: None,
-            txn: None,
+            local: None,
             server: None,
             remote: None,
             cluster: None,
@@ -222,10 +194,7 @@ impl Session {
         // `let name = <set expression>` is the only statement form.
         if let Some(rest) = line.strip_prefix("let ") {
             let (name, expr) = rest.split_once('=').ok_or_else(|| err("let needs '='"))?;
-            let name = name.trim();
-            if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                return Err(err(format!("bad binding name '{name}'")));
-            }
+            let name = binding_name(name)?;
             let value = self.operand(expr.trim())?;
             self.bindings.insert(name.to_string(), value);
             return Ok(Some(format!("{name} bound")));
@@ -246,7 +215,8 @@ impl Session {
         let timer = xst_obs::enabled().then(Instant::now);
         let costs = xst_obs::cost::begin();
         let span = xst_obs::span!("shell.command", kind = command.as_str());
-        let txn_before = self.open_txn_id();
+        let open_txn = |s: &Session| s.local.as_ref().and_then(xst_server::Session::txn_id);
+        let txn_before = open_txn(self);
         let result = self.dispatch(&command, &mut parts);
         let trace_id = span.trace_id().unwrap_or(0);
         drop(span);
@@ -255,7 +225,7 @@ impl Session {
             xst_obs::request_log().record(xst_obs::RequestRecord {
                 seq: 0,
                 session: 0,
-                txn: txn_before.or_else(|| self.open_txn_id()),
+                txn: txn_before.or_else(|| open_txn(self)),
                 kind: "shell",
                 detail: command,
                 trace_id,
@@ -265,14 +235,6 @@ impl Session {
             });
         }
         result.map(Some)
-    }
-
-    /// The id of the open local transaction, if any.
-    fn open_txn_id(&self) -> Option<u64> {
-        self.txn
-            .as_ref()
-            .and_then(|t| t.open.as_ref())
-            .map(ShardedTxn::id)
     }
 
     /// Dispatch one parsed command word to its handler.
@@ -341,12 +303,8 @@ impl Session {
             ".faults" => self.faults(&parts.rest()?)?,
             ".store" => self.store_binding(&parts.rest()?)?,
             ".load" => {
-                let name = parts.next_operand()?;
-                let kw = parts.next_operand()?;
-                if !kw.eq_ignore_ascii_case("as") {
-                    return Err(err("usage: .load NAME as NEW"));
-                }
-                self.load_binding(&name, &parts.rest()?)?
+                let (name, target) = name_as_new(parts)?;
+                self.load_binding(&name, &target)?
             }
             ".serve" => {
                 let sub = parts.next_operand()?;
@@ -355,21 +313,16 @@ impl Session {
             ".shards" => self.shards(parts.rest_opt().as_deref())?,
             ".connect" => self.connect(&parts.rest()?)?,
             ".disconnect" => self.disconnect()?,
-            ".remote" => self.remote_command(parts)?,
             ".cluster" => self.cluster_command(parts)?,
-            ".begin" => self.txn_begin()?,
-            ".commit" => self.txn_commit()?,
-            ".abort" => self.txn_abort()?,
-            ".put" => self.txn_put(&parts.rest()?)?,
-            ".get" => {
-                let name = parts.next_operand()?;
-                let kw = parts.next_operand()?;
-                if !kw.eq_ignore_ascii_case("as") {
-                    return Err(err("usage: .get NAME as NEW"));
-                }
-                self.txn_get(&name, &parts.rest()?)?
+            ".remote" => {
+                let verb = parts.next_word()?;
+                self.verb(false, &verb, parts)?
             }
-            other => return Err(err(format!("unknown command '{other}' (try 'help')"))),
+            // Any other dotted word is a store verb at the local door.
+            other => match other.strip_prefix('.') {
+                Some(verb) => self.verb(true, verb, parts)?,
+                None => return Err(err(format!("unknown command '{other}' (try 'help')"))),
+            },
         };
         Ok(out)
     }
@@ -609,18 +562,12 @@ impl Session {
     /// `.store NAME` — append every member of the binding to a fresh
     /// WAL-logged table (element and scope columns), then checkpoint.
     fn store_binding(&mut self, name: &str) -> XstResult<String> {
-        let set = self
-            .bindings
-            .get(name)
-            .cloned()
-            .ok_or_else(|| err(format!("no binding named '{name}'")))?;
+        let set = self.binding(name)?;
         let store = self.store.get_or_insert_with(Store::new);
         let mut table =
             LoggedTable::create(store.pool.storage(), member_schema(), store.wal.clone());
-        for m in set.members() {
-            table
-                .append(&Record::new([m.element.clone(), m.scope.clone()]))
-                .map_err(storage_err)?;
+        for record in set_to_records(&set) {
+            table.append(&record).map_err(storage_err)?;
         }
         table.checkpoint().map_err(storage_err)?;
         let pages = store
@@ -638,9 +585,6 @@ impl Session {
     /// `.load NAME as NEW` — scan the stored table back through the buffer
     /// pool and rebuild the extended set under a new binding.
     fn load_binding(&mut self, name: &str, target: &str) -> XstResult<String> {
-        if target.is_empty() || !target.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            return Err(err(format!("bad binding name '{target}'")));
-        }
         let store = self
             .store
             .as_ref()
@@ -671,7 +615,7 @@ impl Session {
     }
 
     /// `.serve start [ADDR|PORT]` / `.serve stop` / `.serve status` —
-    /// serve this session's transactional store over TCP. A bare port
+    /// serve this session's local store over TCP. A bare port
     /// binds `127.0.0.1:PORT`; no argument picks an ephemeral port (the
     /// reply says which). `.put` writes are immediately visible to
     /// connected clients: the server wraps the same engine.
@@ -691,7 +635,7 @@ impl Session {
                         format!("127.0.0.1:{port}")
                     }
                 };
-                let engine = Arc::clone(&self.txn.get_or_insert_with(TxnStore::new).engine);
+                let engine = Arc::clone(self.local().engine());
                 let server = Server::start(engine, &addr, ServerConfig::default())
                     .map_err(|e| err(format!("serve: {e}")))?;
                 let bound = server.addr().to_string();
@@ -718,7 +662,7 @@ impl Session {
         }
     }
 
-    /// `.shards` — introspect the transactional store's sharding: shard
+    /// `.shards` — introspect the local store's sharding: shard
     /// count, decision-log entries and, per shard, last commit timestamp, open sub-transactions,
     /// retained and reclaimed versions, and in-doubt prepares. `.shards N`
     /// re-creates the store partitioned across N shards — only before any
@@ -729,10 +673,9 @@ impl Session {
             if n == 0 {
                 return Err(err("usage: .shards [N], N must be at least 1"));
             }
-            let replaceable = self
-                .txn
-                .as_ref()
-                .is_none_or(|t| t.open.is_none() && t.engine.sharded().tables().is_empty());
+            let replaceable = self.local.as_ref().is_none_or(|local| {
+                local.txn_id().is_none() && local.engine().sharded().tables().is_empty()
+            });
             if !replaceable {
                 return Err(err(
                     "cannot reshard: the txn store already holds tables or an open \
@@ -742,13 +685,13 @@ impl Session {
             if self.server.is_some() {
                 return Err(err("cannot reshard while serving (.serve stop first)"));
             }
-            self.txn = Some(TxnStore::with_shards(n));
+            self.local = Some(local_door(n));
             return Ok(format!("txn store resharded across {n} shard(s)"));
         }
-        let Some(txn_store) = self.txn.as_ref() else {
+        let Some(local) = self.local.as_ref() else {
             return Ok("no txn store yet (1 shard by default; .shards N before .put)".to_string());
         };
-        let sharded = txn_store.engine.sharded();
+        let sharded = local.engine().sharded();
         let mut out = format!(
             "{} shard(s), {} distributed txn(s) open, {} decision-log entries",
             sharded.shard_count(),
@@ -792,127 +735,11 @@ impl Session {
         }
     }
 
-    /// `.remote CMD ...` — drive the connected server: `ping`, `begin`,
-    /// `commit`, `abort`, `put NAME`, `get NAME as NEW`, `eval OP ...`,
-    /// plus the observability pulls `metrics [json]` (the server's
-    /// registry), `trace` (its span collector as xst-trace/1 JSON), and
-    /// `top [N]` / `slow` (its per-request log).
-    fn remote_command(&mut self, parts: &mut Tokens) -> XstResult<String> {
-        let sub = parts.next_word()?;
-        // `eval` needs `&self` for operands while the client needs
-        // `&mut`; build the expression before borrowing the client.
-        let eval_expr = if sub == "eval" {
-            Some(self.command_expr(parts)?)
-        } else {
-            None
-        };
-        // A direct `.connect` session wins; otherwise a running
-        // `.cluster` answers through its 2PC coordinator.
-        if self.remote.is_none() && self.cluster.is_some() {
-            return self.cluster_remote(&sub, eval_expr, parts);
-        }
-        let client = self
-            .remote
-            .as_mut()
-            .ok_or_else(|| err("not connected (.connect HOST:PORT or .cluster start first)"))?;
-        match sub.as_str() {
-            "ping" => {
-                client.ping().map_err(client_err)?;
-                Ok("pong".to_string())
-            }
-            "begin" => {
-                let info = client.begin().map_err(client_err)?;
-                Ok(format!(
-                    "remote txn {} open: snapshot at commit ts {}",
-                    info.id, info.snapshot_ts
-                ))
-            }
-            "commit" => {
-                let ts = client.commit().map_err(client_err)?;
-                Ok(format!("remote committed at ts {ts}"))
-            }
-            "abort" => {
-                client.abort().map_err(client_err)?;
-                Ok("remote txn aborted; writes discarded".to_string())
-            }
-            "put" => {
-                let name = parts.rest()?;
-                let set = self
-                    .bindings
-                    .get(&name)
-                    .ok_or_else(|| err(format!("no binding named '{name}'")))?;
-                let client = self.remote.as_mut().ok_or_else(|| err("not connected"))?;
-                let applied = client.put(&name, set).map_err(client_err)?;
-                Ok(match applied.autocommit_ts {
-                    Some(ts) => format!(
-                        "{} rows into remote '{name}' (autocommitted at ts {ts})",
-                        applied.rows
-                    ),
-                    None => format!(
-                        "{} rows buffered into remote '{name}' (visible after .remote commit)",
-                        applied.rows
-                    ),
-                })
-            }
-            "get" => {
-                let name = parts.next_operand()?;
-                let kw = parts.next_operand()?;
-                if !kw.eq_ignore_ascii_case("as") {
-                    return Err(err("usage: .remote get NAME as NEW"));
-                }
-                let target = parts.rest()?;
-                if target.is_empty() || !target.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                    return Err(err(format!("bad binding name '{target}'")));
-                }
-                let identity = client.get(&name).map_err(client_err)?;
-                let set = records_identity_to_set(&identity)
-                    .map_err(|e| err(format!("remote rows: {e}")))?;
-                let card = set.card();
-                self.bindings.insert(target.clone(), set);
-                Ok(format!(
-                    "{target} bound from remote '{name}': {card} members"
-                ))
-            }
-            "eval" => {
-                let expr = eval_expr.unwrap_or_else(|| Expr::lit(ExtendedSet::empty()));
-                let set = client.eval(&expr).map_err(client_err)?;
-                Ok(set.to_string())
-            }
-            "metrics" => {
-                let json = match parts.rest_opt().as_deref() {
-                    None => false,
-                    Some("json") => true,
-                    Some(other) => {
-                        return Err(err(format!("usage: .remote metrics [json], got '{other}'")))
-                    }
-                };
-                Ok(client.metrics(json).map_err(client_err)?)
-            }
-            "trace" => Ok(client.trace_dump().map_err(client_err)?),
-            "top" => {
-                let limit = match parts.rest_opt() {
-                    None => 10,
-                    Some(n) => parse_num(&n, ".remote top [N]")?,
-                };
-                let table = client.request_log(false, limit).map_err(client_err)?;
-                Ok(table.trim_end().to_string())
-            }
-            "slow" => {
-                let table = client.request_log(true, 20).map_err(client_err)?;
-                Ok(table.trim_end().to_string())
-            }
-            other => Err(err(format!(
-                "usage: .remote ping|begin|commit|abort|put NAME|get NAME as NEW|eval OP ...\
-                 |metrics [json]|trace|top [N]|slow, got '{other}'"
-            ))),
-        }
-    }
-
     /// `.cluster start [N]` / `.cluster status` / `.cluster stop` — run
     /// an in-process cluster: N shard servers over real TCP plus the
     /// wire 2PC coordinator with its own durable decision log. While a
-    /// cluster runs (and no `.connect` session is open), `.remote`
-    /// commands drive the coordinator instead of a single server.
+    /// cluster runs (and no `.connect` session is open), it is the door
+    /// `.remote` verbs go through.
     fn cluster_command(&mut self, parts: &mut Tokens) -> XstResult<String> {
         let sub = parts.next_word()?;
         match sub.as_str() {
@@ -969,236 +796,113 @@ impl Session {
         }
     }
 
-    /// The running cluster's coordinator, for `.remote` routing.
-    fn coord_mut(&mut self) -> XstResult<&mut Coordinator> {
-        self.cluster
-            .as_mut()
-            .map(|c| &mut c.coord)
-            .ok_or_else(|| err("no cluster running (.cluster start first)"))
+    /// The local door, opened over a fresh one-shard engine on first use.
+    fn local(&mut self) -> &mut xst_server::Session {
+        self.local.get_or_insert_with(|| local_door(1))
     }
 
-    /// `.remote` over the in-process cluster: the same verbs, answered
-    /// by the 2PC coordinator. Observability pulls (`metrics`, `trace`,
-    /// `top`, `slow`) need a direct `.connect` — the coordinator runs
-    /// in this process, so its `xst_coord_*` series are already in the
-    /// local `.metrics` output.
-    fn cluster_remote(
-        &mut self,
-        sub: &str,
-        eval_expr: Option<Expr>,
-        parts: &mut Tokens,
-    ) -> XstResult<String> {
-        match sub {
-            "ping" => {
-                // A genuine round-trip to every shard: resolving with
-                // the known decisions is a benign no-op on a healthy
-                // cluster.
-                let coord = self.coord_mut()?;
-                let (committed, aborted) = coord.resolve_all().map_err(coord_err)?;
-                Ok(format!(
-                    "pong from {} shard(s) ({committed} committed / {aborted} aborted \
-                     in-doubt prepare(s) settled)",
-                    coord.shard_count()
-                ))
-            }
-            "begin" => {
-                let coord = self.coord_mut()?;
-                coord.begin().map_err(coord_err)?;
-                Ok(format!(
-                    "cluster txn open across {} shard(s)",
-                    coord.shard_count()
-                ))
-            }
-            "commit" => {
-                let ts = self.coord_mut()?.commit().map_err(coord_err)?;
-                Ok(format!("cluster committed at ts {ts}"))
-            }
-            "abort" => {
-                self.coord_mut()?.abort().map_err(coord_err)?;
-                Ok("cluster txn aborted; staged writes discarded on every shard".to_string())
-            }
+    /// The value bound to `name`.
+    fn binding(&self, name: &str) -> XstResult<ExtendedSet> {
+        let set = self.bindings.get(name).cloned();
+        set.ok_or_else(|| err(format!("no binding named '{name}'")))
+    }
+
+    /// One store verb through one door: build the [`Request`] the words
+    /// denote, hand it to the door the prefix selected — bare is the local
+    /// session, `.remote` the `.connect` client if one is open, else the
+    /// `.cluster` coordinator — and render its [`Response`]. Every door
+    /// takes every verb (the door refuses what it cannot answer), and the
+    /// door's label is the only thing that varies in the text.
+    fn verb(&mut self, local: bool, verb: &str, parts: &mut Tokens) -> XstResult<String> {
+        let mut target = None;
+        let req = match verb {
+            "ping" => Request::Ping,
+            "begin" => Request::Begin,
+            "commit" => Request::Commit,
+            "abort" => Request::Abort,
             "put" => {
-                let name = parts.rest()?;
-                let set = self
-                    .bindings
-                    .get(&name)
-                    .ok_or_else(|| err(format!("no binding named '{name}'")))?
-                    .clone();
-                let coord = self.coord_mut()?;
-                let was_open = coord.in_txn();
-                let rows = coord.put(&name, &set).map_err(coord_err)?;
-                Ok(if was_open {
-                    format!(
-                        "{rows} rows scattered into cluster '{name}' (visible after \
-                         .remote commit)"
-                    )
-                } else {
-                    format!("{rows} rows scattered into cluster '{name}' (autocommitted)")
-                })
+                let table = parts.rest()?;
+                let set = self.binding(&table)?;
+                Request::Put { table, set }
+            }
+            "delete" => {
+                let table = parts.rest()?;
+                let set = self.binding(&table)?;
+                Request::Delete { table, set }
             }
             "get" => {
-                let name = parts.next_operand()?;
-                let kw = parts.next_operand()?;
-                if !kw.eq_ignore_ascii_case("as") {
-                    return Err(err("usage: .remote get NAME as NEW"));
-                }
-                let target = parts.rest()?;
-                if target.is_empty() || !target.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                    return Err(err(format!("bad binding name '{target}'")));
-                }
-                let set = self.coord_mut()?.get(&name).map_err(coord_err)?;
-                let card = set.card();
-                self.bindings.insert(target.clone(), set);
-                Ok(format!(
-                    "{target} bound from cluster '{name}': {card} members"
-                ))
+                let (table, new) = name_as_new(parts)?;
+                target = Some(new);
+                Request::FragRead { table }
             }
-            "eval" => {
-                let expr = eval_expr.unwrap_or_else(|| Expr::lit(ExtendedSet::empty()));
-                let set = self.coord_mut()?.eval(&expr).map_err(coord_err)?;
-                Ok(set.to_string())
+            "eval" => Request::Eval {
+                expr: self.command_expr(parts)?,
+            },
+            "metrics" => Request::Metrics {
+                json: match parts.rest_opt().as_deref() {
+                    None => false,
+                    Some("json") => true,
+                    Some(other) => {
+                        return Err(err(format!("usage: metrics [json], got '{other}'")))
+                    }
+                },
+            },
+            "trace" => Request::TraceDump,
+            "top" => Request::RequestLog {
+                slow: false,
+                limit: match parts.rest_opt() {
+                    None => 10,
+                    Some(n) => parse_num(&n, "top [N]")?,
+                },
+            },
+            "slow" => Request::RequestLog {
+                slow: true,
+                limit: 20,
+            },
+            other => {
+                let prefix = if local { "." } else { ".remote " };
+                return Err(err(format!(
+                    "unknown command '{prefix}{other}' (try 'help')"
+                )));
             }
-            other => Err(err(format!(
-                "'.remote {other}' needs a direct .connect session; the cluster \
-                 coordinator runs in-process (its xst_coord_* series are in .metrics)"
-            ))),
-        }
-    }
-
-    /// `.begin` — open a snapshot-isolated transaction. Its reads all
-    /// come from the commit state as of now; its writes stay private
-    /// until `.commit`.
-    fn txn_begin(&mut self) -> XstResult<String> {
-        let txn_store = self.txn.get_or_insert_with(TxnStore::new);
-        if txn_store.open.is_some() {
-            return Err(err("a transaction is already open (.commit or .abort it)"));
-        }
-        let txn = txn_store.engine.sharded().begin();
-        let msg = format!(
-            "txn {} open: snapshot at commit ts {}",
-            txn.id(),
-            txn.begin_ts()
-        );
-        txn_store.open = Some(txn);
-        Ok(msg)
-    }
-
-    /// `.commit` — first-committer-wins validation, then one group-commit
-    /// WAL flush for every buffered write. A conflict aborts the
-    /// transaction and surfaces as a shell error (re-run it on a fresh
-    /// snapshot).
-    fn txn_commit(&mut self) -> XstResult<String> {
-        let txn = self
-            .txn
-            .as_mut()
-            .and_then(|t| t.open.take())
-            .ok_or_else(|| err("no open transaction (.begin first)"))?;
-        let read_only = txn.is_read_only();
-        let ts = txn.commit().map_err(storage_err)?;
-        Ok(if read_only {
-            format!("committed (read-only, commit ts stays {ts})")
-        } else {
-            format!("committed at ts {ts} (group-commit flushed)")
-        })
-    }
-
-    /// `.abort` — discard the open transaction's buffered writes.
-    fn txn_abort(&mut self) -> XstResult<String> {
-        let txn = self
-            .txn
-            .as_mut()
-            .and_then(|t| t.open.take())
-            .ok_or_else(|| err("no open transaction (.begin first)"))?;
-        let id = txn.id();
-        txn.abort();
-        Ok(format!("txn {id} aborted; writes discarded"))
-    }
-
-    /// `.put NAME` — insert every member of the binding into txn table
-    /// `NAME` (one row per member, element and scope columns). Inside an
-    /// open transaction the writes stay buffered; outside one this
-    /// autocommits.
-    fn txn_put(&mut self, name: &str) -> XstResult<String> {
-        let set = self
-            .bindings
-            .get(name)
-            .cloned()
-            .ok_or_else(|| err(format!("no binding named '{name}'")))?;
-        let txn_store = self.txn.get_or_insert_with(TxnStore::new);
-        txn_store.ensure_table(name);
-        let records: Vec<Record> = set
-            .members()
-            .iter()
-            .map(|m| Record::new([m.element.clone(), m.scope.clone()]))
-            .collect();
-        match &mut txn_store.open {
-            Some(txn) => {
-                for r in &records {
-                    txn.insert(name, r.clone()).map_err(storage_err)?;
-                }
-                Ok(format!(
-                    "{} rows buffered into '{name}' (txn {}, visible after .commit)",
-                    records.len(),
-                    txn.id()
-                ))
-            }
-            None => {
-                let ts = txn_store
-                    .engine
-                    .sharded()
-                    .autocommit_insert(name, &records)
-                    .map_err(storage_err)?;
-                Ok(format!(
-                    "{} rows into '{name}' (autocommitted at ts {ts})",
-                    records.len()
-                ))
-            }
-        }
-    }
-
-    /// `.get NAME as NEW` — rebuild a binding from txn table `NAME`.
-    /// Inside an open transaction this reads its snapshot (plus its own
-    /// buffered writes); outside one it reads the latest commit.
-    fn txn_get(&mut self, name: &str, target: &str) -> XstResult<String> {
-        if target.is_empty() || !target.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            return Err(err(format!("bad binding name '{target}'")));
-        }
-        let txn_store = self
-            .txn
-            .as_mut()
-            .ok_or_else(|| err("no transactional tables yet (use .put NAME)"))?;
-        let (identity, via) = match &mut txn_store.open {
-            Some(txn) => (
-                txn.read_identity(name).map_err(storage_err)?,
-                format!("snapshot of txn {}", txn.id()),
-            ),
-            None => (
-                txn_store
-                    .engine
-                    .sharded()
-                    .latest_identity(name)
-                    .map_err(storage_err)?,
-                "latest commit".to_string(),
-            ),
         };
-        let mut b = SetBuilder::new();
-        for m in identity.members() {
-            let Some(tuple) = m.element.as_set() else {
-                return Err(err("txn row is not a tuple"));
-            };
-            match tuple.as_tuple().as_deref() {
-                Some([element, scope]) => {
-                    b.scoped(element.clone(), scope.clone());
-                }
-                _ => return Err(err("txn row is not an element/scope pair")),
+        let (kind, table) = (req.kind_name(), req.detail());
+        let (label, answer) = if local {
+            ("local", ask(self.local(), req))
+        } else if let Some(client) = &mut self.remote {
+            ("remote", ask(client, req))
+        } else if let Some(cluster) = &mut self.cluster {
+            ("cluster", ask(&mut cluster.coord, req))
+        } else {
+            return Err(err(
+                "not connected (.connect HOST:PORT or .cluster start first)",
+            ));
+        };
+        Ok(match answer.map_err(|e| err(format!("{label}: {e}")))? {
+            Response::Pong => format!("{label} pong"),
+            Response::TxnBegun { id, snapshot_ts } => {
+                format!("{label} txn {id} open: snapshot at commit ts {snapshot_ts}")
             }
-        }
-        let set = b.build();
-        let card = set.card();
-        self.bindings.insert(target.to_string(), set);
-        Ok(format!(
-            "{target} bound from '{name}' ({via}): {card} members"
-        ))
+            Response::Committed { ts } => format!("{label} committed at ts {ts}"),
+            Response::Aborted => format!("{label} txn aborted; writes discarded"),
+            Response::Applied {
+                rows,
+                autocommit_ts: Some(ts),
+            } => format!("{label} {kind} '{table}': {rows} rows (autocommitted at ts {ts})"),
+            Response::Applied { rows, .. } => {
+                format!("{label} {kind} '{table}': {rows} rows buffered (visible after commit)")
+            }
+            Response::Value { set } => match target {
+                Some(target) => {
+                    let card = set.card();
+                    self.bindings.insert(target.clone(), set);
+                    format!("{target} bound from {label} '{table}': {card} members")
+                }
+                None => set.to_string(),
+            },
+            Response::Report { text } => text.trim_end().to_string(),
+            other => return Err(err(format!("{label}: unexpected answer {other:?}"))),
+        })
     }
 
     /// Resolve an `.explain` operand: bound names stay symbolic (table
@@ -1296,6 +1000,39 @@ fn err(message: impl Into<String>) -> XstError {
         offset: 0,
         message: message.into(),
     }
+}
+
+/// A local door over a fresh engine of `shards` engine+WAL pairs.
+fn local_door(shards: usize) -> xst_server::Session {
+    xst_server::Session::new(Arc::new(ServedEngine::with_shards(shards)))
+}
+
+/// Put `req` to `door`: its answer, or why there is none — the store's
+/// typed refusal or the door's own failure, as text.
+fn ask<D: Door>(door: &mut D, req: Request) -> Result<Response, String> {
+    match door.call(req) {
+        Ok(Response::Error(refusal)) => Err(refusal.to_string()),
+        Ok(answer) => Ok(answer),
+        Err(broken) => Err(broken.to_string()),
+    }
+}
+
+/// A legal binding name (alphanumerics and `_`), trimmed.
+fn binding_name(name: &str) -> XstResult<&str> {
+    let name = name.trim();
+    if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+        return Err(err(format!("bad binding name '{name}'")));
+    }
+    Ok(name)
+}
+
+/// The `NAME as NEW` tail `.load` and `get` share.
+fn name_as_new(parts: &mut Tokens) -> XstResult<(String, String)> {
+    let name = parts.next_operand()?;
+    if !parts.next_operand()?.eq_ignore_ascii_case("as") {
+        return Err(err("usage: NAME as NEW"));
+    }
+    Ok((name, binding_name(&parts.rest()?)?.to_string()))
 }
 
 /// Parse a numeric command argument into a structured shell error on any
@@ -1418,25 +1155,27 @@ observability:
   .slow [MS|off]              show the slow-query ring · arm/disarm threshold
   .faults on|off|status       inject transient I/O faults (retry absorbs them)
   .store NAME · .load NAME as NEW   WAL + buffer-pool round trip
-transactions (snapshot isolation, first committer wins):
+store verbs (snapshot isolation, first committer wins) — one set, three
+doors: bare = the local store, `.remote VERB` = the `.connect` session if
+one is open, else the `.cluster` coordinator; replies carry the door's label:
   .begin                      open a transaction (reads pin this snapshot)
-  .put NAME                   write the binding's members into txn table NAME
-  .get NAME as NEW            snapshot-read txn table NAME into binding NEW
+  .put NAME · .delete NAME    write / delete the binding's members in table NAME
+  .get NAME as NEW            read table NAME's member set into binding NEW
+  .eval OP ...                evaluate a plan over the door's tables
   .commit · .abort            group-commit the writes · discard them
-                              (.put/.get outside a transaction autocommit)
-  .shards [N]                 per-shard store state · reshard to N (before
-                              any data; multi-shard commits run 2PC)
-network (serve this session's txn store over TCP, or drive a remote one):
-  .serve start [ADDR|PORT]    listen (default 127.0.0.1, ephemeral port)
-  .serve stop · .serve status shut down · show where the server listens
-  .connect HOST:PORT          open a client session · .disconnect closes it
-  .remote ping|begin|commit|abort
-  .remote put NAME · .remote get NAME as NEW · .remote eval OP ...
+                              (.put/.delete outside a transaction autocommit)
+  .ping                       liveness round trip
   .remote metrics [json] · .remote trace · .remote top [N] · .remote slow
-cluster (N shard servers + a wire 2PC coordinator, all in-process):
-  .cluster start [N]          start N shard servers and dial a coordinator;
-                              .remote then scatters puts / gathers reads and
-                              runs multi-shard commits as wire 2PC
+                              the connected server's registry / spans / log
+doors:
+  .shards [N]                 per-shard local-store state · reshard to N
+                              (before any data; multi-shard commits run 2PC)
+  .serve start [ADDR|PORT]    serve the local store (default 127.0.0.1,
+                              ephemeral port) · .serve stop · .serve status
+  .connect HOST:PORT          open the remote door · .disconnect closes it
+  .cluster start [N]          open the cluster door: N in-process shard
+                              servers + a wire 2PC coordinator (puts scatter,
+                              reads gather, multi-shard commits run wire 2PC)
   .cluster status · stop      coordinator state · tear the cluster down
   help · quit";
 
@@ -1686,13 +1425,11 @@ mod tests {
         assert!(put.contains("3 rows buffered"), "{put}");
         // Read-your-own-writes: the open transaction sees its buffer.
         let got = run(&mut s, ".get f as g");
-        assert!(got.contains("3 members"), "{got}");
-        assert!(got.contains("snapshot of txn"), "{got}");
+        assert!(got.contains("g bound from local 'f': 3 members"), "{got}");
         assert_eq!(run(&mut s, "show g"), run(&mut s, "show f"));
         assert!(run(&mut s, ".commit").contains("committed at ts 1"));
         // After commit the rows are the table's latest state.
-        let got = run(&mut s, ".get f as h");
-        assert!(got.contains("latest commit"), "{got}");
+        run(&mut s, ".get f as h");
         assert_eq!(run(&mut s, "show h"), run(&mut s, "show f"));
         // Transaction activity leaves the xst_txn_* families behind.
         let metrics = run(&mut s, ".metrics");
@@ -1733,7 +1470,34 @@ mod tests {
         // A read-only transaction commits without bumping the timestamp.
         run(&mut s, ".begin");
         run(&mut s, ".get a as c");
-        assert!(run(&mut s, ".commit").contains("read-only"));
+        assert_eq!(run(&mut s, ".commit"), "local committed at ts 1");
+    }
+
+    /// The two verbs that fell out of giving every door the whole set:
+    /// `.delete NAME` and a local `.eval OP ...` over store tables.
+    #[test]
+    fn local_delete_and_eval() {
+        let _serial = obs_serial();
+        let mut s = Session::new();
+        run(&mut s, "let t = {1, 2, 3}");
+        run(&mut s, ".put t");
+        run(&mut s, "let t = {2}");
+        let deleted = run(&mut s, ".delete t");
+        assert!(
+            deleted.starts_with("local delete 't': 1 rows (autocommitted at ts 2"),
+            "{deleted}"
+        );
+        run(&mut s, ".get t as left");
+        assert_eq!(run(&mut s, "show left"), "{1, 3}");
+        // Bound names are the store's tables to `.eval`; the binding `t`
+        // is {2}, the table `t` holds two rows.
+        let rows = parse_set(&run(&mut s, ".eval union t t")).unwrap();
+        assert_eq!(rows.card(), 2);
+        // A refusal carries the server-side code through the local door.
+        run(&mut s, "let ghost = {1}");
+        let e = s.eval_line(".eval union ghost ghost").unwrap_err();
+        assert!(e.to_string().contains("local: analysis:"), "{e}");
+        assert_eq!(run(&mut s, ".ping"), "local pong");
     }
 
     #[test]
@@ -1782,17 +1546,16 @@ mod tests {
         // wraps this session's own engine.
         run(&mut s, ".put f");
         assert!(run(&mut s, &format!(".connect {addr}")).contains("connected"));
-        assert_eq!(run(&mut s, ".remote ping"), "pong");
+        assert_eq!(run(&mut s, ".remote ping"), "remote pong");
         let got = run(&mut s, ".remote get f as g");
         assert!(got.contains("3 members"), "{got}");
         assert_eq!(run(&mut s, "show g"), run(&mut s, "show f"));
-        // Remote eval over the served table: the result is the table's
-        // row-tuple identity; converting it back recovers the members.
-        let evaled = parse_set(&run(&mut s, ".remote eval union f f")).unwrap();
-        assert_eq!(
-            records_identity_to_set(&evaled).unwrap().to_string(),
-            run(&mut s, "show f"),
-        );
+        // Remote eval over the served table: the table's row-tuple
+        // identity, exactly what the local door answers over the same
+        // engine.
+        let evaled = run(&mut s, ".remote eval union f f");
+        assert_eq!(parse_set(&evaled).unwrap().card(), 3);
+        assert_eq!(evaled, run(&mut s, ".eval union f f"));
         // A remote explicit transaction: put under .remote begin stays
         // buffered until .remote commit.
         run(&mut s, "let more = {1, 2}");
@@ -1845,7 +1608,7 @@ mod tests {
         // `.remote` routes through the coordinator: autocommit scatter,
         // gathered read, distributed eval.
         let pong = run(&mut s, ".remote ping");
-        assert!(pong.contains("pong from 2 shard(s)"), "{pong}");
+        assert_eq!(pong, "cluster pong");
         let put = run(&mut s, ".remote put w");
         assert!(
             put.contains("4 rows") && put.contains("autocommitted"),
@@ -1892,12 +1655,12 @@ mod tests {
         // An explicit distributed transaction: staged puts commit as a
         // wire 2PC round.
         let begin = run(&mut s, ".remote begin");
-        assert!(
-            begin.contains("cluster txn open across 2 shard(s)"),
-            "{begin}"
-        );
+        assert!(begin.starts_with("cluster txn 1 open: snapshot"), "{begin}");
         let put = run(&mut s, ".remote put a");
-        assert!(put.contains("visible after .remote commit"), "{put}");
+        assert!(
+            put.contains("2 rows buffered (visible after commit)"),
+            "{put}"
+        );
         let commit = run(&mut s, ".remote commit");
         assert!(commit.contains("cluster committed at ts"), "{commit}");
         run(&mut s, ".remote get a as b");
@@ -1906,9 +1669,14 @@ mod tests {
         run(&mut s, ".remote begin");
         run(&mut s, ".remote put a");
         assert!(run(&mut s, ".remote abort").contains("aborted"));
-        // Observability pulls need a direct `.connect`.
-        assert!(s.eval_line(".remote trace").is_err());
+        // Observability pulls are one server's to answer: the
+        // coordinator refuses them with a typed error.
+        let e = s.eval_line(".remote trace").unwrap_err().to_string();
+        assert!(e.contains("cluster: protocol: 'trace-dump'"), "{e}");
         assert!(s.eval_line(".remote metrics").is_err());
+        // The same refusal, the same code as a single server's.
+        let e = s.eval_line(".remote commit").unwrap_err().to_string();
+        assert!(e.contains("cluster: txn-state:"), "{e}");
         // Unknown bindings and bad verbs surface as errors, not hangs.
         assert!(s.eval_line(".remote put nope").is_err());
         assert!(s.eval_line(".cluster sideways").is_err());

@@ -68,7 +68,7 @@ pub use parallel::load_identity_parallel;
 pub use record::{file_identity, Record, Schema};
 pub use restructure::{restructure_records, restructure_set, Restructuring};
 pub use retry::{with_retry, RetryPolicy};
-pub use shard::{shard_of, ShardedEngine, ShardedTxn};
+pub use shard::{route_members, shard_of, ShardedEngine, ShardedTxn};
 pub use snapshot::{restore, snapshot};
 pub use twopc::DecisionLog;
 pub use txn::{CommitTs, RecoveredParticipant, Txn, TxnId, TxnManager, TxnOp};

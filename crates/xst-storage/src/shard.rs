@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xst_core::ops::gather;
-use xst_core::ExtendedSet;
+use xst_core::{ExtendedSet, SetBuilder};
 use xst_obs::names::handle as m;
 
 /// Route a record to its owning shard: FNV-1a over the record's
@@ -57,6 +57,21 @@ pub fn shard_of(record: &Record, shards: usize) -> usize {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h % shards as u64) as usize
+}
+
+/// Split `set` into `shards` member-disjoint subsets, each member going
+/// where [`shard_of`] sends its `[element, scope]` record — the row every
+/// served table stores it as. This is the write routing both deployments
+/// share (the in-process engine per record, the wire coordinator per
+/// `Put`), so a member lands on the same shard in either.
+pub fn route_members(set: &ExtendedSet, shards: usize) -> Vec<ExtendedSet> {
+    let shards = shards.max(1);
+    let mut parts: Vec<SetBuilder> = (0..shards).map(|_| SetBuilder::new()).collect();
+    for m in set.members() {
+        let record = Record::new([m.element.clone(), m.scope.clone()]);
+        parts[shard_of(&record, shards)].scoped(m.element.clone(), m.scope.clone());
+    }
+    parts.into_iter().map(SetBuilder::build).collect()
 }
 
 /// One shard: an independent storage device, WAL, and transaction

@@ -23,7 +23,7 @@ use std::time::Duration;
 use xst_client::coord::{CoordError, Coordinator};
 use xst_core::ExtendedSet;
 use xst_server::{member_schema, set_to_records};
-use xst_storage::{shard_of, ShardedEngine};
+use xst_storage::{route_members, ShardedEngine};
 use xst_testkit::cluster::{
     count_message_sites, drive_cluster_workload, expected_set, run_with_fault, start_shard_servers,
     sweep_fault_kind, txn_set, verify_recovery, CLUSTER_SHARDS, CLUSTER_TABLE, CLUSTER_TIMEOUT,
@@ -307,17 +307,6 @@ struct Outcome {
     in_doubt: usize,
 }
 
-/// The members of `set` that route to `shard`.
-fn on_shard(set: &ExtendedSet, shard: usize) -> ExtendedSet {
-    let mut b = xst_core::SetBuilder::new();
-    for (m, rec) in set.members().iter().zip(set_to_records(set)) {
-        if shard_of(&rec, CLUSTER_SHARDS) == shard {
-            b.scoped(m.element.clone(), m.scope.clone());
-        }
-    }
-    b.build()
-}
-
 fn differential_script() -> Vec<Scripted> {
     let none = ExtendedSet::empty;
     vec![
@@ -332,7 +321,7 @@ fn differential_script() -> Vec<Scripted> {
         Scripted {
             put: txn_set(1),
             delete: none(),
-            rival: on_shard(&txn_set(1), 1),
+            rival: route_members(&txn_set(1), CLUSTER_SHARDS).swap_remove(1),
         },
         Scripted {
             put: txn_set(2),

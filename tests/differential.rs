@@ -325,7 +325,7 @@ mod routing {
     use xst_core::ops::{gather, Parallelism};
     use xst_core::{codec, ExtendedSet, SetBuilder, Value};
     use xst_query::{eval_parallel, eval_sharded, merge_bindings, Expr, ShardedBindings};
-    use xst_storage::{shard_of, Record};
+    use xst_storage::{route_members, shard_of, Record};
     use xst_testkit::arb_set;
 
     const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -337,16 +337,6 @@ mod routing {
             .iter()
             .map(|m| Record::new([m.element.clone(), m.scope.clone()]))
             .collect()
-    }
-
-    /// Hash-partition `set` into `shards` member-disjoint fragments,
-    /// exactly as both engines route writes.
-    fn route(set: &ExtendedSet, shards: usize) -> Vec<ExtendedSet> {
-        let mut builders: Vec<SetBuilder> = (0..shards).map(|_| SetBuilder::new()).collect();
-        for (m, rec) in set.members().iter().zip(member_records(set)) {
-            builders[shard_of(&rec, shards)].scoped(m.element.clone(), m.scope.clone());
-        }
-        builders.into_iter().map(SetBuilder::build).collect()
     }
 
     /// A small random plan over two bound tables (subset-producing and
@@ -397,7 +387,7 @@ mod routing {
         #[test]
         fn fragments_partition_without_loss_or_duplication(set in arb_set(2)) {
             for shards in SHARD_COUNTS {
-                let frags = route(&set, shards);
+                let frags = route_members(&set, shards);
                 prop_assert_eq!(frags.len(), shards);
                 let total: usize = frags.iter().map(ExtendedSet::card).sum();
                 prop_assert_eq!(total, set.card(), "no duplicates, no losses");
@@ -426,8 +416,8 @@ mod routing {
             let expr = plan(shape);
             for shards in SHARD_COUNTS {
                 let mut sharded = ShardedBindings::new();
-                sharded.insert("ta".to_string(), route(&a, shards));
-                sharded.insert("tb".to_string(), route(&b, shards));
+                sharded.insert("ta".to_string(), route_members(&a, shards));
+                sharded.insert("tb".to_string(), route_members(&b, shards));
                 let whole = merge_bindings(&sharded);
                 let (scattered, _) =
                     eval_sharded(&expr, &sharded, &Parallelism::sequential())
@@ -495,6 +485,10 @@ mod routing {
         let total: usize = frags.iter().map(ExtendedSet::card).sum();
         assert_eq!(total, set.card(), "no duplicates across shards");
         assert_eq!(gather(&frags), set, "fragments gather to the set");
-        assert_eq!(frags, route(&set, SHARDS), "wire routing ≡ local routing");
+        assert_eq!(
+            frags,
+            route_members(&set, SHARDS),
+            "wire routing ≡ local routing"
+        );
     }
 }
