@@ -1906,9 +1906,12 @@ pub fn e18_sharded_eval(
 /// in-process [`ShardedEngine`] on the identical workload — one
 /// distributed transaction scattering `n` members across 2 shards,
 /// then one gathered read. E18 priced the scatter-gather *evaluator*;
-/// this prices the *wire* around it. Interleaved A/B sampling:
-/// every iteration takes one in-process and one wire sample of each
-/// phase back to back, so a lost timeslice hits both series equally.
+/// this prices the *wire* around it, and a third arm splits that price
+/// in two: the same coordinator over in-process `Session` doors pays the
+/// protocol (scatter, per-shard `FragRead` gather, 2PC round, decision
+/// log) and no transport (codec, frames, sockets). Interleaved sampling:
+/// every iteration takes one sample of each arm of each phase back to
+/// back, so a lost timeslice hits every series equally.
 pub fn e19_wire_coordinator(
     n: usize,
     iters: usize,
@@ -1918,6 +1921,7 @@ pub fn e19_wire_coordinator(
     use xst_client::coord::Coordinator;
     use xst_server::{
         member_schema, records_identity_to_set, set_to_records, ServedEngine, Server, ServerConfig,
+        Session,
     };
     use xst_storage::ShardedEngine;
 
@@ -1927,6 +1931,11 @@ pub fn e19_wire_coordinator(
 
     // The in-process baseline: one engine, SHARDS shards, internal 2PC.
     let engine = ShardedEngine::with_shards(SHARDS);
+
+    // The door cluster: the coordinator over SHARDS single-shard engines
+    // reached through in-process sessions — the protocol, no transport.
+    let shard = || Session::new(Arc::new(ServedEngine::new()));
+    let mut door = Coordinator::over((0..SHARDS).map(|_| shard()).collect());
 
     // The wire cluster: SHARDS single-shard servers plus a coordinator
     // running the same two-phase round over TCP.
@@ -1944,13 +1953,15 @@ pub fn e19_wire_coordinator(
         v.sort_unstable();
         v[v.len() / 2]
     };
-    let (mut ip_txn, mut wire_txn) = (Vec::new(), Vec::new());
-    let (mut ip_read, mut wire_read) = (Vec::new(), Vec::new());
+    let timed =
+        |series: &mut Vec<u64>, start: Instant| series.push(start.elapsed().as_nanos() as u64);
+    let (mut ip_txn, mut door_txn, mut wire_txn) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ip_read, mut door_read, mut wire_read) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..iters {
         // Fresh tables per iteration so every sample writes and reads
         // the same number of rows.
         let t_ip = format!("ip{i}");
-        let t_wire = format!("wire{i}");
+        let t_coord = format!("coord{i}");
 
         engine.create_table(&t_ip, member_schema()).unwrap();
         let start = Instant::now();
@@ -1959,26 +1970,37 @@ pub fn e19_wire_coordinator(
             txn.insert(&t_ip, r.clone()).unwrap();
         }
         std::hint::black_box(txn.commit().unwrap());
-        ip_txn.push(start.elapsed().as_nanos() as u64);
+        timed(&mut ip_txn, start);
+
+        let start = Instant::now();
+        door.begin().unwrap();
+        door.put(&t_coord, &set).unwrap();
+        std::hint::black_box(door.commit().unwrap());
+        timed(&mut door_txn, start);
 
         let start = Instant::now();
         coord.begin().unwrap();
-        coord.put(&t_wire, &set).unwrap();
+        coord.put(&t_coord, &set).unwrap();
         std::hint::black_box(coord.commit().unwrap());
-        wire_txn.push(start.elapsed().as_nanos() as u64);
+        timed(&mut wire_txn, start);
 
-        // Both reads end in the member set (the server applies the
+        // Every read ends in the member set (a shard applies the
         // identity→members conversion per fragment; the in-process
         // mirror pays the same conversion once).
         let start = Instant::now();
         let got_ip = records_identity_to_set(&engine.latest_identity(&t_ip).unwrap()).unwrap();
-        ip_read.push(start.elapsed().as_nanos() as u64);
+        timed(&mut ip_read, start);
 
         let start = Instant::now();
-        let got_wire = coord.get(&t_wire).unwrap();
-        wire_read.push(start.elapsed().as_nanos() as u64);
+        let got_door = door.get(&t_coord).unwrap();
+        timed(&mut door_read, start);
+
+        let start = Instant::now();
+        let got_wire = coord.get(&t_coord).unwrap();
+        timed(&mut wire_read, start);
 
         assert_eq!(got_wire, got_ip, "wire gather must match in-process gather");
+        assert_eq!(got_door, got_ip, "door gather must match in-process gather");
         assert_eq!(got_wire, set, "no member may be lost or invented");
     }
     drop(coord);
@@ -1986,68 +2008,71 @@ pub fn e19_wire_coordinator(
         server.stop();
     }
 
-    let (it, wt) = (median(ip_txn), median(wire_txn));
-    let (ir, wr) = (median(ip_read), median(wire_read));
     let mut t = TableBuilder::new(
-        "E19 wire 2PC coordinator vs in-process sharded engine (median of iters)",
+        "E19 2PC coordinator over doors and over the wire vs in-process sharded engine \
+         (median of iters)",
         &[
             "phase",
             "rows",
             "in-process ms",
+            "door ms",
             "wire ms",
+            "door/in-process",
             "wire/in-process",
         ],
     );
-    t.row(&[
-        "txn (begin+put+2PC commit)".into(),
-        n.to_string(),
-        format!("{:.3}", it as f64 / 1e6),
-        format!("{:.3}", wt as f64 / 1e6),
-        format!("{:.2}x", wt as f64 / it as f64),
-    ]);
-    t.row(&[
-        "gathered read".into(),
-        n.to_string(),
-        format!("{:.3}", ir as f64 / 1e6),
-        format!("{:.3}", wr as f64 / 1e6),
-        format!("{:.2}x", wr as f64 / ir as f64),
-    ]);
     let meta = vec![
         ("rows", n.to_string()),
         ("iters", iters.to_string()),
         ("shards", SHARDS.to_string()),
     ];
-    let entries = vec![
-        BenchEntry::ns("e19_inproc_txn", it, &meta),
-        BenchEntry::ns("e19_wire_txn", wt, &meta),
-        BenchEntry::ratio(
-            "e19_wire_txn_overhead",
-            wt as f64 / it as f64,
-            &[(
-                "note",
-                "wire 2PC round (frames + CRC + decision log) over the \
-                 in-process engine's internal two-phase commit"
-                    .to_string(),
-            )],
+    let mut entries = Vec::new();
+    for (phase, key, series, note) in [
+        (
+            "txn (begin+put+2PC commit)",
+            "txn",
+            [ip_txn, door_txn, wire_txn],
+            "2PC round (decision log; over the wire also frames + CRC) over the \
+             in-process engine's internal two-phase commit",
         ),
-        BenchEntry::ns("e19_inproc_read", ir, &meta),
-        BenchEntry::ns("e19_wire_read", wr, &meta),
-        BenchEntry::ratio(
-            "e19_wire_read_overhead",
-            wr as f64 / ir as f64,
-            &[(
-                "note",
-                "per-shard frag-read round-trips + root gather over the \
-                 in-process gathered identity"
-                    .to_string(),
-            )],
+        (
+            "gathered read",
+            "read",
+            [ip_read, door_read, wire_read],
+            "per-shard frag-read calls + root gather over the in-process \
+             gathered identity",
         ),
-    ];
+    ] {
+        let [ip, door, wire] = series.map(median);
+        let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
+        let over = |ns: u64| ns as f64 / ip as f64;
+        t.row(&[
+            phase.into(),
+            n.to_string(),
+            ms(ip),
+            ms(door),
+            ms(wire),
+            format!("{:.2}x", over(door)),
+            format!("{:.2}x", over(wire)),
+        ]);
+        entries.push(BenchEntry::ns(format!("e19_inproc_{key}"), ip, &meta));
+        entries.push(BenchEntry::ns(format!("e19_door_{key}"), door, &meta));
+        entries.push(BenchEntry::ns(format!("e19_wire_{key}"), wire, &meta));
+        for (arm, ns) in [("door", door), ("wire", wire)] {
+            entries.push(BenchEntry::ratio(
+                format!("e19_{arm}_{key}_overhead"),
+                over(ns),
+                &[("note", note.to_string())],
+            ));
+        }
+    }
     let table = t.finish(
-        "the wire columns pay the frame codec, CRC, kernel round-trips, \
-         and the coordinator's durable decision log on top of the same \
-         storage work; the ratio is the cost of crossing process \
-         boundaries, not of sharding itself (E18 prices that).",
+        "door − in-process is the protocol (member-hash scatter of whole \
+         sets, per-shard FragRead + root gather, the Prepare/Decide round \
+         and the coordinator's durable decision log); wire − door is the \
+         transport (value codec, frames, CRC, kernel round-trips) net of \
+         what server threads overlap on a second core. Neither is the \
+         cost of sharding itself (E18 prices that).",
     );
     (table, entries)
 }

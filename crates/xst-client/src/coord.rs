@@ -1,31 +1,42 @@
-//! # Wire-protocol 2PC coordinator over N shard processes
+//! # 2PC coordinator over N shard doors
 //!
-//! [`Coordinator`] promotes the in-process `ShardedEngine` coordinator
-//! to a **cross-process** one: each shard is a separate `xst-server`
-//! reached over the length-prefixed CRC-framed protocol, and the
-//! coordinator drives the same commit state machine over the wire —
-//! scatter writes by member hash, read by gathering per-shard
-//! fragments ([`Request::FragRead`]), and settle multi-shard commits
-//! with a wire 2PC round ([`Request::Prepare`] /
-//! [`Request::Decide`] / [`Request::Resolve`]).
+//! A [`Coordinator`] is N [`Door`]s — one per shard — plus a durable
+//! decision log. It promotes the in-process `ShardedEngine` coordinator
+//! to a **cross-process** one: scatter writes by member hash, read by
+//! gathering per-shard fragments ([`Request::FragRead`]), and settle
+//! multi-shard commits with a 2PC round ([`Request::Prepare`] /
+//! [`Request::Decide`] / [`Request::Resolve`]) — all through one private
+//! `ask`, so the protocol is defined over `Request → Response` alone. In
+//! production the doors are [`Client`]s, each shard a separate
+//! `xst-server` behind the CRC-framed wire ([`Coordinator::connect`]);
+//! the network-fault sweep in `xst-testkit` runs the same code over
+//! in-process `Session` doors ([`Coordinator::over`]).
 //!
 //! ## One protocol, two deployments
 //!
 //! The round and the decision log are [`xst_storage::twopc`] — the same
 //! code the in-process engine runs; that module states the protocol
-//! and the presumed-abort rule. Here a participant is one shard
-//! connection: prepare is `Prepare(gtxn)`, rollback is `Decide(gtxn,
-//! abort)`, and delivery is `Decide(gtxn, commit)`, **best effort** — a
-//! lost decision message cannot change the outcome, because the
-//! decision is durable and [`Coordinator::recover`] replays the log and
-//! sends [`Request::Resolve`] so every reachable shard converges.
+//! and the presumed-abort rule. Here a participant is one shard's door:
+//! prepare is `Prepare(gtxn)`, rollback is `Decide(gtxn, abort)`, and
+//! delivery is `Decide(gtxn, commit)`, **best effort** — a lost decision
+//! message cannot change the outcome, because the decision is durable
+//! and recovery replays the log and sends [`Request::Resolve`] so every
+//! reachable shard converges.
+//!
+//! ## A failed link is abandoned
+//!
+//! A door that answered `Err` once — a deadline, a closed socket — is
+//! dropped on the spot: a late reply on a timed-out connection would be
+//! read as the next request's answer. Later required calls to that shard
+//! fail at once with [`CoordError::Shard`], best-effort rounds skip it,
+//! and presumed abort plus the next recovery's `Resolve` settle whatever
+//! the shard was left holding.
 //!
 //! ## Sequencing
 //!
-//! The coordinator issues strictly sequential round-trips (one
-//! outstanding request across the whole cluster). That is deliberately
-//! boring: the deterministic network-fault sweep in `xst-testkit`
-//! numbers every coordinator↔shard message as a fault site, and
+//! Calls are strictly sequential (one outstanding request across the
+//! whole cluster). That is deliberately boring: the network-fault sweep
+//! numbers every call's request and response leg as a fault site, and
 //! sequential rounds make the numbering a total order.
 
 use crate::{Client, ClientError};
@@ -40,74 +51,137 @@ use xst_server::{storage_error, xst_error};
 use xst_storage::twopc::{self, DecisionLog, Participant, Prepared};
 use xst_storage::{route_members, Storage, StorageError, Wal};
 
-/// Everything that can go wrong driving the cluster.
+/// Everything that can go wrong driving the cluster; `E` is how a shard
+/// door itself fails ([`ClientError`] over the wire).
 #[derive(Debug)]
-pub enum CoordError {
-    /// A shard connection failed (transport, protocol, or remote error).
-    Shard {
-        /// Index of the shard whose round-trip failed.
+pub enum CoordError<E = ClientError> {
+    /// A shard refused the request with a typed answer; its link is fine.
+    Refused {
+        /// Index of the shard that refused.
         shard: usize,
-        /// The underlying client failure.
-        source: ClientError,
+        /// The shard's structured refusal.
+        error: WireError,
+    },
+    /// The link to a shard failed and was abandoned.
+    Shard {
+        /// Index of the shard whose link failed.
+        shard: usize,
+        /// The door's failure on the call that broke the link; `None` when
+        /// the link was already abandoned (or answered out of kind).
+        source: Option<E>,
     },
     /// The coordinator's own decision log failed to flush — the
     /// transaction was aborted (no decision exists).
     DecisionLog(StorageError),
     /// Request illegal in the coordinator's current transaction state.
     State(String),
-    /// The test-only crash hook fired: the decision for this gtxn is
-    /// durable but its delivery was deliberately suppressed, simulating
-    /// a coordinator crash between the decision flush and the Decide
-    /// round. Only reachable via [`Coordinator::kill_after_decision`].
-    KilledAfterDecision {
-        /// The globally-committed transaction whose Decide never left.
-        gtxn: u64,
-    },
 }
 
-impl fmt::Display for CoordError {
+impl<E> CoordError<E> {
+    /// Did a shard answer that it does not know the table?
+    fn is_unknown_table(&self) -> bool {
+        matches!(self, CoordError::Refused { error, .. } if error.code == ErrorCode::Storage)
+    }
+}
+
+impl<E: fmt::Display> fmt::Display for CoordError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoordError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
+            CoordError::Refused { shard, error } => {
+                write!(f, "shard {shard}: server error: {error}")
+            }
+            CoordError::Shard { shard, source } => match source {
+                Some(source) => write!(f, "shard {shard}: {source}"),
+                None => write!(f, "shard {shard}: link abandoned"),
+            },
             CoordError::DecisionLog(e) => write!(f, "decision log flush failed: {e}"),
             CoordError::State(m) => write!(f, "coordinator state: {m}"),
-            CoordError::KilledAfterDecision { gtxn } => {
-                write!(f, "coordinator killed after deciding gtxn {gtxn}")
-            }
         }
     }
 }
 
-impl std::error::Error for CoordError {}
+impl<E: fmt::Debug + fmt::Display> std::error::Error for CoordError<E> {}
 
-impl From<StorageError> for CoordError {
-    fn from(e: StorageError) -> CoordError {
+impl<E> From<StorageError> for CoordError<E> {
+    fn from(e: StorageError) -> CoordError<E> {
         CoordError::DecisionLog(e)
     }
 }
 
 /// Result alias for every coordinator call.
-pub type CoordResult<T> = Result<T, CoordError>;
+pub type CoordResult<T, E = ClientError> = Result<T, CoordError<E>>;
 
-fn shard_err(shard: usize, source: ClientError) -> CoordError {
-    CoordError::Shard { shard, source }
+/// One shard's door, abandoned (`None`) on its first failure.
+struct Link<D> {
+    shard: usize,
+    door: Option<D>,
+    /// Did the open transaction send this shard a non-empty write? The
+    /// shards that did are the 2PC participant set.
+    wrote: bool,
 }
 
-/// A cross-process 2PC coordinator: one [`Client`] per shard process,
-/// plus its own durable decision log. At most one distributed
-/// transaction is open at a time (the coordinator *is* the session).
-pub struct Coordinator {
-    shards: Vec<Client>,
-    addrs: Vec<String>,
-    timeout: Option<Duration>,
+impl<D: Door> Link<D> {
+    /// THE coordinator→shard call: put `req` to the shard and let `want`
+    /// pick out the one answer kind it can produce. A refusal leaves the
+    /// link standing; a door failure or an out-of-kind answer (a desynced
+    /// stream) drops the door for good.
+    fn ask<T>(
+        &mut self,
+        req: Request,
+        want: impl FnOnce(Response) -> Option<T>,
+    ) -> CoordResult<T, D::Error> {
+        let shard = self.shard;
+        let source = match self.door.as_mut().map(|door| door.call(req)) {
+            Some(Ok(Response::Error(error))) => return Err(CoordError::Refused { shard, error }),
+            Some(Ok(resp)) => match want(resp) {
+                Some(answer) => return Ok(answer),
+                None => None,
+            },
+            Some(Err(source)) => Some(source),
+            None => None,
+        };
+        self.door = None;
+        Err(CoordError::Shard { shard, source })
+    }
+
+    fn abort(&mut self) -> CoordResult<(), D::Error> {
+        self.ask(Request::Abort, |r| {
+            matches!(r, Response::Aborted).then_some(())
+        })
+    }
+
+    /// Deliver the decision for `gtxn`; answers the local commit
+    /// timestamp (0 on abort).
+    fn decide(&mut self, gtxn: u64, commit: bool) -> CoordResult<u64, D::Error> {
+        self.ask(Request::Decide { gtxn, commit }, |r| match r {
+            Response::Decided { ts, .. } => Some(ts),
+            _ => None,
+        })
+    }
+}
+
+/// A 2PC coordinator: one [`Door`] per shard — a [`Client`] per shard
+/// process unless said otherwise — plus its own durable decision log. At
+/// most one distributed transaction is open at a time (the coordinator
+/// *is* the session).
+pub struct Coordinator<D: Door = Client> {
+    shards: Vec<Link<D>>,
     /// The durable decision log; its committed set (replayed at
     /// recovery) is what Resolve ships to shards.
     log: DecisionLog,
     in_txn: bool,
-    /// Which shards received at least one non-empty write in the open
-    /// transaction — the 2PC participant set.
-    wrote: Vec<bool>,
-    kill_after_decision: bool,
+}
+
+/// One handshaken connection per address, in shard order.
+fn dial(addrs: &[String], timeout: Option<Duration>) -> CoordResult<Vec<Client>> {
+    let connect = |(shard, addr): (usize, &String)| {
+        let name = format!("xst-coord/{shard}");
+        Client::connect_with_timeout(addr, &name, timeout).map_err(|e| {
+            let source = Some(e);
+            CoordError::Shard { shard, source }
+        })
+    };
+    addrs.iter().enumerate().map(connect).collect()
 }
 
 impl Coordinator {
@@ -116,55 +190,70 @@ impl Coordinator {
     /// read/write on every shard connection — a stalled shard surfaces
     /// as a typed timeout instead of a hang.
     pub fn connect(addrs: &[String], timeout: Option<Duration>) -> CoordResult<Coordinator> {
-        Coordinator::over(DecisionLog::create(), addrs, timeout)
+        Ok(Coordinator::over(dial(addrs, timeout)?))
     }
 
-    fn over(
-        log: DecisionLog,
-        addrs: &[String],
-        timeout: Option<Duration>,
-    ) -> CoordResult<Coordinator> {
-        let mut shards = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            let name = format!("xst-coord/{i}");
-            let client =
-                Client::connect_with_timeout(addr, &name, timeout).map_err(|e| shard_err(i, e))?;
-            shards.push(client);
-        }
-        let n = shards.len();
-        if xst_obs::enabled() {
-            m::COORD_SHARDS.set(n as f64);
-        }
-        Ok(Coordinator {
-            shards,
-            addrs: addrs.to_vec(),
-            timeout,
-            log,
-            in_txn: false,
-            wrote: vec![false; n],
-            kill_after_decision: false,
-        })
-    }
-
-    /// Restart a coordinator over its surviving devices: drop any
-    /// unacknowledged staged decision (the crash), replay the decision
-    /// log into the committed set, reconnect every shard, and deliver a
-    /// [`Request::Resolve`] round so each reachable shard settles its
-    /// in-doubt prepares to the logged outcome. Shards that cannot be
-    /// reached stay prepared — harmless, a later resolve settles them.
+    /// Restart a coordinator over its surviving devices: reconnect every
+    /// shard, then [`Coordinator::recover_over`] the connections.
     pub fn recover(
         addrs: &[String],
         storage: Storage,
         wal: Wal,
         timeout: Option<Duration>,
     ) -> CoordResult<Coordinator> {
+        Coordinator::recover_over(dial(addrs, timeout)?, storage, wal)
+    }
+}
+
+impl<D: Door> Coordinator<D> {
+    /// A coordinator over already-open doors, one per shard in shard
+    /// order, and fresh devices (a brand-new decision log).
+    pub fn over(doors: Vec<D>) -> Coordinator<D> {
+        Coordinator::with_log(DecisionLog::create(), doors)
+    }
+
+    /// Restart a coordinator over its surviving devices and freshly
+    /// opened doors: drop any unacknowledged staged decision (the crash),
+    /// replay the decision log into the committed set, and deliver a
+    /// [`Request::Resolve`] round so each reachable shard settles its
+    /// in-doubt prepares — commit the logged ones, presume abort for the
+    /// rest. Shards that cannot be reached stay prepared — harmless, a
+    /// later recovery settles them.
+    pub fn recover_over(
+        doors: Vec<D>,
+        storage: Storage,
+        wal: Wal,
+    ) -> CoordResult<Coordinator<D>, D::Error> {
         let log = DecisionLog::recover(storage, wal)?;
         if xst_obs::enabled() {
             m::COORD_DECISIONS_REPLAYED_TOTAL.add(log.committed().len() as u64);
+            m::COORD_RESOLVES_TOTAL.inc();
         }
-        let mut coord = Coordinator::over(log, addrs, timeout)?;
-        coord.resolve_all()?;
+        let mut coord = Coordinator::with_log(log, doors);
+        let committed = coord.committed_gtxns();
+        for link in &mut coord.shards {
+            let committed = committed.clone();
+            let _ = link.ask(Request::Resolve { committed }, |r| {
+                matches!(r, Response::Resolved { .. }).then_some(())
+            });
+        }
         Ok(coord)
+    }
+
+    fn with_log(log: DecisionLog, doors: Vec<D>) -> Coordinator<D> {
+        if xst_obs::enabled() {
+            m::COORD_SHARDS.set(doors.len() as f64);
+        }
+        let link = |(shard, door)| Link {
+            shard,
+            door: Some(door),
+            wrote: false,
+        };
+        Coordinator {
+            shards: doors.into_iter().enumerate().map(link).collect(),
+            log,
+            in_txn: false,
+        }
     }
 
     /// The coordinator's durable devices. Hold on to these to later
@@ -172,16 +261,6 @@ impl Coordinator {
     /// instance — the decision log lives on them.
     pub fn devices(&self) -> (Storage, Wal) {
         self.log.devices()
-    }
-
-    /// The shard addresses this coordinator was built over.
-    pub fn addrs(&self) -> &[String] {
-        &self.addrs
-    }
-
-    /// Number of shard processes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Is a distributed transaction open?
@@ -195,32 +274,18 @@ impl Coordinator {
         self.log.committed().iter().copied().collect()
     }
 
-    /// The configured per-request timeout.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// Test-only crash hook: when set, the next multi-shard commit
-    /// flushes its decision and then returns
-    /// [`CoordError::KilledAfterDecision`] **without** delivering any
-    /// Decide — exactly the coordinator dying between its commit point
-    /// and the decision round. Recovery must finish the job.
-    pub fn kill_after_decision(&mut self, on: bool) {
-        self.kill_after_decision = on;
-    }
-
     /// Begin a distributed transaction: one server-side transaction per
     /// shard, all on the same logical snapshot boundary (begins are
     /// issued under no concurrent coordinator activity — this
     /// coordinator is the only writer session on every shard).
-    pub fn begin(&mut self) -> CoordResult<()> {
+    pub fn begin(&mut self) -> CoordResult<(), D::Error> {
         self.begin_at().map(|_| ())
     }
 
     /// [`Coordinator::begin`], answering the newest snapshot timestamp
     /// any shard reported (shard clocks are independent, as with the
     /// maximum [`Coordinator::commit`] returns).
-    fn begin_at(&mut self) -> CoordResult<u64> {
+    fn begin_at(&mut self) -> CoordResult<u64, D::Error> {
         if self.in_txn {
             return Err(CoordError::State(
                 "a distributed transaction is already open (commit or abort it)".to_string(),
@@ -228,8 +293,12 @@ impl Coordinator {
         }
         let mut snapshot_ts = 0u64;
         for i in 0..self.shards.len() {
-            match self.shards[i].begin() {
-                Ok(info) => snapshot_ts = snapshot_ts.max(info.snapshot_ts),
+            let begun = self.shards[i].ask(Request::Begin, |r| match r {
+                Response::TxnBegun { snapshot_ts, .. } => Some(snapshot_ts),
+                _ => None,
+            });
+            match begun {
+                Ok(ts) => snapshot_ts = snapshot_ts.max(ts),
                 Err(e) => {
                     // Shards 0..i now hold an open transaction only this
                     // call knows about: abort them (best effort) or they
@@ -237,32 +306,34 @@ impl Coordinator {
                     for begun in &mut self.shards[..i] {
                         let _ = begun.abort();
                     }
-                    return Err(shard_err(i, e));
+                    return Err(e);
                 }
             }
         }
         self.in_txn = true;
-        self.wrote.iter_mut().for_each(|w| *w = false);
+        self.shards.iter_mut().for_each(|l| l.wrote = false);
         if xst_obs::enabled() {
             m::COORD_TXN_BEGINS_TOTAL.inc();
         }
         Ok(snapshot_ts)
     }
 
-    /// Run `scatter` in the open transaction, or — outside one — as a
+    /// Scatter a write in the open transaction, or — outside one — as a
     /// transaction of its own, keeping cross-shard atomicity; answers the
     /// rows and, when it autocommitted, the commit timestamp. A failed
     /// autocommit write aborts the implicit transaction — left open, the
     /// next one would join it; a failed commit has already closed it.
     fn write(
         &mut self,
-        scatter: impl FnOnce(&mut Coordinator) -> CoordResult<u64>,
-    ) -> CoordResult<(u64, Option<u64>)> {
+        table: &str,
+        set: &ExtendedSet,
+        delete: bool,
+    ) -> CoordResult<(u64, Option<u64>), D::Error> {
         if self.in_txn {
-            return scatter(self).map(|rows| (rows, None));
+            return self.scatter(table, set, delete).map(|rows| (rows, None));
         }
         self.begin()?;
-        match scatter(self) {
+        match self.scatter(table, set, delete) {
             Ok(rows) => self.commit().map(|ts| (rows, Some(ts))),
             Err(e) => {
                 let _ = self.abort();
@@ -275,68 +346,82 @@ impl Coordinator {
     /// (or a `Delete`). **Every** shard receives a Put — empty subsets
     /// included — so the table exists in every shard's catalog (reads and
     /// recovery need the uniform catalog); an empty Delete is skipped.
-    fn scatter(&mut self, table: &str, set: &ExtendedSet, delete: bool) -> CoordResult<u64> {
+    fn scatter(
+        &mut self,
+        table: &str,
+        set: &ExtendedSet,
+        delete: bool,
+    ) -> CoordResult<u64, D::Error> {
         let mut rows = 0u64;
-        for (i, part) in route_members(set, self.shards.len()).iter().enumerate() {
-            let applied = match delete {
-                false => self.shards[i].put(table, part),
-                true if part.is_empty() => continue,
-                true => self.shards[i].delete(table, part),
+        let parts = route_members(set, self.shards.len());
+        for (i, set) in parts.into_iter().enumerate() {
+            let wrote = !set.is_empty();
+            if delete && !wrote {
+                continue;
+            }
+            let table = table.to_string();
+            let req = match delete {
+                false => Request::Put { table, set },
+                true => Request::Delete { table, set },
             };
-            rows += applied.map_err(|e| shard_err(i, e))?.rows;
-            self.wrote[i] |= !part.is_empty();
+            rows += self.shards[i].ask(req, |r| match r {
+                Response::Applied { rows, .. } => Some(rows),
+                _ => None,
+            })?;
+            self.shards[i].wrote |= wrote;
         }
         Ok(rows)
     }
 
     /// Insert every member of `set` into `table`, routed by member hash;
     /// autocommits outside a transaction. Returns the rows touched.
-    pub fn put(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
-        Ok(self.write(|coord| coord.scatter(table, set, false))?.0)
+    pub fn put(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64, D::Error> {
+        Ok(self.write(table, set, false)?.0)
     }
 
     /// Delete every member of `set` from `table`, routed by member hash.
-    pub fn delete(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64> {
-        Ok(self.write(|coord| coord.scatter(table, set, true))?.0)
+    pub fn delete(&mut self, table: &str, set: &ExtendedSet) -> CoordResult<u64, D::Error> {
+        Ok(self.write(table, set, true)?.0)
     }
 
     /// The per-shard member fragments of `table`, in shard order.
     /// A shard that does not know the table contributes an empty
     /// fragment; if **no** shard knows it, the error propagates (the
     /// table does not exist anywhere).
-    fn fragments(&mut self, table: &str) -> CoordResult<Vec<ExtendedSet>> {
+    fn fragments(&mut self, table: &str) -> CoordResult<Vec<ExtendedSet>, D::Error> {
         let mut parts = Vec::with_capacity(self.shards.len());
         let mut known = 0usize;
-        let mut first_err: Option<CoordError> = None;
-        for i in 0..self.shards.len() {
-            match self.shards[i].frag_read(table) {
+        let mut unknown = None;
+        for link in &mut self.shards {
+            let table = table.to_string();
+            let read = link.ask(Request::FragRead { table }, |r| match r {
+                Response::Value { set } => Some(set),
+                _ => None,
+            });
+            match read {
                 Ok(set) => {
                     known += 1;
                     parts.push(set);
                 }
-                Err(ClientError::Remote(e)) if e.code == ErrorCode::Storage => {
-                    if first_err.is_none() {
-                        first_err = Some(shard_err(i, ClientError::Remote(e)));
-                    }
+                Err(e) if e.is_unknown_table() => {
+                    unknown.get_or_insert(e);
                     parts.push(ExtendedSet::empty());
                 }
-                Err(e) => return Err(shard_err(i, e)),
+                Err(e) => return Err(e),
             }
             if xst_obs::enabled() {
                 m::COORD_FRAG_READS_TOTAL.inc();
             }
         }
-        if known == 0 {
-            if let Some(e) = first_err {
-                return Err(e);
-            }
+        match unknown {
+            Some(e) if known == 0 => Err(e),
+            _ => Ok(parts),
         }
-        Ok(parts)
     }
 
     /// Read the whole member set of `table`: gather the per-shard
     /// fragments (ordered union over disjoint fragments — exact).
-    pub fn get(&mut self, table: &str) -> CoordResult<ExtendedSet> {
+    pub fn get(&mut self, table: &str) -> CoordResult<ExtendedSet, D::Error> {
         Ok(gather(&self.fragments(table)?))
     }
 
@@ -344,14 +429,14 @@ impl Coordinator {
     /// table's per-shard fragments, then run the shard-aware evaluator
     /// exactly as the in-process engine would. Tables no shard knows
     /// stay unbound, so the static-analysis gate reports them.
-    pub fn eval(&mut self, expr: &Expr) -> CoordResult<ExtendedSet> {
+    pub fn eval(&mut self, expr: &Expr) -> CoordResult<ExtendedSet, D::Error> {
         self.eval_gated(expr)?
             .map_err(|e| CoordError::State(format!("eval failed: {e}")))
     }
 
     /// [`Coordinator::eval`] with the evaluation's own verdict kept typed
     /// (the door answers it with the code a session would).
-    fn eval_gated(&mut self, expr: &Expr) -> CoordResult<XstResult<ExtendedSet>> {
+    fn eval_gated(&mut self, expr: &Expr) -> CoordResult<XstResult<ExtendedSet>, D::Error> {
         let names: Vec<String> = expr.tables().iter().map(|n| n.to_string()).collect();
         let mut bindings = ShardedBindings::new();
         for name in names {
@@ -359,36 +444,33 @@ impl Coordinator {
                 Ok(parts) => {
                     bindings.insert(name, parts);
                 }
-                Err(CoordError::Shard {
-                    source: ClientError::Remote(e),
-                    ..
-                }) if e.code == ErrorCode::Storage => {} // unbound: the gate reports it
+                Err(e) if e.is_unknown_table() => {} // unbound: the gate reports it
                 Err(e) => return Err(e),
             }
         }
         Ok(eval_sharded(expr, &bindings, &Parallelism::sequential()).map(|(set, _stats)| set))
     }
 
-    /// Abort the open distributed transaction on every shard.
-    pub fn abort(&mut self) -> CoordResult<()> {
-        if !self.in_txn {
-            return Err(CoordError::State(
+    /// Close the open transaction's bookkeeping, or refuse: none is open.
+    fn end_txn(&mut self) -> CoordResult<(), D::Error> {
+        match std::mem::take(&mut self.in_txn) {
+            true => Ok(()),
+            false => Err(CoordError::State(
                 "no open distributed transaction (begin first)".to_string(),
-            ));
+            )),
         }
-        self.in_txn = false;
-        let mut first_err: Option<CoordError> = None;
-        for i in 0..self.shards.len() {
-            if let Err(e) = self.shards[i].abort() {
-                if first_err.is_none() {
-                    first_err = Some(shard_err(i, e));
-                }
+    }
+
+    /// Abort the open distributed transaction on every shard.
+    pub fn abort(&mut self) -> CoordResult<(), D::Error> {
+        self.end_txn()?;
+        let mut first_err = None;
+        for link in &mut self.shards {
+            if let Err(e) = link.abort() {
+                first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Commit the open distributed transaction.
@@ -397,75 +479,57 @@ impl Coordinator {
     /// * **One shard wrote** — Commit on the writer, Abort elsewhere:
     ///   single-shard durability is the shard's own WAL flush, no
     ///   coordination needed.
-    /// * **Two or more wrote** — the wire 2PC round: Prepare on every
+    /// * **Two or more wrote** — the 2PC round: Prepare on every
     ///   writer, the decision-log flush (THE acknowledgement), then
     ///   best-effort Decide. Any prepare failure aborts the whole
     ///   transaction before a decision exists.
     ///
     /// Returns the maximum commit timestamp any shard reported.
-    pub fn commit(&mut self) -> CoordResult<u64> {
-        if !self.in_txn {
-            return Err(CoordError::State(
-                "no open distributed transaction (begin first)".to_string(),
-            ));
+    pub fn commit(&mut self) -> CoordResult<u64, D::Error> {
+        self.end_txn()?;
+        let writers = self.shards.iter().filter(|l| l.wrote).count();
+        if writers >= 2 {
+            return self.commit_2pc();
         }
-        self.in_txn = false;
-        let writers: Vec<usize> = (0..self.shards.len()).filter(|&i| self.wrote[i]).collect();
-        match writers.len() {
-            0 => {
-                let mut ts = 0u64;
-                let mut first_err: Option<CoordError> = None;
-                for i in 0..self.shards.len() {
-                    match self.shards[i].commit() {
-                        Ok(t) => ts = ts.max(t),
-                        Err(e) => {
-                            if first_err.is_none() {
-                                first_err = Some(shard_err(i, e));
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                if xst_obs::enabled() {
-                    m::COORD_SINGLE_COMMITS_TOTAL.inc();
-                }
-                Ok(ts)
+        let mut ts = 0u64;
+        let mut first_err = None;
+        for link in &mut self.shards {
+            if writers == 1 && !link.wrote {
+                // Beside a writer, a read-only shard just aborts: its
+                // session holds a snapshot, nothing durable rides on it.
+                let _ = link.abort();
+                continue;
             }
-            1 => {
-                let w = writers[0];
-                // Abort the read-only shards first: their sessions hold
-                // snapshots, nothing durable rides on them.
-                for i in 0..self.shards.len() {
-                    if i != w {
-                        let _ = self.shards[i].abort();
-                    }
+            let committed = link.ask(Request::Commit, |r| match r {
+                Response::Committed { ts } => Some(ts),
+                _ => None,
+            });
+            match committed {
+                Ok(t) => ts = ts.max(t),
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
-                let ts = self.shards[w].commit().map_err(|e| shard_err(w, e))?;
-                if xst_obs::enabled() {
-                    m::COORD_SINGLE_COMMITS_TOTAL.inc();
-                }
-                Ok(ts)
             }
-            _ => self.commit_2pc(&writers),
         }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        if xst_obs::enabled() {
+            m::COORD_SINGLE_COMMITS_TOTAL.inc();
+        }
+        Ok(ts)
     }
 
-    fn commit_2pc(&mut self, writers: &[usize]) -> CoordResult<u64> {
-        // Read-only shards just abort; they are not participants.
-        for i in 0..self.shards.len() {
-            if !writers.contains(&i) {
-                let _ = self.shards[i].abort();
+    fn commit_2pc(&mut self) -> CoordResult<u64, D::Error> {
+        let mut participants = Vec::new();
+        for link in &mut self.shards {
+            if link.wrote {
+                participants.push(link);
+            } else {
+                // Read-only shards just abort; they are not participants.
+                let _ = link.abort();
             }
         }
-        let participants: Vec<ShardLink<'_>> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| writers.contains(i))
-            .map(|(shard, client)| ShardLink { shard, client })
-            .collect();
         // A failure before the decision — a conflict, a dead shard, a
         // timeout, the flush itself — aborts the transaction; presumed
         // abort covers any shard the rollback could not reach.
@@ -474,14 +538,9 @@ impl Coordinator {
                 m::COORD_2PC_ABORTS_TOTAL.inc();
             }
         })?;
-        if std::mem::take(&mut self.kill_after_decision) {
-            // The test hook crashes "the coordinator" after its commit
-            // point: the decision is flushed, nothing is delivered.
-            return Err(CoordError::KilledAfterDecision { gtxn: decided.gtxn });
-        }
         // Delivery is best effort. The outcome is already fixed; a shard
-        // that misses its Decide stays prepared until a Resolve
-        // (recovery, or the next resolve_all) commits it from the log.
+        // that misses its Decide stays prepared until recovery's Resolve
+        // commits it from the log.
         let ts = decided.deliver().flatten().max().unwrap_or(0);
         if xst_obs::enabled() {
             m::COORD_2PC_COMMITS_TOTAL.inc();
@@ -489,33 +548,13 @@ impl Coordinator {
         Ok(ts)
     }
 
-    /// Deliver the coordinator's full committed set to every shard as a
-    /// [`Request::Resolve`]: each settles its in-doubt prepares —
-    /// commit the logged ones, presume abort for the rest. Returns the
-    /// summed `(committed, aborted)` counts. Unreachable shards are
-    /// skipped (they settle on the next resolve).
-    pub fn resolve_all(&mut self) -> CoordResult<(u64, u64)> {
-        let committed = self.committed_gtxns();
-        let mut totals = (0u64, 0u64);
-        for i in 0..self.shards.len() {
-            if let Ok((c, a)) = self.shards[i].resolve(&committed) {
-                totals.0 += c;
-                totals.1 += a;
-            }
-        }
-        if xst_obs::enabled() {
-            m::COORD_RESOLVES_TOTAL.inc();
-        }
-        Ok(totals)
-    }
-
     /// A one-line human status of the cluster, for the shell.
     pub fn status(&self) -> String {
         format!(
-            "cluster: {} shard(s) [{}], {n} committed decision(s) ({n} decision-log entries), \
-             next gtxn {}, txn open: {}",
+            "cluster: {} shard(s), {} link(s) open, {n} committed decision(s) \
+             ({n} decision-log entries), next gtxn {}, txn open: {}",
             self.shards.len(),
-            self.addrs.join(", "),
+            self.shards.iter().filter(|l| l.door.is_some()).count(),
             self.log.peek_gtxn(),
             self.in_txn,
             n = self.log.committed().len()
@@ -524,26 +563,30 @@ impl Coordinator {
 }
 
 /// The cluster door: each store verb maps onto the typed method above, so
-/// the wire message sequence is theirs. A refusal — the coordinator's own
+/// the message sequence is theirs. A refusal — the coordinator's own
 /// transaction-state check, a shard's typed answer, an evaluation the gate
 /// rejects, a failed decision-log flush — is answered with the
-/// [`ErrorCode`] a session gives it; only a broken link (or the crash
-/// hook) is `Err`. `TxnBegun` names the gtxn a 2PC commit would spend and
-/// the newest shard snapshot. `Get` and `FragRead` both answer the gathered
-/// member set, so a coordinator can stand where a shard stands. The remaining
-/// kinds (analysis and observability pulls, the 2PC participant side) are
-/// one server's to answer and are refused by name.
-impl Door for Coordinator {
-    type Error = CoordError;
+/// [`ErrorCode`] a session gives it; only a broken link is `Err`.
+/// `TxnBegun` names the gtxn a 2PC commit would spend and the newest shard
+/// snapshot. `Get` and `FragRead` both answer the gathered member set, so a
+/// coordinator can stand where a shard stands. The remaining kinds
+/// (analysis and observability pulls, the 2PC participant side) are one
+/// server's to answer and are refused by name.
+impl<D: Door> Door for Coordinator<D> {
+    type Error = CoordError<D::Error>;
 
-    fn call(&mut self, req: Request) -> CoordResult<Response> {
+    fn call(&mut self, req: Request) -> CoordResult<Response, D::Error> {
         let applied = |(rows, autocommit_ts)| Response::Applied {
             rows,
             autocommit_ts,
         };
         let answer = match req {
-            Request::Ping => (0..self.shards.len())
-                .try_for_each(|i| self.shards[i].ping().map_err(|e| shard_err(i, e)))
+            Request::Ping => self
+                .shards
+                .iter_mut()
+                .try_for_each(|l| {
+                    l.ask(Request::Ping, |r| matches!(r, Response::Pong).then_some(()))
+                })
                 .map(|()| Response::Pong),
             Request::Begin => self.begin_at().map(|snapshot_ts| Response::TxnBegun {
                 id: self.log.peek_gtxn(),
@@ -551,12 +594,8 @@ impl Door for Coordinator {
             }),
             Request::Commit => self.commit().map(|ts| Response::Committed { ts }),
             Request::Abort => self.abort().map(|()| Response::Aborted),
-            Request::Put { table, set } => self
-                .write(|coord| coord.scatter(&table, &set, false))
-                .map(applied),
-            Request::Delete { table, set } => self
-                .write(|coord| coord.scatter(&table, &set, true))
-                .map(applied),
+            Request::Put { table, set } => self.write(&table, &set, false).map(applied),
+            Request::Delete { table, set } => self.write(&table, &set, true).map(applied),
             Request::Get { table } | Request::FragRead { table } => {
                 self.get(&table).map(|set| Response::Value { set })
             }
@@ -576,10 +615,7 @@ impl Door for Coordinator {
                 ErrorCode::TxnState,
                 message,
             ))),
-            CoordError::Shard {
-                source: ClientError::Remote(e),
-                ..
-            } => Ok(Response::Error(e)),
+            CoordError::Refused { error, .. } => Ok(Response::Error(error)),
             CoordError::DecisionLog(e) => Ok(storage_error(e)),
             broken => Err(broken),
         })
@@ -587,37 +623,30 @@ impl Door for Coordinator {
 }
 
 /// One written shard's side of a commit round, before and after its
-/// prepare: the connection to it.
-struct ShardLink<'a> {
-    shard: usize,
-    client: &'a mut Client,
-}
+/// prepare: the link to it.
+impl<'a, D: Door> Participant for &'a mut Link<D> {
+    type Error = CoordError<D::Error>;
+    type Prepared = &'a mut Link<D>;
 
-impl<'a> Participant for ShardLink<'a> {
-    type Error = CoordError;
-    type Prepared = ShardLink<'a>;
-
-    fn prepare(self, gtxn: u64) -> CoordResult<ShardLink<'a>> {
-        match self.client.prepare(gtxn) {
-            Ok(_) => Ok(self),
-            Err(e) => Err(shard_err(self.shard, e)),
-        }
+    fn prepare(self, gtxn: u64) -> CoordResult<&'a mut Link<D>, D::Error> {
+        self.ask(Request::Prepare { gtxn }, |r| {
+            matches!(r, Response::Prepared { gtxn: echoed, .. } if echoed == gtxn).then_some(())
+        })?;
+        Ok(self)
     }
 
     // The session still holds the open transaction.
     fn release(self) {
-        let _ = self.client.abort();
+        let _ = self.abort();
     }
 }
 
-impl Prepared<CoordError> for ShardLink<'_> {
+impl<D: Door> Prepared<CoordError<D::Error>> for &mut Link<D> {
     fn rollback(self, gtxn: u64) {
-        let _ = self.client.decide(gtxn, false);
+        let _ = self.decide(gtxn, false);
     }
 
-    fn commit(self, gtxn: u64) -> CoordResult<u64> {
-        self.client
-            .decide(gtxn, true)
-            .map_err(|e| shard_err(self.shard, e))
+    fn commit(self, gtxn: u64) -> CoordResult<u64, D::Error> {
+        self.decide(gtxn, true)
     }
 }

@@ -382,50 +382,14 @@ impl Client {
     }
 
     /// Read this shard's **raw local fragment** of `table` — its
-    /// members only, no gather — as the member set it denotes. The
-    /// coordinator's scatter read.
+    /// members only, no gather — as the member set it denotes: what the
+    /// coordinator's scatter read asks each shard for.
     pub fn frag_read(&mut self, table: &str) -> ClientResult<ExtendedSet> {
         match self.call(Request::FragRead {
             table: table.to_string(),
         })? {
             Response::Value { set } => Ok(set),
             other => Err(unexpected("frag_read", &other)),
-        }
-    }
-
-    /// 2PC phase one: seal this session's open transaction as an
-    /// in-doubt prepare under the coordinator's global id `gtxn`.
-    /// Returns how many local shards staged writes. After success the
-    /// session has no open transaction and a disconnect no longer
-    /// aborts the staged writes.
-    pub fn prepare(&mut self, gtxn: u64) -> ClientResult<u64> {
-        match self.call(Request::Prepare { gtxn })? {
-            Response::Prepared {
-                gtxn: echoed,
-                participants,
-            } if echoed == gtxn => Ok(participants),
-            other => Err(unexpected("prepare", &other)),
-        }
-    }
-
-    /// 2PC phase two: deliver the coordinator's durable decision for
-    /// `gtxn`. Returns the local commit timestamp (0 on abort).
-    pub fn decide(&mut self, gtxn: u64, commit: bool) -> ClientResult<u64> {
-        match self.call(Request::Decide { gtxn, commit })? {
-            Response::Decided { ts, .. } => Ok(ts),
-            other => Err(unexpected("decide", &other)),
-        }
-    }
-
-    /// Settle every in-doubt prepare on the server against the
-    /// coordinator's committed set: commit the named gtxns, presume
-    /// abort for the rest. Returns `(committed, aborted)` counts.
-    pub fn resolve(&mut self, committed: &[u64]) -> ClientResult<(u64, u64)> {
-        match self.call(Request::Resolve {
-            committed: committed.to_vec(),
-        })? {
-            Response::Resolved { committed, aborted } => Ok((committed, aborted)),
-            other => Err(unexpected("resolve", &other)),
         }
     }
 

@@ -6,8 +6,10 @@
 //!
 //! 1. **no-panic** — `.unwrap()`, `.expect(`, and `panic!` are forbidden
 //!    in non-test `xst-storage`/`xst-core`/`xst-server`/`xst-client`.
-//! 2. **determinism** — wall-clock and ambient entropy are forbidden in
-//!    deterministic harness/fault/sched modules.
+//! 2. **determinism** — wall clocks, deadlines, sleeps, threads, sockets
+//!    and ambient entropy are forbidden in deterministic
+//!    harness/fault/sched/cluster modules, unless the site carries a
+//!    `// lint: determinism: <why>` justification.
 //! 3. **metric-names** — every `xst_*` literal lives once in
 //!    `crates/xst-obs/src/names.rs`.
 //! 4. **registered-metrics** — registration sites name their family
@@ -54,7 +56,7 @@ use syntax::FileModel;
 pub const ALLOWLIST: &[(&str, &str)] = &[];
 
 /// Rules that accept `// lint: <rule>: <why>` justification comments.
-pub const JUSTIFIABLE_RULES: &[&str] = &["lock-across-io", "unnumbered-io"];
+pub const JUSTIFIABLE_RULES: &[&str] = &["lock-across-io", "unnumbered-io", "determinism"];
 
 /// One lint finding. `justified` findings are reported but do not fail
 /// the run (they are the documented, counted exemptions).
@@ -168,12 +170,12 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     let ws = Workspace { files: records };
 
     let mut findings = Vec::new();
-    for rec in &ws.files {
-        token_rules(rec, &mut findings);
-    }
     // Which justification comments a pass actually consumed, as
     // (file index, justification index).
     let mut used: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for (fi, rec) in ws.files.iter().enumerate() {
+        used.extend(token_rules(rec, &mut findings).into_iter().map(|j| (fi, j)));
+    }
     locks::analyze(&ws, &mut findings, &mut used);
     faults::analyze(&ws, &mut findings, &mut used);
     proto::analyze(&ws, &mut findings);
@@ -252,9 +254,20 @@ const NO_PANIC_CRATES: &[&str] = &["xst-storage", "xst-core", "xst-server", "xst
 pub const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
 
 /// File-name fragments marking deterministic-replay modules.
-const DETERMINISTIC_MODULES: &[&str] = &["fault", "sched", "harness"];
-/// Forbidden nondeterminism tokens, matched on word boundaries.
-const NONDETERMINISM_TOKENS: &[&str] = &["Instant", "SystemTime", "rand"];
+const DETERMINISTIC_MODULES: &[&str] = &["fault", "sched", "harness", "cluster"];
+/// Forbidden nondeterminism tokens, matched on word boundaries: clocks
+/// and entropy, and what lets a scheduler or a network stand in for one —
+/// deadlines, sleeps, threads, sockets.
+const NONDETERMINISM_TOKENS: &[&str] = &[
+    "Instant",
+    "SystemTime",
+    "rand",
+    "Duration",
+    "sleep",
+    "spawn",
+    "TcpListener",
+    "TcpStream",
+];
 
 /// Where the canonical metric-name constants live.
 const METRIC_NAMES_FILE: &str = "crates/xst-obs/src/names.rs";
@@ -314,8 +327,10 @@ pub fn allowlisted(file: &str, token: &str) -> bool {
 
 /// Run the four token rules over one file. Statically-allowlisted
 /// findings are marked justified here; `--deny-all` re-raises them at
-/// the CLI layer.
-pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) {
+/// the CLI layer. Returns the indices of the file's justification
+/// comments the rules consumed.
+pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) -> Vec<usize> {
+    let mut used = Vec::new();
     let view = &rec.view;
     let rel_str = &rec.rel;
     let crate_name = rec.crate_name.as_str();
@@ -351,17 +366,21 @@ pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) {
                 if view.in_test(at) {
                     continue;
                 }
+                let line = view.line_of(at);
+                let js = view.justifications_on("determinism", &[line, line.saturating_sub(1)]);
                 push_finding(
                     out,
                     rel_str,
-                    view.line_of(at),
+                    line,
                     "determinism",
                     format!(
-                        "`{token}` inside deterministic module `{file_name}`; \
-                         deterministic replay must not read clocks or ambient entropy"
+                        "`{token}` inside deterministic module `{file_name}`; deterministic \
+                         replay must not read clocks or ambient entropy, wait on deadlines, \
+                         or start threads and sockets"
                     ),
-                    allowlisted(rel_str, token),
+                    !js.is_empty() || allowlisted(rel_str, token),
                 );
+                used.extend(js);
             }
         }
     }
@@ -439,6 +458,7 @@ pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) {
             }
         }
     }
+    used
 }
 
 /// Load a single file into a [`FileRecord`] (used by tests).

@@ -16,8 +16,8 @@ pub struct StringLit {
 }
 
 /// One `// lint: <rule>: <why>` justification comment. Passes that
-/// support justified exemptions (`lock-across-io`, `unnumbered-io`)
-/// match findings against these by line; the driver
+/// support justified exemptions (`lock-across-io`, `unnumbered-io`,
+/// `determinism`) match findings against these by line; the driver
 /// reports any justification no finding ever used.
 pub struct Justification {
     /// Byte offset of the `//` in the original source.

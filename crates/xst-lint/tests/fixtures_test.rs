@@ -102,6 +102,52 @@ fn proto_dispatch_fixture_flags_the_unhandled_wire_tag() {
     assert_eq!(report.findings.len(), 1);
 }
 
+#[test]
+fn harness_clock_fixture_flags_deadlines_threads_and_sockets_in_a_harness() {
+    let report = lint("harness_clock");
+    let flagged: Vec<(usize, &str)> = report
+        .errors()
+        .map(|f| {
+            assert_eq!(f.file, "crates/app/src/net_harness.rs", "{f}");
+            assert_eq!(f.rule, "determinism", "{f}");
+            let token = f
+                .message
+                .split('`')
+                .nth(1)
+                .expect("message names its token");
+            (f.line, token)
+        })
+        .collect();
+    assert_eq!(
+        flagged,
+        vec![
+            (6, "TcpListener"),
+            (9, "Duration"),
+            (9, "Duration"),
+            (13, "TcpListener"),
+            (14, "spawn"),
+            (16, "sleep"),
+        ]
+    );
+    assert_eq!(
+        report.errors().next().map(|f| f.to_string()).as_deref(),
+        Some(
+            "crates/app/src/net_harness.rs:6: [determinism] `TcpListener` inside deterministic \
+             module `net_harness.rs`; deterministic replay must not read clocks or ambient \
+             entropy, wait on deadlines, or start threads and sockets"
+        )
+    );
+    // `lib.rs` (no harness) and the `#[cfg(test)]` module are silent; the
+    // smoke deadline is justified, once per token on its line.
+    let justified: Vec<&xst_lint::Finding> =
+        report.findings.iter().filter(|f| f.justified).collect();
+    assert_eq!(justified.len(), 2);
+    assert!(justified
+        .iter()
+        .all(|f| f.line == 24 && f.rule == "determinism"));
+    assert_eq!(report.findings.len(), 8);
+}
+
 /// Roster: every analysis pass fires at least once across the corpus —
 /// a pass that silently stopped matching anything cannot go unnoticed.
 #[test]
@@ -112,6 +158,7 @@ fn every_pass_fires_on_the_corpus() {
         "lock_across_io",
         "unnumbered_io",
         "proto_dispatch",
+        "harness_clock",
     ] {
         for f in &lint(fixture).findings {
             if !rules_fired.contains(&f.rule) {
@@ -124,6 +171,7 @@ fn every_pass_fires_on_the_corpus() {
         "lock-across-io",
         "unnumbered-io",
         "proto-dispatch",
+        "determinism",
     ] {
         assert!(
             rules_fired.iter().any(|r| r == rule),

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 /// Every justified finding on today's tree, counted. Raising this
 /// number means adding a `// lint:` exemption — do that deliberately
 /// (see CONTRIBUTING.md), then bump the pin here.
-const JUSTIFIED_FINDINGS: usize = 22;
+const JUSTIFIED_FINDINGS: usize = 23;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -455,8 +455,9 @@ impl Response {
 /// A door: anything that answers one [`Request`] with one [`Response`].
 /// The in-process [`Session`](crate::Session), the wire `Client` and the
 /// cluster `Coordinator` (both in `xst-client`) are the three, so one
-/// caller — the shell's verb renderer, the door-model differential —
-/// drives every deployment with the same vocabulary.
+/// caller — the shell's verb renderer, the door-model differential, the
+/// coordinator itself, which reaches its shards through doors — drives
+/// every deployment with the same vocabulary.
 ///
 /// A request the store *refuses* is an answer: `Ok` of a
 /// [`Response::Error`] carrying the server-side [`ErrorCode`], the same
@@ -467,8 +468,9 @@ impl Response {
 /// set. They do **not** yet agree on [`Request::Get`] and
 /// [`Request::Eval`]: a session (and so a client) answers the row-tuple
 /// identity `{⟨element, scope⟩}`, the coordinator the member set. Both
-/// readings are pinned by `bench/`'s oracles; ROADMAP item 6 is the open
-/// finding, and unifying them is a benchmark-archetype change.
+/// readings are pinned by `bench/`'s oracles; ROADMAP item 3 is the open
+/// finding, and unifying them waits on item 1(b), a benchmark-archetype
+/// change.
 pub trait Door {
     /// How the door itself fails (never a refusal).
     type Error: fmt::Display + fmt::Debug;

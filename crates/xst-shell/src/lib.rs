@@ -773,7 +773,11 @@ impl Session {
                 ))
             }
             "status" => Ok(match &self.cluster {
-                Some(c) => c.coord.status(),
+                Some(c) => {
+                    let addrs: Vec<String> =
+                        c.servers.iter().map(|s| s.addr().to_string()).collect();
+                    format!("{} on [{}]", c.coord.status(), addrs.join(", "))
+                }
                 None => "no cluster (.cluster start [N] first)".to_string(),
             }),
             "stop" => match self.cluster.take() {

@@ -1,4 +1,4 @@
-//! Scripted cross-process cluster workloads for the network-fault sweep.
+//! Scripted cluster workloads for the network-fault sweep.
 //!
 //! The shape mirrors the storage crash battery in [`crate::crash`]: a
 //! deterministic scripted workload, a site-counting dry run, then an
@@ -12,60 +12,118 @@
 //! * **never split-brain** — both are checked per shard fragment, so a
 //!   transaction can never be half-applied across the partition.
 //!
+//! Everything is generic in [`Shards`] — the per-shard engines plus how a
+//! door to shard *i* is opened. The sweep runs over [`shard_engines`]:
+//! `Session` doors, single-threaded, no socket and no clock. The same
+//! functions over [`ShardServers`] (real `Client` connections) are the
+//! smoke that the model is the deployment.
+//!
 //! The workload here is intentionally small (every commit is a genuine
 //! multi-shard 2PC round) because the sweep multiplies it by every
 //! message site × every fault kind.
 
-use crate::netfault::{NetFaultKind, NetFaultPlan, ProxyGroup};
+use crate::netfault::{FaultyDoor, NetFaultKind, NetFaultPlan};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 use xst_client::coord::{CoordError, Coordinator};
+use xst_client::{Client, ClientResult};
 use xst_core::ops::gather;
 use xst_core::{ExtendedSet, SetBuilder, Value};
-use xst_server::{member_schema, records_identity_to_set, ServedEngine, Server, ServerConfig};
+use xst_server::{
+    member_schema, records_identity_to_set, Door, ServedEngine, Server, ServerConfig, Session,
+};
 use xst_storage::{shard_of, Record, Storage, Wal};
 
-/// Shard processes in the scripted cluster.
+/// Shards in the scripted cluster.
 pub const CLUSTER_SHARDS: usize = 2;
 /// The one table the workload writes.
 pub const CLUSTER_TABLE: &str = "w";
 /// Transactions the scripted workload commits (each multi-shard).
 pub const CLUSTER_TXNS: usize = 2;
-/// Per-request deadline for every coordinator↔shard round-trip. Small,
-/// because Hold faults cost exactly one deadline per stalled request.
-pub const CLUSTER_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// A cluster's shards: their engines — all that survives a run — and how
+/// a door to shard *i* is opened.
+pub trait Shards {
+    /// What a door to one shard is.
+    type Door: Door;
+    /// Each shard's engine, in shard order.
+    fn engines(&self) -> &[Arc<ServedEngine>];
+    /// Open a fresh door to `shard`.
+    fn open(&self, shard: usize) -> Result<Self::Door, <Self::Door as Door>::Error>;
+}
+
+/// `n` fresh single-shard engines: a cluster in one process.
+pub fn shard_engines(n: usize) -> Vec<Arc<ServedEngine>> {
+    (0..n).map(|_| Arc::new(ServedEngine::new())).collect()
+}
+
+/// In process, a door is a [`Session`]: opening one is what the server
+/// does on accept, dropping one what it does on disconnect (the open
+/// transaction aborts).
+impl Shards for Vec<Arc<ServedEngine>> {
+    type Door = Session;
+    fn engines(&self) -> &[Arc<ServedEngine>] {
+        self
+    }
+    fn open(&self, shard: usize) -> Result<Session, std::convert::Infallible> {
+        Ok(Session::new(Arc::clone(&self[shard])))
+    }
+}
 
 /// N single-shard server processes (in-process threads over real TCP)
-/// plus their engines, so the sweep can recover shards from durable
-/// state after a run.
+/// plus their engines, so a test can recover shards from durable state
+/// after a run.
 pub struct ShardServers {
     /// The running servers (dropping stops them).
     pub servers: Vec<Server>,
     /// Each server's engine, shared with it.
     pub engines: Vec<Arc<ServedEngine>>,
-    /// Direct (unproxied) addresses, in shard order.
+    /// The servers' addresses, in shard order.
     pub addrs: Vec<String>,
 }
 
 /// Start `n` fresh single-shard servers on loopback.
 pub fn start_shard_servers(n: usize) -> ShardServers {
-    let mut servers = Vec::with_capacity(n);
-    let mut engines = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let engine = Arc::new(ServedEngine::new());
-        let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
-            .expect("start shard server");
-        addrs.push(server.addr().to_string());
-        servers.push(server);
-        engines.push(engine);
-    }
+    let engines = shard_engines(n);
+    let servers: Vec<Server> = engines
+        .iter()
+        .map(|engine| {
+            Server::start(Arc::clone(engine), "127.0.0.1:0", ServerConfig::default())
+                .expect("start shard server")
+        })
+        .collect();
     ShardServers {
+        addrs: servers.iter().map(|s| s.addr().to_string()).collect(),
         servers,
         engines,
-        addrs,
     }
+}
+
+/// Over real TCP, a door is a [`Client`] connection, dialled exactly as
+/// [`Coordinator::connect`] dials it.
+impl Shards for ShardServers {
+    type Door = Client;
+    fn engines(&self) -> &[Arc<ServedEngine>] {
+        &self.engines
+    }
+    fn open(&self, shard: usize) -> ClientResult<Client> {
+        // lint: determinism: the real-TCP smoke's RPC deadline; injected faults answer as values, so no verdict waits on it
+        let timeout = Some(std::time::Duration::from_secs(5));
+        Client::connect_with_timeout(&self.addrs[shard], &format!("xst-coord/{shard}"), timeout)
+    }
+}
+
+/// A coordinator over fresh devices whose doors to `cluster`, opened in
+/// shard order, carry `plan`. `Err` is the plan's fault landing on an
+/// opening — the coordinator never came to exist.
+pub fn faulty_coordinator<S: Shards>(
+    cluster: &S,
+    plan: &NetFaultPlan,
+) -> std::io::Result<Coordinator<FaultyDoor<S::Door>>> {
+    let doors: Result<Vec<_>, _> = (0..cluster.engines().len())
+        .map(|i| plan.open(|| cluster.open(i)))
+        .collect();
+    Ok(Coordinator::over(doors?))
 }
 
 /// The member record a set member becomes on the wire (the routing
@@ -108,126 +166,103 @@ pub fn expected_set(acked: &[usize]) -> ExtendedSet {
 /// begin→put→commit rounds, each writing both shards. Returns the
 /// transactions whose commit was **acknowledged** (returned `Ok`), and
 /// the first error if a fault cut the run short.
-pub fn drive_cluster_workload(coord: &mut Coordinator) -> (Vec<usize>, Option<CoordError>) {
+pub fn drive_cluster_workload<D: Door>(
+    coord: &mut Coordinator<D>,
+) -> (Vec<usize>, Option<CoordError<D::Error>>) {
     let mut acked = Vec::new();
-    for t in 0..CLUSTER_TXNS {
-        if let Err(e) = coord.begin() {
-            return (acked, Some(e));
-        }
-        if let Err(e) = coord.put(CLUSTER_TABLE, &txn_set(t)) {
-            return (acked, Some(e));
-        }
-        match coord.commit() {
-            Ok(_) => acked.push(t),
-            Err(e) => return (acked, Some(e)),
-        }
-    }
-    (acked, None)
+    let run = (0..CLUSTER_TXNS).try_for_each(|t| {
+        coord.begin()?;
+        coord.put(CLUSTER_TABLE, &txn_set(t))?;
+        coord.commit()?;
+        acked.push(t);
+        Ok(())
+    });
+    (acked, run.err())
 }
 
-/// Count the workload's message sites: run it once through counting
-/// proxies with no injection. Also asserts the clean run acknowledges
+/// Count the workload's message sites: one in-process run under a plan
+/// that only counts. [`run_with_fault`] asserts the clean run acknowledges
 /// every transaction — the sweep below would be vacuous otherwise.
 pub fn count_message_sites() -> u64 {
-    let cluster = start_shard_servers(CLUSTER_SHARDS);
     let plan = NetFaultPlan::count_only();
-    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("start proxies");
-    let mut coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT))
-        .expect("connect coordinator through counting proxies");
-    let (acked, err) = drive_cluster_workload(&mut coord);
-    assert!(err.is_none(), "clean run must not fail: {err:?}");
-    assert_eq!(
-        acked.len(),
-        CLUSTER_TXNS,
-        "clean run must acknowledge every transaction"
-    );
-    let sites = plan.sites_seen();
-    assert!(sites > 0, "the workload must cross the wire");
-    sites
+    run_with_fault(shard_engines(CLUSTER_SHARDS), &plan);
+    plan.sites_seen()
 }
 
-/// The durable residue of one run, for post-fault verification.
-pub struct RunOutcome {
-    /// Transactions whose commit round-trip was acknowledged.
-    pub acked: Vec<usize>,
-    /// The fault-induced error, if the run was cut short.
-    pub error: Option<CoordError>,
-    /// The coordinator's durable devices (decision log), if the
-    /// coordinator got far enough to exist.
-    pub devices: Option<(Storage, Wal)>,
-    /// The shard servers, still running, with their engines.
-    pub cluster: ShardServers,
-}
-
-/// One faulted run: fresh servers, fresh proxies with `kind` planned at
-/// message `site`, fresh coordinator, scripted workload. The servers
-/// (and all durable state) survive into the returned outcome; the
-/// coordinator and proxies do not — exactly a coordinator crash with
-/// the network gone.
-pub fn run_with_fault(site: u64, kind: NetFaultKind) -> RunOutcome {
-    let cluster = start_shard_servers(CLUSTER_SHARDS);
-    let plan = NetFaultPlan::at_site(site, kind);
-    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("start proxies");
-    let (acked, error, devices) = match Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT))
-    {
+/// One faulted run and its verdicts: a fresh coordinator whose doors to
+/// `cluster` carry `plan` drives the scripted workload and is dropped —
+/// exactly a coordinator crash with the network gone; the shards and all
+/// durable state survive. A fault that never fired must leave a clean
+/// run, a link the fault landed on must never be used again, and
+/// [`verify_recovery`] must hold.
+pub fn run_with_fault<S: Shards>(cluster: S, plan: &NetFaultPlan) {
+    let (acked, error, devices) = match faulty_coordinator(&cluster, plan) {
         Ok(mut coord) => {
-            let devices = coord.devices();
             let (acked, error) = drive_cluster_workload(&mut coord);
-            (acked, error, Some(devices))
+            (acked, error.map(|e| e.to_string()), Some(coord.devices()))
         }
-        Err(e) => (Vec::new(), Some(e), None),
+        Err(e) => (Vec::new(), Some(e.to_string()), None),
     };
-    drop(proxies); // severs every surviving proxied connection
-    RunOutcome {
-        acked,
-        error,
-        devices,
-        cluster,
+    if !plan.fired() {
+        assert!(
+            error.is_none() && acked.len() == CLUSTER_TXNS,
+            "{plan:?} never fired yet the run failed: {error:?}"
+        );
     }
+    assert_eq!(
+        plan.reused(),
+        0,
+        "{plan:?}: the coordinator called a shard again after its link failed"
+    );
+    verify_recovery(cluster, &acked, devices);
 }
 
-/// Verify the standing contract on a finished run, in two layers:
+/// Verify the standing contract on what a finished run left behind — the
+/// shards, the transactions whose commit was acknowledged, and the
+/// coordinator's durable devices (its decision log), if it got far enough
+/// to exist — in two layers:
 ///
-/// 1. **Wire resolve**: restart "the coordinator node" over the same
-///    durable devices against the still-running servers —
-///    [`Coordinator::recover`] replays the decision log and delivers a
-///    Resolve round — then read the table through the recovered
+/// 1. **Resolve over live shards**: restart "the coordinator node" over
+///    the same durable devices and *fresh* doors to the same shards —
+///    [`Coordinator::recover_over`] replays the decision log and delivers
+///    a Resolve round — then read the table through the recovered
 ///    coordinator and compare against the acked expectation.
 /// 2. **Shard restart**: recover every shard engine from durable state
 ///    alone (with the replayed committed set resolving in-doubt
 ///    prepares), re-gather the fragments, and compare again — also
 ///    asserting every member sits on the shard its hash routes to.
-pub fn verify_recovery(outcome: RunOutcome) {
-    let expected = expected_set(&outcome.acked);
-    let direct = outcome.cluster.addrs.clone();
+pub fn verify_recovery<S: Shards>(cluster: S, acked: &[usize], devices: Option<(Storage, Wal)>) {
+    let expected = expected_set(acked);
+    let engines = cluster.engines().to_vec();
 
-    // Layer 1: wire resolve against live servers.
-    let committed: BTreeSet<u64> = match outcome.devices {
+    // Layer 1: resolve against the live shards.
+    let committed: BTreeSet<u64> = match devices {
         Some((storage, wal)) => {
-            let mut coord = Coordinator::recover(&direct, storage, wal, Some(CLUSTER_TIMEOUT))
-                .expect("coordinator recovery over live shards");
+            let doors: Result<Vec<_>, _> = (0..engines.len()).map(|i| cluster.open(i)).collect();
+            let doors = doors.unwrap_or_else(|e| panic!("fresh doors after the run: {e}"));
+            let mut coord = Coordinator::recover_over(doors, storage, wal)
+                .unwrap_or_else(|e| panic!("coordinator recovery over live shards: {e}"));
             let got = match coord.get(CLUSTER_TABLE) {
                 Ok(set) => set,
                 // No shard knows the table: nothing was ever written.
-                Err(_) if outcome.acked.is_empty() => ExtendedSet::empty(),
+                Err(_) if acked.is_empty() => ExtendedSet::empty(),
                 Err(e) => panic!("cluster read after recovery failed: {e}"),
             };
             assert_eq!(
                 got, expected,
-                "wire-recovered cluster must hold exactly the acked transactions \
-                 (acked {:?})",
-                outcome.acked
+                "recovered cluster must hold exactly the acked transactions (acked {acked:?})"
             );
             coord.committed_gtxns().into_iter().collect()
         }
         None => BTreeSet::new(),
     };
 
-    // Layer 2: every shard restarts from durable state.
-    drop(outcome.cluster.servers);
+    // Layer 2: every shard restarts from durable state; whatever served
+    // the engines (and every session thread) stops first.
+    drop(cluster);
     let catalog = [(CLUSTER_TABLE, member_schema())];
-    let mut fragments = Vec::with_capacity(CLUSTER_SHARDS);
-    for (i, engine) in outcome.cluster.engines.iter().enumerate() {
+    let mut fragments = Vec::with_capacity(engines.len());
+    for (i, engine) in engines.iter().enumerate() {
         let recovered = engine
             .recover_with_decisions(&catalog, &committed)
             .expect("shard recovery");
@@ -248,46 +283,20 @@ pub fn verify_recovery(outcome: RunOutcome) {
     let restarted = gather(&fragments);
     assert_eq!(
         restarted, expected,
-        "restarted shards must hold exactly the acked transactions (acked {:?})",
-        outcome.acked
+        "restarted shards must hold exactly the acked transactions (acked {acked:?})"
     );
 }
 
-/// The full deterministic sweep for one fault kind: inject `kind` at
-/// every message site of the scripted workload and verify recovery
-/// after each. `sites` comes from [`count_message_sites`]. Returns how
-/// many runs actually saw their fault fire (callers assert it is the
-/// whole range — otherwise the sweep went vacuous).
+/// The full deterministic sweep for one fault kind: [`run_with_fault`],
+/// in process, with `kind` at every message site of the scripted
+/// workload. `sites` comes from [`count_message_sites`]. Returns how many
+/// runs actually saw their fault fire (callers assert it is the whole
+/// range — otherwise the sweep went vacuous).
 pub fn sweep_fault_kind(sites: u64, kind: NetFaultKind) -> u64 {
-    let mut fired = 0;
-    for site in 0..sites {
-        let cluster = start_shard_servers(CLUSTER_SHARDS);
+    let fired = |&site: &u64| {
         let plan = NetFaultPlan::at_site(site, kind);
-        let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("start proxies");
-        let (acked, error, devices) =
-            match Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)) {
-                Ok(mut coord) => {
-                    let devices = coord.devices();
-                    let (acked, error) = drive_cluster_workload(&mut coord);
-                    (acked, error, Some(devices))
-                }
-                Err(e) => (Vec::new(), Some(e), None),
-            };
-        if plan.fired() {
-            fired += 1;
-        } else {
-            assert!(
-                error.is_none() && acked.len() == CLUSTER_TXNS,
-                "site {site}/{kind:?}: fault never fired yet the run failed: {error:?}"
-            );
-        }
-        drop(proxies);
-        verify_recovery(RunOutcome {
-            acked,
-            error,
-            devices,
-            cluster,
-        });
-    }
-    fired
+        run_with_fault(shard_engines(CLUSTER_SHARDS), &plan);
+        plan.fired()
+    };
+    (0..sites).filter(fired).count() as u64
 }

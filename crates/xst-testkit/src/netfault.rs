@@ -1,60 +1,65 @@
-//! Deterministic network-fault injection for the cross-process cluster.
+//! Deterministic network-fault injection on the door boundary.
 //!
-//! A [`ProxyGroup`] sits one frame-forwarding proxy in front of every
-//! shard server. Every frame any proxy forwards — in either direction,
-//! handshakes included — consumes one **message site** from a counter
-//! shared across the whole group. Because the wire coordinator issues
-//! strictly sequential round-trips (one outstanding frame across the
-//! cluster), the numbering is a total order and a scripted workload
-//! consumes an identical site sequence on every run: the network-fault
-//! mirror of the storage layer's numbered I/O sites.
+//! The coordinator reaches a shard only through a [`Door`]: one `Request`
+//! in, one `Response` out. A [`FaultyDoor`] decorates any door — an
+//! in-process `Session`, a real `Client` — and numbers each call's
+//! **request leg** and **response leg** (and the two legs of the door's
+//! opening, which stand where the wire's `Hello`/`Welcome` stood) as
+//! **message sites** on a counter shared by every door under the same
+//! [`NetFaultPlan`]. Because the coordinator issues strictly sequential
+//! calls, the numbering is a total order and a scripted workload consumes
+//! an identical site sequence on every run: the network-fault mirror of
+//! the storage layer's numbered I/O sites.
 //!
-//! A [`NetFaultPlan`] names one site and what happens to the message
-//! that lands on it:
+//! A plan names one site and what happens to the message that lands on it:
 //!
-//! * [`NetFaultKind::DropMessage`] — the frame vanishes; both ends keep
-//!   running (a lost datagram). The sender's read deadline expires.
-//! * [`NetFaultKind::Hold`] — the frame and **everything after it** on
-//!   that direction of that connection stalls forever, without closing
-//!   anything: delay-past-timeout, modeled without a clock. The proxy
-//!   simply stops pumping that direction; the sockets stay open (held
-//!   by the group), so neither end sees EOF — only the deadline fires.
-//! * [`NetFaultKind::Sever`] — both directions of that connection are
-//!   shut down: a broken TCP session. The peer sees EOF/reset.
-//! * [`NetFaultKind::KillAll`] — every connection in the group is
-//!   severed at once: the coordinator process dying mid-protocol.
+//! * [`NetFaultKind::DropMessage`] — the message vanishes; both ends keep
+//!   running. A lost request never reaches the shard; a lost response
+//!   leaves its request applied. The caller's deadline expires — as a
+//!   value, [`ErrorKind::TimedOut`], not as elapsed time.
+//! * [`NetFaultKind::Hold`] — the message and **everything after it** on
+//!   that door stalls without closing anything: delay-past-timeout,
+//!   modeled without a clock. The caller times out, and would again.
+//! * [`NetFaultKind::Sever`] — the link breaks: the inner door is dropped
+//!   (a `Session` aborts its open transaction exactly as the server's
+//!   connection loop does on disconnect; a `Client` closes its socket) and
+//!   the caller sees [`ErrorKind::ConnectionAborted`].
+//! * [`NetFaultKind::KillAll`] — every door under the plan closes at
+//!   once: the coordinator process dying mid-protocol.
 //!
-//! Nothing here reads a clock or a random source: the only
-//! nondeterminism a fault introduces is *which error* the blocked peer
-//! reports (timeout vs. closed), and every harness treats all failure
-//! shapes identically.
+//! Nothing here opens a socket, starts a thread, or reads a clock or a
+//! random source. What the decorator cannot show — an expired read
+//! deadline surfacing as the typed `ClientError::Timeout` — is pinned by
+//! `xst-client`'s own stalled-server unit tests.
 
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
-use xst_server::wire::{read_frame, write_frame};
+use std::cell::Cell;
+use std::io::{Error, ErrorKind};
+use std::rc::Rc;
+use xst_server::proto::{Door, Request, Response};
 
 /// What happens to the message that lands on the planned site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFaultKind {
-    /// Discard exactly this message; keep the connection flowing.
+    /// Discard exactly this message; keep the link open.
     DropMessage,
-    /// Stall this direction of this connection forever without closing
-    /// it (delay past any timeout, clock-free).
+    /// Stall this link forever without closing it (delay past any
+    /// timeout, clock-free).
     Hold,
-    /// Shut down both directions of this connection.
+    /// Break this link.
     Sever,
-    /// Shut down every connection in the group (coordinator death).
+    /// Break every link under the plan (coordinator death).
     KillAll,
 }
 
 /// One planned fault at one numbered message site, sharing its site
-/// counter with every proxy in a group. Clone freely: clones share the
-/// counter.
-#[derive(Clone)]
+/// counter with every door opened under it. Clone freely: clones share
+/// the counter.
+#[derive(Clone, Debug)]
 pub struct NetFaultPlan {
-    counter: Arc<AtomicU64>,
+    /// Message legs numbered so far.
+    seen: Rc<Cell<u64>>,
+    /// Calls put to a door after the planned fault landed on it.
+    reused: Rc<Cell<u64>>,
     target: u64,
     kind: NetFaultKind,
 }
@@ -62,189 +67,106 @@ pub struct NetFaultPlan {
 impl NetFaultPlan {
     /// A pass-through plan that only counts sites (no injection).
     pub fn count_only() -> NetFaultPlan {
-        NetFaultPlan {
-            counter: Arc::new(AtomicU64::new(0)),
-            target: u64::MAX,
-            kind: NetFaultKind::DropMessage,
-        }
+        NetFaultPlan::at_site(u64::MAX, NetFaultKind::DropMessage)
     }
 
     /// Inject `kind` on the message that lands on 0-based `site`.
     pub fn at_site(site: u64, kind: NetFaultKind) -> NetFaultPlan {
         NetFaultPlan {
-            counter: Arc::new(AtomicU64::new(0)),
+            seen: Rc::default(),
+            reused: Rc::default(),
             target: site,
             kind,
         }
     }
 
-    /// Messages seen so far across every proxy sharing this plan.
+    /// Message legs seen so far across every door sharing this plan.
     pub fn sites_seen(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
+        self.seen.get()
     }
 
     /// Did the planned site fire (was it reached)?
     pub fn fired(&self) -> bool {
         self.sites_seen() > self.target
     }
-}
 
-/// Every live socket in the group, so [`NetFaultKind::KillAll`] and
-/// shutdown can sever them all, and so [`NetFaultKind::Hold`] can leave
-/// sockets open after their pump thread exits.
-type ConnSet = Arc<Mutex<Vec<TcpStream>>>;
-
-fn sever_all(conns: &ConnSet) {
-    let Ok(guard) = conns.lock() else { return };
-    for s in guard.iter() {
-        let _ = s.shutdown(Shutdown::Both);
+    /// Calls a door's owner put to it **after** the fault landed on it. A
+    /// failed link must be abandoned, so this stays 0.
+    pub fn reused(&self) -> u64 {
+        self.reused.get()
     }
-}
 
-/// One frame-forwarding proxy per upstream shard address, all sharing
-/// one fault plan and one site counter. Dropping the group severs every
-/// connection and stops every accept loop.
-pub struct ProxyGroup {
-    addrs: Vec<String>,
-    conns: ConnSet,
-    stop: Arc<AtomicBool>,
-    plan: NetFaultPlan,
-}
-
-impl ProxyGroup {
-    /// Start one proxy in front of each `upstreams` address. Returns
-    /// after every listener is bound; `addrs()` yields the proxy-side
-    /// addresses in upstream order.
-    pub fn start(upstreams: &[String], plan: &NetFaultPlan) -> std::io::Result<ProxyGroup> {
-        let conns: ConnSet = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut addrs = Vec::with_capacity(upstreams.len());
-        for upstream in upstreams {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            listener.set_nonblocking(true)?;
-            addrs.push(listener.local_addr()?.to_string());
-            let upstream = upstream.clone();
-            let conns = Arc::clone(&conns);
-            let stop = Arc::clone(&stop);
-            let plan = plan.clone();
-            std::thread::spawn(move || accept_loop(&listener, &upstream, &conns, &stop, &plan));
+    /// Number one message leg; `Err` is the planned fault landing on it.
+    fn leg(&self) -> Result<(), Error> {
+        let site = self.seen.get();
+        self.seen.set(site + 1);
+        if site != self.target {
+            return Ok(());
         }
-        Ok(ProxyGroup {
-            addrs,
-            conns,
-            stop,
-            plan: plan.clone(),
+        Err(match self.kind {
+            NetFaultKind::DropMessage | NetFaultKind::Hold => ErrorKind::TimedOut.into(),
+            NetFaultKind::Sever | NetFaultKind::KillAll => ErrorKind::ConnectionAborted.into(),
         })
     }
 
-    /// The proxy-side addresses, in upstream order — what the
-    /// coordinator dials instead of the real servers.
-    pub fn addrs(&self) -> &[String] {
-        &self.addrs
-    }
-
-    /// The group's shared fault plan (site counter included).
-    pub fn plan(&self) -> &NetFaultPlan {
-        &self.plan
-    }
-
-    /// Sever every connection now (without waiting for drop).
-    pub fn sever_all(&self) {
-        sever_all(&self.conns);
-    }
-}
-
-impl Drop for ProxyGroup {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        sever_all(&self.conns);
+    /// Open a door through `dial` under this plan. The opening is two
+    /// sites — the request to open and its acknowledgement — so a fault
+    /// can land before the far side knows of the link, or after.
+    pub fn open<D: Door>(
+        &self,
+        dial: impl FnOnce() -> Result<D, D::Error>,
+    ) -> Result<FaultyDoor<D>, Error> {
+        self.leg()?;
+        // The inner door's own failure passes through rendered: never an
+        // injected kind.
+        let inner = dial().map_err(|e| Error::other(e.to_string()))?;
+        self.leg()?;
+        Ok(FaultyDoor {
+            inner: Some(inner),
+            faulted: false,
+            plan: self.clone(),
+        })
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    upstream: &str,
-    conns: &ConnSet,
-    stop: &Arc<AtomicBool>,
-    plan: &NetFaultPlan,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                let Ok(server) = TcpStream::connect(upstream) else {
-                    let _ = client.shutdown(Shutdown::Both);
-                    continue;
-                };
-                let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) else {
-                    let _ = client.shutdown(Shutdown::Both);
-                    let _ = server.shutdown(Shutdown::Both);
-                    continue;
-                };
-                if let Ok(mut guard) = conns.lock() {
-                    if let (Ok(ch), Ok(sh)) = (client.try_clone(), server.try_clone()) {
-                        guard.push(ch);
-                        guard.push(sh);
-                    }
-                }
-                let plan_fwd = plan.clone();
-                let plan_rev = plan.clone();
-                let conns_fwd = Arc::clone(conns);
-                let conns_rev = Arc::clone(conns);
-                std::thread::spawn(move || pump(client, server, &plan_fwd, &conns_fwd));
-                std::thread::spawn(move || pump(s2, c2, &plan_rev, &conns_rev));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+/// A door with the plan's fault on it. Dropping it drops the inner door —
+/// the link closing from the caller's end.
+pub struct FaultyDoor<D> {
+    /// `None` once severed or killed.
+    inner: Option<D>,
+    /// Did the planned fault land on this door?
+    faulted: bool,
+    plan: NetFaultPlan,
+}
+
+impl<D: Door> Door for FaultyDoor<D> {
+    type Error = Error;
+
+    fn call(&mut self, req: Request) -> Result<Response, Error> {
+        let plan = &self.plan;
+        if self.faulted {
+            plan.reused.set(plan.reused() + 1);
         }
-    }
-}
-
-/// Forward frames `from` → `to`, numbering each against the shared
-/// site counter and injecting the planned fault when its site lands
-/// here. Exits on EOF/error (severing the pair so the peer notices) or
-/// when the fault says so.
-fn pump(mut from: TcpStream, mut to: TcpStream, plan: &NetFaultPlan, conns: &ConnSet) {
-    loop {
-        let payload = match read_frame(&mut from) {
-            Ok(p) => p,
-            Err(_) => {
-                let _ = from.shutdown(Shutdown::Both);
-                let _ = to.shutdown(Shutdown::Both);
-                return;
-            }
+        if plan.kind == NetFaultKind::KillAll && plan.fired() {
+            // The coordinator died with every link: this one closes the
+            // first time anything touches it again, and nothing ran since.
+            self.inner = None;
+        }
+        let Some(inner) = &mut self.inner else {
+            return Err(ErrorKind::ConnectionAborted.into());
         };
-        let site = plan.counter.fetch_add(1, Ordering::SeqCst);
-        if site == plan.target {
-            match plan.kind {
-                NetFaultKind::DropMessage => continue,
-                // Exit without closing anything: the clones held by the
-                // group keep both sockets open, so the stall looks like
-                // unbounded delay, not disconnection.
-                NetFaultKind::Hold => return,
-                NetFaultKind::Sever => {
-                    let _ = from.shutdown(Shutdown::Both);
-                    let _ = to.shutdown(Shutdown::Both);
-                    return;
-                }
-                NetFaultKind::KillAll => {
-                    sever_all(conns);
-                    return;
-                }
-            }
+        if self.faulted && plan.kind == NetFaultKind::Hold {
+            return Err(ErrorKind::TimedOut.into());
         }
-        if write_frame(&mut to, &payload).is_err() {
-            let _ = from.shutdown(Shutdown::Both);
-            let _ = to.shutdown(Shutdown::Both);
-            return;
+        let answer = plan
+            .leg()
+            .and_then(|()| inner.call(req).map_err(|e| Error::other(e.to_string())))
+            .and_then(|resp| plan.leg().map(|()| resp));
+        match answer.as_ref().map_err(Error::kind) {
+            Err(ErrorKind::ConnectionAborted) => (self.faulted, self.inner) = (true, None),
+            Err(ErrorKind::TimedOut) => self.faulted = true,
+            _ => {}
         }
-    }
-}
-
-impl std::fmt::Debug for NetFaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetFaultPlan")
-            .field("target", &self.target)
-            .field("kind", &self.kind)
-            .field("seen", &self.sites_seen())
-            .finish()
+        answer
     }
 }

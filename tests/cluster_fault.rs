@@ -1,8 +1,9 @@
-//! The deterministic network-fault sweep over the cross-process
-//! cluster: every coordinator↔shard message of a scripted multi-shard
-//! workload is a numbered fault site (the network mirror of the
-//! storage battery's I/O sites), and each sweep injects one fault kind
-//! at every site, then proves the standing contract after recovery:
+//! The deterministic network-fault sweep over the cluster coordinator:
+//! every coordinator↔shard message of a scripted multi-shard workload —
+//! each call's request leg and response leg, and each door's opening — is
+//! a numbered fault site (the network mirror of the storage battery's I/O
+//! sites), and each sweep injects one fault kind at every site, then
+//! proves the standing contract after recovery:
 //!
 //! * **acknowledged ⇒ recoverable** — a commit whose round returned
 //!   `Ok` survives coordinator death, lost messages, stalled links,
@@ -12,11 +13,13 @@
 //! * **never split-brain** — checked per shard fragment, so a
 //!   transaction cannot be half-applied across the partition.
 //!
-//! Determinism: the coordinator issues strictly sequential round-trips,
-//! so the shared message-site counter is a total order; the only clock
-//! in play is the client's read deadline, and every timeout funnels
-//! into the same abandon-and-recover path. Tests serialize on one lock
-//! (global metric registry + one-CPU box).
+//! Determinism: the coordinator issues strictly sequential calls, so the
+//! shared message-site counter is a total order, and the sweeps run it
+//! over in-process `Session` doors with the fault on the door — no
+//! socket, no thread, no clock; a lost or stalled message is a timed-out
+//! *value*. The tests that say "real TCP" run the same coordinator code
+//! over `Client` doors under a 5 s RPC deadline nothing comes near. Tests
+//! serialize on one lock (they share the global metric registry).
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
@@ -25,11 +28,19 @@ use xst_core::ExtendedSet;
 use xst_server::{member_schema, set_to_records};
 use xst_storage::{route_members, ShardedEngine};
 use xst_testkit::cluster::{
-    count_message_sites, drive_cluster_workload, expected_set, run_with_fault, start_shard_servers,
-    sweep_fault_kind, txn_set, verify_recovery, CLUSTER_SHARDS, CLUSTER_TABLE, CLUSTER_TIMEOUT,
-    CLUSTER_TXNS,
+    count_message_sites, drive_cluster_workload, expected_set, faulty_coordinator, run_with_fault,
+    shard_engines, start_shard_servers, sweep_fault_kind, txn_set, verify_recovery, CLUSTER_SHARDS,
+    CLUSTER_TABLE, CLUSTER_TXNS,
 };
-use xst_testkit::netfault::{NetFaultKind, NetFaultPlan, ProxyGroup};
+use xst_testkit::netfault::{NetFaultKind, NetFaultPlan};
+
+/// The deadline on every real socket below: generous, never reached.
+const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(5));
+
+/// Message legs per coordinator call (request, response) and per door
+/// opening — and so the legs a fresh coordinator's doors consume.
+const LEGS: u64 = 2;
+const OPENING_LEGS: u64 = LEGS * CLUSTER_SHARDS as u64;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -39,24 +50,25 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The clean path first: coordinator over proxies, full workload, wire
-/// recovery, shard restarts — no faults. Also pins the site count's
-/// stability: two dry runs must count identical sites, or the sweep's
-/// numbering is not deterministic.
+/// The clean path first: `count_message_sites` is a whole run —
+/// coordinator over counted doors, full workload, resolve over fresh
+/// doors, shard restarts — with no fault. Also pins the site count: two
+/// dry runs must count identical sites, or the sweep's numbering is not
+/// deterministic, and the count is exactly the workload's messages.
 #[test]
 fn clean_cluster_run_and_site_count_is_deterministic() {
     let _guard = serial();
     let a = count_message_sites();
     let b = count_message_sites();
     assert_eq!(a, b, "message-site numbering must be deterministic");
-    // The workload is CLUSTER_TXNS × (begin + put + 2PC commit) across
-    // CLUSTER_SHARDS shards plus one handshake per shard; every part
-    // crosses the wire, so the count has a hard floor.
-    assert!(
-        a >= (CLUSTER_SHARDS * 2 + CLUSTER_TXNS * CLUSTER_SHARDS * 8) as u64,
-        "implausibly few message sites: {a}"
+    assert_eq!(
+        a, 36,
+        "2 shards × open + 2 txns × 2 shards × {{begin, put, prepare, decide}}, two legs each"
     );
-    verify_recovery(run_with_fault(u64::MAX, NetFaultKind::DropMessage));
+    assert_eq!(
+        a,
+        OPENING_LEGS + LEGS * (CLUSTER_TXNS * CLUSTER_SHARDS * 4) as u64
+    );
 }
 
 #[test]
@@ -91,38 +103,57 @@ fn sweep_coordinator_kill_at_every_message_site() {
     assert_eq!(fired, sites, "every planned kill must actually fire");
 }
 
-/// Satellite: the coordinator dies **between its decision-log flush and
-/// the Decide round** — the exact gray zone of 2PC — then restarts over
-/// the same durable devices against the same live servers, over real
-/// TCP. Every shard must converge to the logged COMMIT even though no
+/// The model is the deployment: the same decorator around real `Client`
+/// connections to real servers, one run per fault kind, at the site in
+/// the middle of 2PC's gray zone — shard 1's `Prepared` reply to the
+/// first transaction, so shard 1 holds a durable prepare the coordinator
+/// never heard about and shard 0 one it must roll back.
+#[test]
+fn each_fault_kind_over_real_tcp_matches_the_model() {
+    let _guard = serial();
+    // Openings, then begin ×2 and put ×2, prepare→shard 0, prepare→shard 1;
+    // its response leg is the last of those.
+    let site = OPENING_LEGS + LEGS * 6 - 1;
+    for kind in [
+        NetFaultKind::DropMessage,
+        NetFaultKind::Hold,
+        NetFaultKind::Sever,
+        NetFaultKind::KillAll,
+    ] {
+        let plan = NetFaultPlan::at_site(site, kind);
+        run_with_fault(start_shard_servers(CLUSTER_SHARDS), &plan);
+        assert!(plan.fired(), "{kind:?}");
+    }
+}
+
+/// The coordinator dies **between its decision-log flush and the Decide
+/// round** — the exact gray zone of 2PC: every link goes at once under
+/// the second transaction's first `Decide`, over real TCP. It then
+/// restarts over the same durable devices against the same live servers,
+/// and every shard must converge to the logged COMMIT even though no
 /// Decide was ever delivered.
 #[test]
 fn coordinator_killed_after_decision_flush_recovers_to_commit() {
     let _guard = serial();
     let cluster = start_shard_servers(CLUSTER_SHARDS);
-    let mut coord = Coordinator::connect(&cluster.addrs, Some(CLUSTER_TIMEOUT)).expect("connect");
+    // After the openings: a whole first transaction (8 calls), then
+    // begin ×2, put ×2, prepare ×2 (6 calls), then Decide→shard 0.
+    let plan = NetFaultPlan::at_site(OPENING_LEGS + LEGS * (8 + 6), NetFaultKind::KillAll);
+    let mut coord = faulty_coordinator(&cluster, &plan).expect("connect");
     let devices = coord.devices();
-
-    // A first, fully-delivered transaction (baseline contents).
-    coord.begin().expect("begin 0");
-    coord.put(CLUSTER_TABLE, &txn_set(0)).expect("put 0");
-    coord.commit().expect("commit 0");
-
-    // The second transaction: decision flushed, Decide suppressed.
-    coord.kill_after_decision(true);
-    coord.begin().expect("begin 1");
-    coord.put(CLUSTER_TABLE, &txn_set(1)).expect("put 1");
-    let err = coord.commit().expect_err("the kill hook must fire");
-    let gtxn = match err {
-        CoordError::KilledAfterDecision { gtxn } => gtxn,
-        other => panic!("wanted KilledAfterDecision, got {other}"),
-    };
+    let (acked, err) = drive_cluster_workload(&mut coord);
+    assert!(plan.fired());
+    // The decision is durable, so the commit is acknowledged.
+    assert_eq!((acked, err.is_none()), (vec![0, 1], true));
+    let gtxn = *coord.committed_gtxns().last().expect("two decisions");
     drop(coord); // the crash: connections die, no Decide ever sent
+    for engine in &cluster.engines {
+        assert_eq!(engine.prepared_gtxns(), [gtxn], "in doubt on every shard");
+    }
 
-    // Both shards hold an in-doubt prepare for gtxn now; restart the
-    // coordinator node over its surviving decision log.
+    // Restart the coordinator node over its surviving decision log.
     let (storage, wal) = devices;
-    let mut recovered = Coordinator::recover(&cluster.addrs, storage, wal, Some(CLUSTER_TIMEOUT))
+    let mut recovered = Coordinator::recover(&cluster.addrs, storage, wal, RPC_TIMEOUT)
         .expect("coordinator restart");
     assert!(
         recovered.committed_gtxns().contains(&gtxn),
@@ -143,62 +174,52 @@ fn coordinator_killed_after_decision_flush_recovers_to_commit() {
 fn decision_flush_survives_whole_cluster_restart() {
     let _guard = serial();
     let cluster = start_shard_servers(CLUSTER_SHARDS);
-    let mut coord = Coordinator::connect(&cluster.addrs, Some(CLUSTER_TIMEOUT)).expect("connect");
+    // After the openings: begin ×2, put ×2, prepare ×2, then Decide→shard 0.
+    let plan = NetFaultPlan::at_site(OPENING_LEGS + LEGS * 6, NetFaultKind::KillAll);
+    let mut coord = faulty_coordinator(&cluster, &plan).expect("connect");
     let devices = coord.devices();
-    coord.kill_after_decision(true);
     coord.begin().expect("begin");
     coord.put(CLUSTER_TABLE, &txn_set(0)).expect("put");
-    let err = coord.commit().expect_err("the kill hook must fire");
-    assert!(matches!(err, CoordError::KilledAfterDecision { .. }));
+    coord.commit().expect("the decision is durable");
+    assert!(plan.fired());
     drop(coord);
-    verify_recovery(xst_testkit::cluster::RunOutcome {
-        acked: vec![0],
-        error: None,
-        devices: Some(devices),
-        cluster,
-    });
+    verify_recovery(cluster, &[0], Some(devices));
 }
 
-/// A dead shard during the workload: sever only that shard's link and
-/// let the coordinator abort cleanly; nothing may land anywhere.
+/// A dead shard during the commit: shard 0 has prepared when shard 1's
+/// link breaks under its `Prepare`; the coordinator must roll shard 0
+/// back and abort cleanly — no decision, nothing lands anywhere.
 #[test]
 fn unreachable_shard_aborts_whole_transaction() {
     let _guard = serial();
-    let cluster = start_shard_servers(CLUSTER_SHARDS);
-    let plan = NetFaultPlan::count_only();
-    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
-    let mut coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
+    let cluster = shard_engines(CLUSTER_SHARDS);
+    // After the openings: begin ×2, put ×2, prepare→shard 0 (5 calls),
+    // then the request leg of prepare→shard 1.
+    let plan = NetFaultPlan::at_site(OPENING_LEGS + LEGS * 5, NetFaultKind::Sever);
+    let mut coord = faulty_coordinator(&cluster, &plan).expect("open");
     let devices = coord.devices();
     coord.begin().expect("begin");
     coord.put(CLUSTER_TABLE, &txn_set(0)).expect("put");
-    proxies.sever_all(); // the network dies before commit
-    let err = drive_commit(&mut coord).expect_err("commit over a dead network must fail");
+    let err = coord
+        .commit()
+        .expect_err("commit with a dead shard must fail");
+    assert!(plan.fired());
     assert!(
-        !matches!(err, CoordError::KilledAfterDecision { .. }),
-        "no decision may exist for an unacknowledged commit"
+        matches!(err, CoordError::Shard { shard: 1, .. }),
+        "no decision may exist for an unacknowledged commit; got {err}"
     );
+    assert!(coord.committed_gtxns().is_empty());
     drop(coord);
-    drop(proxies);
-    verify_recovery(xst_testkit::cluster::RunOutcome {
-        acked: vec![],
-        error: Some(err),
-        devices: Some(devices),
-        cluster,
-    });
-}
-
-fn drive_commit(coord: &mut Coordinator) -> Result<u64, CoordError> {
-    coord.commit()
+    verify_recovery(cluster, &[], Some(devices));
 }
 
 /// Reads after recovery are exact: the recovered coordinator's gather
-/// equals the in-process expectation member-for-member, and per-shard
-/// timeouts still bound every recovery round-trip.
+/// equals the in-process expectation member-for-member, over real TCP.
 #[test]
 fn recovered_reads_match_workload_exactly() {
     let _guard = serial();
     let cluster = start_shard_servers(CLUSTER_SHARDS);
-    let mut coord = Coordinator::connect(&cluster.addrs, Some(CLUSTER_TIMEOUT)).expect("connect");
+    let mut coord = Coordinator::connect(&cluster.addrs, RPC_TIMEOUT).expect("connect");
     let (acked, err) = drive_cluster_workload(&mut coord);
     assert!(err.is_none(), "clean run failed: {err:?}");
     assert_eq!(acked.len(), CLUSTER_TXNS);
@@ -207,20 +228,8 @@ fn recovered_reads_match_workload_exactly() {
     assert_eq!(got, want);
     // Fresh coordinator, fresh devices, same servers: reads are a
     // property of the cluster, not of the coordinator instance.
-    let mut other = Coordinator::connect(&cluster.addrs, Some(Duration::from_secs(5)))
-        .expect("second coordinator");
+    let mut other = Coordinator::connect(&cluster.addrs, RPC_TIMEOUT).expect("second coordinator");
     assert_eq!(other.get(CLUSTER_TABLE).expect("gather 2"), want);
-}
-
-/// Message sites a fresh coordinator's connect consumes (the handshake
-/// round-trips), counted on a throwaway cluster so a later plan can aim
-/// at "the n-th message after connect".
-fn sites_after_connect() -> u64 {
-    let cluster = start_shard_servers(CLUSTER_SHARDS);
-    let plan = NetFaultPlan::count_only();
-    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
-    let _coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
-    plan.sites_seen()
 }
 
 /// Regression: shard 1's `Begin` fails after shard 0's succeeded. The
@@ -231,12 +240,10 @@ fn sites_after_connect() -> u64 {
 #[test]
 fn failed_begin_aborts_the_shards_already_begun() {
     let _guard = serial();
-    let connected = sites_after_connect();
-    let cluster = start_shard_servers(CLUSTER_SHARDS);
-    // After connect: Begin→shard 0, its reply, then Begin→shard 1.
-    let plan = NetFaultPlan::at_site(connected + 2, NetFaultKind::Sever);
-    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
-    let mut coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
+    let cluster = shard_engines(CLUSTER_SHARDS);
+    // After the openings: Begin→shard 0 and its reply, then Begin→shard 1.
+    let plan = NetFaultPlan::at_site(OPENING_LEGS + LEGS, NetFaultKind::Sever);
+    let mut coord = faulty_coordinator(&cluster, &plan).expect("open");
     let err = coord.begin().expect_err("shard 1's Begin was severed");
     assert!(plan.fired());
     assert!(
@@ -245,10 +252,28 @@ fn failed_begin_aborts_the_shards_already_begun() {
     );
     assert!(!coord.in_txn());
     assert_eq!(
-        cluster.engines[0].mgr().active_txns(),
+        cluster[0].mgr().active_txns(),
         0,
         "shard 0 must not be left holding the half-begun transaction"
     );
+    // The broken link is abandoned, not retried: the next begin names
+    // shard 1 again without a message leaving.
+    let seen = plan.sites_seen();
+    let again = coord.begin().expect_err("shard 1 is gone");
+    assert!(matches!(
+        again,
+        CoordError::Shard {
+            shard: 1,
+            source: None
+        }
+    ));
+    assert_eq!(plan.reused(), 0);
+    assert_eq!(
+        plan.sites_seen(),
+        seen + LEGS * 2,
+        "begin→shard 0, abort→shard 0"
+    );
+    assert_eq!(cluster[0].mgr().active_txns(), 0);
 }
 
 /// Regression: an autocommit `put` whose inner Put fails must abort its
@@ -257,13 +282,11 @@ fn failed_begin_aborts_the_shards_already_begun() {
 #[test]
 fn failed_autocommit_put_aborts_its_implicit_transaction() {
     let _guard = serial();
-    let connected = sites_after_connect();
-    let cluster = start_shard_servers(CLUSTER_SHARDS);
-    // After connect: Begin ×2 shards (4 messages), Put→shard 0 and its
-    // reply (2), then Put→shard 1.
-    let plan = NetFaultPlan::at_site(connected + 6, NetFaultKind::Sever);
-    let proxies = ProxyGroup::start(&cluster.addrs, &plan).expect("proxies");
-    let mut coord = Coordinator::connect(proxies.addrs(), Some(CLUSTER_TIMEOUT)).expect("connect");
+    let cluster = shard_engines(CLUSTER_SHARDS);
+    // After the openings: Begin ×2 shards and Put→shard 0 (3 calls), then
+    // Put→shard 1.
+    let plan = NetFaultPlan::at_site(OPENING_LEGS + LEGS * 3, NetFaultKind::Sever);
+    let mut coord = faulty_coordinator(&cluster, &plan).expect("open");
     let err = coord
         .put(CLUSTER_TABLE, &txn_set(0))
         .expect_err("shard 1's Put was severed");
@@ -273,16 +296,11 @@ fn failed_autocommit_put_aborts_its_implicit_transaction() {
         "wanted shard 1's failure, got {err}"
     );
     assert!(!coord.in_txn(), "the implicit transaction must not linger");
-    assert_eq!(cluster.engines[0].mgr().active_txns(), 0);
+    assert_eq!(cluster[0].mgr().active_txns(), 0);
+    assert_eq!(cluster[1].mgr().active_txns(), 0);
     let devices = coord.devices();
     drop(coord);
-    drop(proxies);
-    verify_recovery(xst_testkit::cluster::RunOutcome {
-        acked: vec![],
-        error: Some(err),
-        devices: Some(devices),
-        cluster,
-    });
+    verify_recovery(cluster, &[], Some(devices));
 }
 
 /// One scripted multi-shard transaction of the differential below.

@@ -1,9 +1,9 @@
-//! ROADMAP 5(e): the same op script through every door, against one
-//! model.
+//! The same op script through every door, against one model.
 //!
 //! A [`Door`] answers one [`Request`] with one [`Response`]; the
 //! in-process [`Session`], the wire [`Client`] and the cluster
-//! [`Coordinator`] are the three. One deterministic script — explicit
+//! [`Coordinator`] — itself over any doors — are the three. One
+//! deterministic script — explicit
 //! transactions and autocommits of put/delete over two tables, reads,
 //! `t ∪ u` / `t ∩ u` / `t ∖ u`, commits, aborts and the refusals every
 //! door must word the same way — runs through one driver against each
@@ -120,7 +120,7 @@ impl Model {
 
 /// Put `req` to `door` and reduce its answer. `row_tuples` marks the
 /// doors whose `Get`/`Eval` answer the row-tuple identity
-/// `{⟨element, scope⟩}` rather than the member set — ROADMAP item 6, still
+/// `{⟨element, scope⟩}` rather than the member set — ROADMAP item 3, still
 /// open: a session (and so a client) reads a table that way, the
 /// coordinator does not. `FragRead` is the member set through every door.
 fn observe<D: Door>(door: &mut D, row_tuples: bool, req: Request) -> Seen {
@@ -256,4 +256,10 @@ fn coordinator_door_over_two_servers_agrees_with_the_model() {
     let cluster = start_shard_servers(2);
     let mut coord = Coordinator::connect(&cluster.addrs, RPC_TIMEOUT).expect("dial the shards");
     drive(&mut coord, false);
+}
+
+#[test]
+fn coordinator_door_over_two_sessions_agrees_with_the_model() {
+    let shard = || Session::new(Arc::new(ServedEngine::new()));
+    drive(&mut Coordinator::over(vec![shard(), shard()]), false);
 }
