@@ -10,6 +10,7 @@ use xst_core::ops::{sigma_domain, sigma_restrict, sigma_restrict_naive, Scope};
 use xst_core::process::Process;
 use xst_core::{ExtendedSet, Value};
 use xst_query::{eval_counted, Bindings, Expr, Optimizer};
+use xst_relational::{Catalog, Query};
 use xst_storage::{
     restructure_records, restructure_set, BufferPool, Index, RecordEngine, Restructuring,
     SetEngine, Storage,
@@ -22,7 +23,9 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// E1 — set processing vs record processing: select / project / join
-/// wall-clock across cardinalities. Prints one row per (op, n).
+/// wall-clock across cardinalities. The set side is `Query::run` — the
+/// relational lowering through the analysis gate and the plan walker —
+/// over tables registered in a `Catalog`. Prints one row per (op, n).
 pub fn e1_set_vs_record(sizes: &[usize]) -> String {
     let mut t = TableBuilder::new(
         "E1  set processing vs record processing (ms, lower is better)",
@@ -30,8 +33,8 @@ pub fn e1_set_vs_record(sizes: &[usize]) -> String {
             "op",
             "rows",
             "record engine",
-            "set engine (load)",
-            "set engine (op)",
+            "set side (load)",
+            "set side (Query::run)",
             "agree",
         ],
     );
@@ -42,51 +45,49 @@ pub fn e1_set_vs_record(sizes: &[usize]) -> String {
         let pool = BufferPool::new(storage, 64);
         let rec = RecordEngine::new(&pool);
 
-        let (set_parts, load_ms) = time_ms(|| SetEngine::load(&parts, &pool).unwrap());
-        let set_supplies = SetEngine::load(&supplies, &pool).unwrap();
+        let mut catalog = Catalog::new();
+        let ((), load_ms) = time_ms(|| catalog.register_table("parts", &parts, &pool).unwrap());
+        catalog
+            .register_table("supplies", &supplies, &pool)
+            .unwrap();
+        let mut row = |op: &str, load: Option<f64>, (r_rows, r_ms), query: Query| {
+            let (s_rel, s_ms) = time_ms(|| query.run(&catalog).unwrap());
+            let agree = r_rows == SetEngine::to_records(s_rel.identity()).unwrap();
+            t.row(&[
+                op.into(),
+                n.to_string(),
+                format!("{r_ms:.3}"),
+                load.map_or("-".into(), |ms| format!("{ms:.3}")),
+                format!("{s_ms:.3}"),
+                agree.to_string(),
+            ]);
+        };
 
         // Selection (selectivity 1/16).
         let color = Value::Int(7);
-        let (r_sel, r_ms) = time_ms(|| rec.select(&parts, "color", &color).unwrap());
-        let (s_sel, s_ms) = time_ms(|| set_parts.select("color", &color).unwrap());
-        let agree = r_sel == SetEngine::to_records(&s_sel).unwrap();
-        t.row(&[
-            "select".into(),
-            n.to_string(),
-            format!("{r_ms:.3}"),
-            format!("{load_ms:.3}"),
-            format!("{s_ms:.3}"),
-            agree.to_string(),
-        ]);
-
+        row(
+            "select",
+            Some(load_ms),
+            time_ms(|| rec.select(&parts, "color", &color).unwrap()),
+            Query::from("parts").select_eq("color", color.clone()),
+        );
         // Projection (distinct colors).
-        let (r_proj, r_ms) = time_ms(|| rec.project(&parts, &["color"]).unwrap());
-        let (s_proj, s_ms) = time_ms(|| set_parts.project(&["color"]).unwrap());
-        let agree = r_proj == SetEngine::to_records(&s_proj).unwrap();
-        t.row(&[
-            "project".into(),
-            n.to_string(),
-            format!("{r_ms:.3}"),
-            String::from("-"),
-            format!("{s_ms:.3}"),
-            agree.to_string(),
-        ]);
-
+        row(
+            "project",
+            None,
+            time_ms(|| rec.project(&parts, &["color"]).unwrap()),
+            Query::from("parts").project(&["color"]),
+        );
         // Join supplies ⋈ parts on pid/id.
-        let (r_join, r_ms) = time_ms(|| rec.join(&supplies, &parts, "pid", "id").unwrap());
-        let (s_join, s_ms) = time_ms(|| set_supplies.join(&set_parts, "pid", "id").unwrap());
-        let agree = r_join == SetEngine::to_records(&s_join).unwrap();
-        t.row(&[
-            "join".into(),
-            n.to_string(),
-            format!("{r_ms:.3}"),
-            String::from("-"),
-            format!("{s_ms:.3}"),
-            agree.to_string(),
-        ]);
+        row(
+            "join",
+            None,
+            time_ms(|| rec.join(&supplies, &parts, "pid", "id").unwrap()),
+            Query::from("supplies").join("parts", "pid", "id"),
+        );
     }
     t.finish(
-        "record engine re-scans and re-sorts per query; the set engine pays one \
+        "record engine re-scans and re-sorts per query; the set side pays one \
               canonicalizing load, then answers with linear merges over canonical form.",
     )
 }

@@ -14,21 +14,25 @@
 //!    `crates/xst-obs/src/names.rs`.
 //! 4. **registered-metrics** — registration sites name their family
 //!    through `names::` constants.
+//! 5. **one-lowering** — a relational operator becomes a plan in
+//!    `xst-relational/src/algebra.rs` and the plan walker runs it: the
+//!    relational crate and the storage engines name no `xst_core::ops`
+//!    kernel that has an `Expr` node, and `identity_spec` is defined once.
 //!
 //! **Analysis passes** (this PR), on a lightweight syntactic model
 //! ([`syntax`]) with a call-graph approximation:
 //!
-//! 5. **lock-cycle** ([`locks`]) — the lock-acquisition relation,
+//! 6. **lock-cycle** ([`locks`]) — the lock-acquisition relation,
 //!    propagated through the call graph, must be acyclic; any cycle is
 //!    reported with witnessing acquisition paths.
-//! 6. **lock-across-io** ([`locks`]) — no guard may be live across a
+//! 7. **lock-across-io** ([`locks`]) — no guard may be live across a
 //!    blocking operation (fsync, WAL `append_batch`, socket framing,
 //!    `JoinHandle::join`) unless the site carries a
 //!    `// lint: lock-across-io: <why>` justification.
-//! 7. **unnumbered-io** ([`faults`]) — every function touching device
+//! 8. **unnumbered-io** ([`faults`]) — every function touching device
 //!    state in `xst-storage` goes through a `FaultPlan` site check or is
 //!    justified, so "crash at every site" is a checked invariant.
-//! 8. **proto-dispatch** ([`proto`]) — wire tags, decode arms, and
+//! 9. **proto-dispatch** ([`proto`]) — wire tags, decode arms, and
 //!    `Session::handle` dispatch agree.
 //!
 //! Justification comments are the living allowlist: they must carry a
@@ -279,6 +283,34 @@ const REGISTRATION_METHODS: &[&str] = &[".counter(", ".gauge(", ".histogram("];
 /// and how far forward for the `names::` constant (call sites wrap).
 const REGISTRATION_WINDOW: usize = 120;
 
+/// The one relational lowering: the module whose plans stand in for the
+/// kernels below, and the only file that may define [`IDENTITY_SPEC_FN`].
+const LOWERING_FILE: &str = "crates/xst-relational/src/algebra.rs";
+/// The spec builder every hand-written copy of the lowering re-grew.
+const IDENTITY_SPEC_FN: &str = "fn identity_spec";
+/// Where a relational operator must be a lowered plan, not a kernel call.
+const LOWERED_SOURCES: &[&str] = &[
+    "crates/xst-relational/src/",
+    "crates/xst-storage/src/engine.rs",
+];
+/// The `xst_core::ops` kernels that have an `Expr` node — what
+/// `xst-query`'s plan walker runs.
+const WALKER_KERNELS: &[&str] = &[
+    "union",
+    "intersection",
+    "difference",
+    "sigma_restrict",
+    "sigma_domain",
+    "image",
+    "relative_product",
+    "cross",
+    "par_union",
+    "par_intersection",
+    "par_sigma_restrict",
+    "par_image",
+    "par_relative_product",
+];
+
 fn is_word_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
@@ -325,7 +357,7 @@ pub fn allowlisted(file: &str, token: &str) -> bool {
         .any(|(suffix, t)| file.ends_with(suffix) && token == *t)
 }
 
-/// Run the four token rules over one file. Statically-allowlisted
+/// Run the five token rules over one file. Statically-allowlisted
 /// findings are marked justified here; `--deny-all` re-raises them at
 /// the CLI layer. Returns the indices of the file's justification
 /// comments the rules consumed.
@@ -382,6 +414,57 @@ pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) -> Vec<usize> {
                 );
                 used.extend(js);
             }
+        }
+    }
+
+    if LOWERED_SOURCES.iter().any(|p| rel_str.starts_with(p)) {
+        for at in find_token(&view.code, "ops::", false) {
+            let inside_a_word = at > 0 && is_word_char(view.code.as_bytes()[at - 1]);
+            if inside_a_word || view.in_test(at) {
+                continue;
+            }
+            // `ops::name` or `ops::{a, b as c, ...}`: the names brought in.
+            let rest = &view.code[at + "ops::".len()..];
+            let list = match rest.strip_prefix('{') {
+                Some(braced) => &braced[..braced.find('}').unwrap_or(braced.len())],
+                None => {
+                    let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+                    &rest[..end.unwrap_or(rest.len())]
+                }
+            };
+            for name in list
+                .split(',')
+                .filter_map(|item| item.split_whitespace().next())
+            {
+                if WALKER_KERNELS.contains(&name) {
+                    push_finding(
+                        out,
+                        rel_str,
+                        view.line_of(at),
+                        "one-lowering",
+                        format!(
+                            "kernel `{name}` named outside the plan walker; lower the \
+                             operator in {LOWERING_FILE} and evaluate the plan"
+                        ),
+                        allowlisted(rel_str, name),
+                    );
+                }
+            }
+        }
+    }
+    if rel_str != LOWERING_FILE {
+        for at in find_token(&view.code, IDENTITY_SPEC_FN, true) {
+            push_finding(
+                out,
+                rel_str,
+                view.line_of(at),
+                "one-lowering",
+                format!(
+                    "`{IDENTITY_SPEC_FN}` outside {LOWERING_FILE}; the identity re-scope \
+                     spec is built by the one lowering"
+                ),
+                allowlisted(rel_str, IDENTITY_SPEC_FN),
+            );
         }
     }
 

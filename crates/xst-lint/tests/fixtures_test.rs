@@ -148,6 +148,36 @@ fn harness_clock_fixture_flags_deadlines_threads_and_sockets_in_a_harness() {
     assert_eq!(report.findings.len(), 8);
 }
 
+#[test]
+fn one_lowering_fixture_flags_kernels_and_a_second_identity_spec() {
+    let report = lint("one_lowering");
+    let at = |line: usize, what: &str| {
+        format!("crates/xst-relational/src/nested.rs:{line}: [one-lowering] {what}")
+    };
+    let kernel = |name: &str| {
+        format!(
+            "kernel `{name}` named outside the plan walker; lower the operator in \
+             crates/xst-relational/src/algebra.rs and evaluate the plan"
+        )
+    };
+    assert_eq!(
+        errors(&report),
+        vec![
+            at(5, &kernel("image")),
+            at(5, &kernel("relative_product")),
+            at(14, &kernel("intersection")),
+            at(
+                17,
+                "`fn identity_spec` outside crates/xst-relational/src/algebra.rs; \
+                 the identity re-scope spec is built by the one lowering"
+            ),
+        ]
+    );
+    // `Scope` and `group_by_key` have no `Expr` node, the comment names
+    // nothing, and the `#[cfg(test)]` oracle may call `union`.
+    assert_eq!(report.findings.len(), 4);
+}
+
 /// Roster: every analysis pass fires at least once across the corpus —
 /// a pass that silently stopped matching anything cannot go unnoticed.
 #[test]
@@ -159,6 +189,7 @@ fn every_pass_fires_on_the_corpus() {
         "unnumbered_io",
         "proto_dispatch",
         "harness_clock",
+        "one_lowering",
     ] {
         for f in &lint(fixture).findings {
             if !rules_fired.contains(&f.rule) {
@@ -172,6 +203,7 @@ fn every_pass_fires_on_the_corpus() {
         "unnumbered-io",
         "proto-dispatch",
         "determinism",
+        "one-lowering",
     ] {
         assert!(
             rules_fired.iter().any(|r| r == rule),

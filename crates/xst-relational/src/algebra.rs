@@ -1,164 +1,180 @@
-//! The relational algebra, implemented *only* with XST operations.
+//! The relational algebra, lowered to XST plans — once.
 //!
-//! | relational op | XST realization |
+//! | relational op | XST plan |
 //! |---|---|
-//! | selection | σ-restriction (Def 7.6) via the fused image with an identity projection |
+//! | selection | image with an identity projection: σ-restriction (Def 7.6) by a witness set |
 //! | projection | σ-domain (Def 7.4) |
 //! | equijoin | relative product (Def 10.1) |
-//! | rename | schema-level (the identity is untouched — names are presentation) |
-//! | union/intersection/difference | the boolean merges of canonical identities |
+//! | semijoin | the selection image, witnessed by the other side's projected keys |
+//! | antijoin | the left side minus its semijoin |
+//! | rename | schema-level (the plan is untouched — names are presentation) |
+//! | union/intersection/difference | the boolean nodes over union-compatible operands |
+//!
+//! Each row is one [`Plan`] method: it resolves column names to tuple
+//! positions, builds the σ/ω specs and computes the output columns.
+//! [`crate::Query`] folds those methods over a pipeline; the functions
+//! over [`Relation`]s below lower literal operands the same way. Either
+//! way the plan is evaluated by `xst_query`'s gate and plan walker — this
+//! crate calls no kernel that has an [`Expr`] node.
 
 use crate::relation::{RelSchema, Relation};
-use xst_core::ops::{
-    difference as set_difference, image, intersection as set_intersection, relative_product,
-    sigma_domain, union as set_union, Scope,
-};
+use xst_core::ops::Scope;
 use xst_core::{ExtendedSet, Value, XstError, XstResult};
+use xst_query::{Bindings, Expr};
 
-/// `σ_{field = value}(r)` — selection by equality on one column.
-pub fn select_eq(r: &Relation, field: &str, value: &Value) -> XstResult<Relation> {
-    select_in(r, field, std::slice::from_ref(value))
+/// A relation not yet computed: its output columns and the plan whose
+/// value is its identity.
+#[derive(Debug, Clone)]
+pub(crate) struct Plan {
+    schema: RelSchema,
+    expr: Expr,
 }
 
-/// `σ_{field ∈ values}(r)` — selection by membership. One image call: the
-/// witness set carries every wanted key (Consequence C.1(a) in action).
-pub fn select_in(r: &Relation, field: &str, values: &[Value]) -> XstResult<Relation> {
-    let pos = r.schema().position(field)? as i64;
-    let witness = ExtendedSet::classical(
-        values
-            .iter()
-            .map(|v| Value::Set(ExtendedSet::tuple([v.clone()]))),
-    );
-    let scope = Scope::new(
-        ExtendedSet::tuple([Value::Int(pos + 1)]),
-        identity_spec(r.schema().arity() as i64),
-    );
-    Relation::from_identity(r.schema().clone(), image(r.identity(), &witness, &scope))
-}
-
-/// `π_{fields}(r)` — projection (distinct by construction).
-pub fn project(r: &Relation, fields: &[&str]) -> XstResult<Relation> {
-    let spec = ExtendedSet::tuple(
-        fields
-            .iter()
-            .map(|f| r.schema().position(f).map(|p| Value::Int(p as i64 + 1)))
-            .collect::<XstResult<Vec<_>>>()?,
-    );
-    let schema = RelSchema::new(fields.iter().map(|s| s.to_string()))?;
-    Relation::from_identity(schema, sigma_domain(r.identity(), &spec))
-}
-
-/// Equijoin `l ⋈_{lf = rf} r`: the relative product keeping the left tuple
-/// in place and shifting the right tuple past it. Output columns are the
-/// left columns followed by the right columns; colliding names get a
-/// `right_` prefix.
-pub fn join(l: &Relation, r: &Relation, lf: &str, rf: &str) -> XstResult<Relation> {
-    let lp = l.schema().position(lf)? as i64;
-    let rp = r.schema().position(rf)? as i64;
-    let ln = l.schema().arity() as i64;
-    let rn = r.schema().arity() as i64;
-    let sigma = Scope::new(
-        identity_spec(ln),
-        ExtendedSet::from_pairs([(Value::Int(lp + 1), Value::Int(1))]),
-    );
-    let omega = Scope::new(
-        ExtendedSet::from_pairs([(Value::Int(rp + 1), Value::Int(1))]),
-        ExtendedSet::from_pairs((1..=rn).map(|j| (Value::Int(j), Value::Int(ln + j)))),
-    );
-    let mut columns: Vec<String> = l.schema().columns().to_vec();
-    for c in r.schema().columns() {
-        if columns.contains(c) {
-            columns.push(format!("right_{c}"));
-        } else {
-            columns.push(c.clone());
+impl Plan {
+    /// The relation bound to `name` at evaluation time.
+    pub(crate) fn table(name: &str, schema: RelSchema) -> Plan {
+        Plan {
+            schema,
+            expr: Expr::table(name),
         }
     }
-    let schema = RelSchema::new(columns)?;
-    Relation::from_identity(
-        schema,
-        relative_product(l.identity(), &sigma, r.identity(), &omega),
-    )
-}
 
-/// Semijoin `l ⋉_{lf = rf} r`: the rows of `l` that have a join partner in
-/// `r` — a σ-restriction of `l` witnessed by `r`'s projected keys, no
-/// tuple construction at all.
-pub fn semijoin(l: &Relation, r: &Relation, lf: &str, rf: &str) -> XstResult<Relation> {
-    let keys = project(r, &[rf])?;
-    let lp = l.schema().position(lf)? as i64;
-    let scope = Scope::new(
-        ExtendedSet::tuple([Value::Int(lp + 1)]),
-        identity_spec(l.schema().arity() as i64),
-    );
-    Relation::from_identity(
-        l.schema().clone(),
-        xst_core::ops::image(l.identity(), keys.identity(), &scope),
-    )
-}
+    /// An already-computed relation, as a literal.
+    pub(crate) fn of(r: &Relation) -> Plan {
+        Plan {
+            schema: r.schema().clone(),
+            expr: Expr::lit(r.identity().clone()),
+        }
+    }
 
-/// Antijoin `l ▷_{lf = rf} r`: the rows of `l` with *no* join partner —
-/// the set difference of `l` and its semijoin.
-pub fn antijoin(l: &Relation, r: &Relation, lf: &str, rf: &str) -> XstResult<Relation> {
-    let matched = semijoin(l, r, lf, rf)?;
-    Relation::from_identity(
-        l.schema().clone(),
-        set_difference(l.identity(), matched.identity()),
-    )
-}
+    pub(crate) fn into_expr(self) -> Expr {
+        self.expr
+    }
 
-/// `ρ` — rename columns; the identity is untouched.
-pub fn rename(r: &Relation, mapping: &[(&str, &str)]) -> XstResult<Relation> {
-    let columns: Vec<String> = r
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| {
-            mapping
-                .iter()
-                .find(|(old, _)| old == c)
-                .map(|(_, new)| new.to_string())
-                .unwrap_or_else(|| c.clone())
-        })
-        .collect();
-    Relation::from_identity(RelSchema::new(columns)?, r.identity().clone())
-}
+    /// Evaluate through the analysis gate and the plan walker.
+    pub(crate) fn eval(self, bindings: &Bindings) -> XstResult<Relation> {
+        Relation::from_identity(self.schema, xst_query::eval(&self.expr, bindings)?)
+    }
 
-fn check_compatible(a: &Relation, b: &Relation) -> XstResult<()> {
-    if a.schema().arity() == b.schema().arity() {
-        Ok(())
-    } else {
-        Err(XstError::NotComposable {
-            reason: format!(
-                "union-compatible relations required: arity {} vs {}",
-                a.schema().arity(),
-                b.schema().arity()
-            ),
+    /// The spec atom for `field`: its one-based tuple position.
+    fn at(&self, field: &str) -> XstResult<Value> {
+        Ok(Value::Int(self.schema.position(field)? as i64 + 1))
+    }
+
+    /// The rows whose `field` is a member of `keys` (a plan of 1-tuples):
+    /// one image call matching on `field` and keeping whole rows.
+    fn keep_where(self, field: &str, keys: Expr) -> XstResult<Plan> {
+        let scope = Scope::new(
+            ExtendedSet::tuple([self.at(field)?]),
+            identity_spec(self.schema.arity() as i64),
+        );
+        Ok(Plan {
+            expr: self.expr.image(keys, scope),
+            schema: self.schema,
         })
     }
-}
 
-/// `a ∪ b` (union-compatible).
-pub fn union(a: &Relation, b: &Relation) -> XstResult<Relation> {
-    check_compatible(a, b)?;
-    Relation::from_identity(a.schema().clone(), set_union(a.identity(), b.identity()))
-}
+    /// `σ_{field ∈ values}` — the witness set carries every wanted key
+    /// (Consequence C.1(a) in action).
+    pub(crate) fn select_in(self, field: &str, values: &[Value]) -> XstResult<Plan> {
+        let witness = ExtendedSet::classical(
+            values
+                .iter()
+                .map(|v| Value::Set(ExtendedSet::tuple([v.clone()]))),
+        );
+        self.keep_where(field, Expr::lit(witness))
+    }
 
-/// `a ∩ b` (union-compatible).
-pub fn intersection(a: &Relation, b: &Relation) -> XstResult<Relation> {
-    check_compatible(a, b)?;
-    Relation::from_identity(
-        a.schema().clone(),
-        set_intersection(a.identity(), b.identity()),
-    )
-}
+    /// `π_{fields}` (distinct by construction).
+    pub(crate) fn project<S: AsRef<str>>(self, fields: &[S]) -> XstResult<Plan> {
+        let spec = fields
+            .iter()
+            .map(|f| self.at(f.as_ref()))
+            .collect::<XstResult<Vec<_>>>()?;
+        Ok(Plan {
+            schema: RelSchema::new(fields.iter().map(|f| f.as_ref().to_string()))?,
+            expr: self.expr.domain(ExtendedSet::tuple(spec)),
+        })
+    }
 
-/// `a ~ b` (union-compatible).
-pub fn difference(a: &Relation, b: &Relation) -> XstResult<Relation> {
-    check_compatible(a, b)?;
-    Relation::from_identity(
-        a.schema().clone(),
-        set_difference(a.identity(), b.identity()),
-    )
+    /// `self ⋈_{lf = rf} right`: the relative product keeping the left
+    /// tuple in place and shifting the right tuple past it (the
+    /// Definition 9.2 concatenation shape). Output columns are the left
+    /// columns followed by the right columns; colliding names get a
+    /// `right_` prefix.
+    pub(crate) fn join(self, right: Plan, lf: &str, rf: &str) -> XstResult<Plan> {
+        let ln = self.schema.arity() as i64;
+        let rn = right.schema.arity() as i64;
+        let sigma = Scope::new(
+            identity_spec(ln),
+            ExtendedSet::from_pairs([(self.at(lf)?, Value::Int(1))]),
+        );
+        let omega = Scope::new(
+            ExtendedSet::from_pairs([(right.at(rf)?, Value::Int(1))]),
+            ExtendedSet::from_pairs((1..=rn).map(|j| (Value::Int(j), Value::Int(ln + j)))),
+        );
+        let mut columns: Vec<String> = self.schema.columns().to_vec();
+        for c in right.schema.columns() {
+            if columns.contains(c) {
+                columns.push(format!("right_{c}"));
+            } else {
+                columns.push(c.clone());
+            }
+        }
+        Ok(Plan {
+            schema: RelSchema::new(columns)?,
+            expr: self.expr.rel_product(sigma, right.expr, omega),
+        })
+    }
+
+    /// `self ⋉_{lf = rf} right`: the rows with a join partner — a
+    /// selection witnessed by `right`'s projected keys, no tuple
+    /// construction at all.
+    pub(crate) fn semijoin(self, right: Plan, lf: &str, rf: &str) -> XstResult<Plan> {
+        let keys = right.project(&[rf])?;
+        self.keep_where(lf, keys.expr)
+    }
+
+    /// `self ▷_{lf = rf} right`: the rows with *no* join partner.
+    pub(crate) fn antijoin(self, right: Plan, lf: &str, rf: &str) -> XstResult<Plan> {
+        let matched = self.clone().semijoin(right, lf, rf)?;
+        self.boolean(matched, Expr::difference)
+    }
+
+    /// `ρ` — rename columns; the plan is untouched.
+    pub(crate) fn rename<A: AsRef<str>, B: AsRef<str>>(
+        self,
+        mapping: &[(A, B)],
+    ) -> XstResult<Plan> {
+        let columns = self.schema.columns().iter().map(|c| {
+            mapping
+                .iter()
+                .find(|(old, _)| old.as_ref() == c)
+                .map_or_else(|| c.clone(), |(_, new)| new.as_ref().to_string())
+        });
+        Ok(Plan {
+            schema: RelSchema::new(columns)?,
+            expr: self.expr,
+        })
+    }
+
+    /// `self ∪ other`, `self ∩ other` or `self ~ other`, by `node`, over
+    /// union-compatible operands; the left columns name the result.
+    pub(crate) fn boolean(self, other: Plan, node: fn(Expr, Expr) -> Expr) -> XstResult<Plan> {
+        if self.schema.arity() != other.schema.arity() {
+            return Err(XstError::NotComposable {
+                reason: format!(
+                    "union-compatible relations required: arity {} vs {}",
+                    self.schema.arity(),
+                    other.schema.arity()
+                ),
+            });
+        }
+        Ok(Plan {
+            expr: node(self.expr, other.expr),
+            schema: self.schema,
+        })
+    }
 }
 
 /// The identity re-scope spec `{1^1, ..., n^n}`.
@@ -166,9 +182,68 @@ fn identity_spec(n: i64) -> ExtendedSet {
     ExtendedSet::from_pairs((1..=n).map(|i| (Value::Int(i), Value::Int(i))))
 }
 
+/// Evaluate a plan over literal operands: nothing to bind.
+fn compute(plan: Plan) -> XstResult<Relation> {
+    plan.eval(&Bindings::new())
+}
+
+/// `σ_{field = value}(r)` — selection by equality on one column.
+pub fn select_eq(r: &Relation, field: &str, value: &Value) -> XstResult<Relation> {
+    select_in(r, field, std::slice::from_ref(value))
+}
+
+/// `σ_{field ∈ values}(r)` — selection by membership.
+pub fn select_in(r: &Relation, field: &str, values: &[Value]) -> XstResult<Relation> {
+    compute(Plan::of(r).select_in(field, values)?)
+}
+
+/// `π_{fields}(r)` — projection (distinct by construction).
+pub fn project(r: &Relation, fields: &[&str]) -> XstResult<Relation> {
+    compute(Plan::of(r).project(fields)?)
+}
+
+/// Equijoin `l ⋈_{lf = rf} r`; colliding right column names get a
+/// `right_` prefix.
+pub fn join(l: &Relation, r: &Relation, lf: &str, rf: &str) -> XstResult<Relation> {
+    compute(Plan::of(l).join(Plan::of(r), lf, rf)?)
+}
+
+/// Semijoin `l ⋉_{lf = rf} r`: the rows of `l` that have a join partner in
+/// `r`.
+pub fn semijoin(l: &Relation, r: &Relation, lf: &str, rf: &str) -> XstResult<Relation> {
+    compute(Plan::of(l).semijoin(Plan::of(r), lf, rf)?)
+}
+
+/// Antijoin `l ▷_{lf = rf} r`: the rows of `l` with *no* join partner.
+pub fn antijoin(l: &Relation, r: &Relation, lf: &str, rf: &str) -> XstResult<Relation> {
+    compute(Plan::of(l).antijoin(Plan::of(r), lf, rf)?)
+}
+
+/// `ρ` — rename columns; the identity is untouched.
+pub fn rename(r: &Relation, mapping: &[(&str, &str)]) -> XstResult<Relation> {
+    compute(Plan::of(r).rename(mapping)?)
+}
+
+/// `a ∪ b` (union-compatible).
+pub fn union(a: &Relation, b: &Relation) -> XstResult<Relation> {
+    compute(Plan::of(a).boolean(Plan::of(b), Expr::union)?)
+}
+
+/// `a ∩ b` (union-compatible).
+pub fn intersection(a: &Relation, b: &Relation) -> XstResult<Relation> {
+    compute(Plan::of(a).boolean(Plan::of(b), Expr::intersect)?)
+}
+
+/// `a ~ b` (union-compatible).
+pub fn difference(a: &Relation, b: &Relation) -> XstResult<Relation> {
+    compute(Plan::of(a).boolean(Plan::of(b), Expr::difference)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Catalog;
+    use xst_storage::{BufferPool, Record, RecordEngine, Schema, SetEngine, Storage, Table};
 
     fn suppliers() -> Relation {
         Relation::from_rows(
@@ -193,6 +268,89 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The stored parts/supplies tables of `xst-storage`'s engine tests, and
+    /// the same tables as relations.
+    fn stored() -> (BufferPool, Table, Table, Relation, Relation) {
+        let storage = Storage::new();
+        let mut parts = Table::create(&storage, Schema::new(["pid", "name", "color"]));
+        parts
+            .load(&[
+                Record::new([Value::Int(1), Value::str("bolt"), Value::sym("red")]),
+                Record::new([Value::Int(2), Value::str("nut"), Value::sym("green")]),
+                Record::new([Value::Int(3), Value::str("cam"), Value::sym("red")]),
+            ])
+            .unwrap();
+        let mut supplied = Table::create(&storage, Schema::new(["sid", "pid", "qty"]));
+        supplied
+            .load(&[
+                Record::new([Value::Int(10), Value::Int(1), Value::Int(100)]),
+                Record::new([Value::Int(10), Value::Int(3), Value::Int(50)]),
+                Record::new([Value::Int(20), Value::Int(2), Value::Int(5)]),
+                Record::new([Value::Int(20), Value::Int(9), Value::Int(7)]),
+            ])
+            .unwrap();
+        let pool = BufferPool::new(storage, 16);
+        let mut cat = Catalog::new();
+        cat.register_table("parts", &parts, &pool).unwrap();
+        cat.register_table("supplied", &supplied, &pool).unwrap();
+        let (p, s) = (cat.get("parts").unwrap(), cat.get("supplied").unwrap());
+        (pool, parts, supplied, p.clone(), s.clone())
+    }
+
+    fn records(r: &Relation) -> Vec<Record> {
+        SetEngine::to_records(r.identity()).unwrap()
+    }
+
+    #[test]
+    fn lowering_agrees_with_record_engine_on_select_project_join() {
+        let (pool, parts, supplied, p, s) = stored();
+        let rec = RecordEngine::new(&pool);
+        let red = Value::sym("red");
+        let via_records = rec.select(&parts, "color", &red).unwrap();
+        assert_eq!(via_records.len(), 2);
+        assert_eq!(via_records, records(&select_eq(&p, "color", &red).unwrap()));
+
+        let via_records = rec.project(&parts, &["color"]).unwrap();
+        assert_eq!(via_records.len(), 2, "distinct colors");
+        assert_eq!(via_records, records(&project(&p, &["color"]).unwrap()));
+
+        let via_records = rec.join(&supplied, &parts, "pid", "pid").unwrap();
+        assert_eq!(via_records.len(), 3, "supply rows with matching parts");
+        let joined = join(&s, &p, "pid", "pid").unwrap();
+        assert_eq!(joined.schema().arity(), 6, "3 + 3 fields, concatenated");
+        assert_eq!(via_records, records(&joined));
+    }
+
+    #[test]
+    fn lowering_agrees_with_record_engine_on_boolean_ops() {
+        let storage = Storage::new();
+        let table = |values: &[i64]| {
+            let mut t = Table::create(&storage, Schema::new(["v"]));
+            let rows: Vec<Record> = values
+                .iter()
+                .map(|&v| Record::new([Value::Int(v)]))
+                .collect();
+            t.load(&rows).unwrap();
+            t
+        };
+        let (a, b) = (table(&[1, 2, 3]), table(&[2, 4]));
+        let pool = BufferPool::new(storage, 16);
+        let mut cat = Catalog::new();
+        cat.register_table("a", &a, &pool).unwrap();
+        cat.register_table("b", &b, &pool).unwrap();
+        let (ra, rb) = (cat.get("a").unwrap(), cat.get("b").unwrap());
+        let rec = RecordEngine::new(&pool);
+        assert_eq!(rec.union(&a, &b).unwrap(), records(&union(ra, rb).unwrap()));
+        assert_eq!(
+            rec.intersect(&a, &b).unwrap(),
+            records(&intersection(ra, rb).unwrap())
+        );
+        assert_eq!(
+            rec.difference(&a, &b).unwrap(),
+            records(&difference(ra, rb).unwrap())
+        );
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //!
 //! * [`relation`] — relations as classical sets of positional tuples with
 //!   named-column presentation;
-//! * [`algebra`] — select/project/join/rename/union implemented **only**
-//!   with `xst_core` operations (selection = σ-restriction, projection =
-//!   σ-domain, join = relative product);
+//! * [`algebra`] — the one relational lowering: select/project/join/
+//!   semijoin/antijoin/rename/∪∩∖ each become an `xst_query` plan
+//!   (selection = image by a witness set, projection = σ-domain, join =
+//!   relative product) that `xst_query`'s gate and plan walker evaluate —
+//!   this crate is a client of the walker, not a second evaluator;
 //! * [`catalog`] — named relations, with a loader from `xst_storage` tables;
-//! * [`query`] — a fluent pipeline builder that both executes and compiles
-//!   to `xst_query` expressions for law-driven optimization;
+//! * [`query`] — a fluent pipeline builder that compiles through that
+//!   lowering to `xst_query` expressions (law-driven optimization,
+//!   `EXPLAIN`), and runs by handing the expression to the walker;
 //! * [`aggregate`] — GROUP BY / aggregation via XST scope partitioning;
 //! * [`lang`] — a small textual pipeline language compiling to [`Query`];
 //! * [`nested`] — NF² nested relations and outer joins (∅ as the absent value).

@@ -1,24 +1,21 @@
 //! A small fluent query builder over a [`Catalog`].
 //!
-//! Queries both *execute* (through the algebra in [`crate::algebra`], which
-//! tracks schemas) and *compile* to an [`xst_query::Expr`] (so the
-//! law-driven optimizer and its `EXPLAIN` trace apply).
+//! A query *compiles*: [`Query::to_expr`] folds the pipeline over the one
+//! lowering in [`crate::algebra`], which resolves column names and tracks
+//! the output columns, into an [`xst_query::Expr`] — so the analysis gate,
+//! the law-driven optimizer and `EXPLAIN` apply. [`Query::run`] is that
+//! same fold, then `xst_query`'s plan walker executes the result.
 
 use crate::aggregate::{self, Aggregate};
-use crate::algebra;
+use crate::algebra::Plan;
 use crate::catalog::Catalog;
 use crate::relation::Relation;
-use xst_core::ops::Scope;
-use xst_core::{ExtendedSet, Value, XstResult};
+use xst_core::{Value, XstError, XstResult};
 use xst_query::Expr;
 
 /// One step of a query pipeline.
 #[derive(Debug, Clone)]
 enum Op {
-    SelectEq {
-        field: String,
-        value: Value,
-    },
     SelectIn {
         field: String,
         values: Vec<Value>,
@@ -31,13 +28,9 @@ enum Op {
         lf: String,
         rf: String,
     },
-    Union {
-        right: String,
-    },
-    Intersect {
-        right: String,
-    },
-    Difference {
+    /// `∪`, `∩` or `~` with another catalog relation.
+    Boolean {
+        node: fn(Expr, Expr) -> Expr,
         right: String,
     },
     Rename {
@@ -65,224 +58,135 @@ impl Query {
         }
     }
 
-    /// `WHERE field = value`.
-    pub fn select_eq(mut self, field: impl Into<String>, value: Value) -> Query {
-        self.ops.push(Op::SelectEq {
-            field: field.into(),
-            value,
-        });
+    fn then(mut self, op: Op) -> Query {
+        self.ops.push(op);
         self
+    }
+
+    /// `WHERE field = value`.
+    pub fn select_eq(self, field: impl Into<String>, value: Value) -> Query {
+        self.select_in(field, vec![value])
     }
 
     /// `WHERE field IN values`.
-    pub fn select_in(mut self, field: impl Into<String>, values: Vec<Value>) -> Query {
-        self.ops.push(Op::SelectIn {
+    pub fn select_in(self, field: impl Into<String>, values: Vec<Value>) -> Query {
+        self.then(Op::SelectIn {
             field: field.into(),
             values,
-        });
-        self
+        })
     }
 
     /// `SELECT DISTINCT fields`.
-    pub fn project(mut self, fields: &[&str]) -> Query {
-        self.ops.push(Op::Project {
+    pub fn project(self, fields: &[&str]) -> Query {
+        self.then(Op::Project {
             fields: fields.iter().map(|s| s.to_string()).collect(),
-        });
-        self
+        })
     }
 
     /// Equijoin with another catalog relation.
     pub fn join(
-        mut self,
+        self,
         right: impl Into<String>,
         lf: impl Into<String>,
         rf: impl Into<String>,
     ) -> Query {
-        self.ops.push(Op::Join {
+        self.then(Op::Join {
             right: right.into(),
             lf: lf.into(),
             rf: rf.into(),
-        });
-        self
+        })
+    }
+
+    fn boolean(self, node: fn(Expr, Expr) -> Expr, right: impl Into<String>) -> Query {
+        self.then(Op::Boolean {
+            node,
+            right: right.into(),
+        })
     }
 
     /// Union with another catalog relation.
-    pub fn union(mut self, right: impl Into<String>) -> Query {
-        self.ops.push(Op::Union {
-            right: right.into(),
-        });
-        self
+    pub fn union(self, right: impl Into<String>) -> Query {
+        self.boolean(Expr::union, right)
     }
 
     /// Intersection with another catalog relation.
-    pub fn intersect(mut self, right: impl Into<String>) -> Query {
-        self.ops.push(Op::Intersect {
-            right: right.into(),
-        });
-        self
+    pub fn intersect(self, right: impl Into<String>) -> Query {
+        self.boolean(Expr::intersect, right)
     }
 
     /// Difference with another catalog relation.
-    pub fn difference(mut self, right: impl Into<String>) -> Query {
-        self.ops.push(Op::Difference {
-            right: right.into(),
-        });
-        self
+    pub fn difference(self, right: impl Into<String>) -> Query {
+        self.boolean(Expr::difference, right)
     }
 
     /// `GROUP BY keys` with aggregates.
-    pub fn group_by(mut self, keys: &[&str], aggs: &[(Aggregate, &str)]) -> Query {
-        self.ops.push(Op::GroupBy {
+    pub fn group_by(self, keys: &[&str], aggs: &[(Aggregate, &str)]) -> Query {
+        self.then(Op::GroupBy {
             keys: keys.iter().map(|s| s.to_string()).collect(),
             aggs: aggs.iter().map(|(a, c)| (*a, c.to_string())).collect(),
-        });
-        self
+        })
     }
 
     /// Rename columns.
-    pub fn rename(mut self, mapping: &[(&str, &str)]) -> Query {
-        self.ops.push(Op::Rename {
+    pub fn rename(self, mapping: &[(&str, &str)]) -> Query {
+        self.then(Op::Rename {
             mapping: mapping
                 .iter()
                 .map(|(a, b)| (a.to_string(), b.to_string()))
                 .collect(),
-        });
-        self
+        })
     }
 
-    /// Execute against a catalog.
-    pub fn run(&self, catalog: &Catalog) -> XstResult<Relation> {
-        let mut current = catalog.get(&self.root)?.clone();
+    /// Fold the pipeline over the lowering in [`crate::algebra`]. Aggregation
+    /// has no [`Expr`] node, so `group_by` says what becomes of the plan in
+    /// front of a `GROUP BY`.
+    fn lower(
+        &self,
+        catalog: &Catalog,
+        mut group_by: impl FnMut(Plan, &[String], &[(Aggregate, String)]) -> XstResult<Plan>,
+    ) -> XstResult<Plan> {
+        let table = |name: &str| Ok(Plan::table(name, catalog.get(name)?.schema().clone()));
+        let mut plan = table(&self.root)?;
         for op in &self.ops {
-            current = match op {
-                Op::SelectEq { field, value } => algebra::select_eq(&current, field, value)?,
-                Op::SelectIn { field, values } => algebra::select_in(&current, field, values)?,
-                Op::Project { fields } => {
-                    let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
-                    algebra::project(&current, &refs)?
-                }
-                Op::Join { right, lf, rf } => algebra::join(&current, catalog.get(right)?, lf, rf)?,
-                Op::Union { right } => algebra::union(&current, catalog.get(right)?)?,
-                Op::Intersect { right } => algebra::intersection(&current, catalog.get(right)?)?,
-                Op::Difference { right } => algebra::difference(&current, catalog.get(right)?)?,
-                Op::Rename { mapping } => {
-                    let refs: Vec<(&str, &str)> = mapping
-                        .iter()
-                        .map(|(a, b)| (a.as_str(), b.as_str()))
-                        .collect();
-                    algebra::rename(&current, &refs)?
-                }
-                Op::GroupBy { keys, aggs } => {
-                    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-                    let agg_refs: Vec<(Aggregate, &str)> =
-                        aggs.iter().map(|(a, c)| (*a, c.as_str())).collect();
-                    aggregate::group_by(&current, &key_refs, &agg_refs)?
-                }
+            plan = match op {
+                Op::SelectIn { field, values } => plan.select_in(field, values)?,
+                Op::Project { fields } => plan.project(fields)?,
+                Op::Join { right, lf, rf } => plan.join(table(right)?, lf, rf)?,
+                Op::Boolean { node, right } => plan.boolean(table(right)?, *node)?,
+                Op::Rename { mapping } => plan.rename(mapping)?,
+                Op::GroupBy { keys, aggs } => group_by(plan, keys, aggs)?,
             };
         }
-        Ok(current)
+        Ok(plan)
     }
 
-    /// Compile to a logical [`Expr`] over the catalog's bindings.
-    ///
-    /// Schema positions are resolved by *running the schema computation*
-    /// (not the data) through the same pipeline, so the compiled expression
-    /// matches what [`Query::run`] executes.
+    /// Execute against a catalog: compile, then evaluate through the
+    /// analysis gate and the plan walker. A `GROUP BY` evaluates the
+    /// pipeline in front of it, aggregates that result, and the rest of the
+    /// pipeline continues from the aggregate as a literal.
+    pub fn run(&self, catalog: &Catalog) -> XstResult<Relation> {
+        let bindings = catalog.bindings();
+        let plan = self.lower(catalog, |prefix, keys, aggs| {
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let aggs: Vec<(Aggregate, &str)> = aggs.iter().map(|(a, c)| (*a, c.as_str())).collect();
+            let grouped = aggregate::group_by(&prefix.eval(&bindings)?, &keys, &aggs)?;
+            Ok(Plan::of(&grouped))
+        })?;
+        plan.eval(&bindings)
+    }
+
+    /// Compile to a logical [`Expr`] over the catalog's bindings — the
+    /// expression [`Query::run`] evaluates.
     pub fn to_expr(&self, catalog: &Catalog) -> XstResult<Expr> {
-        let mut schema = catalog.get(&self.root)?.schema().clone();
-        let mut expr = Expr::table(&self.root);
-        for op in &self.ops {
-            match op {
-                Op::SelectEq { field, value } => {
-                    let pos = schema.position(field)? as i64;
-                    let witness =
-                        ExtendedSet::classical([Value::Set(ExtendedSet::tuple([value.clone()]))]);
-                    expr = expr.image(
-                        Expr::lit(witness),
-                        // Witness drives σ1 on the *relation* side, so the
-                        // scope is flipped relative to application: the
-                        // pipeline restricts `expr` by the literal.
-                        Scope::new(
-                            ExtendedSet::tuple([Value::Int(pos + 1)]),
-                            identity_spec(schema.arity() as i64),
-                        ),
-                    );
-                    // NOTE: Expr::Image applies r[a]; here r = expr.
-                    // Schema unchanged by selection.
-                }
-                Op::SelectIn { field, values } => {
-                    let pos = schema.position(field)? as i64;
-                    let witness = ExtendedSet::classical(
-                        values
-                            .iter()
-                            .map(|v| Value::Set(ExtendedSet::tuple([v.clone()]))),
-                    );
-                    expr = expr.image(
-                        Expr::lit(witness),
-                        Scope::new(
-                            ExtendedSet::tuple([Value::Int(pos + 1)]),
-                            identity_spec(schema.arity() as i64),
-                        ),
-                    );
-                }
-                Op::Project { fields } => {
-                    let spec = ExtendedSet::tuple(
-                        fields
-                            .iter()
-                            .map(|f| schema.position(f).map(|p| Value::Int(p as i64 + 1)))
-                            .collect::<XstResult<Vec<_>>>()?,
-                    );
-                    expr = expr.domain(spec);
-                    schema = crate::relation::RelSchema::new(fields.clone())?;
-                }
-                Op::Join { right, lf, rf } => {
-                    let right_rel = catalog.get(right)?;
-                    let lp = schema.position(lf)? as i64;
-                    let rp = right_rel.schema().position(rf)? as i64;
-                    let ln = schema.arity() as i64;
-                    let rn = right_rel.schema().arity() as i64;
-                    let sigma = Scope::new(
-                        identity_spec(ln),
-                        ExtendedSet::from_pairs([(Value::Int(lp + 1), Value::Int(1))]),
-                    );
-                    let omega = Scope::new(
-                        ExtendedSet::from_pairs([(Value::Int(rp + 1), Value::Int(1))]),
-                        ExtendedSet::from_pairs(
-                            (1..=rn).map(|j| (Value::Int(j), Value::Int(ln + j))),
-                        ),
-                    );
-                    expr = expr.rel_product(sigma, Expr::table(right), omega);
-                    // Recompute the joined schema the same way algebra::join
-                    // does.
-                    let mut columns: Vec<String> = schema.columns().to_vec();
-                    for c in right_rel.schema().columns() {
-                        if columns.contains(c) {
-                            columns.push(format!("right_{c}"));
-                        } else {
-                            columns.push(c.clone());
-                        }
-                    }
-                    schema = crate::relation::RelSchema::new(columns)?;
-                }
-                Op::Union { right } => expr = expr.union(Expr::table(right)),
-                Op::Intersect { right } => expr = expr.intersect(Expr::table(right)),
-                Op::Difference { right } => expr = expr.difference(Expr::table(right)),
-                Op::Rename { .. } => { /* presentation only */ }
-                Op::GroupBy { .. } => {
-                    return Err(xst_core::XstError::NotComposable {
-                        reason: "aggregation has no logical-expression form; \
-                                 run the pipeline instead"
-                            .into(),
-                    })
-                }
-            }
-        }
-        Ok(expr)
+        let plan = self.lower(catalog, |_, _, _| {
+            Err(XstError::NotComposable {
+                reason: "aggregation has no logical-expression form; \
+                         run the pipeline instead"
+                    .into(),
+            })
+        })?;
+        Ok(plan.into_expr())
     }
-}
-
-fn identity_spec(n: i64) -> ExtendedSet {
-    ExtendedSet::from_pairs((1..=n).map(|i| (Value::Int(i), Value::Int(i))))
 }
 
 #[cfg(test)]
@@ -345,24 +249,121 @@ mod tests {
         assert_eq!(result.len(), 2, "london and paris supply pid 10");
     }
 
+    /// Every pipeline, written with the builder and as text: `run` and
+    /// `to_expr` + `eval` fail together, or succeed with one identity under
+    /// the expected output columns (`None` = both refuse).
     #[test]
-    fn compiled_expr_matches_run() {
+    fn run_and_compile_agree_on_every_pipeline() {
+        let london = || Value::sym("london");
+        let table: Vec<(Query, &str, Option<&[&str]>)> = vec![
+            (
+                Query::from("suppliers")
+                    .select_eq("city", london())
+                    .project(&["sid"]),
+                "from suppliers | where city = london | select sid",
+                Some(&["sid"]),
+            ),
+            (
+                Query::from("suppliers").join("supplies", "sid", "sid"),
+                "from suppliers | join supplies on sid = sid",
+                Some(&["sid", "city", "right_sid", "pid", "qty"]),
+            ),
+            (
+                Query::from("suppliers")
+                    .join("supplies", "sid", "sid")
+                    .select_eq("pid", Value::Int(10))
+                    .project(&["city"]),
+                "from suppliers | join supplies on sid = sid | where pid = 10 | select city",
+                Some(&["city"]),
+            ),
+            (
+                Query::from("suppliers").select_in("sid", vec![Value::Int(1), Value::Int(3)]),
+                "from suppliers | where sid in (1, 3)",
+                Some(&["sid", "city"]),
+            ),
+            (
+                Query::from("suppliers")
+                    .join("supplies", "sid", "sid")
+                    .select_eq("right_sid", Value::Int(2)),
+                "from suppliers | join supplies on sid = sid | where right_sid = 2",
+                Some(&["sid", "city", "right_sid", "pid", "qty"]),
+            ),
+            // Columns answer to their new name after a rename, and only to it.
+            (
+                Query::from("suppliers")
+                    .rename(&[("city", "location")])
+                    .select_eq("location", london()),
+                "from suppliers | rename city -> location | where location = london",
+                Some(&["sid", "location"]),
+            ),
+            (
+                Query::from("suppliers")
+                    .rename(&[("city", "location")])
+                    .select_eq("city", london()),
+                "from suppliers | rename city -> location | where city = london",
+                None,
+            ),
+            // Arity 2 against arity 3 is not union-compatible.
+            (
+                Query::from("suppliers").union("supplies"),
+                "from suppliers | union supplies",
+                None,
+            ),
+            (
+                Query::from("suppliers").intersect("supplies"),
+                "from suppliers | intersect supplies",
+                None,
+            ),
+            (
+                Query::from("suppliers").difference("supplies"),
+                "from suppliers | except supplies",
+                None,
+            ),
+        ];
         let cat = catalog();
-        for q in [
-            Query::from("suppliers")
-                .select_eq("city", Value::sym("london"))
-                .project(&["sid"]),
-            Query::from("suppliers").join("supplies", "sid", "sid"),
-            Query::from("suppliers")
-                .join("supplies", "sid", "sid")
-                .select_eq("pid", Value::Int(10))
-                .project(&["city"]),
-            Query::from("suppliers").select_in("sid", vec![Value::Int(1), Value::Int(3)]),
-        ] {
-            let via_algebra = q.run(&cat).unwrap();
-            let expr = q.to_expr(&cat).unwrap();
-            let via_expr = eval(&expr, &cat.bindings()).unwrap();
-            assert_eq!(via_algebra.identity(), &via_expr, "query {q:?} diverged");
+        let mut drift: Vec<String> = Vec::new();
+        for (built, text, columns) in table {
+            for q in [built, crate::lang::parse_query(text).unwrap()] {
+                let ran = q.run(&cat);
+                let compiled = q
+                    .to_expr(&cat)
+                    .and_then(|expr| eval(&expr, &cat.bindings()));
+                let agree = match (&ran, &compiled, columns) {
+                    (Err(_), Err(_), None) => true,
+                    (Ok(ran), Ok(compiled), Some(columns)) => {
+                        assert!(!ran.is_empty(), "{text}: a vacuous row proves nothing");
+                        ran.schema().columns() == columns
+                            && Relation::from_identity(ran.schema().clone(), compiled.clone())
+                                .is_ok_and(|fitted| &fitted == ran)
+                    }
+                    _ => false,
+                };
+                if !agree {
+                    let ran = ran.map(|r| r.to_string());
+                    let compiled = compiled.map(|c| c.to_string());
+                    drift.push(format!("{text}\n  run: {ran:?}\n  compiled: {compiled:?}"));
+                }
+            }
+        }
+        assert!(drift.is_empty(), "{}", drift.join("\n"));
+    }
+
+    #[test]
+    fn group_by_mid_pipeline_runs_and_does_not_compile() {
+        let cat = catalog();
+        let q = Query::from("supplies")
+            .group_by(&["pid"], &[(Aggregate::Count, "sid")])
+            .select_eq("count_sid", Value::Int(2))
+            .project(&["pid"]);
+        let text = "from supplies | group by pid compute count(sid) \
+                    | where count_sid = 2 | select pid";
+        for q in [q, crate::lang::parse_query(text).unwrap()] {
+            let result = q.run(&cat).unwrap();
+            assert_eq!(result.rows(), vec![vec![Value::Int(10)]]);
+            assert!(matches!(
+                q.to_expr(&cat),
+                Err(XstError::NotComposable { .. })
+            ));
         }
     }
 

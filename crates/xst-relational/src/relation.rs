@@ -79,17 +79,18 @@ impl Relation {
 
     /// Wrap an existing identity (the result of an algebra operation).
     ///
-    /// Every classically-scoped member must be a tuple of the schema's
-    /// arity.
+    /// Every member must be classically scoped and a tuple of the schema's
+    /// arity: `{⟨1,2⟩^x}` is an extended set, not a relation, and
+    /// [`Relation::rows`] would otherwise read it as the row `⟨1,2⟩`.
     pub fn from_identity(schema: RelSchema, identity: ExtendedSet) -> XstResult<Relation> {
-        for (e, _) in identity.iter() {
-            let ok = e
-                .as_set()
-                .and_then(ExtendedSet::tuple_len)
-                .is_some_and(|n| n == schema.arity());
+        for (e, s) in identity.iter() {
+            let ok = s.is_empty_set()
+                && e.as_set()
+                    .and_then(ExtendedSet::tuple_len)
+                    .is_some_and(|n| n == schema.arity());
             if !ok {
                 return Err(XstError::NotComposable {
-                    reason: format!("{e} is not a {}-tuple", schema.arity()),
+                    reason: format!("{e}^{s} is not a classical {}-tuple", schema.arity()),
                 });
             }
         }
@@ -231,7 +232,10 @@ mod tests {
         let bad = xst_core::xset!["atom"];
         assert!(Relation::from_identity(schema.clone(), bad).is_err());
         let wrong_arity = xst_core::xset![ExtendedSet::tuple([1, 2, 3]).into_value()];
-        assert!(Relation::from_identity(schema, wrong_arity).is_err());
+        assert!(Relation::from_identity(schema.clone(), wrong_arity).is_err());
+        // A 2-tuple under a non-∅ scope is not a row.
+        let scoped = xst_core::xset![ExtendedSet::pair(1, 2).into_value() => "x"];
+        assert!(Relation::from_identity(schema, scoped).is_err());
     }
 
     #[test]

@@ -1,28 +1,21 @@
-//! Set processing vs record processing — the two engines of experiment E1.
-//!
-//! Both engines answer the same queries over the same stored [`HeapFile`]s:
+//! Record processing, and the set identity it is measured against.
 //!
 //! * [`RecordEngine`] is the tuple-at-a-time baseline: scan, decode, test,
 //!   emit, one record at a time, re-sorting whenever a distinct result is
 //!   needed. This is the "record processing" discipline the XST literature
-//!   argues against.
-//! * [`SetEngine`] loads a table *once* into its canonical set identity and
-//!   then answers every query with whole-set operations from `xst_core` —
-//!   selection is σ-restriction, projection is σ-domain, join is the
-//!   relative product, and union/intersection/difference are linear merges
-//!   over canonical forms.
-//!
-//! Both must agree on every query (tested below and in the integration
-//! suite); the benchmark harness measures where each wins.
+//!   argues against, kept as the independent reference the differential
+//!   suites compare the set side to.
+//! * [`SetEngine`] loads a stored [`HeapFile`] *once* into its canonical
+//!   set identity. It answers no queries itself: a relational operator
+//!   over that identity is lowered to a plan in `xst-relational`'s
+//!   `algebra` and run by `xst-query`'s plan walker, so selection as
+//!   σ-restriction, projection as σ-domain and join as the relative
+//!   product are each written once, above this crate.
 
 use crate::bufpool::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::file::HeapFile;
 use crate::record::{Record, Schema};
-use xst_core::ops::{
-    difference, par_image, par_intersection, par_relative_product, par_union, sigma_domain,
-    Parallelism, Scope,
-};
 use xst_core::{ExtendedSet, SetBuilder, Value};
 
 /// A stored table: schema + heap file.
@@ -203,7 +196,7 @@ fn check_same_arity(a: &Table, b: &Table) -> StorageResult<()> {
     }
 }
 
-/// Whole-set query processing over the table's canonical set identity.
+/// A table's canonical set identity, with its schema.
 ///
 /// The identity is held behind an [`Arc`](std::sync::Arc) so that
 /// snapshot readers — the transaction layer hands out one engine per
@@ -212,7 +205,6 @@ fn check_same_arity(a: &Table, b: &Table) -> StorageResult<()> {
 pub struct SetEngine {
     identity: std::sync::Arc<ExtendedSet>,
     schema: Schema,
-    par: Parallelism,
 }
 
 impl SetEngine {
@@ -233,7 +225,6 @@ impl SetEngine {
         Ok(SetEngine {
             identity: std::sync::Arc::new(identity),
             schema: table.schema.clone(),
-            par: Parallelism::default(),
         })
     }
 
@@ -245,25 +236,7 @@ impl SetEngine {
     /// Wrap a shared identity without copying it — the zero-copy path for
     /// MVCC snapshot readers, which all view the same committed version.
     pub fn from_shared(identity: std::sync::Arc<ExtendedSet>, schema: Schema) -> SetEngine {
-        SetEngine {
-            identity,
-            schema,
-            par: Parallelism::default(),
-        }
-    }
-
-    /// Route this engine's operators through the parallel kernels under
-    /// `par`'s thread count and cardinality threshold. Results are
-    /// identical to the sequential kernels on every input (the kernels are
-    /// differential-tested); only wall-clock changes.
-    pub fn with_parallelism(mut self, par: Parallelism) -> SetEngine {
-        self.par = par;
-        self
-    }
-
-    /// The active degree-of-parallelism policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
+        SetEngine { identity, schema }
     }
 
     /// The canonical set identity of the table.
@@ -274,80 +247,6 @@ impl SetEngine {
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Selection as σ-restriction: witnesses pin the field position.
-    pub fn select(&self, field: &str, value: &Value) -> StorageResult<ExtendedSet> {
-        let pos = self.schema.require(field)? as i64;
-        let sigma1 = ExtendedSet::tuple([Value::Int(pos + 1)]);
-        let arity = self.schema.arity() as i64;
-        // Keep whole records: σ2 is the identity re-scope on all positions.
-        let sigma2 = identity_spec(arity);
-        let witness = ExtendedSet::classical([Value::Set(ExtendedSet::tuple([value.clone()]))]);
-        Ok(par_image(
-            &self.identity,
-            &witness,
-            &Scope::new(sigma1, sigma2),
-            &self.par,
-        ))
-    }
-
-    /// Projection as σ-domain over the requested positions.
-    pub fn project(&self, fields: &[&str]) -> StorageResult<ExtendedSet> {
-        let spec = ExtendedSet::tuple(
-            fields
-                .iter()
-                .map(|f| self.schema.require(f).map(|p| Value::Int(p as i64 + 1)))
-                .collect::<StorageResult<Vec<_>>>()?,
-        );
-        Ok(sigma_domain(&self.identity, &spec))
-    }
-
-    /// Equijoin as a relative product: match `left_field` against
-    /// `right_field`, keep the left tuple in place and shift the right
-    /// tuple past it (the Definition 9.2 concatenation shape).
-    pub fn join(
-        &self,
-        right: &SetEngine,
-        left_field: &str,
-        right_field: &str,
-    ) -> StorageResult<ExtendedSet> {
-        let lp = self.schema.require(left_field)? as i64;
-        let rp = right.schema.require(right_field)? as i64;
-        let ln = self.schema.arity() as i64;
-        let rn = right.schema.arity() as i64;
-        let sigma = Scope::new(
-            identity_spec(ln),
-            ExtendedSet::from_pairs([(Value::Int(lp + 1), Value::Int(1))]),
-        );
-        let omega = Scope::new(
-            ExtendedSet::from_pairs([(Value::Int(rp + 1), Value::Int(1))]),
-            // Shift right positions past the left tuple.
-            ExtendedSet::from_pairs((1..=rn).map(|j| (Value::Int(j), Value::Int(ln + j)))),
-        );
-        Ok(par_relative_product(
-            &self.identity,
-            &sigma,
-            &right.identity,
-            &omega,
-            &self.par,
-        ))
-    }
-
-    /// Union of canonical identities — a linear merge (range-parallel
-    /// above the parallelism threshold).
-    pub fn union(&self, other: &SetEngine) -> ExtendedSet {
-        par_union(&self.identity, &other.identity, &self.par)
-    }
-
-    /// Intersection of canonical identities.
-    pub fn intersect(&self, other: &SetEngine) -> ExtendedSet {
-        par_intersection(&self.identity, &other.identity, &self.par)
-    }
-
-    /// Difference of canonical identities.
-    pub fn difference(&self, other: &SetEngine) -> ExtendedSet {
-        difference(&self.identity, &other.identity)
     }
 
     /// Convert a result identity back into records (for comparison with the
@@ -368,27 +267,14 @@ impl SetEngine {
     }
 }
 
-/// The identity re-scope spec on positions `1..=n`: `{1^1, ..., n^n}`.
-fn identity_spec(n: i64) -> ExtendedSet {
-    ExtendedSet::from_pairs((1..=n).map(|i| (Value::Int(i), Value::Int(i))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bufpool::Storage;
 
-    fn parts_schema() -> Schema {
-        Schema::new(["pid", "name", "color"])
-    }
-
-    fn supplies_schema() -> Schema {
-        Schema::new(["sid", "pid", "qty"])
-    }
-
     fn setup() -> (BufferPool, Table, Table) {
         let storage = Storage::new();
-        let mut parts = Table::create(&storage, parts_schema());
+        let mut parts = Table::create(&storage, Schema::new(["pid", "name", "color"]));
         parts
             .load(&[
                 Record::new([Value::Int(1), Value::str("bolt"), Value::sym("red")]),
@@ -396,7 +282,7 @@ mod tests {
                 Record::new([Value::Int(3), Value::str("cam"), Value::sym("red")]),
             ])
             .unwrap();
-        let mut supplies = Table::create(&storage, supplies_schema());
+        let mut supplies = Table::create(&storage, Schema::new(["sid", "pid", "qty"]));
         supplies
             .load(&[
                 Record::new([Value::Int(10), Value::Int(1), Value::Int(100)]),
@@ -408,118 +294,33 @@ mod tests {
         (BufferPool::new(storage, 16), parts, supplies)
     }
 
-    #[test]
-    fn engines_agree_on_select() {
-        let (pool, parts, _) = setup();
-        let rec = RecordEngine::new(&pool);
-        let via_records = rec.select(&parts, "color", &Value::sym("red")).unwrap();
-        assert_eq!(via_records.len(), 2);
-        let set = SetEngine::load(&parts, &pool).unwrap();
-        let via_sets =
-            SetEngine::to_records(&set.select("color", &Value::sym("red")).unwrap()).unwrap();
-        assert_eq!(via_records, via_sets);
-    }
+    // The set side of each operator is `xst-relational`'s lowering; its
+    // agreement with the methods below is tested there (`algebra.rs`) and
+    // in `tests/differential.rs`.
 
     #[test]
-    fn engines_agree_on_project() {
-        let (pool, parts, _) = setup();
-        let rec = RecordEngine::new(&pool);
-        let via_records = rec.project(&parts, &["color"]).unwrap();
-        assert_eq!(via_records.len(), 2, "distinct colors");
-        let set = SetEngine::load(&parts, &pool).unwrap();
-        let via_sets = SetEngine::to_records(&set.project(&["color"]).unwrap()).unwrap();
-        assert_eq!(via_records, via_sets);
-    }
-
-    #[test]
-    fn engines_agree_on_join() {
+    fn record_engine_answers_with_set_semantics() {
         let (pool, parts, supplies) = setup();
         let rec = RecordEngine::new(&pool);
-        let via_records = rec.join(&supplies, &parts, "pid", "pid").unwrap();
-        assert_eq!(via_records.len(), 3, "supply rows with matching parts");
-        let sl = SetEngine::load(&supplies, &pool).unwrap();
-        let sr = SetEngine::load(&parts, &pool).unwrap();
-        let via_sets = SetEngine::to_records(&sl.join(&sr, "pid", "pid").unwrap()).unwrap();
-        assert_eq!(via_records, via_sets);
-    }
-
-    #[test]
-    fn join_records_are_concatenations() {
-        let (pool, parts, supplies) = setup();
-        let sl = SetEngine::load(&supplies, &pool).unwrap();
-        let sr = SetEngine::load(&parts, &pool).unwrap();
-        let result = sl.join(&sr, "pid", "pid").unwrap();
-        for (e, _) in result.iter() {
-            let t = e.as_set().unwrap();
-            assert_eq!(t.tuple_len(), Some(6), "3 + 3 fields");
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_boolean_ops() {
-        let storage = Storage::new();
-        let schema = Schema::new(["v"]);
-        let mut a = Table::create(&storage, schema.clone());
-        a.load(&[
-            Record::new([Value::Int(1)]),
-            Record::new([Value::Int(2)]),
-            Record::new([Value::Int(3)]),
-        ])
-        .unwrap();
-        let mut b = Table::create(&storage, schema);
-        b.load(&[Record::new([Value::Int(2)]), Record::new([Value::Int(4)])])
-            .unwrap();
-        let pool = BufferPool::new(storage, 16);
-        let rec = RecordEngine::new(&pool);
-        let sa = SetEngine::load(&a, &pool).unwrap();
-        let sb = SetEngine::load(&b, &pool).unwrap();
         assert_eq!(
-            rec.union(&a, &b).unwrap(),
-            SetEngine::to_records(&sa.union(&sb)).unwrap()
+            rec.select(&parts, "color", &Value::sym("red"))
+                .unwrap()
+                .len(),
+            2
         );
         assert_eq!(
-            rec.intersect(&a, &b).unwrap(),
-            SetEngine::to_records(&sa.intersect(&sb)).unwrap()
+            rec.project(&parts, &["color"]).unwrap().len(),
+            2,
+            "distinct colors"
         );
-        assert_eq!(
-            rec.difference(&a, &b).unwrap(),
-            SetEngine::to_records(&sa.difference(&sb)).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_engine_agrees_with_sequential_engine() {
-        let (pool, parts, supplies) = setup();
-        let seq_s = SetEngine::load(&supplies, &pool).unwrap();
-        let seq_p = SetEngine::load(&parts, &pool).unwrap();
-        // Threshold 1 forces the parallel kernels even on tiny tables.
-        let par = Parallelism::new(4).with_threshold(1);
-        let par_s = SetEngine::load(&supplies, &pool)
+        let joined = rec.join(&supplies, &parts, "pid", "pid").unwrap();
+        assert_eq!(joined.len(), 3, "supply rows with matching parts");
+        assert!(joined.iter().all(|r| r.values().len() == 6), "3 + 3 fields");
+        assert!(rec
+            .select(&parts, "color", &Value::sym("puce"))
             .unwrap()
-            .with_parallelism(par);
-        let par_p = SetEngine::load(&parts, &pool)
-            .unwrap()
-            .with_parallelism(par);
-        assert_eq!(par_s.parallelism(), par);
-        assert_eq!(
-            seq_p.select("color", &Value::sym("red")).unwrap(),
-            par_p.select("color", &Value::sym("red")).unwrap()
-        );
-        assert_eq!(
-            seq_s.join(&seq_p, "pid", "pid").unwrap(),
-            par_s.join(&par_p, "pid", "pid").unwrap()
-        );
-        assert_eq!(seq_s.union(&seq_s), par_s.union(&par_s));
-        assert_eq!(seq_s.intersect(&seq_s), par_s.intersect(&par_s));
-    }
-
-    #[test]
-    fn select_on_unknown_field_fails() {
-        let (pool, parts, _) = setup();
-        let rec = RecordEngine::new(&pool);
+            .is_empty());
         assert!(rec.select(&parts, "bogus", &Value::Int(0)).is_err());
-        let set = SetEngine::load(&parts, &pool).unwrap();
-        assert!(set.select("bogus", &Value::Int(0)).is_err());
     }
 
     #[test]
@@ -535,24 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn set_engine_identity_is_canonical() {
+    fn set_engine_identity_is_canonical_and_round_trips_to_records() {
         let (pool, parts, _) = setup();
         let set = SetEngine::load(&parts, &pool).unwrap();
         assert_eq!(set.identity().card(), 3);
+        assert_eq!(set.schema(), &parts.schema);
         // Loading twice yields the identical set (identity is canonical).
         let again = SetEngine::load(&parts, &pool).unwrap();
         assert_eq!(set.identity(), again.identity());
-    }
-
-    #[test]
-    fn empty_select_results() {
-        let (pool, parts, _) = setup();
-        let rec = RecordEngine::new(&pool);
-        assert!(rec
-            .select(&parts, "color", &Value::sym("puce"))
-            .unwrap()
-            .is_empty());
-        let set = SetEngine::load(&parts, &pool).unwrap();
-        assert!(set.select("color", &Value::sym("puce")).unwrap().is_empty());
+        let mut stored = parts.file.read_all(&pool).unwrap();
+        stored.sort();
+        assert_eq!(SetEngine::to_records(set.identity()).unwrap(), stored);
     }
 }

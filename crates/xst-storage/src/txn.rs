@@ -950,9 +950,8 @@ impl Txn {
     }
 
     /// A [`SetEngine`] over this transaction's view of `table` — the
-    /// whole-set query surface (select/project/join/...) against a frozen
-    /// snapshot. Zero-copy when the transaction has no writes on the
-    /// table.
+    /// frozen snapshot's identity and schema, for a query layer to plan
+    /// over. Zero-copy when the transaction has no writes on the table.
     pub fn engine(&mut self, table: &str) -> StorageResult<SetEngine> {
         let schema = self.schema(table)?.clone();
         if self.writes.get(table).is_none_or(|ops| ops.is_empty()) {
@@ -1187,11 +1186,14 @@ mod tests {
             .unwrap();
         let mut txn = mgr.begin();
         let engine = txn.engine("t").unwrap();
-        let hits = engine.select("v", &Value::Int(10)).unwrap();
-        assert_eq!(hits.card(), 2);
+        assert_eq!(engine.schema(), &kv_schema());
+        assert_eq!(
+            SetEngine::to_records(engine.identity()).unwrap(),
+            vec![row(1, 10), row(2, 20), row(3, 10)]
+        );
         // Zero-copy: the engine's identity IS the committed version.
         let latest = mgr.latest_identity("t").unwrap();
-        assert_eq!(engine.identity(), &*latest);
+        assert!(std::ptr::eq(engine.identity(), &*latest));
     }
 
     #[test]

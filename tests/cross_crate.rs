@@ -64,28 +64,38 @@ fn storage_to_relational_to_query_pipeline() {
     assert_eq!(&raw, result.identity());
 }
 
+/// The set side of an engine comparison: `q` lowered and run by the plan
+/// walker, as sorted records.
+fn run_records(q: Query, catalog: &Catalog) -> Vec<Record> {
+    SetEngine::to_records(q.run(catalog).unwrap().identity()).unwrap()
+}
+
 #[test]
 fn engines_agree_end_to_end() {
     let (storage, users, tickets) = sample_db();
     let pool = BufferPool::new(storage, 16);
     let rec = RecordEngine::new(&pool);
-    let su = SetEngine::load(&users, &pool).unwrap();
-    let st = SetEngine::load(&tickets, &pool).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register_table("users", &users, &pool).unwrap();
+    catalog.register_table("tickets", &tickets, &pool).unwrap();
 
     // Selection.
     assert_eq!(
         rec.select(&users, "dept", &Value::sym("eng")).unwrap(),
-        SetEngine::to_records(&su.select("dept", &Value::sym("eng")).unwrap()).unwrap()
+        run_records(
+            Query::from("users").select_eq("dept", Value::sym("eng")),
+            &catalog
+        )
     );
     // Projection.
     assert_eq!(
         rec.project(&users, &["dept"]).unwrap(),
-        SetEngine::to_records(&su.project(&["dept"]).unwrap()).unwrap()
+        run_records(Query::from("users").project(&["dept"]), &catalog)
     );
     // Join.
     assert_eq!(
         rec.join(&users, &tickets, "uid", "uid").unwrap(),
-        SetEngine::to_records(&su.join(&st, "uid", "uid").unwrap()).unwrap()
+        run_records(Query::from("users").join("tickets", "uid", "uid"), &catalog)
     );
 }
 
@@ -172,8 +182,13 @@ fn relation_algebra_matches_engine_results() {
     )
     .unwrap();
     let via_algebra = algebra::select_eq(&rel, "dept", &Value::sym("eng")).unwrap();
-    let via_engine = engine.select("dept", &Value::sym("eng")).unwrap();
-    assert_eq!(via_algebra.identity(), &via_engine);
+    let via_engine = RecordEngine::new(&pool)
+        .select(&users, "dept", &Value::sym("eng"))
+        .unwrap();
+    assert_eq!(
+        SetEngine::to_records(via_algebra.identity()).unwrap(),
+        via_engine
+    );
 }
 
 proptest! {
@@ -196,19 +211,20 @@ proptest! {
         b.load(&rows_b).unwrap();
         let pool = BufferPool::new(storage, 8);
         let rec = RecordEngine::new(&pool);
-        let sa = SetEngine::load(&a, &pool).unwrap();
-        let sb = SetEngine::load(&b, &pool).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register_table("a", &a, &pool).unwrap();
+        catalog.register_table("b", &b, &pool).unwrap();
         prop_assert_eq!(
             rec.union(&a, &b).unwrap(),
-            SetEngine::to_records(&sa.union(&sb)).unwrap()
+            run_records(Query::from("a").union("b"), &catalog)
         );
         prop_assert_eq!(
             rec.intersect(&a, &b).unwrap(),
-            SetEngine::to_records(&sa.intersect(&sb)).unwrap()
+            run_records(Query::from("a").intersect("b"), &catalog)
         );
         prop_assert_eq!(
             rec.difference(&a, &b).unwrap(),
-            SetEngine::to_records(&sa.difference(&sb)).unwrap()
+            run_records(Query::from("a").difference("b"), &catalog)
         );
     }
 
@@ -233,11 +249,12 @@ proptest! {
         r.load(&rows_r).unwrap();
         let pool = BufferPool::new(storage, 8);
         let rec = RecordEngine::new(&pool);
-        let sl = SetEngine::load(&l, &pool).unwrap();
-        let sr = SetEngine::load(&r, &pool).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register_table("l", &l, &pool).unwrap();
+        catalog.register_table("r", &r, &pool).unwrap();
         prop_assert_eq!(
             rec.join(&l, &r, "k", "k").unwrap(),
-            SetEngine::to_records(&sl.join(&sr, "k", "k").unwrap()).unwrap()
+            run_records(Query::from("l").join("r", "k", "k"), &catalog)
         );
     }
 }

@@ -1,7 +1,8 @@
-//! Differential test layer: the set engine and the record engine are two
-//! implementations of the same relational semantics, and every parallel
-//! kernel is a reimplementation of its sequential oracle. Random workloads
-//! must agree member-exactly in both directions.
+//! Differential test layer: the record engine and the lowered plan run by
+//! the plan walker are two implementations of the same relational
+//! semantics, and every parallel kernel is a reimplementation of its
+//! sequential oracle. Random workloads must agree member-exactly in both
+//! directions.
 
 use proptest::prelude::*;
 use xst_core::ops::{
@@ -9,6 +10,8 @@ use xst_core::ops::{
     par_union, relative_product, sigma_restrict, union, Parallelism, Scope,
 };
 use xst_core::{ExtendedSet, Value};
+use xst_query::eval_parallel;
+use xst_relational::{Catalog, Query};
 use xst_storage::{
     restructure_records, restructure_set, BufferPool, ColumnTable, Record, RecordEngine,
     Restructuring, Schema, SetEngine, Storage, Table,
@@ -23,7 +26,7 @@ fn forced(threads: usize) -> Parallelism {
 }
 
 // ---------------------------------------------------------------------------
-// Set engine vs record engine on random workloads.
+// Lowered set plans vs the record engine on random workloads.
 // ---------------------------------------------------------------------------
 
 /// Rows over a small value domain so selections hit and joins collide.
@@ -41,32 +44,40 @@ fn make_table(storage: &Storage, names: &[&str], rows: &[Vec<i64>]) -> Table {
     t
 }
 
-/// Both engines over both sequential and parallel set evaluation.
-fn engines<'a>(table: &Table, pool: &'a BufferPool) -> (RecordEngine<'a>, SetEngine, SetEngine) {
-    let rec = RecordEngine::new(pool);
-    let seq = SetEngine::load(table, pool).unwrap();
-    let par = SetEngine::load(table, pool)
-        .unwrap()
-        .with_parallelism(forced(4));
-    (rec, seq, par)
+/// The tables as a catalog of relations (one canonicalizing load each).
+fn catalog(tables: &[(&str, &Table)], pool: &BufferPool) -> Catalog {
+    let mut catalog = Catalog::new();
+    for (name, table) in tables {
+        catalog.register_table(*name, table, pool).unwrap();
+    }
+    catalog
+}
+
+/// The set side: `q` lowered by `xst-relational` and run by the plan
+/// walker, sequentially and with every kernel forced onto 4 threads.
+fn lowered(q: &Query, catalog: &Catalog) -> [Vec<Record>; 2] {
+    let expr = q.to_expr(catalog).unwrap();
+    [Parallelism::sequential(), forced(4)].map(|par| {
+        let (result, _) = eval_parallel(&expr, &catalog.bindings(), &par).unwrap();
+        SetEngine::to_records(&result).unwrap()
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Selection: record scan ≡ set-engine image, sequential and parallel.
+    /// Selection: record scan ≡ lowered image, sequential and parallel.
     #[test]
     fn select_agrees(rows in arb_rows(3, 40), col in 0usize..3, key in 0i64..6) {
         let storage = Storage::new();
         let table = make_table(&storage, &["a", "b", "c"], &rows);
         let pool = BufferPool::new(storage, 16);
-        let (rec, seq, par) = engines(&table, &pool);
         let field = ["a", "b", "c"][col];
         let key = Value::Int(key);
 
-        let from_records = rec.select(&table, field, &key).unwrap();
-        let from_sets = SetEngine::to_records(&seq.select(field, &key).unwrap()).unwrap();
-        let from_par = SetEngine::to_records(&par.select(field, &key).unwrap()).unwrap();
+        let from_records = RecordEngine::new(&pool).select(&table, field, &key).unwrap();
+        let q = Query::from("t").select_eq(field, key);
+        let [from_sets, from_par] = lowered(&q, &catalog(&[("t", &table)], &pool));
         prop_assert_eq!(&from_records, &from_sets);
         prop_assert_eq!(&from_sets, &from_par);
     }
@@ -77,7 +88,6 @@ proptest! {
         let storage = Storage::new();
         let table = make_table(&storage, &["a", "b", "c"], &rows);
         let pool = BufferPool::new(storage, 16);
-        let (rec, seq, par) = engines(&table, &pool);
         let fields: Vec<&str> = ["a", "b", "c"]
             .iter()
             .enumerate()
@@ -85,9 +95,9 @@ proptest! {
             .map(|(_, f)| *f)
             .collect();
 
-        let from_records = rec.project(&table, &fields).unwrap();
-        let from_sets = SetEngine::to_records(&seq.project(&fields).unwrap()).unwrap();
-        let from_par = SetEngine::to_records(&par.project(&fields).unwrap()).unwrap();
+        let from_records = RecordEngine::new(&pool).project(&table, &fields).unwrap();
+        let q = Query::from("t").project(&fields);
+        let [from_sets, from_par] = lowered(&q, &catalog(&[("t", &table)], &pool));
         prop_assert_eq!(&from_records, &from_sets);
         prop_assert_eq!(&from_sets, &from_par);
     }
@@ -100,14 +110,10 @@ proptest! {
         let lt = make_table(&storage, &["a", "k"], &left);
         let rt = make_table(&storage, &["k2", "b"], &right);
         let pool = BufferPool::new(storage, 16);
-        let rec = RecordEngine::new(&pool);
-        let ls = SetEngine::load(&lt, &pool).unwrap();
-        let rs = SetEngine::load(&rt, &pool).unwrap();
-        let lp = SetEngine::load(&lt, &pool).unwrap().with_parallelism(forced(4));
 
-        let from_records = rec.join(&lt, &rt, "k", "k2").unwrap();
-        let from_sets = SetEngine::to_records(&ls.join(&rs, "k", "k2").unwrap()).unwrap();
-        let from_par = SetEngine::to_records(&lp.join(&rs, "k", "k2").unwrap()).unwrap();
+        let from_records = RecordEngine::new(&pool).join(&lt, &rt, "k", "k2").unwrap();
+        let q = Query::from("l").join("r", "k", "k2");
+        let [from_sets, from_par] = lowered(&q, &catalog(&[("l", &lt), ("r", &rt)], &pool));
         prop_assert_eq!(&from_records, &from_sets);
         prop_assert_eq!(&from_sets, &from_par);
     }
@@ -120,18 +126,20 @@ proptest! {
         let bt = make_table(&storage, &["x", "y"], &b);
         let pool = BufferPool::new(storage, 16);
         let rec = RecordEngine::new(&pool);
-        let asq = SetEngine::load(&at, &pool).unwrap();
-        let bsq = SetEngine::load(&bt, &pool).unwrap();
-        let apar = SetEngine::load(&at, &pool).unwrap().with_parallelism(forced(4));
+        let cat = catalog(&[("a", &at), ("b", &bt)], &pool);
 
+        let [u_seq, u_par] = lowered(&Query::from("a").union("b"), &cat);
         let u_rec = rec.union(&at, &bt).unwrap();
-        prop_assert_eq!(&u_rec, &SetEngine::to_records(&asq.union(&bsq)).unwrap());
-        prop_assert_eq!(&u_rec, &SetEngine::to_records(&apar.union(&bsq)).unwrap());
+        prop_assert_eq!(&u_rec, &u_seq);
+        prop_assert_eq!(&u_rec, &u_par);
+        let [i_seq, i_par] = lowered(&Query::from("a").intersect("b"), &cat);
         let i_rec = rec.intersect(&at, &bt).unwrap();
-        prop_assert_eq!(&i_rec, &SetEngine::to_records(&asq.intersect(&bsq)).unwrap());
-        prop_assert_eq!(&i_rec, &SetEngine::to_records(&apar.intersect(&bsq)).unwrap());
+        prop_assert_eq!(&i_rec, &i_seq);
+        prop_assert_eq!(&i_rec, &i_par);
+        let [d_seq, d_par] = lowered(&Query::from("a").difference("b"), &cat);
         let d_rec = rec.difference(&at, &bt).unwrap();
-        prop_assert_eq!(&d_rec, &SetEngine::to_records(&asq.difference(&bsq)).unwrap());
+        prop_assert_eq!(&d_rec, &d_seq);
+        prop_assert_eq!(&d_rec, &d_par);
     }
 }
 
@@ -190,9 +198,8 @@ proptest! {
             column.into_iter().map(|v| Record::new([v])).collect();
         distinct.sort();
         distinct.dedup();
-        let engine = SetEngine::load(&row_table, &pool).unwrap();
-        let projected =
-            SetEngine::to_records(&engine.project(&[field]).unwrap()).unwrap();
+        let q = Query::from("t").project(&[field]);
+        let [projected, _] = lowered(&q, &catalog(&[("t", &row_table)], &pool));
         prop_assert_eq!(&distinct, &projected);
     }
 

@@ -5,6 +5,7 @@
 use xst_core::ops::{image, sigma_domain, transitive_closure, union, Scope};
 use xst_core::parse::parse_set;
 use xst_core::{ExtendedSet, Process, Value};
+use xst_relational::{algebra, RelSchema, Relation};
 use xst_storage::{BufferPool, Record, Schema, SetEngine, Storage, Table, Wal};
 
 /// Build a tower: s0 = ∅, s_{k+1} = { s_k ^ s_k } — both element *and*
@@ -153,8 +154,10 @@ fn bulk_storage_identity_for_100k_records() {
     let pool = BufferPool::new(storage, 16);
     let engine = SetEngine::load(&t, &pool).unwrap();
     assert_eq!(engine.identity().card(), 100_000);
-    let hit = engine.select("id", &Value::Int(99_999)).unwrap();
-    assert_eq!(hit.card(), 1);
+    let schema = RelSchema::new(["id", "blob"]).unwrap();
+    let rel = Relation::from_identity(schema, engine.identity().clone()).unwrap();
+    let hit = algebra::select_eq(&rel, "id", &Value::Int(99_999)).unwrap();
+    assert_eq!(hit.len(), 1);
 }
 
 #[test]
