@@ -6,7 +6,7 @@
 //! report --quick    # smaller sizes (CI-friendly)
 //! ```
 //!
-//! Experiments that produce structured numbers (E12–E20) are also
+//! Experiments that produce structured numbers (E12–E21) are also
 //! written to `BENCH_PR2.json` at the repository root — see EXPERIMENTS.md
 //! ("Machine-readable results") for the format.
 
@@ -155,6 +155,12 @@ fn main() {
     if want("e20") {
         let iters = if quick { 3 } else { 7 };
         let (table, entries) = exp::e20_lint_workspace(iters);
+        print!("{table}");
+        json_entries.extend(entries);
+    }
+    if want("e21") {
+        let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
+        let (table, entries) = exp::e21_skewed_merge(sizes);
         print!("{table}");
         json_entries.extend(entries);
     }

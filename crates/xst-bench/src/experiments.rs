@@ -2147,3 +2147,182 @@ pub fn e20_lint_workspace(iters: usize) -> (String, Vec<crate::report_json::Benc
     );
     (table, entries)
 }
+
+/// The length ratio E21 straddles: `xst_core::ops::boolean`'s private
+/// `GALLOP_FACTOR`, copied because the kernel exports no knob — the test
+/// below reads it back out of the kernel's source, so the two cannot drift.
+const E21_SWITCH: usize = 16;
+
+/// E21 — the one ordered merge across operand skew: `∩`, `∪`, `∖` of an
+/// `n`-member set against `k` members, `k` from 1 to `n`, both operand
+/// orders, best-of-5 ns per op, every result checked against the
+/// tag-and-filter oracle. The two rows either side of `n / E21_SWITCH`
+/// straddle the length ratio at which `boolean::merge` switches from
+/// walking both operands to galloping the longer: the table is what shows
+/// that switch has no cliff.
+/// The `n` row is E10's own pair of sets.
+pub fn e21_skewed_merge(sizes: &[usize]) -> (String, Vec<crate::report_json::BenchEntry>) {
+    use crate::report_json::BenchEntry;
+    use std::collections::BTreeMap;
+    use xst_core::ops::{difference, intersection, union};
+    use xst_core::Member;
+
+    type Op = fn(&ExtendedSet, &ExtendedSet) -> ExtendedSet;
+    // Per op: name, kernel, which of (only left, both, only right) it keeps.
+    let ops: [(&str, Op, [bool; 3]); 3] = [
+        ("intersect", intersection, [false, true, false]),
+        ("union", union, [true, true, true]),
+        ("difference", difference, [true, false, false]),
+    ];
+    // One timed batch: the results are kept until the clock stops, so —
+    // as in E10 — dropping them is not part of the op.
+    let batch_ns = |f: &dyn Fn() -> ExtendedSet, batch: usize| -> u64 {
+        let mut outs = Vec::with_capacity(batch);
+        let start = Instant::now();
+        for _ in 0..batch {
+            outs.push(f());
+        }
+        start.elapsed().as_nanos() as u64
+    };
+    let best_ns = |f: &dyn Fn() -> ExtendedSet| -> (ExtendedSet, u64) {
+        // A 16-member probe is a microsecond: time batches long enough
+        // for the clock to resolve.
+        let mut batch = 1;
+        while batch_ns(f, batch) < 200_000 && batch < 1 << 14 {
+            batch *= 4;
+        }
+        let best = (0..5).map(|_| batch_ns(f, batch)).min().unwrap_or(0);
+        (f(), best / batch as u64)
+    };
+
+    let mut t = TableBuilder::new(
+        "E21 one ordered merge across operand skew (best-of-5 ns per op)",
+        &["n", "k", "op", "long·short ns", "short·long ns", "agree"],
+    );
+    let mut entries = Vec::new();
+    for &n in sizes {
+        let long = data::scoped_set(n + n / 3 + 1);
+        let len = long.card();
+        // `k` members spread over the whole of `long`: every other one a
+        // member of it, the rest misses (scope 8 is outside its 0..8).
+        let spread = |k: usize| {
+            ExtendedSet::from_members(
+                (0..k)
+                    .map(|i| {
+                        let m = &long.members()[i * len / k];
+                        if i % 2 == 0 {
+                            m.clone()
+                        } else {
+                            Member::new(m.element.clone(), Value::Int(8))
+                        }
+                    })
+                    .collect(),
+            )
+        };
+        let shorts = [
+            ("1", spread(1)),
+            ("16", spread(16)),
+            ("256", spread(256)),
+            ("n_64", spread(len / 64)),
+            ("below_switch", spread(len / E21_SWITCH - 1)),
+            ("above_switch", spread(len / E21_SWITCH + 1)),
+            ("n_2", spread(len / 2)),
+            ("n", data::scoped_set(n)),
+        ];
+        // Per op, the `below_switch` then the `above_switch` row's timings.
+        let mut around_switch: BTreeMap<&str, Vec<[u64; 2]>> = BTreeMap::new();
+        for (label, short) in &shorts {
+            let mut sides: BTreeMap<&Member, [bool; 2]> = BTreeMap::new();
+            for m in long.members() {
+                sides.entry(m).or_default()[0] = true;
+            }
+            for m in short.members() {
+                sides.entry(m).or_default()[1] = true;
+            }
+            for (name, op, [only_left, both, only_right]) in ops {
+                // `flip`: the short side is the left operand.
+                let oracle = |flip: bool| {
+                    let kept = sides.iter().filter(|(_, &[in_long, in_short])| {
+                        let (left, right) = if flip {
+                            (in_short, in_long)
+                        } else {
+                            (in_long, in_short)
+                        };
+                        match (left, right) {
+                            (true, true) => both,
+                            (true, false) => only_left,
+                            (false, true) => only_right,
+                            (false, false) => false,
+                        }
+                    });
+                    ExtendedSet::from_sorted_unique(kept.map(|(m, _)| (*m).clone()).collect())
+                };
+                let (got_ls, ns_ls) = best_ns(&|| op(&long, short));
+                let (got_sl, ns_sl) = best_ns(&|| op(short, &long));
+                let agree = got_ls == oracle(false) && got_sl == oracle(true);
+                if label.ends_with("_switch") {
+                    around_switch.entry(name).or_default().push([ns_ls, ns_sl]);
+                }
+                t.row(&[
+                    len.to_string(),
+                    format!("{} ({label})", short.card()),
+                    name.into(),
+                    ns_ls.to_string(),
+                    ns_sl.to_string(),
+                    agree.to_string(),
+                ]);
+                let meta = [
+                    ("n", len.to_string()),
+                    ("k", short.card().to_string()),
+                    ("short_long_ns", ns_sl.to_string()),
+                    ("agree", agree.to_string()),
+                ];
+                entries.push(BenchEntry::ns(
+                    format!("e21_{name}_{n}_k{label}"),
+                    ns_ls,
+                    &meta,
+                ));
+            }
+        }
+        for (name, rows) in around_switch {
+            let cliff = rows[0]
+                .iter()
+                .zip(rows[1])
+                .map(|(&below, above)| {
+                    let ratio = below as f64 / above as f64;
+                    ratio.max(1.0 / ratio)
+                })
+                .fold(1.0, f64::max);
+            entries.push(BenchEntry::ratio(
+                format!("e21_switch_cliff_{name}_{n}"),
+                cliff,
+                &[(
+                    "note",
+                    format!(
+                        "worse-order ratio between k = n/{E21_SWITCH} - 1 (galloped) and \
+                         k = n/{E21_SWITCH} + 1 (walked); no cliff means < 1.5"
+                    ),
+                )],
+            ));
+        }
+    }
+    let table = t.finish(&format!(
+        "k members spread evenly over the long side, half of them hits. Below \
+         n/{E21_SWITCH} the longer operand is galloped — `∩` stops depending on n, \
+         `∪`/`∖` keep their n copies and lose their n comparisons; from \
+         n/{E21_SWITCH} up both sides are walked as before. The two `_switch` rows \
+         sit either side of that ratio and must be within 1.5× of each other; \
+         the `n` row is E10's pair at one thread."
+    ));
+    (table, entries)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn e21_straddles_the_kernels_own_switch() {
+        let kernel = include_str!("../../xst-core/src/ops/boolean.rs");
+        let line = format!("const GALLOP_FACTOR: usize = {};", super::E21_SWITCH);
+        assert!(kernel.contains(&line), "boolean.rs no longer has `{line}`");
+    }
+}

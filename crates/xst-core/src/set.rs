@@ -12,8 +12,9 @@
 //!
 //! * set equality is structural equality (`==`),
 //! * membership tests are binary searches,
-//! * union/intersection/difference are linear merges
-//!   (see [`crate::ops::boolean`]).
+//! * union/intersection/difference are one ordered merge
+//!   (see [`crate::ops::boolean`]): O(min · log(max/min)) comparisons when
+//!   one operand outweighs the other, linear otherwise.
 //!
 //! # Sharing
 //!
@@ -80,8 +81,10 @@ impl PartialEq for ExtendedSet {
 impl ExtendedSet {
     /// The empty set `∅`.
     pub fn empty() -> ExtendedSet {
-        // A shared static empty vector would save an alloc; Arc<Vec> keeps
-        // the type simple and the empty Vec does not allocate anyway.
+        // The empty `Vec` does not allocate, but `Arc::new` does: one heap
+        // allocation per `∅`, and every classical member carries one as its
+        // scope. A shared static `∅` would trade it for a refcount on one
+        // cache line (ROADMAP 5(c)).
         ExtendedSet {
             members: Arc::new(Vec::new()),
         }

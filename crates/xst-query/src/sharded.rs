@@ -169,7 +169,10 @@ type Step = (String, Frag, Option<(OpKind, OpStat)>);
 /// clocks the kernel (operand evaluation and gathers excluded). `card` is
 /// the dominant operand's cardinality, recorded as the span's `card_in`;
 /// `widest` is the largest input any single kernel run sees, which is
-/// what decides whether a family with a parallel kernel fanned out.
+/// what decides whether a family with a parallel kernel fanned out — for
+/// `∩` an upper bound: `par_intersection` weighs a pair its merge gallops
+/// by the smaller operand alone, a rule the walker does not copy, so a
+/// skewed `∩` may report `par.threads` where the kernel ran on one.
 fn timed(
     kind: OpKind,
     par: &Parallelism,

@@ -236,25 +236,56 @@ proptest! {
 // Parallel kernels vs their sequential oracles at 1, 2, 4, 8 threads.
 // ---------------------------------------------------------------------------
 
+/// A skewed pair — 0–4 members against 0–300, half of the few drawn from
+/// the many — so every member range a parallel merge cuts is galloped.
+fn arb_skewed() -> impl Strategy<Value = (ExtendedSet, ExtendedSet)> {
+    let member = || (0i64..400, 0i64..3);
+    (
+        prop::collection::vec(member(), 0..300),
+        prop::collection::vec((member(), 0usize..300, any::<bool>()), 0..5),
+    )
+        .prop_map(|(many, few)| {
+            let scoped = |(e, s): (i64, i64)| (Value::Int(e), Value::Int(s));
+            let few = few.into_iter().map(|(miss, at, hit)| match many.get(at) {
+                Some(&member) if hit => member,
+                _ => miss,
+            });
+            (
+                ExtendedSet::from_pairs(few.map(scoped).collect::<Vec<_>>()),
+                ExtendedSet::from_pairs(many.into_iter().map(scoped)),
+            )
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// `par_union` ≡ `union` on arbitrary (nested, scoped) extended sets.
+    /// `par_union` ≡ `union` on arbitrary (nested, scoped) extended sets,
+    /// and on a skewed pair: range cuts plus a gallop inside each range.
     #[test]
-    fn par_union_matches_oracle(a in arb_set(2), b in arb_set(2)) {
+    fn par_union_matches_oracle(a in arb_set(2), b in arb_set(2), (few, many) in arb_skewed()) {
         let oracle = union(&a, &b);
+        let both = few.members().iter().chain(many.members()).cloned().collect();
+        let skewed = ExtendedSet::from_members(both);
         for k in THREADS {
             prop_assert_eq!(&par_union(&a, &b, &forced(k)), &oracle);
+            prop_assert_eq!(&par_union(&few, &many, &forced(k)), &skewed);
+            prop_assert_eq!(&par_union(&many, &few, &forced(k)), &skewed);
         }
     }
 
-    /// `par_intersection` ≡ `intersection`, both operand orders.
+    /// `par_intersection` ≡ `intersection`, both operand orders, skewed
+    /// pair included.
     #[test]
-    fn par_intersection_matches_oracle(a in arb_set(2), b in arb_set(2)) {
+    fn par_intersection_matches_oracle(a in arb_set(2), b in arb_set(2), (few, many) in arb_skewed()) {
         let oracle = intersection(&a, &b);
+        let hits = few.members().iter().filter(|m| many.contains(&m.element, &m.scope));
+        let skewed = ExtendedSet::from_members(hits.cloned().collect());
         for k in THREADS {
             prop_assert_eq!(&par_intersection(&a, &b, &forced(k)), &oracle);
             prop_assert_eq!(&par_intersection(&b, &a, &forced(k)), &oracle);
+            prop_assert_eq!(&par_intersection(&few, &many, &forced(k)), &skewed);
+            prop_assert_eq!(&par_intersection(&many, &few, &forced(k)), &skewed);
         }
     }
 

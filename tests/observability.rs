@@ -251,6 +251,36 @@ fn max_threads_reflects_the_widest_part_not_the_total() {
     assert_eq!(width(stats), 1, "every part ran sequentially");
 }
 
+/// `par_intersection` fans out on the members its merge visits: the
+/// smaller operand alone for a pair it gallops (microseconds of work),
+/// both operands for a pair it walks — however small the smaller one.
+#[test]
+fn a_skewed_intersection_does_not_fan_out() {
+    let _g = obs_lock();
+    xst_obs::enable();
+    let par = Parallelism::new(4);
+    let ints = |n: i64, stride: i64| ExtendedSet::classical((0..n).map(|i| Value::Int(i * stride)));
+    let plan = Expr::table("t").intersect(Expr::table("probe"));
+    for (t, probe, fanouts) in [
+        (10_000, ints(16, 600), 0),   // galloped: 16 members of work
+        (10_000, ints(9_000, 1), 1),  // balanced
+        (60_000, ints(4_000, 15), 1), // 15 : 1, still walked: 64 000
+    ] {
+        let env: Bindings = [("t".to_string(), ints(t, 1)), ("probe".to_string(), probe)]
+            .into_iter()
+            .collect();
+        let (expect, _) = eval_parallel(&plan, &env, &Parallelism::sequential()).unwrap();
+        assert!(!expect.is_empty());
+        let costs = xst_obs::cost::begin();
+        let (got, stats) = eval_parallel(&plan, &env, &par).unwrap();
+        assert_eq!(costs.take().par_fanouts, fanouts, "{t} ∩ probe");
+        if fanouts > 0 {
+            assert_eq!(stats.op(OpKind::Intersect).max_threads, 4);
+        }
+        assert_eq!(got, expect);
+    }
+}
+
 #[test]
 fn gather_merges_count_only_gathers_that_merged() {
     use xst_storage::{Record, Schema, ShardedEngine};
