@@ -6,7 +6,7 @@
 //! report --quick    # smaller sizes (CI-friendly)
 //! ```
 //!
-//! Experiments that produce structured numbers (E12–E21) are also
+//! Experiments that produce structured numbers (E12–E22) are also
 //! written to `BENCH_PR2.json` at the repository root — see EXPERIMENTS.md
 //! ("Machine-readable results") for the format.
 
@@ -161,6 +161,12 @@ fn main() {
     if want("e21") {
         let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
         let (table, entries) = exp::e21_skewed_merge(sizes);
+        print!("{table}");
+        json_entries.extend(entries);
+    }
+    if want("e22") {
+        let (pairs, witnesses) = if quick { (2_000, 250) } else { (20_000, 2_500) };
+        let (table, entries) = exp::e22_rule_traffic(pairs, witnesses, 15);
         print!("{table}");
         json_entries.extend(entries);
     }

@@ -1141,7 +1141,7 @@ pub fn e14_txn_snapshot_scaling(
             h.join().unwrap();
         }
         assert_eq!(
-            mgr.begin().engine("t").unwrap().identity().card(),
+            mgr.begin().read_identity("t").unwrap().card(),
             n + commits,
             "every writer commit landed"
         );
@@ -2314,6 +2314,197 @@ pub fn e21_skewed_merge(sizes: &[usize]) -> (String, Vec<crate::report_json::Ben
          sit either side of that ratio and must be within 1.5× of each other; \
          the `n` row is E10's pair at one thread."
     ));
+    (table, entries)
+}
+
+/// E22 — does every default rule pay on its own trigger? One row per
+/// rule of `default_rules()`: its trigger plan (the roster of
+/// `tests/analysis_soundness.rs`, over tables shaped like `inproc_plan`'s —
+/// `pairs`-pair relations keyed `0..pairs` with values colliding four to
+/// one, `witnesses` 1-tuple witnesses) optimized by `Optimizer::new()`
+/// and by the default rules minus that one, then evaluated `iters` times
+/// each, interleaved with a second series of the first as the noise
+/// floor. A rule whose ratio sits above 1 by more than that floor does
+/// not belong in the default set; optimization time is shown beside it
+/// because `composition-fusion` and `analyzer-empty-prune` do their work
+/// there.
+pub fn e22_rule_traffic(
+    pairs: usize,
+    witnesses: usize,
+    iters: usize,
+) -> (String, Vec<crate::report_json::BenchEntry>) {
+    use crate::report_json::BenchEntry;
+    use xst_query::default_rules;
+
+    let n = pairs as i64;
+    let relation = |keys: std::ops::Range<i64>, mul: i64, to: i64| {
+        ExtendedSet::classical(keys.map(|k| {
+            Value::Set(ExtendedSet::pair(
+                Value::Int(k),
+                Value::Int(to + (k * mul) % (n / 4)),
+            ))
+        }))
+    };
+    let witness_set = |offset: i64| {
+        ExtendedSet::classical(
+            (0..witnesses as i64)
+                .map(|i| Value::Set(ExtendedSet::tuple([Value::Int((offset + i * 7) % n)]))),
+        )
+    };
+    // `c` is keyed by `f`'s values, so `c ∘ f` is not empty.
+    let (f, c) = (relation(0..n, 7919, n), relation(n..2 * n, 1, 2 * n));
+    let env: Bindings = [
+        ("f", f.clone()),
+        ("g", relation(0..n, 104_729, n)),
+        ("w", witness_set(0)),
+        ("v", witness_set(3)),
+    ]
+    .into_iter()
+    .map(|(name, set)| (name.to_string(), set))
+    .collect();
+
+    let t = |name: &str| Expr::table(name);
+    let Scope { sigma1, sigma2 } = Scope::pairs();
+    let image = |r: &str, a: &str| t(r).image(t(a), Scope::pairs());
+    let triggers = [
+        ("empty-prune", Expr::lit(ExtendedSet::empty()).union(t("f"))),
+        ("boolean-idempotence", t("f").union(t("f"))),
+        (
+            "image-fusion",
+            t("f")
+                .restrict(sigma1.clone(), t("w"))
+                .domain(sigma2.clone()),
+        ),
+        (
+            "domain-fusion",
+            t("f")
+                .domain(ExtendedSet::tuple([Value::Int(2), Value::Int(1)]))
+                .domain(sigma1.clone()),
+        ),
+        ("input-union-merge", image("f", "w").union(image("f", "v"))),
+        (
+            "composition-fusion",
+            Expr::lit(c).image(Expr::lit(f).image(t("w"), Scope::pairs()), Scope::pairs()),
+        ),
+        (
+            "analyzer-empty-prune",
+            Expr::lit(ExtendedSet::from_pairs([("a", 1), ("b", 1)]))
+                .intersect(Expr::lit(ExtendedSet::from_pairs([("a", 2)])))
+                .union(t("f")),
+        ),
+    ];
+
+    let median = |mut v: Vec<u64>| -> u64 {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    // The result outlives the clock: dropping it is not part of the op.
+    let eval_ns = |plan: &Expr| -> u64 {
+        let start = Instant::now();
+        let out = eval_counted(plan, &env).unwrap();
+        let ns = start.elapsed().as_nanos() as u64;
+        drop(out);
+        ns
+    };
+    let mut table = TableBuilder::new(
+        "E22 each default rule against its absence (median eval ms)",
+        &[
+            "rule",
+            "with ms",
+            "without ms",
+            "with/without",
+            "noise",
+            "interm. with",
+            "interm. without",
+            "read with",
+            "read without",
+            "optimize µs",
+            "agree",
+        ],
+    );
+    let mut entries = Vec::new();
+    let all = Optimizer::new();
+    for rule in default_rules() {
+        let name = rule.name();
+        let (_, trigger) = triggers
+            .iter()
+            .find(|(rule, _)| *rule == name)
+            .unwrap_or_else(|| panic!("default rule {name} has no E22 trigger"));
+        let rest = default_rules()
+            .into_iter()
+            .filter(|r| r.name() != name)
+            .collect();
+        let (with, fired) = all.optimize(trigger);
+        assert!(fired.iter().any(|step| step.rule == name), "{name} idle");
+        let (without, _) = Optimizer::with_rules(rest).optimize(trigger);
+
+        let (want, _) = eval_counted(trigger, &env).unwrap();
+        let (got_with, stats_with) = eval_counted(&with, &env).unwrap();
+        let (got_without, stats_without) = eval_counted(&without, &env).unwrap();
+        let agree = got_with == want && got_without == want;
+
+        let (mut a, mut b, mut absent, mut optimize) = (vec![], vec![], vec![], vec![]);
+        for _ in 0..iters {
+            a.push(eval_ns(&with));
+            absent.push(eval_ns(&without));
+            b.push(eval_ns(&with));
+            let start = Instant::now();
+            std::hint::black_box(all.optimize(trigger));
+            optimize.push(start.elapsed().as_nanos() as u64);
+        }
+        let (a, b, absent, optimize) = (median(a), median(b), median(absent), median(optimize));
+        let ratio = a as f64 / absent.max(1) as f64;
+        let noise = b as f64 / a.max(1) as f64;
+        table.row(&[
+            name.into(),
+            format!("{:.3}", a as f64 / 1e6),
+            format!("{:.3}", absent as f64 / 1e6),
+            format!("{ratio:.3}x"),
+            format!("{noise:.3}x"),
+            stats_with.intermediate_members.to_string(),
+            stats_without.intermediate_members.to_string(),
+            stats_with.rows_read.to_string(),
+            stats_without.rows_read.to_string(),
+            format!("{:.1}", optimize as f64 / 1e3),
+            agree.to_string(),
+        ]);
+        let id = name.replace('-', "_");
+        let meta = [
+            ("pairs", pairs.to_string()),
+            ("witnesses", witnesses.to_string()),
+            ("iters", iters.to_string()),
+            ("without_ns", absent.to_string()),
+            ("optimize_ns", optimize.to_string()),
+            (
+                "intermediate_with",
+                stats_with.intermediate_members.to_string(),
+            ),
+            (
+                "intermediate_without",
+                stats_without.intermediate_members.to_string(),
+            ),
+            ("rows_read_with", stats_with.rows_read.to_string()),
+            ("rows_read_without", stats_without.rows_read.to_string()),
+            ("agree", agree.to_string()),
+        ];
+        entries.push(BenchEntry::ns(format!("e22_{id}_eval"), a, &meta));
+        entries.push(BenchEntry::ratio(
+            format!("e22_{id}_vs_absent"),
+            ratio,
+            &[("noise", format!("{noise:.3}"))],
+        ));
+    }
+    let table = table.finish(
+        "with = the trigger under Optimizer::new(), without = under the default \
+         rules minus the row's; noise = a second interleaved series of `with` \
+         over the first. A ratio above 1 by more than the noise is a rule that \
+         costs more than it saves on its own trigger. interm. = members \
+         operators emit below the root, read = rows their kernels are handed \
+         (input-union-merge halves the passes over `f`: only `read` shows \
+         it). optimize µs is one \
+         Optimizer::new().optimize(trigger), paid per request by a caller \
+         that does not keep the plan.",
+    );
     (table, entries)
 }
 

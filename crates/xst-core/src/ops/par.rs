@@ -89,6 +89,15 @@ impl Parallelism {
         self.threads > 1 && card >= self.threshold
     }
 
+    /// Does `a ∩ b` fan out? Decided on the members `merge` will visit: a
+    /// pair it gallops is bounded by its *smaller* operand — a skewed `∩`
+    /// is microseconds, less than a thread spawn — and a pair it walks
+    /// costs both. [`par_intersection`] and whoever reports its width
+    /// (the plan walker's `max_threads`) both ask here.
+    pub fn intersection_fans_out(&self, a: &ExtendedSet, b: &ExtendedSet) -> bool {
+        self.should_parallelize(intersection_work(a.members(), b.members()))
+    }
+
     /// Worker count for `len` items: never more threads than items.
     fn workers_for(&self, len: usize) -> usize {
         self.threads.min(len.max(1))
@@ -254,17 +263,15 @@ pub fn par_union(a: &ExtendedSet, b: &ExtendedSet, par: &Parallelism) -> Extende
 }
 
 /// `A ∩ B` — parallel intersection by member-range partitioning (same
-/// scheme as [`par_union`]). The fan-out is decided on the members `merge`
-/// will visit: a pair it gallops is bounded by its *smaller* operand — a
-/// skewed `∩` is microseconds, less than a thread spawn — and a pair it
-/// walks costs both.
+/// scheme as [`par_union`]), when
+/// [`intersection_fans_out`](Parallelism::intersection_fans_out).
 pub fn par_intersection(a: &ExtendedSet, b: &ExtendedSet, par: &Parallelism) -> ExtendedSet {
     let mut span = xst_obs::span!(
         "par.intersection",
         card = a.card() + b.card(),
         threads = par.threads
     );
-    if !par.should_parallelize(intersection_work(a.members(), b.members())) {
+    if !par.intersection_fans_out(a, b) {
         return intersection(a, b);
     }
     note_fanout(&mut span, par.workers_for(a.card().max(b.card())));

@@ -17,7 +17,7 @@
 //! 5. **one-lowering** — a relational operator becomes a plan in
 //!    `xst-relational/src/algebra.rs` and the plan walker runs it: the
 //!    relational crate and the storage engines name no `xst_core::ops`
-//!    kernel that has an `Expr` node, and `identity_spec` is defined once.
+//!    kernel that has an `Expr` node.
 //!
 //! **Analysis passes** (this PR), on a lightweight syntactic model
 //! ([`syntax`]) with a call-graph approximation:
@@ -35,6 +35,14 @@
 //! 9. **proto-dispatch** ([`proto`]) — wire tags, decode arms, and
 //!    `Session::handle` dispatch agree.
 //!
+//! **Guards** ([`guards`]), on the raw text of every `.rs` file under
+//! `crates/`, `tests/` and `vendor/`:
+//!
+//! 10. **one-door**, **one-walker**, **one-traversal**, **one-partition**,
+//!     **one-twopc**, **one-codec**, **one-lowering** — one declarative
+//!     table of patterns that may be spelled only in one place, or only
+//!     so many times: what keeps "one of each" from re-growing a second.
+//!
 //! Justification comments are the living allowlist: they must carry a
 //! non-empty reason, survive `--deny-all` (unlike the legacy static
 //! [`ALLOWLIST`], which ships empty), and are themselves linted — an
@@ -45,6 +53,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod faults;
+pub mod guards;
 pub mod locks;
 pub mod proto;
 pub mod report;
@@ -183,6 +192,7 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     locks::analyze(&ws, &mut findings, &mut used);
     faults::analyze(&ws, &mut findings, &mut used);
     proto::analyze(&ws, &mut findings);
+    guards::analyze(root, &mut findings)?;
     justification_hygiene(&ws, &used, &mut findings);
 
     findings.sort_by(|a, b| {
@@ -284,10 +294,8 @@ const REGISTRATION_METHODS: &[&str] = &[".counter(", ".gauge(", ".histogram("];
 const REGISTRATION_WINDOW: usize = 120;
 
 /// The one relational lowering: the module whose plans stand in for the
-/// kernels below, and the only file that may define [`IDENTITY_SPEC_FN`].
+/// kernels below.
 const LOWERING_FILE: &str = "crates/xst-relational/src/algebra.rs";
-/// The spec builder every hand-written copy of the lowering re-grew.
-const IDENTITY_SPEC_FN: &str = "fn identity_spec";
 /// Where a relational operator must be a lowered plan, not a kernel call.
 const LOWERED_SOURCES: &[&str] = &[
     "crates/xst-relational/src/",
@@ -452,22 +460,6 @@ pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) -> Vec<usize> {
             }
         }
     }
-    if rel_str != LOWERING_FILE {
-        for at in find_token(&view.code, IDENTITY_SPEC_FN, true) {
-            push_finding(
-                out,
-                rel_str,
-                view.line_of(at),
-                "one-lowering",
-                format!(
-                    "`{IDENTITY_SPEC_FN}` outside {LOWERING_FILE}; the identity re-scope \
-                     spec is built by the one lowering"
-                ),
-                allowlisted(rel_str, IDENTITY_SPEC_FN),
-            );
-        }
-    }
-
     let is_names_file = rel_str == METRIC_NAMES_FILE;
     let mut seen_names: Vec<&str> = Vec::new();
     for lit in &view.strings {

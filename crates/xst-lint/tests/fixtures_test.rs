@@ -178,6 +178,43 @@ fn one_lowering_fixture_flags_kernels_and_a_second_identity_spec() {
     assert_eq!(report.findings.len(), 4);
 }
 
+#[test]
+fn guard_within_fixture_flags_a_pattern_outside_its_allowed_path() {
+    let report = lint("guard_within");
+    assert_eq!(
+        errors(&report),
+        vec![
+            "crates/app/src/lib.rs:8: [one-partition] `fn gallop` outside \
+             crates/xst-core/src/ops/boolean.rs; the exponential search of a member \
+             slice is boolean::gallop",
+            "tests/checksum.rs:4: [one-codec] `fn crc32` outside crates/xst-core/src/; \
+             the value codec and the checksum live in crates/xst-core/src",
+        ]
+    );
+    // `boolean.rs` itself defines `fn gallop` — the negative. The second
+    // finding sits in a root integration test, which no pass models.
+    assert_eq!(report.findings.len(), 2);
+}
+
+#[test]
+fn guard_count_fixture_flags_a_surplus_and_a_missing_occurrence() {
+    let report = lint("guard_count");
+    assert_eq!(
+        errors(&report),
+        vec![
+            "crates/xst-core/src/ops/par.rs:1: [one-partition] `crossbeam::thread::scope` \
+             occurs 0 time(s) under crates/xst-core/src/ops/par.rs, want 1; par.rs spawns \
+             threads in fan_out only",
+            "crates/xst-shell/src/lib.rs:19: [one-door] `\"put\" =>` occurs 2 time(s) under \
+             crates/xst-shell/src/, want 1; each store verb is matched once, in \
+             Session::verb, whichever door answers",
+        ]
+    );
+    // The six verbs matched once are silent, and so is every count row
+    // whose files this workspace does not have.
+    assert_eq!(report.findings.len(), 2);
+}
+
 /// Roster: every analysis pass fires at least once across the corpus —
 /// a pass that silently stopped matching anything cannot go unnoticed.
 #[test]
@@ -190,6 +227,8 @@ fn every_pass_fires_on_the_corpus() {
         "proto_dispatch",
         "harness_clock",
         "one_lowering",
+        "guard_within",
+        "guard_count",
     ] {
         for f in &lint(fixture).findings {
             if !rules_fired.contains(&f.rule) {
@@ -204,6 +243,9 @@ fn every_pass_fires_on_the_corpus() {
         "proto-dispatch",
         "determinism",
         "one-lowering",
+        "one-partition",
+        "one-codec",
+        "one-door",
     ] {
         assert!(
             rules_fired.iter().any(|r| r == rule),

@@ -100,6 +100,9 @@ pub struct EvalStats {
     /// Total members across all intermediate (non-root) results — the
     /// materialization volume a pipeline pays.
     pub intermediate_members: u64,
+    /// Total members every kernel was handed (`Σ rows_in` over operator
+    /// nodes) — the passes over their inputs a plan's operators make.
+    pub rows_read: u64,
     /// Members in the final result.
     pub result_members: u64,
     /// Per-family profile, indexed by `OpKind as usize`.
@@ -143,6 +146,7 @@ impl EvalStats {
         self.nodes += 1;
         if let Some((kind, ran)) = node.kernel {
             self.intermediate_members += node.rows_out;
+            self.rows_read += node.rows_in();
             let slot = &mut self.per_op[kind as usize];
             slot.invocations += ran.invocations;
             slot.wall_nanos += ran.wall_nanos;

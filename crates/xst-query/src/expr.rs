@@ -137,55 +137,68 @@ impl Expr {
         matches!(self, Expr::Literal(s) if s.is_empty())
     }
 
-    /// Number of nodes in the tree.
-    pub fn size(&self) -> usize {
-        1 + match self {
-            Expr::Literal(_) | Expr::Table(_) => 0,
+    /// The operand subtrees, in operand order.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (first, second): (Option<&Expr>, Option<&Expr>) = match self {
+            Expr::Literal(_) | Expr::Table(_) => (None, None),
+            Expr::Domain { r, .. } => (Some(r), None),
             Expr::Union(a, b)
             | Expr::Intersect(a, b)
             | Expr::Difference(a, b)
-            | Expr::Cross(a, b) => a.size() + b.size(),
-            Expr::Restrict { r, a, .. } => r.size() + a.size(),
-            Expr::Domain { r, .. } => r.size(),
-            Expr::Image { r, a, .. } => r.size() + a.size(),
-            Expr::RelProduct { f, g, .. } => f.size() + g.size(),
+            | Expr::Cross(a, b) => (Some(a), Some(b)),
+            Expr::Restrict { r, a, .. } | Expr::Image { r, a, .. } => (Some(r), Some(a)),
+            Expr::RelProduct { f, g, .. } => (Some(f), Some(g)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// This node over `f` of each operand subtree, in operand order.
+    pub(crate) fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
+        let mut go = |e: Box<Expr>| Box::new(f(*e));
+        match self {
+            Expr::Literal(_) | Expr::Table(_) => self,
+            Expr::Union(a, b) => Expr::Union(go(a), go(b)),
+            Expr::Intersect(a, b) => Expr::Intersect(go(a), go(b)),
+            Expr::Difference(a, b) => Expr::Difference(go(a), go(b)),
+            Expr::Cross(a, b) => Expr::Cross(go(a), go(b)),
+            Expr::Restrict { r, sigma, a } => Expr::Restrict {
+                r: go(r),
+                sigma,
+                a: go(a),
+            },
+            Expr::Domain { r, sigma } => Expr::Domain { r: go(r), sigma },
+            Expr::Image { r, a, scope } => Expr::Image {
+                r: go(r),
+                a: go(a),
+                scope,
+            },
+            Expr::RelProduct { f, sigma, g, omega } => Expr::RelProduct {
+                f: go(f),
+                sigma,
+                g: go(g),
+                omega,
+            },
         }
+    }
+
+    /// Number of nodes in the tree.
+    pub fn size(&self) -> usize {
+        1 + self.children().map(Expr::size).sum::<usize>()
     }
 
     /// Names of all referenced tables.
     pub fn tables(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.collect_tables(&mut out);
+        let mut pending = vec![self];
+        while let Some(e) = pending.pop() {
+            if let Expr::Table(name) = e {
+                out.push(name.as_str());
+            }
+            pending.extend(e.children());
+        }
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    fn collect_tables<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Expr::Literal(_) => {}
-            Expr::Table(name) => out.push(name),
-            Expr::Union(a, b)
-            | Expr::Intersect(a, b)
-            | Expr::Difference(a, b)
-            | Expr::Cross(a, b) => {
-                a.collect_tables(out);
-                b.collect_tables(out);
-            }
-            Expr::Restrict { r, a, .. } => {
-                r.collect_tables(out);
-                a.collect_tables(out);
-            }
-            Expr::Domain { r, .. } => r.collect_tables(out),
-            Expr::Image { r, a, .. } => {
-                r.collect_tables(out);
-                a.collect_tables(out);
-            }
-            Expr::RelProduct { f, g, .. } => {
-                f.collect_tables(out);
-                g.collect_tables(out);
-            }
-        }
     }
 }
 

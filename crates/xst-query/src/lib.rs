@@ -12,20 +12,18 @@
 //!   (node counts and intermediate materialization volume — what
 //!   composition saves), a fold over that tree;
 //! * [`rules`] — rewrite rules, each justified by a numbered law of the
-//!   paper (image fusion by C.1(f), empty pruning by C.1(g), union merges
-//!   by C.1(a)/(i), domain fusion by Defs 7.3/7.4, composition fusion by
+//!   paper (image fusion by C.1(f), empty pruning by C.1(g), union merge
+//!   by C.1(a), domain fusion by Defs 7.3/7.4, composition fusion by
 //!   Theorem 11.2);
 //! * [`optimizer`] — a fixpoint rule driver whose trace doubles as
 //!   `EXPLAIN` output;
 //! * [`mod@explain`] — `EXPLAIN ANALYZE`: optimize, evaluate, and render
-//!   the evaluator's own profile tree of wall-times and cardinalities;
-//! * [`cost`] — cardinality/work estimation used to sanity-check rewrites.
+//!   the evaluator's own profile tree of wall-times and cardinalities.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod cost;
 pub mod eval;
 pub mod explain;
 pub mod expr;
@@ -34,7 +32,6 @@ pub mod rules;
 pub mod sharded;
 
 pub use analysis::{check, env_for};
-pub use cost::{estimate, estimated_work, StatsSource, TableStats, DEFAULT_SELECTIVITY};
 pub use eval::{eval, eval_counted, eval_parallel, EvalStats, OpKind, OpStat};
 pub use explain::{explain_analyze, explain_analyze_sharded, ExplainAnalyze, PlanNode};
 pub use expr::{Bindings, Expr};

@@ -69,23 +69,21 @@ impl Optimizer {
         let mut current = expr.clone();
         let mut trace = Trace::new();
         for _ in 0..self.max_passes {
-            let (next, changed) = self.pass(&current, &mut trace);
-            current = next;
-            if !changed {
+            let fired = trace.len();
+            current = self.pass(current, &mut trace);
+            if trace.len() == fired {
                 break;
             }
         }
         (current, trace)
     }
 
-    /// One bottom-up pass.
-    fn pass(&self, expr: &Expr, trace: &mut Trace) -> (Expr, bool) {
-        // Rewrite children first.
-        let (node, mut changed) = self.map_children(expr, trace);
-        // Then try rules at this node, repeatedly, until none fires.
-        let mut node = node;
+    /// One bottom-up pass: rewrite the children, then try the rules at
+    /// this node, repeatedly, until none fires.
+    fn pass(&self, expr: Expr, trace: &mut Trace) -> Expr {
+        let mut node = expr.map_children(|child| self.pass(child, trace));
         loop {
-            let mut fired = false;
+            let fired = trace.len();
             for rule in &self.rules {
                 if let Some(next) = rule.apply(&node) {
                     trace.push(TraceEntry {
@@ -95,125 +93,11 @@ impl Optimizer {
                         after: next.to_string(),
                     });
                     node = next;
-                    fired = true;
-                    changed = true;
                 }
             }
-            if !fired {
-                break;
+            if trace.len() == fired {
+                return node;
             }
-        }
-        (node, changed)
-    }
-
-    fn map_children(&self, expr: &Expr, trace: &mut Trace) -> (Expr, bool) {
-        macro_rules! go {
-            ($e:expr) => {{
-                let (child, ch) = self.pass($e, trace);
-                (Box::new(child), ch)
-            }};
-        }
-        match expr {
-            Expr::Literal(_) | Expr::Table(_) => (expr.clone(), false),
-            Expr::Union(a, b) => {
-                let (a, ca) = go!(a);
-                let (b, cb) = go!(b);
-                (Expr::Union(a, b), ca || cb)
-            }
-            Expr::Intersect(a, b) => {
-                let (a, ca) = go!(a);
-                let (b, cb) = go!(b);
-                (Expr::Intersect(a, b), ca || cb)
-            }
-            Expr::Difference(a, b) => {
-                let (a, ca) = go!(a);
-                let (b, cb) = go!(b);
-                (Expr::Difference(a, b), ca || cb)
-            }
-            Expr::Cross(a, b) => {
-                let (a, ca) = go!(a);
-                let (b, cb) = go!(b);
-                (Expr::Cross(a, b), ca || cb)
-            }
-            Expr::Restrict { r, sigma, a } => {
-                let (r, cr) = go!(r);
-                let (a, ca) = go!(a);
-                (
-                    Expr::Restrict {
-                        r,
-                        sigma: sigma.clone(),
-                        a,
-                    },
-                    cr || ca,
-                )
-            }
-            Expr::Domain { r, sigma } => {
-                let (r, cr) = go!(r);
-                (
-                    Expr::Domain {
-                        r,
-                        sigma: sigma.clone(),
-                    },
-                    cr,
-                )
-            }
-            Expr::Image { r, a, scope } => {
-                let (r, cr) = go!(r);
-                let (a, ca) = go!(a);
-                (
-                    Expr::Image {
-                        r,
-                        a,
-                        scope: scope.clone(),
-                    },
-                    cr || ca,
-                )
-            }
-            Expr::RelProduct { f, sigma, g, omega } => {
-                let (f, cf) = go!(f);
-                let (g, cg) = go!(g);
-                (
-                    Expr::RelProduct {
-                        f,
-                        sigma: sigma.clone(),
-                        g,
-                        omega: omega.clone(),
-                    },
-                    cf || cg,
-                )
-            }
-        }
-    }
-}
-
-impl Optimizer {
-    /// Optimize under a cost guard: a full fixpoint rewrite is accepted
-    /// only if it does not increase [`crate::cost::estimated_work`] under
-    /// `stats`; otherwise the original expression is returned with an
-    /// explanatory trace entry.
-    ///
-    /// With the default rule set every rewrite is work-reducing (see the
-    /// `optimizer_never_increases_estimated_work` test in [`crate::cost`]),
-    /// so the guard exists for custom rule sets — e.g. distribution rules
-    /// that trade one big pass for several small ones.
-    pub fn optimize_costed(
-        &self,
-        expr: &Expr,
-        stats: &dyn crate::cost::StatsSource,
-    ) -> (Expr, Trace) {
-        let before = crate::cost::estimated_work(expr, stats);
-        let (rewritten, mut trace) = self.optimize(expr);
-        let after = crate::cost::estimated_work(&rewritten, stats);
-        if after <= before {
-            (rewritten, trace)
-        } else {
-            trace.push(TraceEntry {
-                rule: "cost-guard",
-                law: "estimated_work must not increase",
-                before: format!("{rewritten} (est. {after:.0})"),
-                after: format!("{expr} (est. {before:.0})"),
-            });
-            (expr.clone(), trace)
         }
     }
 }
@@ -323,55 +207,6 @@ mod tests {
         assert!(report.contains("C.1(f)"), "{report}");
         let stable = explain(&Expr::table("f"));
         assert!(stable.contains("rewrites: none"), "{stable}");
-    }
-
-    #[test]
-    fn costed_optimizer_accepts_reducing_rewrites() {
-        use crate::cost::TableStats;
-        let mut stats = TableStats::default();
-        stats.set("f", 100);
-        stats.set("a", 4);
-        let e = Expr::table("f")
-            .restrict(xtuple![1], Expr::table("a"))
-            .domain(xtuple![2]);
-        let (optimized, trace) = Optimizer::new().optimize_costed(&e, &stats);
-        assert!(matches!(optimized, Expr::Image { .. }));
-        assert!(!trace.iter().any(|t| t.rule == "cost-guard"));
-    }
-
-    #[test]
-    fn costed_optimizer_rejects_work_increasing_rules() {
-        use crate::cost::TableStats;
-        use crate::rules::Rule;
-
-        /// A deliberately bad rule: duplicates any table scan into a
-        /// self-union (same result, double the estimated work).
-        struct Duplicator;
-        impl Rule for Duplicator {
-            fn name(&self) -> &'static str {
-                "duplicator"
-            }
-            fn law(&self) -> &'static str {
-                "none — pessimization for testing"
-            }
-            fn apply(&self, expr: &Expr) -> Option<Expr> {
-                // Fires only on table "f" and rewrites to tables it never
-                // matches again, so the fixpoint loop terminates.
-                match expr {
-                    Expr::Table(t) if t == "f" => Some(Expr::table("g").union(Expr::table("g"))),
-                    _ => None,
-                }
-            }
-        }
-
-        let mut stats = TableStats::default();
-        stats.set("f", 100);
-        stats.set("g", 100);
-        let e = Expr::table("f").domain(xtuple![1]);
-        let opt = Optimizer::with_rules(vec![Box::new(Duplicator)]);
-        let (guarded, trace) = opt.optimize_costed(&e, &stats);
-        assert_eq!(guarded, e, "pessimization rolled back");
-        assert!(trace.iter().any(|t| t.rule == "cost-guard"));
     }
 
     #[test]

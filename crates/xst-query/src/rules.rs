@@ -5,7 +5,6 @@
 //! | [`ImageFusion`] | Consequence C.1(f): `Q\[A\]_⟨σ,γ⟩ = 𝔇_γ(Q |_σ A)` |
 //! | [`EmptyPrune`] | C.1(g) and 7.1(e): empty operands / specs collapse |
 //! | [`BooleanIdempotence`] | `A∪A = A`, `A∩A = A`, `A~A = ∅` |
-//! | [`ImageUnionMerge`] | C.1(i): `(Q∪R)\[A\]_σ = Q\[A\]_σ ∪ R\[A\]_σ`, applied right-to-left |
 //! | [`InputUnionMerge`] | C.1(a): `Q\[A∪B\]_σ = Q\[A\]_σ ∪ Q\[B\]_σ`, applied right-to-left |
 //! | [`DomainFusion`] | Definitions 7.3/7.4: `𝔇_σ(𝔇_ω(R)) = 𝔇_{ω;σ}(R)` |
 //! | [`CompositionFusion`] | Theorem 11.2: nested applications fuse into one relative product |
@@ -110,41 +109,6 @@ impl Rule for BooleanIdempotence {
             Expr::Difference(a, b) if a == b => Some(Expr::lit(ExtendedSet::empty())),
             _ => None,
         }
-    }
-}
-
-/// `Q[A]_σ ∪ R[A]_σ → (Q ∪ R)[A]_σ`: one pass over the merged relation.
-pub struct ImageUnionMerge;
-
-impl Rule for ImageUnionMerge {
-    fn name(&self) -> &'static str {
-        "image-union-merge"
-    }
-    fn law(&self) -> &'static str {
-        "Consequence C.1(i)"
-    }
-    fn apply(&self, expr: &Expr) -> Option<Expr> {
-        let Expr::Union(l, r) = expr else { return None };
-        let (
-            Expr::Image {
-                r: q1,
-                a: a1,
-                scope: s1,
-            },
-            Expr::Image {
-                r: q2,
-                a: a2,
-                scope: s2,
-            },
-        ) = (l.as_ref(), r.as_ref())
-        else {
-            return None;
-        };
-        (a1 == a2 && s1 == s2).then(|| Expr::Image {
-            r: Box::new(Expr::Union(q1.clone(), q2.clone())),
-            a: a1.clone(),
-            scope: s1.clone(),
-        })
     }
 }
 
@@ -321,7 +285,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(BooleanIdempotence),
         Box::new(ImageFusion),
         Box::new(DomainFusion),
-        Box::new(ImageUnionMerge),
         Box::new(InputUnionMerge),
         Box::new(CompositionFusion),
         Box::new(AnalyzerPrune),
@@ -427,26 +390,17 @@ mod tests {
     }
 
     #[test]
-    fn union_merges_preserve_semantics() {
+    fn input_union_merge_preserves_semantics() {
         let f = xset![
             ExtendedSet::pair("a", "x").into_value(),
             ExtendedSet::pair("b", "y").into_value()
         ];
-        let g = xset![ExtendedSet::pair("a", "z").into_value()];
         let a = xset![xtuple!["a"].into_value()];
         let b2 = xset![xtuple!["b"].into_value()];
         let mut env = Bindings::new();
         env.insert("f".into(), f);
-        env.insert("g".into(), g);
         env.insert("a".into(), a);
         env.insert("b".into(), b2);
-
-        // C.1(i): same input, different relations.
-        let e1 = Expr::table("f")
-            .image(Expr::table("a"), Scope::pairs())
-            .union(Expr::table("g").image(Expr::table("a"), Scope::pairs()));
-        let m1 = ImageUnionMerge.apply(&e1).unwrap();
-        assert_eq!(eval(&e1, &env).unwrap(), eval(&m1, &env).unwrap());
 
         // C.1(a): same relation, different inputs.
         let e2 = Expr::table("f")
@@ -459,7 +413,6 @@ mod tests {
         let e3 = Expr::table("f")
             .image(Expr::table("a"), Scope::pairs())
             .union(Expr::table("f").image(Expr::table("a"), Scope::pairs_inverse()));
-        assert_eq!(ImageUnionMerge.apply(&e3), None);
         assert_eq!(InputUnionMerge.apply(&e3), None);
     }
 

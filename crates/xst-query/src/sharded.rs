@@ -168,16 +168,13 @@ type Step = (String, Frag, Option<(OpKind, OpStat)>);
 /// The one site that runs a kernel: opens the family's `eval.*` span and
 /// clocks the kernel (operand evaluation and gathers excluded). `card` is
 /// the dominant operand's cardinality, recorded as the span's `card_in`;
-/// `widest` is the largest input any single kernel run sees, which is
-/// what decides whether a family with a parallel kernel fanned out — for
-/// `∩` an upper bound: `par_intersection` weighs a pair its merge gallops
-/// by the smaller operand alone, a rule the walker does not copy, so a
-/// skewed `∩` may report `par.threads` where the kernel ran on one.
+/// `fanned` says whether any single kernel run cleared its family's
+/// fan-out rule (never, for a family without a parallel kernel).
 fn timed(
     kind: OpKind,
     par: &Parallelism,
     card: usize,
-    widest: usize,
+    fanned: bool,
     kernel: impl FnOnce() -> XstResult<Frag>,
 ) -> XstResult<Step> {
     let mut span = xst_obs::SpanGuard::new(kind.span_name());
@@ -188,16 +185,10 @@ fn timed(
         span.attr("rows_out", out.card());
     }
     drop(span);
-    // No parallel difference, domain or cross kernel: always sequential.
-    let sequential = matches!(kind, OpKind::Difference | OpKind::Domain | OpKind::Cross);
     let stat = OpStat {
         invocations: 1,
         wall_nanos: started.elapsed().as_nanos() as u64,
-        max_threads: if !sequential && par.should_parallelize(widest) {
-            par.threads as u32
-        } else {
-            1
-        },
+        max_threads: if fanned { par.threads as u32 } else { 1 },
     };
     Ok((kind.name().to_string(), out, Some((kind, stat))))
 }
@@ -213,7 +204,8 @@ fn map(
     aligned: bool,
     kernel: impl Fn(&ExtendedSet) -> ExtendedSet,
 ) -> XstResult<Step> {
-    timed(kind, par, r.card(), r.widest(), || {
+    let fanned = par.should_parallelize(r.widest());
+    timed(kind, par, r.card(), fanned, || {
         Ok(Frag::new(map_parts(&r.parts, kernel), aligned))
     })
 }
@@ -232,16 +224,23 @@ fn pairwise(
     zip_ok: bool,
     kernel: impl Fn(&ExtendedSet, &ExtendedSet) -> ExtendedSet,
 ) -> XstResult<Step> {
+    // The kernel's own fan-out rule over one pair: `∪` weighs both
+    // operands, `∩` the members its merge visits, `∖` never fans out.
+    let fans_out = |p: &ExtendedSet, q: &ExtendedSet| match kind {
+        OpKind::Union => par.should_parallelize(p.card() + q.card()),
+        OpKind::Intersect => par.intersection_fans_out(p, q),
+        _ => false,
+    };
     if zip_ok && x.parts.len() == y.parts.len() {
-        let pairs = x.parts.iter().zip(&y.parts);
-        let widest = pairs.map(|(p, q)| p.card() + q.card()).max().unwrap_or(0);
-        timed(kind, par, card, widest, || {
+        let fanned = x.parts.iter().zip(&y.parts).any(|(p, q)| fans_out(p, q));
+        timed(kind, par, card, fanned, || {
             let parts = zip_parts(&x.parts, &y.parts, kernel);
             Ok(Frag::new(parts, x.aligned && y.aligned))
         })
     } else {
         let whole = y.into_whole();
-        timed(kind, par, card, x.widest() + whole.card(), || {
+        let fanned = x.parts.iter().any(|p| fans_out(p, &whole));
+        timed(kind, par, card, fanned, || {
             let parts = map_parts(&x.parts, |p| kernel(p, &whole));
             Ok(Frag::new(parts, x.aligned))
         })
@@ -311,7 +310,7 @@ fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, Pla
             // σ-domain transforms members; evaluate whole (the gather is
             // exact, and the op is cheap relative to its carriers).
             let rs = operand(r)?.into_whole();
-            timed(OpKind::Domain, par, rs.card(), rs.card(), || {
+            timed(OpKind::Domain, par, rs.card(), false, || {
                 Ok(Frag::whole(sigma_domain(&rs, sigma)))
             })
         }
@@ -333,7 +332,7 @@ fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, Pla
             // `⊗` concatenates tuples — inherently whole-vs-whole.
             let (xs, ys) = (operand(a)?.into_whole(), operand(b)?.into_whole());
             let card = xs.card() + ys.card();
-            timed(OpKind::Cross, par, card, card, || {
+            timed(OpKind::Cross, par, card, false, || {
                 Ok(Frag::whole(cross(&xs, &ys)?))
             })
         }

@@ -197,13 +197,8 @@ fn check_same_arity(a: &Table, b: &Table) -> StorageResult<()> {
 }
 
 /// A table's canonical set identity, with its schema.
-///
-/// The identity is held behind an [`Arc`](std::sync::Arc) so that
-/// snapshot readers — the transaction layer hands out one engine per
-/// [`crate::txn::Txn`] read — share one materialized set instead of
-/// copying it per reader.
 pub struct SetEngine {
-    identity: std::sync::Arc<ExtendedSet>,
+    identity: ExtendedSet,
     schema: Schema,
 }
 
@@ -223,20 +218,9 @@ impl SetEngine {
             Ok(b.build())
         })?;
         Ok(SetEngine {
-            identity: std::sync::Arc::new(identity),
+            identity,
             schema: table.schema.clone(),
         })
-    }
-
-    /// Wrap an already-materialized set identity (e.g. an operation result).
-    pub fn from_identity(identity: ExtendedSet, schema: Schema) -> SetEngine {
-        SetEngine::from_shared(std::sync::Arc::new(identity), schema)
-    }
-
-    /// Wrap a shared identity without copying it — the zero-copy path for
-    /// MVCC snapshot readers, which all view the same committed version.
-    pub fn from_shared(identity: std::sync::Arc<ExtendedSet>, schema: Schema) -> SetEngine {
-        SetEngine { identity, schema }
     }
 
     /// The canonical set identity of the table.

@@ -587,20 +587,6 @@ impl ShardedTxn {
         Ok(gather(&self.read_fragments(table)?))
     }
 
-    /// A [`SetEngine`] over the gathered view of `table`.
-    pub fn engine(&mut self, table: &str) -> StorageResult<SetEngine> {
-        let schema = {
-            let catalog = self.engine.inner.catalog.lock();
-            catalog
-                .get(table)
-                .cloned()
-                .ok_or_else(|| StorageError::SchemaMismatch {
-                    reason: format!("no table named '{table}'"),
-                })?
-        };
-        Ok(SetEngine::from_identity(self.read_identity(table)?, schema))
-    }
-
     /// The gathered view of `table` as sorted records.
     pub fn scan(&mut self, table: &str) -> StorageResult<Vec<Record>> {
         SetEngine::to_records(&self.read_identity(table)?)

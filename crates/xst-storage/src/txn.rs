@@ -949,18 +949,6 @@ impl Txn {
         })
     }
 
-    /// A [`SetEngine`] over this transaction's view of `table` — the
-    /// frozen snapshot's identity and schema, for a query layer to plan
-    /// over. Zero-copy when the transaction has no writes on the table.
-    pub fn engine(&mut self, table: &str) -> StorageResult<SetEngine> {
-        let schema = self.schema(table)?.clone();
-        if self.writes.get(table).is_none_or(|ops| ops.is_empty()) {
-            let snap = self.snapshot(table)?;
-            return Ok(SetEngine::from_shared(snap, schema));
-        }
-        Ok(SetEngine::from_identity(self.read_identity(table)?, schema))
-    }
-
     /// This transaction's view of `table` as sorted records.
     pub fn scan(&mut self, table: &str) -> StorageResult<Vec<Record>> {
         SetEngine::to_records(&self.read_identity(table)?)
@@ -1180,20 +1168,18 @@ mod tests {
     }
 
     #[test]
-    fn engine_snapshot_is_queryable_and_shared() {
+    fn a_read_shares_the_committed_version() {
         let (_s, _w, mgr) = fresh();
         mgr.autocommit_insert("t", &[row(1, 10), row(2, 20), row(3, 10)])
             .unwrap();
-        let mut txn = mgr.begin();
-        let engine = txn.engine("t").unwrap();
-        assert_eq!(engine.schema(), &kv_schema());
+        let seen = mgr.begin().read_identity("t").unwrap();
         assert_eq!(
-            SetEngine::to_records(engine.identity()).unwrap(),
+            SetEngine::to_records(&seen).unwrap(),
             vec![row(1, 10), row(2, 20), row(3, 10)]
         );
-        // Zero-copy: the engine's identity IS the committed version.
+        // Zero-copy: the members read ARE the committed version's.
         let latest = mgr.latest_identity("t").unwrap();
-        assert!(std::ptr::eq(engine.identity(), &*latest));
+        assert!(std::ptr::eq(seen.members(), latest.members()));
     }
 
     #[test]

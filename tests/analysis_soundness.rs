@@ -182,7 +182,6 @@ fn every_default_rule_fires_and_verifies() {
             "boolean-idempotence",
             "image-fusion",
             "domain-fusion",
-            "image-union-merge",
             "input-union-merge",
             "composition-fusion",
             "analyzer-empty-prune",
@@ -198,7 +197,6 @@ fn every_default_rule_fires_and_verifies() {
             xtuple!["b", "y"].into_value()
         ])
     };
-    let rel2 = || Expr::lit(xset![xtuple!["c", "z"].into_value()]);
     // One plan per rule, in roster order, chosen so the rule fires.
     let triggers: Vec<Expr> = vec![
         // empty-prune: ∅ ∪ t
@@ -209,10 +207,6 @@ fn every_default_rule_fires_and_verifies() {
         rel().restrict(sig1(), t()).domain(sig1()),
         // domain-fusion: domain(domain(r, σ), σ)
         rel().domain(sig1()).domain(sig1()),
-        // image-union-merge: q[a] ∪ r[a] (shared input)
-        rel()
-            .image(t(), Scope::pairs())
-            .union(rel2().image(t(), Scope::pairs())),
         // input-union-merge: q[a] ∪ q[b] (shared relation)
         rel()
             .image(t(), Scope::pairs())

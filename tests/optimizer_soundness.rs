@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use xst_core::ops::Scope;
 use xst_core::{ExtendedSet, Value};
-use xst_query::{default_rules, eval, eval_parallel, Bindings, Expr, Optimizer};
+use xst_query::{default_rules, eval, eval_counted, eval_parallel, Bindings, Expr, Optimizer};
 use xst_testkit::{arb_pair_relation, arb_set};
 
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
@@ -69,7 +69,8 @@ fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
             .prop_map(|(r, s1, s2)| r.domain(s1).domain(s2)),
         1 => (arb_expr(depth - 1), arb_expr(depth - 1), arb_scope())
             .prop_map(|(r, a, sc)| r.image(a, sc)),
-        // Union of images sharing the input: the C.1(i) merge trigger.
+        // Union of images sharing the input: App C (i)'s shape, which no
+        // default rule merges (it is a law, not a rewrite that pays).
         1 => (arb_expr(depth - 1), arb_expr(depth - 1), arb_expr(depth - 1), arb_scope())
             .prop_map(|(q, r, a, sc)| {
                 q.image(a.clone(), sc.clone()).union(r.image(a, sc))
@@ -149,4 +150,97 @@ proptest! {
         let (optimized, _trace) = Optimizer::new().optimize(&expr);
         prop_assert!(optimized.size() <= expr.size());
     }
+}
+
+/// "Every default rewrite pays", measured instead of estimated: on each
+/// rule's trigger plan — the `every_default_rule_fires_and_verifies`
+/// roster (tests/analysis_soundness.rs) re-built over tables shaped like
+/// the benchmark's, relations outweighing their witness sets 8 : 1 — the
+/// rule alone, and the whole default set, hand the kernels no more rows
+/// (`EvalStats::rows_read`) than the plan as written and return the same
+/// set. The last plan is `inproc_plan`'s: a union of two images sharing
+/// their witnesses, the shape a right-to-left App C (i) merge would turn
+/// into a 4 000-member union plus a 4 000-row image.
+///
+/// A pinned regression at these sizes, not a law: `input-union-merge`
+/// reads *more* once `|A ∪ B|` exceeds `|Q|`.
+#[test]
+fn default_rules_read_no_more_rows_on_their_triggers() {
+    const PAIRS: i64 = 2_000;
+    const WITNESSES: i64 = 250;
+    let pairs = |keys: std::ops::Range<i64>, to: i64| {
+        ExtendedSet::classical(
+            keys.map(|k| ExtendedSet::pair(Value::Int(k), Value::Int(to + k % 500)).into_value()),
+        )
+    };
+    let witnesses = |stride: i64| {
+        ExtendedSet::classical(
+            (0..WITNESSES).map(|i| ExtendedSet::tuple([Value::Int(i * stride)]).into_value()),
+        )
+    };
+    // Disjoint keys; `g`'s keys are `f`'s values, so `g ∘ f` is not empty.
+    let (f, g) = (pairs(0..PAIRS, PAIRS), pairs(PAIRS..2 * PAIRS, 2 * PAIRS));
+    let env: Bindings = [
+        ("f", f.clone()),
+        ("g", g.clone()),
+        ("w", witnesses(3)),
+        ("v", witnesses(7)),
+    ]
+    .into_iter()
+    .map(|(name, set)| (name.to_string(), set))
+    .collect();
+
+    let t = |name: &str| Expr::table(name);
+    let Scope { sigma1, sigma2 } = Scope::pairs();
+    let image = |r: &str, a: &str| t(r).image(t(a), Scope::pairs());
+    let pipeline = |r: &str| t(r).restrict(sigma1.clone(), t("w")).domain(sigma2.clone());
+    let triggers = [
+        ("empty-prune", Expr::lit(ExtendedSet::empty()).union(t("f"))),
+        ("boolean-idempotence", t("f").union(t("f"))),
+        ("image-fusion", pipeline("f")),
+        (
+            "domain-fusion",
+            t("f")
+                .domain(ExtendedSet::tuple([Value::Int(2), Value::Int(1)]))
+                .domain(sigma1.clone()),
+        ),
+        ("input-union-merge", image("f", "w").union(image("f", "v"))),
+        (
+            "composition-fusion",
+            Expr::lit(g).image(Expr::lit(f).image(t("w"), Scope::pairs()), Scope::pairs()),
+        ),
+        (
+            "analyzer-empty-prune",
+            Expr::lit(ExtendedSet::from_pairs([("a", 1), ("b", 1)]))
+                .intersect(Expr::lit(ExtendedSet::from_pairs([("a", 2)])))
+                .union(t("f")),
+        ),
+    ];
+    let inproc_plan = pipeline("f")
+        .union(pipeline("g"))
+        .difference(image("f", "w").intersect(image("g", "w")));
+
+    let check = |who: &str, optimizer: &Optimizer, plan: &Expr| {
+        let (optimized, trace) = optimizer.optimize(plan);
+        assert!(!trace.is_empty(), "{who} did not fire on {plan}");
+        let (want, before) = eval_counted(plan, &env).unwrap();
+        let (got, after) = eval_counted(&optimized, &env).unwrap();
+        assert_eq!(got, want, "{who} changed the result of {plan}");
+        assert!(
+            after.rows_read <= before.rows_read,
+            "{who}: {plan} read {} rows, {optimized} reads {}",
+            before.rows_read,
+            after.rows_read
+        );
+    };
+    for rule in default_rules() {
+        let name = rule.name();
+        let (_, trigger) = triggers
+            .iter()
+            .find(|(rule, _)| *rule == name)
+            .unwrap_or_else(|| panic!("default rule {name} has no trigger plan here"));
+        check(name, &Optimizer::with_rules(vec![rule]), trigger);
+    }
+    let all = triggers.iter().map(|(_, plan)| plan).chain([&inproc_plan]);
+    all.for_each(|plan| check("the default rule set", &Optimizer::new(), plan));
 }

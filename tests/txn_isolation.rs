@@ -36,12 +36,12 @@ fn snapshot_reads_are_stable_under_concurrent_commits() {
     let mut reader = mgr.begin();
     let first = reader.scan(TABLE).unwrap();
     // Ten commits land while the reader stays open; its view never moves,
-    // through both raw scans and the set-engine query surface.
+    // through both raw scans and the identity a query plans over.
     for i in 0..10 {
         mgr.autocommit_insert(TABLE, &[row(100 + i, i)]).unwrap();
         assert_eq!(reader.scan(TABLE).unwrap(), first, "scan after commit {i}");
-        let engine = reader.engine(TABLE).unwrap();
-        assert_eq!(engine.identity().card(), 2, "engine after commit {i}");
+        let identity = reader.read_identity(TABLE).unwrap();
+        assert_eq!(identity.card(), 2, "identity after commit {i}");
     }
     assert_eq!(
         mgr.begin().scan(TABLE).unwrap().len(),
