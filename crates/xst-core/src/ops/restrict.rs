@@ -32,13 +32,14 @@ use crate::set::{ExtendedSet, Member, SetBuilder};
 /// `R |_σ A` (Definition 7.6).
 pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> ExtendedSet {
     let witnesses = restriction_witnesses(sigma, a);
-    let mut b = SetBuilder::with_capacity(r.card());
-    for m in r.members() {
-        if witnesses.matches(m) {
-            b.member(m.clone());
-        }
-    }
-    b.build()
+    let kept = r
+        .members()
+        .iter()
+        .filter(|m| witnesses.matches(m))
+        .cloned()
+        .collect();
+    // Filtering a canonical list keeps it sorted and unique.
+    ExtendedSet::from_sorted_unique(kept)
 }
 
 /// Pre-computed `(a^{\σ\}, s^{\σ\})` witness pairs for a restriction,

@@ -18,10 +18,12 @@
 //!
 //! # Sharing
 //!
-//! The member vector lives behind an [`Arc`]; cloning a set is O(1) and
-//! mutation copies on write. Deeply nested heterogeneous sets are therefore
-//! cheap to pass around by value, which is how the rest of the crate's API is
-//! shaped.
+//! A non-empty set's member vector lives behind an [`Arc`]; cloning a set is
+//! O(1) and an update builds a new vector. Deeply nested heterogeneous sets
+//! are therefore cheap to pass around by value, which is how the rest of the
+//! crate's API is shaped. `∅` holds no vector at all: it is the scope of every
+//! classical member, so creating, cloning and dropping it must cost nothing —
+//! no heap allocation, no reference count.
 
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -56,47 +58,60 @@ impl Member {
 }
 
 /// An extended set: a canonical, shareable sequence of scoped members.
-#[derive(Debug, Clone, Eq)]
+#[derive(Clone, Default, Eq)]
 pub struct ExtendedSet {
-    members: Arc<Vec<Member>>,
+    /// `None` is `∅`; a `Some` never holds zero members.
+    members: Option<Arc<Vec<Member>>>,
+}
+
+impl std::fmt::Debug for ExtendedSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExtendedSet")
+            .field("members", &self.members())
+            .finish()
+    }
 }
 
 impl std::hash::Hash for ExtendedSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Hashes the canonical member sequence — consistent with the
         // PartialEq below (pointer equality implies member equality).
-        self.members.hash(state);
+        self.members().hash(state);
     }
 }
 
 impl PartialEq for ExtendedSet {
     fn eq(&self, other: &Self) -> bool {
-        // Pointer fast path: clones share the member vector, so deeply
-        // nested values (where structural comparison can be exponential in
-        // sharing depth) compare in O(1) along shared spines.
-        Arc::ptr_eq(&self.members, &other.members) || self.members == other.members
+        match (&self.members, &other.members) {
+            // Pointer fast path: clones share the member vector, so deeply
+            // nested values (where structural comparison can be exponential
+            // in sharing depth) compare in O(1) along shared spines.
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (None, None) => true,
+            _ => false,
+        }
     }
 }
 
 impl ExtendedSet {
-    /// The empty set `∅`.
-    pub fn empty() -> ExtendedSet {
-        // The empty `Vec` does not allocate, but `Arc::new` does: one heap
-        // allocation per `∅`, and every classical member carries one as its
-        // scope. A shared static `∅` would trade it for a refcount on one
-        // cache line (ROADMAP 5(c)).
+    /// The one constructor: shares a canonical member vector, or holds
+    /// nothing when it is empty.
+    fn canonical(members: Vec<Member>) -> ExtendedSet {
         ExtendedSet {
-            members: Arc::new(Vec::new()),
+            members: (!members.is_empty()).then(|| Arc::new(members)),
         }
+    }
+
+    /// The empty set `∅`: no allocation to create, clone or drop.
+    pub fn empty() -> ExtendedSet {
+        ExtendedSet { members: None }
     }
 
     /// Build from an arbitrary member list; sorts and deduplicates.
     pub fn from_members(mut members: Vec<Member>) -> ExtendedSet {
         members.sort_unstable();
         members.dedup();
-        ExtendedSet {
-            members: Arc::new(members),
-        }
+        ExtendedSet::canonical(members)
     }
 
     /// Build from members already in canonical (sorted, deduplicated) order.
@@ -108,9 +123,7 @@ impl ExtendedSet {
             members.windows(2).all(|w| w[0] < w[1]),
             "from_sorted_unique: input not strictly sorted"
         );
-        ExtendedSet {
-            members: Arc::new(members),
-        }
+        ExtendedSet::canonical(members)
     }
 
     /// Build from `(element, scope)` pairs.
@@ -129,9 +142,7 @@ impl ExtendedSet {
 
     /// A one-member set `{element^scope}`.
     pub fn singleton(element: impl Into<Value>, scope: impl Into<Value>) -> ExtendedSet {
-        ExtendedSet {
-            members: Arc::new(vec![Member::new(element, scope)]),
-        }
+        ExtendedSet::canonical(vec![Member::new(element, scope)])
     }
 
     /// A one-member classical set `{element}`.
@@ -159,13 +170,19 @@ impl ExtendedSet {
 
     /// Borrow the canonical member slice.
     pub fn members(&self) -> &[Member] {
-        &self.members
+        match &self.members {
+            Some(members) => {
+                debug_assert!(!members.is_empty(), "a shared member vector is never empty");
+                members
+            }
+            None => &[],
+        }
     }
 
     /// Number of scoped members (the paper's working cardinality: members
     /// with distinct scopes are distinct memberships).
     pub fn card(&self) -> usize {
-        self.members.len()
+        self.members().len()
     }
 
     /// Number of distinct member *elements*, ignoring scopes.
@@ -174,7 +191,7 @@ impl ExtendedSet {
         // adjacent.
         let mut n = 0;
         let mut prev: Option<&Value> = None;
-        for m in self.members.iter() {
+        for m in self.members().iter() {
             if prev != Some(&m.element) {
                 n += 1;
                 prev = Some(&m.element);
@@ -185,7 +202,7 @@ impl ExtendedSet {
 
     /// Number of distinct member *scopes*, ignoring elements.
     pub fn distinct_scopes(&self) -> usize {
-        self.members
+        self.members()
             .iter()
             .map(|m| &m.scope)
             .collect::<std::collections::BTreeSet<_>>()
@@ -194,17 +211,17 @@ impl ExtendedSet {
 
     /// True iff the set has no members.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.members().is_empty()
     }
 
     /// `Sing(A)`: exactly one scoped member (paper, §5).
     pub fn is_singleton(&self) -> bool {
-        self.members.len() == 1
+        self.members().len() == 1
     }
 
     /// Scoped membership test `element ∈_scope self`.
     pub fn contains(&self, element: &Value, scope: &Value) -> bool {
-        self.members
+        self.members()
             .binary_search_by(|m| m.element.cmp(element).then_with(|| m.scope.cmp(scope)))
             .is_ok()
     }
@@ -221,8 +238,8 @@ impl ExtendedSet {
 
     /// All scopes under which `element` is a member.
     pub fn scopes_of<'a>(&'a self, element: &'a Value) -> impl Iterator<Item = &'a Value> + 'a {
-        let start = self.first_index_of(element).unwrap_or(self.members.len());
-        self.members[start..]
+        let start = self.first_index_of(element).unwrap_or(self.members().len());
+        self.members()[start..]
             .iter()
             .take_while(move |m| &m.element == element)
             .map(|m| &m.scope)
@@ -233,29 +250,28 @@ impl ExtendedSet {
         &'a self,
         scope: &'a Value,
     ) -> impl Iterator<Item = &'a Value> + 'a {
-        self.members
+        self.members()
             .iter()
             .filter(move |m| &m.scope == scope)
             .map(|m| &m.element)
     }
 
     fn first_index_of(&self, element: &Value) -> Option<usize> {
-        let idx = self
-            .members
-            .partition_point(|m| m.element.cmp(element) == Ordering::Less);
-        (idx < self.members.len() && &self.members[idx].element == element).then_some(idx)
+        let members = self.members();
+        let idx = members.partition_point(|m| m.element.cmp(element) == Ordering::Less);
+        (idx < members.len() && &members[idx].element == element).then_some(idx)
     }
 
     /// Member-wise subset: every scoped member of `self` is a member of
     /// `other`.
     pub fn is_subset(&self, other: &ExtendedSet) -> bool {
-        if self.members.len() > other.members.len() {
+        if self.members().len() > other.members().len() {
             return false;
         }
         // Merge walk over the two sorted sequences.
         let mut oi = 0;
         let om = other.members();
-        for m in self.members.iter() {
+        for m in self.members().iter() {
             loop {
                 if oi == om.len() {
                     return false;
@@ -280,7 +296,7 @@ impl ExtendedSet {
 
     /// Proper subset.
     pub fn is_proper_subset(&self, other: &ExtendedSet) -> bool {
-        self.members.len() < other.members.len() && self.is_subset(other)
+        self.members().len() < other.members().len() && self.is_subset(other)
     }
 
     /// Insert a member, returning a new set (copy-on-write).
@@ -288,26 +304,22 @@ impl ExtendedSet {
         if self.contains(&member.element, &member.scope) {
             return self.clone();
         }
-        let mut v = self.members.as_ref().clone();
+        let mut v = self.members().to_vec();
         let idx = v.partition_point(|m| m < &member);
         v.insert(idx, member);
-        ExtendedSet {
-            members: Arc::new(v),
-        }
+        ExtendedSet::canonical(v)
     }
 
     /// Remove a member, returning a new set (copy-on-write).
     pub fn without_member(&self, element: &Value, scope: &Value) -> ExtendedSet {
         match self
-            .members
+            .members()
             .binary_search_by(|m| m.element.cmp(element).then_with(|| m.scope.cmp(scope)))
         {
             Ok(idx) => {
-                let mut v = self.members.as_ref().clone();
+                let mut v = self.members().to_vec();
                 v.remove(idx);
-                ExtendedSet {
-                    members: Arc::new(v),
-                }
+                ExtendedSet::canonical(v)
             }
             Err(_) => self.clone(),
         }
@@ -316,12 +328,12 @@ impl ExtendedSet {
     /// If `self` is an n-tuple `{x1^1, ..., xn^n}` (Definition 9.1), return
     /// `n`. The empty set is the 0-tuple. This is the paper's `tup`.
     pub fn tuple_len(&self) -> Option<usize> {
-        let n = self.members.len();
+        let n = self.members().len();
         if n <= u64::BITS as usize {
             // Positions fit in one word: no allocation on this hot path
             // (the analyzer probes every member element during a scan).
             let mut seen = 0u64;
-            for m in self.members.iter() {
+            for m in self.members().iter() {
                 match m.scope {
                     Value::Int(i) if i >= 1 && (i as usize) <= n => {
                         let bit = 1u64 << (i as u32 - 1);
@@ -336,7 +348,7 @@ impl ExtendedSet {
             return Some(n);
         }
         let mut seen = vec![false; n];
-        for m in self.members.iter() {
+        for m in self.members().iter() {
             match m.scope {
                 Value::Int(i) if i >= 1 && (i as usize) <= n => {
                     let slot = i as usize - 1;
@@ -355,7 +367,7 @@ impl ExtendedSet {
     pub fn as_tuple(&self) -> Option<Vec<Value>> {
         let n = self.tuple_len()?;
         let mut out = vec![Value::Int(0); n];
-        for m in self.members.iter() {
+        for m in self.members().iter() {
             if let Value::Int(i) = m.scope {
                 out[i as usize - 1] = m.element.clone();
             }
@@ -365,18 +377,12 @@ impl ExtendedSet {
 
     /// Iterate over `(element, scope)` pairs in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (&Value, &Value)> + '_ {
-        self.members.iter().map(|m| (&m.element, &m.scope))
+        self.members().iter().map(|m| (&m.element, &m.scope))
     }
 
     /// Wrap into a [`Value`].
     pub fn into_value(self) -> Value {
         Value::Set(self)
-    }
-}
-
-impl Default for ExtendedSet {
-    fn default() -> Self {
-        ExtendedSet::empty()
     }
 }
 
@@ -388,7 +394,7 @@ impl PartialOrd for ExtendedSet {
 
 impl Ord for ExtendedSet {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.members.iter().cmp(other.members.iter())
+        self.members().iter().cmp(other.members().iter())
     }
 }
 
@@ -402,7 +408,7 @@ impl<'a> IntoIterator for &'a ExtendedSet {
     type Item = &'a Member;
     type IntoIter = std::slice::Iter<'a, Member>;
     fn into_iter(self) -> Self::IntoIter {
-        self.members.iter()
+        self.members().iter()
     }
 }
 

@@ -200,6 +200,23 @@ const GUARDS: &[Guard] = &[
         0,
         "one protocol version is seated: PROTO_VERSION",
     ),
+    // One empty set: `∅` is the absence of a member vector, so the only
+    // allocation `set.rs` spells is the constructor that shares a non-empty
+    // one.
+    count(
+        "one-empty",
+        &["Arc::new("],
+        &["crates/xst-core/src/set.rs"],
+        1,
+        "share a member vector through ExtendedSet::canonical, which keeps ∅ unallocated",
+    ),
+    count(
+        "one-empty",
+        &["Arc::from("],
+        &["crates/xst-core/src/set.rs"],
+        0,
+        "share a member vector through ExtendedSet::canonical, which keeps ∅ unallocated",
+    ),
     // One relational lowering (its kernel half is the `one-lowering`
     // token rule).
     only_in(

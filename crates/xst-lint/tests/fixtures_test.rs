@@ -215,6 +215,29 @@ fn guard_count_fixture_flags_a_surplus_and_a_missing_occurrence() {
     assert_eq!(report.findings.len(), 2);
 }
 
+#[test]
+fn one_empty_fixture_flags_an_allocating_empty_set() {
+    let report = lint("one_empty");
+    let message = "share a member vector through ExtendedSet::canonical, which keeps ∅ \
+                   unallocated";
+    assert_eq!(
+        errors(&report),
+        vec![
+            format!(
+                "crates/xst-core/src/set.rs:19: [one-empty] `Arc::new(` occurs 2 time(s) under \
+                 crates/xst-core/src/set.rs, want 1; {message}"
+            ),
+            format!(
+                "crates/xst-core/src/set.rs:24: [one-empty] `Arc::from(` occurs 1 time(s) under \
+                 crates/xst-core/src/set.rs, want 0; {message}"
+            ),
+        ]
+    );
+    // The constructor's own `Arc::new(` is the negative: the surplus
+    // finding points past it, at `empty`.
+    assert_eq!(report.findings.len(), 2);
+}
+
 /// Roster: every analysis pass fires at least once across the corpus —
 /// a pass that silently stopped matching anything cannot go unnoticed.
 #[test]
@@ -229,6 +252,7 @@ fn every_pass_fires_on_the_corpus() {
         "one_lowering",
         "guard_within",
         "guard_count",
+        "one_empty",
     ] {
         for f in &lint(fixture).findings {
             if !rules_fired.contains(&f.rule) {
@@ -246,6 +270,7 @@ fn every_pass_fires_on_the_corpus() {
         "one-partition",
         "one-codec",
         "one-door",
+        "one-empty",
     ] {
         assert!(
             rules_fired.iter().any(|r| r == rule),

@@ -9,6 +9,13 @@ use xst_core::parse::parse_set;
 use xst_core::{ExtendedSet, Value};
 use xst_testkit::{arb_set, arb_tricky_atom, arb_tricky_set, arb_value};
 
+fn hash_of<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
 proptest! {
     /// Canonical form: building from any permutation of members yields the
     /// same set.
@@ -152,6 +159,40 @@ proptest! {
         let t = ExtendedSet::tuple(components.clone());
         prop_assert_eq!(t.tuple_len(), Some(n));
         prop_assert_eq!(t.as_tuple().unwrap(), components);
+    }
+
+    /// One ∅, whichever way it is reached: every construction that ends with
+    /// no members is equal, hash-equal and order-equal to
+    /// `ExtendedSet::empty()`. A non-empty set hashes as its member slice.
+    #[test]
+    fn one_empty_set(a in arb_set(2), b in arb_set(2), e in arb_value(2), s in arb_value(2)) {
+        use std::cmp::Ordering;
+        use xst_core::ops::rescope_by_scope;
+        let disjoint_from_a = difference(&b, &a);
+        let zero_count = encode_to_vec(&Value::empty_set());
+        let unmapped = ExtendedSet::singleton(Value::str("σ maps no scope of a"), 1);
+        let empties = [
+            ("a ∖ a", difference(&a, &a)),
+            ("a ∩ b, disjoint", intersection(&a, &disjoint_from_a)),
+            ("from_members", ExtendedSet::from_members(vec![])),
+            ("from_sorted_unique", ExtendedSet::from_sorted_unique(vec![])),
+            (
+                "without_member",
+                ExtendedSet::singleton(e.clone(), s.clone()).without_member(&e, &s),
+            ),
+            ("decode", decode_exact(&zero_count).unwrap().into_set().unwrap()),
+            ("atom view", Value::Int(3).as_set_view()),
+            ("re-scope", rescope_by_scope(&a, &unmapped)),
+        ];
+        let empty = ExtendedSet::empty();
+        for (how, got) in &empties {
+            prop_assert_eq!(got, &empty, "{}", how);
+            prop_assert_eq!(hash_of(got), hash_of(&empty), "{}", how);
+            prop_assert_eq!(got.cmp(&empty), Ordering::Equal, "{}", how);
+        }
+        if !a.is_empty() {
+            prop_assert_eq!(hash_of(&a), hash_of(a.members()));
+        }
     }
 
     /// Ord on values is a total order: antisymmetric and transitive over
