@@ -16,8 +16,8 @@
 //!    through `names::` constants.
 //! 5. **one-lowering** — a relational operator becomes a plan in
 //!    `xst-relational/src/algebra.rs` and the plan walker runs it: the
-//!    relational crate and the storage engines name no `xst_core::ops`
-//!    kernel that has an `Expr` node.
+//!    relational crate, the storage engines and the shell name no
+//!    `xst_core::ops` kernel that has an `Expr` node.
 //!
 //! **Analysis passes** (this PR), on a lightweight syntactic model
 //! ([`syntax`]) with a call-graph approximation:
@@ -296,10 +296,12 @@ const REGISTRATION_WINDOW: usize = 120;
 /// The one relational lowering: the module whose plans stand in for the
 /// kernels below.
 const LOWERING_FILE: &str = "crates/xst-relational/src/algebra.rs";
-/// Where a relational operator must be a lowered plan, not a kernel call.
+/// Where a relational operator or a shell command must be a lowered plan,
+/// not a kernel call.
 const LOWERED_SOURCES: &[&str] = &[
     "crates/xst-relational/src/",
     "crates/xst-storage/src/engine.rs",
+    "crates/xst-shell/src/",
 ];
 /// The `xst_core::ops` kernels that have an `Expr` node — what
 /// `xst-query`'s plan walker runs.
@@ -451,8 +453,9 @@ pub fn token_rules(rec: &FileRecord, out: &mut Vec<Finding>) -> Vec<usize> {
                         view.line_of(at),
                         "one-lowering",
                         format!(
-                            "kernel `{name}` named outside the plan walker; lower the \
-                             operator in {LOWERING_FILE} and evaluate the plan"
+                            "kernel `{name}` named outside the plan walker; build its \
+                             `Expr` (a relational operator's in {LOWERING_FILE}) and \
+                             evaluate the plan"
                         ),
                         allowlisted(rel_str, name),
                     );

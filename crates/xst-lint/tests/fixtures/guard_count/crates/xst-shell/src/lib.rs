@@ -10,6 +10,7 @@ pub fn verb(word: &str) -> &'static str {
         "delete" => "Delete",
         "get" => "Get",
         "eval" => "Eval",
+        "faults" => "ArmFaults",
         _ => "unknown",
     }
 }

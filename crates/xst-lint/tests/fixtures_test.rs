@@ -148,17 +148,20 @@ fn harness_clock_fixture_flags_deadlines_threads_and_sockets_in_a_harness() {
     assert_eq!(report.findings.len(), 8);
 }
 
+/// The `one-lowering` token rule's message for a kernel named outside the
+/// plan walker.
+fn kernel(name: &str) -> String {
+    format!(
+        "kernel `{name}` named outside the plan walker; build its `Expr` (a relational \
+         operator's in crates/xst-relational/src/algebra.rs) and evaluate the plan"
+    )
+}
+
 #[test]
 fn one_lowering_fixture_flags_kernels_and_a_second_identity_spec() {
     let report = lint("one_lowering");
     let at = |line: usize, what: &str| {
         format!("crates/xst-relational/src/nested.rs:{line}: [one-lowering] {what}")
-    };
-    let kernel = |name: &str| {
-        format!(
-            "kernel `{name}` named outside the plan walker; lower the operator in \
-             crates/xst-relational/src/algebra.rs and evaluate the plan"
-        )
     };
     assert_eq!(
         errors(&report),
@@ -176,6 +179,24 @@ fn one_lowering_fixture_flags_kernels_and_a_second_identity_spec() {
     // `Scope` and `group_by_key` have no `Expr` node, the comment names
     // nothing, and the `#[cfg(test)]` oracle may call `union`.
     assert_eq!(report.findings.len(), 4);
+}
+
+#[test]
+fn one_lowering_fixture_flags_a_shell_command_run_by_a_kernel() {
+    let report = lint("one_lowering_shell");
+    let at = |line: usize, name: &str| {
+        format!(
+            "crates/xst-shell/src/lib.rs:{line}: [one-lowering] {}",
+            kernel(name)
+        )
+    };
+    assert_eq!(
+        errors(&report),
+        vec![at(5, "sigma_restrict"), at(11, "union")]
+    );
+    // `pair_compose`, `transitive_closure` and `Parallelism` have no `Expr`
+    // node, and the one verb table keeps the `one-door` rows silent.
+    assert_eq!(report.findings.len(), 2);
 }
 
 #[test]
@@ -205,12 +226,12 @@ fn guard_count_fixture_flags_a_surplus_and_a_missing_occurrence() {
             "crates/xst-core/src/ops/par.rs:1: [one-partition] `crossbeam::thread::scope` \
              occurs 0 time(s) under crates/xst-core/src/ops/par.rs, want 1; par.rs spawns \
              threads in fan_out only",
-            "crates/xst-shell/src/lib.rs:19: [one-door] `\"put\" =>` occurs 2 time(s) under \
+            "crates/xst-shell/src/lib.rs:20: [one-door] `\"put\" =>` occurs 2 time(s) under \
              crates/xst-shell/src/, want 1; each store verb is matched once, in \
              Session::verb, whichever door answers",
         ]
     );
-    // The six verbs matched once are silent, and so is every count row
+    // The seven verbs matched once are silent, and so is every count row
     // whose files this workspace does not have.
     assert_eq!(report.findings.len(), 2);
 }
@@ -250,6 +271,7 @@ fn every_pass_fires_on_the_corpus() {
         "proto_dispatch",
         "harness_clock",
         "one_lowering",
+        "one_lowering_shell",
         "guard_within",
         "guard_count",
         "one_empty",

@@ -140,16 +140,6 @@ impl ServedEngine {
         self.sharded.clear_faults();
     }
 
-    /// Is a fault plan currently armed?
-    pub fn faults_armed(&self) -> bool {
-        self.sharded.faults_armed()
-    }
-
-    /// Faults injected by the armed plan so far, if any.
-    pub fn faults_injected(&self) -> u64 {
-        self.sharded.faults_injected()
-    }
-
     /// Crash-test helper: clear faults, drop unacknowledged staged WAL
     /// state on every device (the crash), and rebuild an engine from
     /// durable state alone — in-doubt prepares resolved against the

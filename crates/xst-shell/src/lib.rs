@@ -14,7 +14,10 @@
 //! ```
 //!
 //! Operands are either bound names or inline set literals in the crate's
-//! textual notation; the parser figures out which.
+//! textual notation; the parser figures out which. The six algebra words
+//! (`union` … `image`) parse into the same [`Expr`] `.explain`, `.check`
+//! and `.eval` take, and the plan walker runs it over the bindings;
+//! `apply`, `compose`, `tc` and `function?` have no plan node.
 //!
 //! Observability commands (see the README's "Observability" section):
 //!
@@ -27,9 +30,6 @@
 //! .trace export         dump collected spans as xst-trace/1 JSON
 //! .top [N]              most expensive accounted requests (cost bills)
 //! .slow [MS|off]        show the slow-query ring / arm its threshold
-//! .faults on|off|status deterministic fault injection on the store's I/O
-//! .store NAME           persist a binding through the WAL + buffer pool
-//! .load NAME as NEW     read it back through the pool into NEW
 //! ```
 //!
 //! Store verbs — one vocabulary, three doors (see the README's
@@ -49,6 +49,9 @@
 //! .commit               first-committer-wins validate + group-commit
 //! .abort                discard the open transaction's writes
 //! .ping                 liveness round trip
+//! .faults on|off        arm / clear transient faults on every 5th storage or
+//!                       WAL op under the door's engine (the coordinator
+//!                       refuses: each server arms its own); retry absorbs them
 //! .remote metrics [json] · trace · top [N] · slow
 //!                       the connected server's registry, spans, request
 //!                       log (one server's to answer: the coordinator
@@ -86,33 +89,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xst_client::coord::Coordinator;
 use xst_client::Client;
-use xst_core::ops::{
-    difference, image, intersection, pair_compose, sigma_domain, sigma_restrict,
-    transitive_closure, union, Parallelism,
-};
+use xst_core::ops::{pair_compose, transitive_closure, Parallelism};
 use xst_core::parse::parse_set;
-use xst_core::{ExtendedSet, Process, Scope, SetBuilder, XstError, XstResult};
+use xst_core::{ExtendedSet, Process, Scope, XstError, XstResult};
 use xst_query::{explain_analyze, Expr};
-use xst_server::{
-    member_schema, set_to_records, Door, Request, Response, ServedEngine, Server, ServerConfig,
-};
-use xst_storage::{BufferPool, FaultKind, FaultPlan, FaultSchedule, LoggedTable, Wal};
-
-/// Persistent backing for `.store`/`.load`: one simulated disk, one buffer
-/// pool, one shared WAL, and the tables stored so far. Created lazily on
-/// the first storage command.
-struct Store {
-    pool: BufferPool,
-    wal: Wal,
-    tables: BTreeMap<String, LoggedTable>,
-    /// The `.faults` chaos plan, when armed: shared by the disk and the
-    /// WAL so every I/O op numbers one global fault site.
-    faults: Option<FaultPlan>,
-}
-
-/// Pool capacity for the shell's storage demo — small enough that a
-/// multi-page table forces real misses and evictions into the metrics.
-const SHELL_POOL_PAGES: usize = 8;
+use xst_server::{Door, Request, Response, ServedEngine, Server, ServerConfig};
+use xst_storage::{FaultKind, FaultSchedule};
 
 /// Per-request deadline for the shell's cluster coordinator: generous
 /// for interactive use, but bounded so a wedged shard surfaces as a
@@ -130,21 +112,9 @@ struct ShellCluster {
     coord: Coordinator,
 }
 
-impl Store {
-    fn new() -> Store {
-        Store {
-            pool: BufferPool::new(xst_storage::Storage::new(), SHELL_POOL_PAGES),
-            wal: Wal::new(),
-            tables: BTreeMap::new(),
-            faults: None,
-        }
-    }
-}
-
 /// An interactive session: named set bindings plus command evaluation.
 pub struct Session {
     bindings: BTreeMap<String, ExtendedSet>,
-    store: Option<Store>,
     /// The local door: an in-process server session over this shell's own
     /// engine — the engine `.serve` publishes, so `.put` writes are
     /// visible to clients. Created on the first store verb.
@@ -171,7 +141,6 @@ impl Session {
         xst_obs::enable();
         Session {
             bindings: BTreeMap::new(),
-            store: None,
             local: None,
             server: None,
             remote: None,
@@ -254,39 +223,20 @@ impl Session {
             }
             "show" => self.operand(&parts.rest()?)?.to_string(),
             "card" => self.operand(&parts.rest()?)?.card().to_string(),
-            "union" | "intersect" | "difference" | "compose" => {
-                let a = self.operand(&parts.next_operand()?)?;
-                let b = self.operand(&parts.rest()?)?;
-                match command {
-                    "union" => union(&a, &b).to_string(),
-                    "intersect" => intersection(&a, &b).to_string(),
-                    "difference" => difference(&a, &b).to_string(),
-                    // compose g f prints the composed pair-relation carrier.
-                    _ => pair_compose(&b, &a).to_string(),
-                }
+            "union" | "intersect" | "difference" | "image" | "domain" | "restrict" => {
+                let expr = self.command_expr(command, parts)?;
+                xst_query::eval(&expr, &self.bindings)?.to_string()
+            }
+            "compose" => {
+                let g = self.operand(&parts.next_operand()?)?;
+                let f = self.operand(&parts.rest()?)?;
+                // compose g f prints the composed pair-relation carrier.
+                pair_compose(&f, &g).to_string()
             }
             "apply" => {
                 let f = self.operand(&parts.next_operand()?)?;
                 let x = self.operand(&parts.rest()?)?;
                 Process::pairs(f).apply(&x).to_string()
-            }
-            "image" => {
-                let r = self.operand(&parts.next_operand()?)?;
-                let a = self.operand(&parts.next_operand()?)?;
-                let s1 = self.operand(&parts.next_operand()?)?;
-                let s2 = self.operand(&parts.rest()?)?;
-                image(&r, &a, &Scope::new(s1, s2)).to_string()
-            }
-            "domain" => {
-                let r = self.operand(&parts.next_operand()?)?;
-                let spec = self.operand(&parts.rest()?)?;
-                sigma_domain(&r, &spec).to_string()
-            }
-            "restrict" => {
-                let r = self.operand(&parts.next_operand()?)?;
-                let spec = self.operand(&parts.next_operand()?)?;
-                let a = self.operand(&parts.rest()?)?;
-                sigma_restrict(&r, &spec, &a).to_string()
             }
             "tc" => transitive_closure(&self.operand(&parts.rest()?)?).to_string(),
             "function?" => {
@@ -300,12 +250,6 @@ impl Session {
             ".trace" => self.trace(&parts.rest()?)?,
             ".top" => self.reqlog_top(parts.rest_opt().as_deref())?,
             ".slow" => self.reqlog_slow(parts.rest_opt().as_deref())?,
-            ".faults" => self.faults(&parts.rest()?)?,
-            ".store" => self.store_binding(&parts.rest()?)?,
-            ".load" => {
-                let (name, target) = name_as_new(parts)?;
-                self.load_binding(&name, &target)?
-            }
             ".serve" => {
                 let sub = parts.next_operand()?;
                 self.serve(&sub, parts.rest_opt().as_deref())?
@@ -330,7 +274,7 @@ impl Session {
     /// `.explain <op> ...` — build the [`Expr`] a command form denotes,
     /// optimize + execute it, and render the per-operator tree.
     fn explain(&self, parts: &mut Tokens) -> XstResult<String> {
-        let expr = self.command_expr(parts)?;
+        let expr = self.command_expr(&parts.next_word()?, parts)?;
         let report = explain_analyze(&expr, &self.bindings, &Parallelism::available())?;
         Ok(report.to_string())
     }
@@ -341,7 +285,7 @@ impl Session {
     /// report (rejection is part of the report, not an error), so scripts
     /// can drive it over ill-scoped plans.
     fn check(&self, parts: &mut Tokens) -> XstResult<String> {
-        let expr = self.command_expr(parts)?;
+        let expr = self.command_expr(&parts.next_word()?, parts)?;
         let analysis = xst_query::check(&expr, &self.bindings);
         let root = &analysis.root.set;
         let verdict = if analysis.is_rejected() {
@@ -368,15 +312,14 @@ impl Session {
         Ok(out)
     }
 
-    /// Parse the `<op> ...` command form shared by `.explain` and
-    /// `.check` into the [`Expr`] it denotes.
-    fn command_expr(&self, parts: &mut Tokens) -> XstResult<Expr> {
-        let op = parts.next_word()?;
-        let expr = match op.as_str() {
+    /// Parse the operands of the `<op> ...` command form — a bare algebra
+    /// word, `.explain`, `.check` or `.eval` — into the [`Expr`] it denotes.
+    fn command_expr(&self, op: &str, parts: &mut Tokens) -> XstResult<Expr> {
+        let expr = match op {
             "union" | "intersect" | "difference" | "cross" => {
                 let a = self.expr_operand(&parts.next_operand()?)?;
                 let b = self.expr_operand(&parts.rest()?)?;
-                match op.as_str() {
+                match op {
                     "union" => a.union(b),
                     "intersect" => a.intersect(b),
                     "difference" => a.difference(b),
@@ -412,18 +355,11 @@ impl Session {
 
     /// `.metrics [json|reset]`.
     fn metrics(&self, arg: Option<&str>) -> XstResult<String> {
-        // Hit ratio is derived, not accumulated: refresh it at print time.
-        if let Some(store) = &self.store {
-            store.pool.publish_metrics();
-        }
         match arg {
             None => Ok(xst_obs::registry().export_prometheus()),
             Some("json") => Ok(xst_obs::registry().export_json()),
             Some("reset") => {
                 xst_obs::registry().reset();
-                if let Some(store) = &self.store {
-                    store.pool.reset_stats();
-                }
                 Ok("metrics reset".to_string())
             }
             Some(other) => Err(err(format!("usage: .metrics [json|reset], got '{other}'"))),
@@ -502,118 +438,6 @@ impl Session {
         }
     }
 
-    /// `.faults on|off|status` — chaos mode for the storage demo: arm a
-    /// deterministic fault plan (every 5th I/O op fails transiently) on the
-    /// store's disk AND its WAL, so `.store`/`.load` exercise the retry
-    /// path for real. The default retry policy absorbs every injection;
-    /// `.metrics` shows the `xst_storage_faults_injected_total` /
-    /// `xst_storage_retries_total` movement it caused.
-    fn faults(&mut self, arg: &str) -> XstResult<String> {
-        match arg {
-            "on" => {
-                let store = self.store.get_or_insert_with(Store::new);
-                let plan = FaultPlan::new(FaultSchedule::EveryNth(5), FaultKind::Transient);
-                store.pool.storage().install_faults(&plan);
-                store.wal.install_faults(&plan);
-                store.faults = Some(plan);
-                Ok("faults armed: every 5th storage/WAL op fails transiently \
-                    (retry absorbs them; see .metrics)"
-                    .to_string())
-            }
-            "off" => {
-                if let Some(store) = &mut self.store {
-                    if let Some(plan) = store.faults.take() {
-                        plan.disarm();
-                        store.pool.storage().clear_faults();
-                        store.wal.clear_faults();
-                    }
-                }
-                Ok("faults disarmed".to_string())
-            }
-            "status" => {
-                let plan = self.store.as_ref().and_then(|s| s.faults.as_ref());
-                let retries = xst_obs::registry()
-                    .counter(
-                        xst_obs::names::STORAGE_RETRIES_TOTAL,
-                        "Transient storage failures that were retried.",
-                    )
-                    .get();
-                let give_ups = xst_obs::registry()
-                    .counter(
-                        xst_obs::names::STORAGE_RETRY_GIVE_UPS_TOTAL,
-                        "Operations abandoned after exhausting their retry budget.",
-                    )
-                    .get();
-                Ok(match plan {
-                    Some(p) => format!(
-                        "faults armed ({}, every 5th op): {} sites seen, {} injected; \
-                         retries {retries}, give-ups {give_ups}",
-                        p.kind(),
-                        p.sites_seen(),
-                        p.injected_count()
-                    ),
-                    None => format!("faults off; retries {retries}, give-ups {give_ups}"),
-                })
-            }
-            other => Err(err(format!("usage: .faults on|off|status, got '{other}'"))),
-        }
-    }
-
-    /// `.store NAME` — append every member of the binding to a fresh
-    /// WAL-logged table (element and scope columns), then checkpoint.
-    fn store_binding(&mut self, name: &str) -> XstResult<String> {
-        let set = self.binding(name)?;
-        let store = self.store.get_or_insert_with(Store::new);
-        let mut table =
-            LoggedTable::create(store.pool.storage(), member_schema(), store.wal.clone());
-        for record in set_to_records(&set) {
-            table.append(&record).map_err(storage_err)?;
-        }
-        table.checkpoint().map_err(storage_err)?;
-        let pages = store
-            .pool
-            .storage()
-            .page_count(table.table.file.file_id())
-            .map_err(storage_err)?;
-        store.tables.insert(name.to_string(), table);
-        Ok(format!(
-            "{name} stored: {} members in {pages} pages (wal checkpointed)",
-            set.card()
-        ))
-    }
-
-    /// `.load NAME as NEW` — scan the stored table back through the buffer
-    /// pool and rebuild the extended set under a new binding.
-    fn load_binding(&mut self, name: &str, target: &str) -> XstResult<String> {
-        let store = self
-            .store
-            .as_ref()
-            .ok_or_else(|| err("nothing stored yet (use .store NAME)"))?;
-        let table = store
-            .tables
-            .get(name)
-            .ok_or_else(|| err(format!("no stored table '{name}'")))?;
-        let records = table
-            .table
-            .file
-            .read_all(&store.pool)
-            .map_err(storage_err)?;
-        let mut b = SetBuilder::new();
-        for r in &records {
-            let [element, scope] = r.values() else {
-                return Err(err("stored record is not an element/scope pair"));
-            };
-            b.scoped(element.clone(), scope.clone());
-        }
-        let set = b.build();
-        let card = set.card();
-        self.bindings.insert(target.to_string(), set);
-        Ok(format!(
-            "{target} bound from stored {name}: {} records, {card} members",
-            records.len()
-        ))
-    }
-
     /// `.serve start [ADDR|PORT]` / `.serve stop` / `.serve status` —
     /// serve this session's local store over TCP. A bare port
     /// binds `127.0.0.1:PORT`; no argument picks an ephemeral port (the
@@ -662,9 +486,10 @@ impl Session {
         }
     }
 
-    /// `.shards` — introspect the local store's sharding: shard
-    /// count, decision-log entries and, per shard, last commit timestamp, open sub-transactions,
-    /// retained and reclaimed versions, and in-doubt prepares. `.shards N`
+    /// `.shards` — introspect the local store's sharding: shard count,
+    /// decision-log entries, the `.faults` plan and, per shard, last commit
+    /// timestamp, open sub-transactions, retained and reclaimed versions,
+    /// and in-doubt prepares. `.shards N`
     /// re-creates the store partitioned across N shards — only before any
     /// table exists, because resharding would reroute every member hash.
     fn shards(&mut self, arg: Option<&str>) -> XstResult<String> {
@@ -698,6 +523,15 @@ impl Session {
             sharded.active_txns(),
             sharded.committed_gtxns().len()
         );
+        if sharded.faults_armed() {
+            let _ = write!(
+                out,
+                "\nfaults: armed, {} injected",
+                sharded.faults_injected()
+            );
+        } else {
+            out.push_str("\nfaults: off");
+        }
         for i in 0..sharded.shard_count() {
             let mgr = sharded.shard_mgr(i);
             let _ = write!(
@@ -835,12 +669,23 @@ impl Session {
                 Request::Delete { table, set }
             }
             "get" => {
-                let (table, new) = name_as_new(parts)?;
-                target = Some(new);
+                let table = parts.next_operand()?;
+                if !parts.next_operand()?.eq_ignore_ascii_case("as") {
+                    return Err(err("usage: NAME as NEW"));
+                }
+                target = Some(binding_name(&parts.rest()?)?.to_string());
                 Request::FragRead { table }
             }
             "eval" => Request::Eval {
-                expr: self.command_expr(parts)?,
+                expr: self.command_expr(&parts.next_word()?, parts)?,
+            },
+            "faults" => match parts.rest()?.as_str() {
+                "on" => Request::ArmFaults {
+                    schedule: FaultSchedule::EveryNth(5),
+                    kind: FaultKind::Transient,
+                },
+                "off" => Request::ClearFaults,
+                other => return Err(err(format!("usage: faults on|off, got '{other}'"))),
             },
             "metrics" => Request::Metrics {
                 json: match parts.rest_opt().as_deref() {
@@ -905,6 +750,11 @@ impl Session {
                 None => set.to_string(),
             },
             Response::Report { text } => text.trim_end().to_string(),
+            Response::FaultsArmed { armed: true } => format!(
+                "{label} faults armed: every 5th storage/WAL op fails transiently \
+                 (retry absorbs them)"
+            ),
+            Response::FaultsArmed { armed: false } => format!("{label} faults disarmed"),
             other => return Err(err(format!("{label}: unexpected answer {other:?}"))),
         })
     }
@@ -1030,15 +880,6 @@ fn binding_name(name: &str) -> XstResult<&str> {
     Ok(name)
 }
 
-/// The `NAME as NEW` tail `.load` and `get` share.
-fn name_as_new(parts: &mut Tokens) -> XstResult<(String, String)> {
-    let name = parts.next_operand()?;
-    if !parts.next_operand()?.eq_ignore_ascii_case("as") {
-        return Err(err("usage: NAME as NEW"));
-    }
-    Ok((name, binding_name(&parts.rest()?)?.to_string()))
-}
-
 /// Parse a numeric command argument into a structured shell error on any
 /// failure: empty input, garbage, and out-of-range values each get a
 /// message naming the usage form, and overflow is reported as "out of
@@ -1062,7 +903,6 @@ where
     })
 }
 
-/// Storage errors surface as shell errors, not panics.
 /// `.lint [all]` — run the workspace static analyzer in-process and
 /// summarize its verdict per rule. `all` also lists the justified
 /// findings (the documented exemptions); unjustified findings are
@@ -1121,10 +961,6 @@ fn workspace_root() -> Option<std::path::PathBuf> {
     fallback.join("crates").is_dir().then_some(fallback)
 }
 
-fn storage_err(e: xst_storage::StorageError) -> XstError {
-    err(format!("storage: {e}"))
-}
-
 /// Client errors surface as shell errors, not panics. Typed remote
 /// errors keep their error-code name in the message.
 fn client_err(e: xst_client::ClientError) -> XstError {
@@ -1157,8 +993,6 @@ observability:
   .trace export               collected spans as xst-trace/1 JSON (non-draining)
   .top [N]                    N most expensive accounted requests + cost bills
   .slow [MS|off]              show the slow-query ring · arm/disarm threshold
-  .faults on|off|status       inject transient I/O faults (retry absorbs them)
-  .store NAME · .load NAME as NEW   WAL + buffer-pool round trip
 store verbs (snapshot isolation, first committer wins) — one set, three
 doors: bare = the local store, `.remote VERB` = the `.connect` session if
 one is open, else the `.cluster` coordinator; replies carry the door's label:
@@ -1169,6 +1003,8 @@ one is open, else the `.cluster` coordinator; replies carry the door's label:
   .commit · .abort            group-commit the writes · discard them
                               (.put/.delete outside a transaction autocommit)
   .ping                       liveness round trip
+  .faults on|off              arm / clear transient I/O faults under the door's
+                              engine (retry absorbs them; .shards counts them)
   .remote metrics [json] · .remote trace · .remote top [N] · .remote slow
                               the connected server's registry / spans / log
 doors:
@@ -1286,7 +1122,7 @@ mod tests {
         for cmd in ["let", "union", "apply", "image", "tc", "function?"] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
-        for cmd in [".explain", ".metrics", ".trace", ".store"] {
+        for cmd in [".explain", ".metrics", ".trace"] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
     }
@@ -1396,27 +1232,6 @@ mod tests {
         assert!(run(&mut s, ".trace off").contains("off"));
         run(&mut s, ".trace on");
         assert!(s.eval_line(".trace sideways").is_err());
-    }
-
-    #[test]
-    fn store_load_round_trip() {
-        let _serial = obs_serial();
-        let mut s = Session::new();
-        run(&mut s, "let f = {⟨a, x⟩, ⟨b, y⟩, c^2}");
-        let stored = run(&mut s, ".store f");
-        assert!(stored.contains("3 members"), "{stored}");
-        let loaded = run(&mut s, ".load f as g");
-        assert!(loaded.contains("3 records"), "{loaded}");
-        assert_eq!(run(&mut s, "show g"), run(&mut s, "show f"));
-        // The round trip leaves pool traffic behind for .metrics.
-        let metrics = run(&mut s, ".metrics");
-        assert!(metrics.contains("xst_storage_pool_hit_ratio"), "{metrics}");
-        assert!(metrics.contains("xst_storage_wal_append_ns"), "{metrics}");
-        // Errors: unknown binding, unknown stored table, bad syntax.
-        assert!(s.eval_line(".store nope").is_err());
-        assert!(s.eval_line(".load nope as h").is_err());
-        assert!(s.eval_line(".load f into h").is_err());
-        assert!(s.eval_line(".load f as bad name").is_err());
     }
 
     #[test]
@@ -1560,6 +1375,11 @@ mod tests {
         let evaled = run(&mut s, ".remote eval union f f");
         assert_eq!(parse_set(&evaled).unwrap().card(), 3);
         assert_eq!(evaled, run(&mut s, ".eval union f f"));
+        // `.remote faults on` arms the served engine — this session's own,
+        // so the local `.shards` sees the plan.
+        let armed = run(&mut s, ".remote faults on");
+        assert!(armed.starts_with("remote faults armed"), "{armed}");
+        assert!(run(&mut s, ".shards").contains("\nfaults: armed, "));
         // A remote explicit transaction: put under .remote begin stays
         // buffered until .remote commit.
         run(&mut s, "let more = {1, 2}");
@@ -1569,6 +1389,8 @@ mod tests {
         assert!(run(&mut s, ".remote commit").contains("remote committed"));
         let got = run(&mut s, ".remote get more as m");
         assert!(got.contains("2 members"), "{got}");
+        assert_eq!(run(&mut s, ".remote faults off"), "remote faults disarmed");
+        assert!(run(&mut s, ".shards").contains("\nfaults: off"));
         assert!(run(&mut s, ".disconnect").contains("disconnected"));
         assert!(run(&mut s, ".serve stop").contains("stopped"));
         assert_eq!(run(&mut s, ".serve status"), "not serving");
@@ -1678,6 +1500,9 @@ mod tests {
         let e = s.eval_line(".remote trace").unwrap_err().to_string();
         assert!(e.contains("cluster: protocol: 'trace-dump'"), "{e}");
         assert!(s.eval_line(".remote metrics").is_err());
+        // So is a fault plan: each server arms its own devices.
+        let e = s.eval_line(".remote faults on").unwrap_err().to_string();
+        assert!(e.contains("one server's to answer"), "{e}");
         // The same refusal, the same code as a single server's.
         let e = s.eval_line(".remote commit").unwrap_err().to_string();
         assert!(e.contains("cluster: txn-state:"), "{e}");
@@ -1837,25 +1662,40 @@ mod tests {
         assert!(s.eval_line(".shards 0").is_err(), "zero shards");
     }
 
+    /// The number after `faults: armed, ` on `.shards`' faults line.
+    fn injected(shards: &str) -> u64 {
+        shards
+            .lines()
+            .find_map(|l| l.strip_prefix("faults: armed, "))
+            .and_then(|rest| rest.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no armed plan in:\n{shards}"))
+    }
+
     #[test]
     fn faults_command_injects_and_retry_absorbs() {
         let _serial = obs_serial();
         let mut s = Session::new();
         run(&mut s, "let f = {⟨a, x⟩, ⟨b, y⟩, c^2, d, e^3}");
-        assert!(run(&mut s, ".faults status").contains("faults off"));
-        assert!(run(&mut s, ".faults on").contains("armed"));
-        // The store/load round trip now runs under injected transient
-        // faults — the default retry policy must absorb every one.
-        let stored = run(&mut s, ".store f");
-        assert!(stored.contains("5 members"), "{stored}");
-        let loaded = run(&mut s, ".load f as g");
-        assert!(loaded.contains("5 records"), "{loaded}");
+        let armed = run(&mut s, ".faults on");
+        assert!(
+            armed.starts_with("local faults armed: every 5th"),
+            "{armed}"
+        );
+        assert_eq!(injected(&run(&mut s, ".shards")), 0);
+        // Autocommitted puts now run under injected transient faults on the
+        // door's own engine — the default retry policy absorbs every one.
+        // Each autocommit is one WAL sync site, so the fifth put draws the
+        // plan's first fault.
+        for _ in 0..5 {
+            let put = run(&mut s, ".put f");
+            assert!(put.contains("autocommitted"), "{put}");
+        }
+        run(&mut s, ".get f as g");
         assert_eq!(run(&mut s, "show g"), run(&mut s, "show f"));
-        let status = run(&mut s, ".faults status");
-        assert!(status.contains("armed"), "{status}");
-        assert!(status.contains("injected"), "{status}");
-        assert!(run(&mut s, ".faults off").contains("disarmed"));
-        assert!(run(&mut s, ".faults status").contains("faults off"));
+        assert!(injected(&run(&mut s, ".shards")) > 0);
+        assert_eq!(run(&mut s, ".faults off"), "local faults disarmed");
+        assert!(run(&mut s, ".shards").contains("\nfaults: off\n"));
         assert!(s.eval_line(".faults sideways").is_err());
+        assert!(s.eval_line(".faults").is_err());
     }
 }

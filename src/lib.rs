@@ -8,7 +8,7 @@
 //!   heap files, indexes, WAL, snapshots, the set- vs record-processing
 //!   engines;
 //! * [`xst_query`] (as `query`) — logical expressions, law-justified rewrites,
-//!   the cost-guarded fixpoint optimizer;
+//!   the fixpoint optimizer;
 //! * [`xst_relational`] (as `relational`) — relations as extended sets, the
 //!   algebra, aggregation, the textual query language.
 //!

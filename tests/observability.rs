@@ -1,7 +1,7 @@
 //! Cross-crate observability integration: the span collector, the metrics
 //! registry, and EXPLAIN ANALYZE are exercised through the public surface
 //! of every layer at once — query evaluation over core kernels, the
-//! storage path behind the shell's `.store`/`.load`, and the exposition
+//! commit path behind the shell's `.put`/`.get`, and the exposition
 //! formats the shell prints.
 //!
 //! The collector switch and the registry are process-global, so every test
@@ -391,7 +391,7 @@ fn disabled_collector_records_nothing_anywhere() {
 }
 
 // ---------------------------------------------------------------------------
-// The shell end to end: .explain, .store/.load, .metrics exposition.
+// The shell end to end: .explain, .put/.get, .metrics exposition.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -413,33 +413,33 @@ fn shell_explain_store_and_metrics_flow() {
     assert!(report.contains("rows=3"), "{report}");
     assert!(report.contains("result members"), "{report}");
 
-    run(&mut s, ".store s1");
-    let loaded = run(&mut s, ".load s1 as t1");
+    run(&mut s, ".put s1");
+    let loaded = run(&mut s, ".get s1 as t1");
     assert!(loaded.contains("t1"), "{loaded}");
     assert_eq!(run(&mut s, "union t1 s2"), run(&mut s, "union s1 s2"));
 
     let text = run(&mut s, ".metrics");
     for family in [
-        "xst_storage_pool_hit_ratio",
-        "xst_storage_pool_hits_total",
         "xst_storage_wal_append_ns_bucket",
-        "xst_storage_page_write_ns_bucket",
+        "xst_storage_wal_group_commits_total",
+        "xst_txn_commits_total",
+        "xst_txn_commit_ns_bucket",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
 
     let json = run(&mut s, ".metrics json");
-    assert!(json.contains("\"xst_storage_pool_hit_ratio\""), "{json}");
+    assert!(json.contains("\"xst_txn_commits_total\""), "{json}");
 
-    // Reset must zero the storage families it owns: a fresh exposition
+    // Reset must zero the families the door moves: a fresh exposition
     // shows the counters again only after new traffic.
     assert_eq!(run(&mut s, ".metrics reset"), "metrics reset");
     let text = run(&mut s, ".metrics");
-    let hits_zeroed = text
+    let commits_zeroed = text
         .lines()
-        .filter(|l| l.starts_with("xst_storage_pool_hits_total"))
+        .filter(|l| l.starts_with("xst_txn_commits_total"))
         .all(|l| l.ends_with(" 0"));
-    assert!(hits_zeroed, "hit counters survive reset:\n{text}");
+    assert!(commits_zeroed, "commit counters survive reset:\n{text}");
 }
 
 // ---------------------------------------------------------------------------

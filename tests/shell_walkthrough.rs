@@ -62,3 +62,29 @@ fn session_state_is_cumulative_and_error_tolerant() {
     let vars = run(&mut s, "vars");
     assert!(vars.contains("a = {1}") && vars.contains("b = {2}"));
 }
+
+/// `.faults on` arms the engine the local door writes through, so the
+/// retries that absorb the injected faults are the store's own.
+#[test]
+fn faults_walkthrough() {
+    let mut s = Session::new();
+    run(&mut s, "let s1 = {a^1, b^2, c, d^2, e}");
+    assert!(run(&mut s, ".faults on").contains("faults armed"));
+    // Each autocommit is one WAL sync site and the plan fires on every
+    // fifth, so the fifth put draws a fault — and is still applied.
+    for _ in 0..5 {
+        let put = run(&mut s, ".put s1");
+        assert!(put.contains("5 rows (autocommitted"), "{put}");
+    }
+    run(&mut s, ".get s1 as t1");
+    assert_eq!(run(&mut s, "show t1"), run(&mut s, "show s1"));
+    // This engine's own count: the process-wide counter is shared.
+    let shards = run(&mut s, ".shards");
+    let injected = shards
+        .lines()
+        .find_map(|l| l.strip_prefix("faults: armed, "))
+        .and_then(|rest| rest.split(' ').next()?.parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no armed plan in:\n{shards}"));
+    assert!(injected > 0, "{shards}");
+    assert!(run(&mut s, ".faults off").contains("faults disarmed"));
+}
