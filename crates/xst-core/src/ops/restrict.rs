@@ -25,13 +25,26 @@
 //!   constraint (classical scope) is satisfiable by any `w`.
 //!
 //! This is validated end-to-end by the Appendix A/B reproduction tests.
+//!
+//! # Pinned positions
+//!
+//! A restriction is a set given by a property, and the property only
+//! constrains the positions σ names: a witness `a^{\σ\}` carries σ's
+//! output scopes and nothing else. So [`WitnessSet`] remembers which scopes
+//! its single-member witnesses carry, and a candidate member at any other
+//! scope is never looked up — for σ = ⟨1⟩ over pairs, position 2 of every
+//! candidate costs a comparison, not a binary search.
 
 use crate::ops::rescope::rescope_value_by_element;
 use crate::set::{ExtendedSet, Member, SetBuilder};
+use crate::value::Value;
 
 /// `R |_σ A` (Definition 7.6).
 pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> ExtendedSet {
     let witnesses = restriction_witnesses(sigma, a);
+    if witnesses.is_empty() {
+        return ExtendedSet::empty();
+    }
     let kept = r
         .members()
         .iter()
@@ -48,11 +61,17 @@ pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> 
 /// The overwhelmingly common witness shape — a single re-scoped member with
 /// no scope constraint (every equality selection) — is kept in one merged
 /// canonical set so a candidate `z` is tested with a single linear
-/// intersection walk instead of one subset check per witness. Everything
-/// else falls back to the general subset test.
+/// intersection walk instead of one subset check per witness. When the
+/// witnesses far outnumber `z`'s members, each member of `z` is instead
+/// binary-searched — but only at a scope some witness carries (the
+/// positions σ pins; see the module docs). Everything else falls back to
+/// the general subset test.
 pub(crate) struct WitnessSet {
     /// Union of all single-member, unconstrained-scope witnesses.
     singletons: ExtendedSet,
+    /// The scopes `singletons` carry, sorted and deduplicated: `[1]` for
+    /// every σ = ⟨1⟩ restriction.
+    pinned: Vec<Value>,
     /// General witnesses: `(a^{\σ\}, s^{\σ\})` pairs.
     general: Vec<(ExtendedSet, ExtendedSet)>,
 }
@@ -69,12 +88,13 @@ impl WitnessSet {
         let z = m.element.as_set_view();
         if !self.singletons.is_empty() {
             // Size-adaptive probe: when the witness set is much larger than
-            // the candidate, binary-search each candidate member instead of
-            // merge-walking the whole witness set.
+            // the candidate, binary-search each candidate member at a
+            // pinned scope instead of merge-walking the whole witness set.
             let hit = if self.singletons.card() > 8 * z.card() {
-                z.members()
-                    .iter()
-                    .any(|zm| self.singletons.contains(&zm.element, &zm.scope))
+                z.members().iter().any(|zm| {
+                    self.pinned.binary_search(&zm.scope).is_ok()
+                        && self.singletons.contains(&zm.element, &zm.scope)
+                })
             } else {
                 !crate::ops::boolean::disjoint(&z, &self.singletons)
             };
@@ -144,8 +164,17 @@ pub(crate) fn restriction_witnesses(sigma: &ExtendedSet, a: &ExtendedSet) -> Wit
             general.push((a_r, s_r));
         }
     }
+    let singletons = ExtendedSet::from_members(singleton_members);
+    let mut pinned: Vec<Value> = singletons
+        .members()
+        .iter()
+        .map(|m| m.scope.clone())
+        .collect();
+    pinned.sort_unstable();
+    pinned.dedup();
     WitnessSet {
-        singletons: ExtendedSet::from_members(singleton_members),
+        singletons,
+        pinned,
         general,
     }
 }

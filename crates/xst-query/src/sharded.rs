@@ -37,11 +37,21 @@
 //! The static-analysis gate runs once against the *merged* bindings:
 //! analysis facts are properties of whole tables, and the merge is exact,
 //! so gating on the union neither over- nor under-rejects.
+//!
+//! A subexpression denotes one set, so a plan computes it once: before the
+//! walk, one pass over the plan finds the operator subtrees it repeats
+//! (structurally — `f[w]` written twice is one subtree). The walk runs the
+//! first copy and hands every later one its [`Frag`] — `Arc` clones — as a
+//! childless `(shared)` node that ran no kernel. The memo is scoped to one
+//! [`run`] and keeps repeated subtrees only, so a plan without repetition
+//! retains nothing extra.
 
 use crate::eval::{EvalStats, OpKind, OpStat};
 use crate::explain::PlanNode;
 use crate::expr::{Bindings, Expr};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::mem::Discriminant;
 use std::time::Instant;
 use xst_core::ops::{
     cross, difference, gather, map_parts, par_image, par_intersection, par_relative_product,
@@ -65,6 +75,7 @@ pub fn merge_bindings(sharded: &ShardedBindings) -> Bindings {
 /// A leaf or intermediate during the walk: a partition of the set it
 /// denotes (pairwise-disjoint parts until an image or relative product
 /// re-scopes them; their union is always the set).
+#[derive(Clone)]
 pub(crate) struct Frag {
     parts: Vec<ExtendedSet>,
     /// Partitioned by the engine's member-hash routing (zip-safe)?
@@ -144,7 +155,7 @@ pub(crate) fn run(
     par: &Parallelism,
 ) -> XstResult<(ExtendedSet, PlanNode)> {
     let mut span = xst_obs::span!("query.eval", threads = par.threads);
-    let (frag, mut root) = walk(expr, scan, par)?;
+    let (frag, mut root) = walk(expr, scan, par, &mut Memo::of(expr))?;
     let result = frag.into_whole();
     // Scattered image/product fragments may overlap until the gather;
     // the root reports the result the caller gets.
@@ -247,13 +258,128 @@ fn pairwise(
     }
 }
 
+/// One plan node with its operands replaced by their slots: equal shapes
+/// are structurally equal subtrees.
+#[derive(PartialEq, Eq, Hash)]
+enum Shape<'e> {
+    Table(&'e str),
+    Literal(ByCard<'e>),
+    /// An operator: its variant, its parameters, its operands' slots.
+    Op(Discriminant<Expr>, Vec<&'e ExtendedSet>, Vec<usize>),
+}
+
+/// A literal hashed by its cardinality and compared by content, so keying
+/// it is O(1) however large it is (and a clone compares by pointer).
+struct ByCard<'e>(&'e ExtendedSet);
+
+impl Hash for ByCard<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.card().hash(state);
+    }
+}
+
+impl PartialEq for ByCard<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for ByCard<'_> {}
+
+/// The operator subtrees one plan repeats, and the results of the copies
+/// walked so far. It lives for one [`run`]: nothing is cached across plans.
+#[derive(Default)]
+struct Memo {
+    /// Each copy of a repeated operator subtree, by address → the slot it
+    /// shares with its equals.
+    slots: HashMap<*const Expr, usize>,
+    /// The result of a slot's first copy.
+    done: HashMap<usize, Frag>,
+}
+
+impl Memo {
+    /// Find the repeated operator subtrees of `plan` in one O(plan) pass
+    /// that slots every node bottom-up by its [`Shape`]. Leaves are never
+    /// kept: a table or a literal is already a free `Arc` clone.
+    fn of(plan: &Expr) -> Memo {
+        // Two copies of an operator subtree under a common operator take
+        // at least five nodes.
+        if plan.size() < 5 {
+            return Memo::default();
+        }
+        fn slot<'e>(
+            e: &'e Expr,
+            shapes: &mut HashMap<Shape<'e>, usize>,
+            copies: &mut Vec<usize>,
+            ops: &mut Vec<(*const Expr, usize)>,
+        ) -> usize {
+            let operands = e.children().map(|c| slot(c, shapes, copies, ops)).collect();
+            let params = match e {
+                Expr::Restrict { sigma, .. } | Expr::Domain { sigma, .. } => vec![sigma],
+                Expr::Image { scope, .. } => vec![&scope.sigma1, &scope.sigma2],
+                Expr::RelProduct { sigma, omega, .. } => {
+                    vec![&sigma.sigma1, &sigma.sigma2, &omega.sigma1, &omega.sigma2]
+                }
+                _ => Vec::new(),
+            };
+            let shape = match e {
+                Expr::Table(name) => Shape::Table(name),
+                Expr::Literal(set) => Shape::Literal(ByCard(set)),
+                _ => Shape::Op(std::mem::discriminant(e), params, operands),
+            };
+            let operator = matches!(shape, Shape::Op(..));
+            let fresh = shapes.len();
+            let id = *shapes.entry(shape).or_insert(fresh);
+            if id == fresh {
+                copies.push(0);
+            }
+            copies[id] += 1;
+            if operator {
+                ops.push((e as *const Expr, id));
+            }
+            id
+        }
+        let (mut copies, mut ops) = (Vec::new(), Vec::new());
+        slot(plan, &mut HashMap::new(), &mut copies, &mut ops);
+        Memo {
+            slots: ops.into_iter().filter(|&(_, id)| copies[id] > 1).collect(),
+            done: HashMap::new(),
+        }
+    }
+
+    /// `expr`'s slot, if the plan repeats it.
+    fn slot_of(&self, expr: &Expr) -> Option<usize> {
+        self.slots.get(&(expr as *const Expr)).copied()
+    }
+}
+
 /// Execute one node: evaluate the operands, run the family's one lowering
-/// under [`timed`], and record the node's profile.
-fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, PlanNode)> {
+/// under [`timed`], and record the node's profile. A later copy of a
+/// repeated subtree runs nothing: it is the earlier copy's result under a
+/// `(shared)` node.
+fn walk(
+    expr: &Expr,
+    scan: &Scan<'_>,
+    par: &Parallelism,
+    memo: &mut Memo,
+) -> XstResult<(Frag, PlanNode)> {
     let started = Instant::now();
+    let repeated = memo.slot_of(expr);
+    if let Some(result) = repeated.and_then(|id| memo.done.get(&id).cloned()) {
+        let node = PlanNode {
+            op: "(shared)".to_string(),
+            sig: String::new(),
+            rows_out: result.card() as u64,
+            parts: result.scattered(),
+            total_ns: started.elapsed().as_nanos() as u64,
+            kernel: None,
+            children: Vec::new(),
+        };
+        return Ok((result, node));
+    }
     let mut children = Vec::new();
     let mut operand = |e: &Expr| -> XstResult<Frag> {
-        let (frag, node) = walk(e, scan, par)?;
+        let (frag, node) = walk(e, scan, par, memo)?;
         children.push(node);
         Ok(frag)
     };
@@ -337,6 +463,9 @@ fn walk(expr: &Expr, scan: &Scan<'_>, par: &Parallelism) -> XstResult<(Frag, Pla
             })
         }
     }?;
+    if let Some(id) = repeated {
+        memo.done.insert(id, result.clone());
+    }
     let node = PlanNode {
         op,
         sig: String::new(),
@@ -403,7 +532,29 @@ mod tests {
             Expr::table("x")
                 .difference(Expr::table("y"))
                 .union(Expr::table("y").difference(Expr::table("x"))),
+            // Repeated subtrees, which the walk runs once each.
+            inproc_shaped("x", "y", "k"),
+            Expr::table("x")
+                .difference(Expr::table("y"))
+                .union(Expr::table("x").difference(Expr::table("y"))),
+            Expr::table("x").difference(Expr::table("y")).union(
+                Expr::table("x")
+                    .difference(Expr::table("y"))
+                    .intersect(Expr::table("x").difference(Expr::table("y"))),
+            ),
+            Expr::table("x")
+                .intersect(lit())
+                .union(Expr::table("y").difference(Expr::table("x").intersect(lit()))),
         ]
+    }
+
+    /// `inproc_plan`'s optimized plan over relations `f`, `g` and witnesses
+    /// `w`: `(f[w] ∪ g[w]) ∖ (f[w] ∩ g[w])`, each image written twice.
+    fn inproc_shaped(f: &str, g: &str, w: &str) -> Expr {
+        let image = |r: &str| Expr::table(r).image(Expr::table(w), Scope::pairs());
+        image(f)
+            .union(image(g))
+            .difference(image(f).intersect(image(g)))
     }
 
     proptest! {
@@ -477,6 +628,62 @@ mod tests {
                 assert_eq!(scattered, whole, "{shards} shards, {plan:?}");
             }
         }
+    }
+
+    /// `inproc_plan`'s shape writes each of its two images twice; the walk
+    /// runs each once and answers the second copy from the memo — one
+    /// `(shared)` node each, whole or scattered.
+    #[test]
+    fn a_repeated_image_runs_once() {
+        use xst_core::ops::{image, intersection, union};
+        let pairs = |n: i64, to: i64| {
+            ExtendedSet::classical((0..n).map(|i| ExtendedSet::pair(i, to + i % 40).into_value()))
+        };
+        // Overlapping images: `f[w]` reaches 0‥39, `g[w]` 20‥59.
+        let (f, g) = (pairs(200, 0), pairs(150, 20));
+        let w = ExtendedSet::classical((0..60).map(|i| ExtendedSet::tuple([i * 2]).into_value()));
+        let scope = Scope::pairs();
+        let (fw, gw) = (image(&f, &w, &scope), image(&g, &w, &scope));
+        let want = difference(&union(&fw, &gw), &intersection(&fw, &gw));
+        assert!(!want.is_empty());
+        let plan = inproc_shaped("f", "g", "w");
+        let par = Parallelism::sequential();
+        for shards in 1..4 {
+            let sharded = shard_env(&[("f", &f, shards), ("g", &g, shards), ("w", &w, 1)]);
+            let (got, root) = run(&plan, &shard_scan(&sharded), &par).unwrap();
+            assert_eq!(got, want, "{shards} shards");
+            let stats = EvalStats::of(&root);
+            assert_eq!(stats.op(OpKind::Image).invocations, 2, "not 4");
+            // 3 boolean operators, 2 images, their 4 leaves, 2 `(shared)`.
+            assert_eq!((stats.nodes, shared(&root)), (11, 2));
+        }
+    }
+
+    fn shared(node: &PlanNode) -> usize {
+        let here = usize::from(node.op == "(shared)");
+        here + node.children.iter().map(shared).sum::<usize>()
+    }
+
+    /// The memo keeps every copy of a repeated operator subtree under one
+    /// slot, and nothing else: no leaf, no subtree written once, no
+    /// operator whose parameters or literal differ.
+    #[test]
+    fn the_memo_keeps_repeated_operator_subtrees_only() {
+        let d = || Expr::table("x").difference(Expr::table("y"));
+        let memo = Memo::of(&d().union(d().intersect(d())));
+        let slots: std::collections::BTreeSet<_> = memo.slots.values().collect();
+        assert_eq!((memo.slots.len(), slots.len()), (3, 1));
+        assert!(Memo::of(&d().union(Expr::table("x"))).slots.is_empty());
+        let tables = Expr::table("x").union(Expr::table("x"));
+        assert_eq!(Memo::of(&tables.clone().union(tables)).slots.len(), 2);
+        let restrict =
+            |s: i64| Expr::table("x").restrict(ExtendedSet::tuple([s]), Expr::table("y"));
+        assert_eq!(Memo::of(&restrict(1).union(restrict(1))).slots.len(), 2);
+        assert!(Memo::of(&restrict(1).union(restrict(2))).slots.is_empty());
+        // Equal literals built apart share a slot, by content.
+        let probe = |k: i64| Expr::table("x").intersect(Expr::lit(ExtendedSet::classical([k])));
+        assert_eq!(Memo::of(&probe(1).union(probe(1))).slots.len(), 2);
+        assert!(Memo::of(&probe(1).union(probe(2))).slots.is_empty());
     }
 
     #[test]

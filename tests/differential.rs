@@ -6,10 +6,11 @@
 
 use proptest::prelude::*;
 use xst_core::ops::{
-    image, intersection, par_image, par_intersection, par_relative_product, par_sigma_restrict,
-    par_union, relative_product, sigma_restrict, union, Parallelism, Scope,
+    image, image_two_pass, intersection, par_image, par_intersection, par_relative_product,
+    par_sigma_restrict, par_union, relative_product, sigma_domain, sigma_restrict,
+    sigma_restrict_naive, union, Parallelism, Scope,
 };
-use xst_core::{ExtendedSet, Value};
+use xst_core::{ExtendedSet, Member, Value};
 use xst_query::eval_parallel;
 use xst_relational::{Catalog, Query};
 use xst_storage::{
@@ -347,6 +348,118 @@ proptest! {
         for k in THREADS {
             prop_assert_eq!(&par_image(&r, &a, &scope, &forced(k)), &oracle);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// σ-restriction probes only the positions its witnesses pin: the fast
+// restriction and the fused image against Definition 7.6 taken literally.
+// ---------------------------------------------------------------------------
+
+/// A probe value: a small int (so probes hit), an atom symbol, or ∅.
+fn probe_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        4 => (0i64..30).prop_map(Value::Int),
+        1 => Just(Value::sym("a")),
+        1 => Just(Value::empty_set()),
+    ]
+}
+
+/// A scope a member sits at: a position, or ∅.
+fn probe_scope() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        3 => (1i64..4).prop_map(Value::Int),
+        1 => Just(Value::empty_set()),
+    ]
+}
+
+/// Candidates for `R`: elements that are atoms, ∅, or sets of one to three
+/// members at positions or at ∅, each scoped by a position or ∅.
+fn arb_candidates() -> impl Strategy<Value = ExtendedSet> {
+    let element = prop_oneof![
+        1 => probe_value(),
+        3 => prop::collection::vec((probe_value(), probe_scope()), 1..4)
+            .prop_map(|ms| Value::Set(ExtendedSet::from_pairs(ms))),
+    ];
+    prop::collection::vec((element, probe_scope()), 0..16).prop_map(ExtendedSet::from_pairs)
+}
+
+/// Witness sets of every shape: one-member sets at a position or ∅ (the
+/// singleton path), two-member sets and scope-constrained members (the
+/// general path), and memberless atoms and ∅ (never match).
+fn arb_witnesses(count: std::ops::Range<usize>) -> impl Strategy<Value = ExtendedSet> {
+    let element = prop_oneof![
+        4 => (probe_value(), probe_scope())
+            .prop_map(|(v, s)| Value::Set(ExtendedSet::singleton(v, s))),
+        1 => prop::collection::vec((probe_value(), probe_scope()), 2..3)
+            .prop_map(|ms| Value::Set(ExtendedSet::from_pairs(ms))),
+        1 => probe_value(),
+    ];
+    let scope = prop_oneof![
+        4 => Just(Value::empty_set()),
+        1 => probe_value().prop_map(|v| Value::Set(ExtendedSet::singleton(v, Value::Int(1)))),
+    ];
+    prop::collection::vec((element, scope), count).prop_map(ExtendedSet::from_pairs)
+}
+
+/// σ specs under which the singleton witnesses carry two or more distinct
+/// scopes — `{1^1, 2^2}`, the swap `{1^2, 2^1}`, a position beside ∅, three
+/// positions — and the one-position `⟨1⟩` every pair restriction uses.
+fn arb_pinning_sigma() -> impl Strategy<Value = ExtendedSet> {
+    let spec = |pairs: &[(i64, Value)]| {
+        ExtendedSet::from_pairs(pairs.iter().map(|(e, s)| (Value::Int(*e), s.clone())))
+    };
+    prop::sample::select(vec![
+        spec(&[(1, Value::Int(1)), (2, Value::Int(2))]),
+        spec(&[(1, Value::Int(2)), (2, Value::Int(1))]),
+        spec(&[(1, Value::Int(1)), (2, Value::empty_set())]),
+        spec(&[(1, Value::Int(1)), (2, Value::Int(2)), (3, Value::Int(3))]),
+        spec(&[(1, Value::Int(1))]),
+    ])
+}
+
+/// The fast restriction and fused image (sequential and forced-parallel)
+/// equal the paper-literal restriction and the two-pass image.
+fn assert_probes_agree(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) {
+    let oracle = sigma_restrict_naive(r, sigma, a);
+    prop_assert_eq!(&sigma_restrict(r, sigma, a), &oracle);
+    prop_assert_eq!(&par_sigma_restrict(r, sigma, a, &forced(4)), &oracle);
+    let scope = Scope::new(sigma.clone(), ExtendedSet::tuple([2i64]));
+    let image_oracle = sigma_domain(&oracle, &scope.sigma2);
+    prop_assert_eq!(&image_two_pass(r, a, &scope), &image_oracle);
+    prop_assert_eq!(&image(r, a, &scope), &image_oracle);
+    prop_assert_eq!(&par_image(r, a, &scope, &forced(4)), &image_oracle);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Singleton witnesses at two or more scopes: a candidate member at a
+    /// pinned scope is probed, any other is not.
+    #[test]
+    fn restriction_agrees_when_witnesses_pin_several_positions(
+        r in arb_candidates(),
+        sigma in arb_pinning_sigma(),
+        a in arb_witnesses(0..8),
+    ) {
+        assert_probes_agree(&r, &sigma, &a);
+    }
+
+    /// More than 8× as many singleton witnesses as any candidate has
+    /// members, so every candidate takes the binary-search branch: the
+    /// one-tuples `⟨0⟩ … ⟨29⟩` give 30 singletons under every σ here
+    /// against at most 3 members per candidate.
+    #[test]
+    fn restriction_agrees_when_witnesses_outnumber_candidates(
+        r in arb_candidates(),
+        sigma in arb_pinning_sigma(),
+        extra in arb_witnesses(0..24),
+    ) {
+        let grid = (0..30i64).map(|v| Value::Set(ExtendedSet::tuple([v])));
+        let a = ExtendedSet::from_members(
+            extra.members().iter().cloned().chain(grid.map(Member::classical)).collect(),
+        );
+        assert_probes_agree(&r, &sigma, &a);
     }
 }
 

@@ -13,7 +13,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use xst_core::ops::{partition_members, Parallelism};
 use xst_core::{xtuple, ExtendedSet, Scope, Value};
 use xst_query::{
-    eval_parallel, eval_sharded, explain_analyze, Bindings, Expr, OpKind, PlanNode, ShardedBindings,
+    eval_parallel, eval_sharded, explain_analyze, Bindings, EvalStats, Expr, OpKind, PlanNode,
+    ShardedBindings,
 };
 use xst_shell::Session;
 
@@ -104,25 +105,76 @@ fn explain_analyze_matches_eval_parallel_across_shapes() {
             // The statistics of evaluating the plan the report executed
             // are a fold of the same tree.
             let (_, stats) = eval_parallel(&report.plan, &env, &par).unwrap();
-            let nodes = flatten(&report.root);
-            assert_eq!(report.root.size() as u64, stats.nodes, "{text}");
-            for kind in OpKind::ALL {
-                let in_tree = nodes.iter().filter(|n| n.op == kind.name()).count();
-                assert_eq!(
-                    in_tree as u64,
-                    stats.op(kind).invocations,
-                    "{} nodes in:\n{text}",
-                    kind.name()
-                );
-            }
-            let intermediates: u64 = nodes[1..]
-                .iter()
-                .filter(|n| !n.children.is_empty())
-                .map(|n| n.rows_out)
-                .sum();
-            assert_eq!(intermediates, stats.intermediate_members, "{text}");
+            assert_one_walk(&report.root, &stats, &text);
         }
     }
+}
+
+/// `stats` and the report tree `root` count the same nodes, kernel runs
+/// and intermediate members.
+fn assert_one_walk(root: &PlanNode, stats: &EvalStats, text: &str) {
+    let nodes = flatten(root);
+    assert_eq!(root.size() as u64, stats.nodes, "{text}");
+    for kind in OpKind::ALL {
+        let in_tree = nodes.iter().filter(|n| n.op == kind.name()).count();
+        assert_eq!(
+            in_tree as u64,
+            stats.op(kind).invocations,
+            "{} nodes in:\n{text}",
+            kind.name()
+        );
+    }
+    let intermediates: u64 = nodes[1..]
+        .iter()
+        .filter(|n| !n.children.is_empty())
+        .map(|n| n.rows_out)
+        .sum();
+    assert_eq!(intermediates, stats.intermediate_members, "{text}");
+}
+
+/// `inproc_plan`'s shape optimizes to `(r[p] ∪ q[p]) ∖ (r[p] ∩ q[p])`, each
+/// image written twice. The walk runs each once, and the report shows the
+/// second copies as two `(shared)` nodes that ran no kernel — still the
+/// same walk `EvalStats` folds, node for node.
+#[test]
+fn explain_analyze_shows_shared_subtrees() {
+    let _g = obs_lock();
+    let mut env = env();
+    let q = ExtendedSet::classical((0..90).map(|i| {
+        Value::Set(ExtendedSet::pair(
+            Value::Int(i % 20),
+            Value::Int(10 + i % 30),
+        ))
+    }));
+    env.insert("q".to_string(), q);
+    let Scope { sigma1, sigma2 } = Scope::pairs();
+    let pipeline = |r: &str| {
+        Expr::table(r)
+            .restrict(sigma1.clone(), Expr::table("probe"))
+            .domain(sigma2.clone())
+    };
+    let image = |r: &str| Expr::table(r).image(Expr::table("probe"), Scope::pairs());
+    let plan = pipeline("r")
+        .union(pipeline("q"))
+        .difference(image("r").intersect(image("q")));
+    let par = Parallelism::sequential();
+    let (expect, _) = eval_parallel(&plan, &env, &par).unwrap();
+    assert!(!expect.is_empty());
+
+    let report = explain_analyze(&plan, &env, &par).unwrap();
+    assert_eq!(report.result, expect);
+    let text = report.to_string();
+    let nodes = flatten(&report.root);
+    let shared: Vec<_> = nodes.iter().filter(|n| n.op == "(shared)").collect();
+    assert_eq!(shared.len(), 2, "{text}");
+    assert_eq!(text.matches("(shared)").count(), 2, "{text}");
+    assert!(shared
+        .iter()
+        .all(|n| n.children.is_empty() && n.rows_out > 0));
+
+    let (_, stats) = eval_parallel(&report.plan, &env, &par).unwrap();
+    assert_one_walk(&report.root, &stats, &text);
+    assert_eq!(stats.op(OpKind::Image).invocations, 2, "{text}");
 }
 
 // ---------------------------------------------------------------------------
