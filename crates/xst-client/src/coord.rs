@@ -2,11 +2,13 @@
 //!
 //! A [`Coordinator`] is N [`Door`]s — one per shard — plus a durable
 //! decision log. It promotes the in-process `ShardedEngine` coordinator
-//! to a **cross-process** one: scatter writes by member hash, read by
-//! gathering per-shard fragments ([`Request::FragRead`]), and settle
-//! multi-shard commits with a 2PC round ([`Request::Prepare`] /
-//! [`Request::Decide`] / [`Request::Resolve`]) — all through one private
-//! `ask`, so the protocol is defined over `Request → Response` alone. In
+//! to a **cross-process** one: scatter writes by member hash, evaluate a
+//! plan by shipping the subplans each shard can answer alone
+//! ([`Request::Eval`]) and reading whole per-shard fragments
+//! ([`Request::FragRead`]) only for what remains, and settle multi-shard
+//! commits with a 2PC round ([`Request::Prepare`] / [`Request::Decide`] /
+//! [`Request::Resolve`]) — all through one private `ask`, so the protocol
+//! is defined over `Request → Response` alone. In
 //! production the doors are [`Client`]s, each shard a separate
 //! `xst-server` behind the CRC-framed wire ([`Coordinator::connect`]);
 //! the network-fault sweep in `xst-testkit` runs the same code over
@@ -22,6 +24,21 @@
 //! message cannot change the outcome, because the decision is durable
 //! and recovery replays the log and sends [`Request::Resolve`] so every
 //! reachable shard converges.
+//!
+//! ## The question travels, not the table
+//!
+//! [`xst_query::cut`] splits a plan into its maximal shard-local subtrees —
+//! `∪`/`∩`/`∖` trees over tables and literals, whose part on shard `i`
+//! needs only shard `i`'s fragments — and a residual plan over their
+//! results. Each subtree goes to every shard as one `Eval`; the partials
+//! are disjoint and aligned, and the residual walks them as if they were
+//! fragments. A shard binds a table as its row-tuple identity
+//! `{⟨element, scope⟩}` (ROADMAP item 3(a)), a one-to-one image of the
+//! member set, so a subtree's literals travel in that row form — once per
+//! shard — and each partial is mapped back to members on arrival. A table
+//! the residual still names — a bare one, an operand of `t ∪ L` or `L ∖ t`,
+//! or a direct operand of restriction, image, domain, relative product or
+//! `⊗` — is read whole through `FragRead`, as `get` reads it.
 //!
 //! ## A failed link is abandoned
 //!
@@ -43,13 +60,13 @@ use crate::{Client, ClientError};
 use std::fmt;
 use std::time::Duration;
 use xst_core::ops::{gather, Parallelism};
-use xst_core::{ExtendedSet, XstResult};
+use xst_core::{ExtendedSet, XstError};
 use xst_obs::names::handle as m;
-use xst_query::{eval_sharded, Expr, ShardedBindings};
+use xst_query::{cut, eval_sharded, Cut, Expr, ShardedBindings};
 use xst_server::proto::{Door, ErrorCode, Request, Response, WireError};
-use xst_server::{storage_error, xst_error};
+use xst_server::{records_identity_to_set, set_to_records, storage_error, xst_error};
 use xst_storage::twopc::{self, DecisionLog, Participant, Prepared};
-use xst_storage::{route_members, Storage, StorageError, Wal};
+use xst_storage::{file_identity, route_members, Storage, StorageError, Wal};
 
 /// Everything that can go wrong driving the cluster; `E` is how a shard
 /// door itself fails ([`ClientError`] over the wire).
@@ -75,12 +92,16 @@ pub enum CoordError<E = ClientError> {
     DecisionLog(StorageError),
     /// Request illegal in the coordinator's current transaction state.
     State(String),
+    /// The plan itself was refused — by the static-analysis gate or by an
+    /// operator — as a session would refuse it.
+    Eval(XstError),
 }
 
 impl<E> CoordError<E> {
-    /// Did a shard answer that it does not know the table?
-    fn is_unknown_table(&self) -> bool {
-        matches!(self, CoordError::Refused { error, .. } if error.code == ErrorCode::Storage)
+    /// Did a shard refuse with `code`? (`Storage` on a read: it does not
+    /// know the table; `Analysis` on a subplan: its gate rejected it.)
+    fn is_refused(&self, code: ErrorCode) -> bool {
+        matches!(self, CoordError::Refused { error, .. } if error.code == code)
     }
 }
 
@@ -96,6 +117,7 @@ impl<E: fmt::Display> fmt::Display for CoordError<E> {
             },
             CoordError::DecisionLog(e) => write!(f, "decision log flush failed: {e}"),
             CoordError::State(m) => write!(f, "coordinator state: {m}"),
+            CoordError::Eval(e) => write!(f, "eval failed: {e}"),
         }
     }
 }
@@ -403,7 +425,7 @@ impl<D: Door> Coordinator<D> {
                     known += 1;
                     parts.push(set);
                 }
-                Err(e) if e.is_unknown_table() => {
+                Err(e) if e.is_refused(ErrorCode::Storage) => {
                     unknown.get_or_insert(e);
                     parts.push(ExtendedSet::empty());
                 }
@@ -425,30 +447,86 @@ impl<D: Door> Coordinator<D> {
         Ok(gather(&self.fragments(table)?))
     }
 
-    /// Evaluate `expr` over the cluster: scatter-read every named
-    /// table's per-shard fragments, then run the shard-aware evaluator
-    /// exactly as the in-process engine would. Tables no shard knows
-    /// stay unbound, so the static-analysis gate reports them.
+    /// Evaluate `expr` over the cluster. The [`cut`] of the plan names the
+    /// `∪`/`∩`/`∖` subtrees each shard can answer alone; each goes to
+    /// every shard as an ordinary [`Request::Eval`], and the partials it
+    /// answers bind the residual plan's placeholders as aligned fragments.
+    /// The residual's own table leaves read whole fragments
+    /// ([`Request::FragRead`]), and the shard-aware evaluator runs the
+    /// residual exactly as the in-process engine would. Tables no shard
+    /// knows stay unbound, so the static-analysis gate reports them as
+    /// [`CoordError::Eval`].
     pub fn eval(&mut self, expr: &Expr) -> CoordResult<ExtendedSet, D::Error> {
-        self.eval_gated(expr)?
-            .map_err(|e| CoordError::State(format!("eval failed: {e}")))
-    }
-
-    /// [`Coordinator::eval`] with the evaluation's own verdict kept typed
-    /// (the door answers it with the code a session would).
-    fn eval_gated(&mut self, expr: &Expr) -> CoordResult<XstResult<ExtendedSet>, D::Error> {
-        let names: Vec<String> = expr.tables().iter().map(|n| n.to_string()).collect();
+        let Cut { residual, local } = cut(expr);
         let mut bindings = ShardedBindings::new();
-        for name in names {
-            match self.fragments(&name) {
-                Ok(parts) => {
-                    bindings.insert(name, parts);
+        for (name, subplan) in local {
+            match self.ship(&subplan) {
+                Ok(partials) => {
+                    bindings.insert(name, partials);
                 }
-                Err(e) if e.is_unknown_table() => {} // unbound: the gate reports it
+                // A shard's gate refused the subplan: a table it names is
+                // missing from that shard's catalog. Read the plan by its
+                // fragments instead, where a shard without the table holds
+                // an empty one and the root's gate decides.
+                Err(e) if e.is_refused(ErrorCode::Analysis) => {
+                    return self.eval_over(expr, ShardedBindings::new())
+                }
                 Err(e) => return Err(e),
             }
         }
-        Ok(eval_sharded(expr, &bindings, &Parallelism::sequential()).map(|(set, _stats)| set))
+        self.eval_over(&residual, bindings)
+    }
+
+    /// Run one shard-local subplan on every shard, its literals in row
+    /// form; answers each shard's partial as a member set, in shard order.
+    /// A shard binds a table as its row-tuple identity `{⟨e, s⟩}`, which
+    /// maps members one to one, so a `∪`/`∩`/`∖` tree means the same there
+    /// once its literals are mapped the same way.
+    fn ship(&mut self, subplan: &Expr) -> CoordResult<Vec<ExtendedSet>, D::Error> {
+        fn in_row_form(e: Expr) -> Expr {
+            match e {
+                Expr::Literal(set) => Expr::Literal(file_identity(&set_to_records(&set))),
+                other => other.map_children(in_row_form),
+            }
+        }
+        let expr = in_row_form(subplan.clone());
+        let mut partials = Vec::with_capacity(self.shards.len());
+        for link in &mut self.shards {
+            if xst_obs::enabled() {
+                m::COORD_SUBPLANS_SHIPPED_TOTAL.inc();
+            }
+            let req = Request::Eval { expr: expr.clone() };
+            // A reply that is not a row-tuple identity is out of kind.
+            partials.push(link.ask(req, |r| match r {
+                Response::Value { set } => records_identity_to_set(&set).ok(),
+                _ => None,
+            })?);
+        }
+        Ok(partials)
+    }
+
+    /// Bind every table of `expr` that `bindings` lacks to its per-shard
+    /// fragments, then walk `expr`.
+    fn eval_over(
+        &mut self,
+        expr: &Expr,
+        mut bindings: ShardedBindings,
+    ) -> CoordResult<ExtendedSet, D::Error> {
+        for name in expr.tables() {
+            if bindings.contains_key(name) {
+                continue;
+            }
+            match self.fragments(name) {
+                Ok(parts) => {
+                    bindings.insert(name.to_string(), parts);
+                }
+                Err(e) if e.is_refused(ErrorCode::Storage) => {} // unknown: the gate reports it
+                Err(e) => return Err(e),
+            }
+        }
+        eval_sharded(expr, &bindings, &Parallelism::sequential())
+            .map(|(set, _stats)| set)
+            .map_err(CoordError::Eval)
     }
 
     /// Close the open transaction's bookkeeping, or refuse: none is open.
@@ -563,15 +641,17 @@ impl<D: Door> Coordinator<D> {
 }
 
 /// The cluster door: each store verb maps onto the typed method above, so
-/// the message sequence is theirs. A refusal — the coordinator's own
-/// transaction-state check, a shard's typed answer, an evaluation the gate
-/// rejects, a failed decision-log flush — is answered with the
-/// [`ErrorCode`] a session gives it; only a broken link is `Err`.
-/// `TxnBegun` names the gtxn a 2PC commit would spend and the newest shard
-/// snapshot. `Get` and `FragRead` both answer the gathered member set, so a
-/// coordinator can stand where a shard stands. The remaining kinds
-/// (analysis and observability pulls, the 2PC participant side) are one
-/// server's to answer and are refused by name.
+/// the message sequence is theirs — `Eval` ships its shard-local subplans
+/// and reads fragments only for the residual. A refusal — the
+/// coordinator's own transaction-state check, a shard's typed answer, a
+/// plan the gate rejects on a shard or here, a failed decision-log flush
+/// — is answered with the [`ErrorCode`] a session gives it; only a broken
+/// link is `Err`. `TxnBegun` names the gtxn a 2PC commit would spend and
+/// the newest shard snapshot. `Get`, `FragRead` and `Eval` answer member
+/// sets; a shard answers `Eval` in row form (ROADMAP item 3(a)), so a
+/// coordinator stands where a shard stands for `FragRead` only. The
+/// remaining kinds (analysis and observability pulls, the 2PC participant
+/// side) are one server's to answer and are refused by name.
 impl<D: Door> Door for Coordinator<D> {
     type Error = CoordError<D::Error>;
 
@@ -599,9 +679,7 @@ impl<D: Door> Door for Coordinator<D> {
             Request::Get { table } | Request::FragRead { table } => {
                 self.get(&table).map(|set| Response::Value { set })
             }
-            Request::Eval { expr } => self
-                .eval_gated(&expr)
-                .map(|verdict| verdict.map_or_else(xst_error, |set| Response::Value { set })),
+            Request::Eval { expr } => self.eval(&expr).map(|set| Response::Value { set }),
             other => Ok(Response::Error(WireError::new(
                 ErrorCode::Protocol,
                 format!(
@@ -617,6 +695,7 @@ impl<D: Door> Door for Coordinator<D> {
             ))),
             CoordError::Refused { error, .. } => Ok(Response::Error(error)),
             CoordError::DecisionLog(e) => Ok(storage_error(e)),
+            CoordError::Eval(e) => Ok(xst_error(e)),
             broken => Err(broken),
         })
     }
@@ -648,5 +727,69 @@ impl<D: Door> Prepared<CoordError<D::Error>> for &mut Link<D> {
 
     fn commit(self, gtxn: u64) -> CoordResult<u64, D::Error> {
         self.decide(gtxn, true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use xst_server::{ServedEngine, Session};
+
+    fn shards(n: usize) -> Vec<Arc<ServedEngine>> {
+        (0..n).map(|_| Arc::new(ServedEngine::new())).collect()
+    }
+
+    fn over(engines: &[Arc<ServedEngine>]) -> Coordinator<Session> {
+        Coordinator::over(engines.iter().cloned().map(Session::new).collect())
+    }
+
+    fn set(members: std::ops::Range<i64>) -> ExtendedSet {
+        ExtendedSet::classical(members)
+    }
+
+    /// A plan the gate rejects is an `Eval` refusal whether the gate ran on
+    /// a shard (`t ∪ nope` ships) or here (`L ∖ nope` does not), and the
+    /// door still answers it as `Analysis`.
+    #[test]
+    fn a_rejected_plan_keeps_its_kind() {
+        let mut coord = over(&shards(2));
+        coord.put("t", &set(0..8)).unwrap();
+        for plan in [
+            Expr::table("t").union(Expr::table("nope")),
+            Expr::lit(set(0..2)).difference(Expr::table("nope")),
+            Expr::table("nope"),
+        ] {
+            let err = coord.eval(&plan).unwrap_err();
+            assert!(
+                matches!(err, CoordError::Eval(XstError::Analysis { .. })),
+                "{plan}: {err}"
+            );
+            assert!(err.to_string().starts_with("eval failed: "), "{err}");
+            let Ok(Response::Error(refusal)) = coord.call(Request::Eval { expr: plan }) else {
+                panic!("the door answers a refusal");
+            };
+            assert_eq!(refusal.code, ErrorCode::Analysis);
+        }
+    }
+
+    /// A shard that never heard of a table holds an empty fragment of it,
+    /// for a shipped subplan as for a fragment read.
+    #[test]
+    fn a_table_one_shard_lacks_is_empty_there() {
+        let engines = shards(2);
+        let part = route_members(&set(0..40), 2).swap_remove(0);
+        let table = "t".to_string();
+        let put = Request::Put {
+            table,
+            set: part.clone(),
+        };
+        Session::new(Arc::clone(&engines[0])).handle(put);
+        let mut coord = over(&engines);
+        let plan = Expr::table("t").intersect(Expr::lit(set(0..20)));
+        let want = xst_core::ops::intersection(&part, &set(0..20));
+        assert!(!want.is_empty());
+        assert_eq!(coord.eval(&plan).unwrap(), want);
+        assert_eq!(coord.get("t").unwrap(), part);
     }
 }

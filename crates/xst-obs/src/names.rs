@@ -154,6 +154,8 @@ families! {
         "Multi-shard wire commits aborted before a decision was recorded.";
     Counter COORD_FRAG_READS_TOTAL = "xst_coord_frag_reads_total",
         "Per-shard fragment reads issued by the wire coordinator.";
+    Counter COORD_SUBPLANS_SHIPPED_TOTAL = "xst_coord_subplans_shipped_total",
+        "Shard-local subplans the wire coordinator sent to a shard as an Eval, one per shard.";
     Counter COORD_RESOLVES_TOTAL = "xst_coord_resolves_total",
         "Resolve rounds the wire coordinator delivered to shards.";
     Counter COORD_DECISIONS_REPLAYED_TOTAL = "xst_coord_decisions_replayed_total",
@@ -221,6 +223,7 @@ mod tests {
             super::COORD_2PC_COMMITS_TOTAL,
             super::COORD_2PC_ABORTS_TOTAL,
             super::COORD_FRAG_READS_TOTAL,
+            super::COORD_SUBPLANS_SHIPPED_TOTAL,
             super::COORD_RESOLVES_TOTAL,
             super::COORD_DECISIONS_REPLAYED_TOTAL,
             super::TWOPC_DECISION_LOG_ENTRIES,
@@ -259,6 +262,7 @@ mod tests {
             super::COORD_2PC_COMMITS_TOTAL,
             super::COORD_2PC_ABORTS_TOTAL,
             super::COORD_FRAG_READS_TOTAL,
+            super::COORD_SUBPLANS_SHIPPED_TOTAL,
             super::COORD_RESOLVES_TOTAL,
             super::COORD_DECISIONS_REPLAYED_TOTAL,
         ] {

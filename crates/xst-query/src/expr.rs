@@ -153,7 +153,7 @@ impl Expr {
     }
 
     /// This node over `f` of each operand subtree, in operand order.
-    pub(crate) fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
+    pub fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
         let mut go = |e: Box<Expr>| Box::new(f(*e));
         match self {
             Expr::Literal(_) | Expr::Table(_) => self,

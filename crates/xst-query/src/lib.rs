@@ -7,7 +7,8 @@
 //!   cardinality inference, evaluation gating, and rewrite verification;
 //! * [`sharded`] — the one plan walker: every evaluation, over whole sets
 //!   or per-shard fragments, runs through it and returns a per-operator
-//!   profile tree;
+//!   profile tree; its `cut` splits off the subplans each shard can run
+//!   alone;
 //! * [`mod@eval`] — the whole-set entry points and operator statistics
 //!   (node counts and intermediate materialization volume — what
 //!   composition saves), a fold over that tree;
@@ -37,4 +38,4 @@ pub use explain::{explain_analyze, explain_analyze_sharded, ExplainAnalyze, Plan
 pub use expr::{Bindings, Expr};
 pub use optimizer::{explain, Optimizer, Trace, TraceEntry};
 pub use rules::{default_rules, spec_compose, Rule};
-pub use sharded::{eval_sharded, merge_bindings, ShardedBindings};
+pub use sharded::{cut, eval_sharded, merge_bindings, Cut, ShardedBindings};

@@ -45,6 +45,13 @@
 //! childless `(shared)` node that ran no kernel. The memo is scoped to one
 //! [`run`] and keeps repeated subtrees only, so a plan without repetition
 //! retains nothing extra.
+//!
+//! The same provenance says where a plan can run. [`cut`] finds the
+//! subtrees the walk keeps scattered with no gather — `∪`/`∩`/`∖` over
+//! aligned tables and carried literals — whose part `i` depends on part `i`
+//! of each table alone; a shard can run such a subtree over its own
+//! fragments, and the residual plan walks their partials bound as aligned
+//! fragments.
 
 use crate::eval::{EvalStats, OpKind, OpStat};
 use crate::explain::PlanNode;
@@ -143,6 +150,66 @@ pub fn eval_sharded(
     crate::analysis::gate(expr, &merge_bindings(bindings))?;
     let (result, root) = run(expr, &shard_scan(bindings), par)?;
     Ok((result, EvalStats::of(&root)))
+}
+
+/// A plan split where the shards can answer alone (see [`cut`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cut {
+    /// The plan with each shard-local subtree replaced by a table named
+    /// after it — a name no table of the plan uses.
+    pub residual: Expr,
+    /// The maximal shard-local subtrees in plan order, each under its
+    /// placeholder's name.
+    pub local: Vec<(String, Expr)>,
+}
+
+/// Split `plan` into the maximal subtrees each shard can answer over its
+/// own fragments, and the residual plan over their results.
+///
+/// A subtree is shard-local exactly when the walk keeps it scattered with
+/// no gather: a `∪`/`∩`/`∖` tree holding at least one table, whose
+/// operands are tables, other such trees, or a literal that a scattered
+/// side carries — `t ∩ L`, `L ∩ t`, `t ∖ L`. Over aligned tables every part
+/// of it is the operator over the parts of one shard (`tᵢ ∩ uᵢ`,
+/// `tᵢ ∖ L`), so its result part `i` is what shard `i` computes alone, and
+/// the partials are aligned fragments of the result. `L ∖ t` and `t ∪ L`
+/// gather, and restriction, image, domain, relative product and `⊗`
+/// transform or gather their operands: they stay in the residual, with
+/// any shard-local operand cut out beneath them.
+pub fn cut(plan: &Expr) -> Cut {
+    fn scattered(e: &Expr) -> bool {
+        let lit = |e: &Expr| matches!(e, Expr::Literal(_));
+        match e {
+            Expr::Table(_) => true,
+            Expr::Union(a, b) => scattered(a) && scattered(b),
+            Expr::Intersect(a, b) => {
+                (scattered(a) && (lit(b) || scattered(b))) || (lit(a) && scattered(b))
+            }
+            Expr::Difference(a, b) => scattered(a) && (lit(b) || scattered(b)),
+            _ => false,
+        }
+    }
+    fn go(e: Expr, local: &mut Vec<(String, Expr)>, fresh: &mut dyn FnMut() -> String) -> Expr {
+        // A bare table is read where it is; only an operator ships.
+        if scattered(&e) && !matches!(e, Expr::Table(_)) {
+            let name = fresh();
+            local.push((name.clone(), e));
+            return Expr::Table(name);
+        }
+        e.map_children(|c| go(c, local, fresh))
+    }
+    let taken = plan.tables();
+    let mut next = 0;
+    let mut fresh = || loop {
+        let name = format!("⟨subplan {next}⟩");
+        next += 1;
+        if !taken.contains(&name.as_str()) {
+            return name;
+        }
+    };
+    let mut local = Vec::new();
+    let residual = go(plan.clone(), &mut local, &mut fresh);
+    Cut { residual, local }
 }
 
 /// Walk `expr` from `scan`'s leaves and gather once at the root: the one
@@ -545,6 +612,14 @@ mod tests {
             Expr::table("x")
                 .intersect(lit())
                 .union(Expr::table("y").difference(Expr::table("x").intersect(lit()))),
+            // Shard-local subtrees, whole and beneath operators that stay,
+            // and a gathering `t ∪ L` beneath one that would otherwise ship.
+            Expr::table("x").union(Expr::table("y")).difference(lit()),
+            Expr::table("x").union(lit()).difference(Expr::table("y")),
+            Expr::table("x").difference(lit()).restrict(
+                ExtendedSet::tuple([1i64]),
+                Expr::table("y").intersect(Expr::table("x")),
+            ),
         ]
     }
 
@@ -577,6 +652,9 @@ mod tests {
             // against it are not vacuous.
             let shared = xs.iter().step_by(2).chain(ys.iter().step_by(3));
             let lit = rel(&ls.iter().chain(shared).copied().collect::<Vec<_>>());
+            // The cut's deployment: every table in `sx` aligned parts, one
+            // per shard.
+            let shards = shard_env(&[("x", &x, sx), ("y", &y, sx), ("k", &k, sx)]);
             for plan in plans(&lit) {
                 let (whole, whole_stats) = eval_parallel(&plan, &merged, &par).unwrap();
                 let (scattered, stats) = eval_sharded(&plan, &sharded, &par).unwrap();
@@ -594,8 +672,91 @@ mod tests {
                         "{} in {:?}", kind.name(), plan
                     );
                 }
+                // Cut: each shard-local subtree runs on every part alone,
+                // then the residual walks the partials.
+                let Cut { residual, local } = cut(&plan);
+                prop_assert_eq!(&substitute(residual.clone(), &local), &plan);
+                let mut env = shards.clone();
+                for (name, subplan) in &local {
+                    let partials = (0..sx).map(|i| {
+                        let part: Bindings =
+                            shards.iter().map(|(t, parts)| (t.clone(), parts[i].clone())).collect();
+                        eval_parallel(subplan, &part, &par).unwrap().0
+                    });
+                    env.insert(name.clone(), partials.collect());
+                }
+                let (split, _) = eval_sharded(&residual, &env, &par).unwrap();
+                prop_assert_eq!(&split, &whole, "cut of {:?} diverged", plan);
             }
         }
+    }
+
+    /// The residual with each placeholder replaced by its subtree.
+    fn substitute(residual: Expr, local: &[(String, Expr)]) -> Expr {
+        match residual {
+            Expr::Table(name) => match local.iter().find(|(n, _)| *n == name) {
+                Some((_, subplan)) => subplan.clone(),
+                None => Expr::Table(name),
+            },
+            other => other.map_children(|c| substitute(c, local)),
+        }
+    }
+
+    /// The boundary: which shapes ship and which stay at the root.
+    #[test]
+    fn the_cut_ships_boolean_trees_over_tables_only() {
+        let (t, u, w) = (
+            || Expr::table("t"),
+            || Expr::table("u"),
+            || Expr::table("w"),
+        );
+        let l = || Expr::lit(ExtendedSet::classical([1i64]));
+        let sigma = || ExtendedSet::tuple([1i64]);
+        for ships in [
+            t().intersect(l()),
+            l().intersect(t()),
+            t().difference(l()),
+            t().intersect(u()),
+            t().difference(u()),
+            t().union(u()),
+            t().union(u()).difference(l()),
+            l().intersect(t().difference(u())),
+        ] {
+            let Cut { residual, local } = cut(&ships);
+            assert_eq!(local.len(), 1, "{ships}");
+            assert_eq!(residual, Expr::table(&local[0].0), "{ships}");
+            assert_eq!(local[0].1, ships);
+        }
+        for stays in [
+            l().difference(t()),
+            t().union(l()),
+            t(),
+            l().intersect(l()),
+            t().intersect(u().union(l())),
+            t().restrict(sigma(), w()),
+            t().image(w(), Scope::pairs()),
+            t().domain(sigma()),
+            t().rel_product(Scope::pairs(), u(), Scope::pairs_inverse()),
+            t().cross(u()),
+        ] {
+            let kept = Cut {
+                residual: stays.clone(),
+                local: Vec::new(),
+            };
+            assert_eq!(cut(&stays), kept);
+        }
+        // Beneath an operator that stays, a shard-local operand is cut out,
+        // under a name the plan does not use.
+        let taken = "⟨subplan 0⟩";
+        let plan = t()
+            .intersect(l())
+            .restrict(sigma(), Expr::table(taken).union(u()));
+        let Cut { residual, local } = cut(&plan);
+        let names: Vec<&str> = local.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["⟨subplan 1⟩", "⟨subplan 2⟩"]);
+        let want = Expr::table(names[0]).restrict(sigma(), Expr::table(names[1]));
+        assert_eq!(residual, want);
+        assert_eq!(substitute(residual, &local), plan);
     }
 
     /// An image re-scopes members, so its parts are no longer where the

@@ -642,4 +642,101 @@ mod routing {
             "wire routing ≡ local routing"
         );
     }
+
+    /// The coordinator's cut against the in-process engine: a
+    /// `Coordinator` over two `Session` doors answers plans it ships
+    /// (`t ∩ L`, `(t ∪ u) ∖ L`) and plans it reads by fragments (`L ∖ t`,
+    /// `t |_σ w`) exactly as a 2-shard `ShardedEngine` does — outside a
+    /// transaction, and inside one after its own uncommitted writes.
+    #[test]
+    fn routing_shipped_subplans_match_the_in_process_engine() {
+        use std::sync::Arc;
+        use xst_client::coord::Coordinator;
+        use xst_core::xtuple;
+        use xst_server::{
+            member_schema, records_identity_to_set, set_to_records, ServedEngine, Session,
+        };
+        use xst_storage::ShardedEngine;
+
+        const SHARDS: usize = 2;
+        let members = |pairs: std::ops::Range<i64>, scoped: std::ops::Range<i64>| {
+            let mut b = SetBuilder::new();
+            for i in pairs {
+                b.classical_elem(Value::Set(ExtendedSet::pair(i % 13, i % 7)));
+            }
+            for i in scoped {
+                b.scoped(Value::Int(i), Value::Int(i % 3));
+            }
+            b.build()
+        };
+        let tables = [
+            ("t", members(0..60, 0..12)),
+            ("u", members(40..90, 6..20)),
+            ("w", members(0..5, 0..0)),
+        ];
+        let (put, delete) = (members(90..99, 30..34), members(0..10, 0..4));
+        // Members of `t`, of `u` only, of neither, and some the
+        // transaction below puts and deletes.
+        let literal = [members(94..96, 31..32), members(3..5, 2..3)]
+            .iter()
+            .fold(members(50..70, 8..24), |l, m| xst_core::ops::union(&l, m));
+        let plans = [
+            Expr::table("t").intersect(Expr::lit(literal.clone())),
+            Expr::lit(literal.clone()).difference(Expr::table("t")),
+            Expr::table("t")
+                .union(Expr::table("u"))
+                .difference(Expr::lit(literal.clone())),
+            Expr::table("t").restrict(xtuple![1], Expr::table("w")),
+        ];
+
+        let engine = ShardedEngine::with_shards(SHARDS);
+        let shard = || Session::new(Arc::new(ServedEngine::new()));
+        let mut coord = Coordinator::over((0..SHARDS).map(|_| shard()).collect());
+        for (name, set) in &tables {
+            engine.create_table(name, member_schema()).expect("create");
+            engine
+                .autocommit_insert(name, &set_to_records(set))
+                .expect("load in process");
+            coord.put(name, set).expect("load through the coordinator");
+        }
+        // The engine's answer: its fragments, read as member sets, walked.
+        let in_process = |plan: &Expr, read: &mut dyn FnMut(&str) -> Vec<ExtendedSet>| {
+            let bindings: ShardedBindings = (plan.tables().into_iter())
+                .map(|name| {
+                    let frags = read(name).into_iter().map(|f| records_identity_to_set(&f));
+                    (name.to_string(), frags.collect::<Result<_, _>>().unwrap())
+                })
+                .collect();
+            eval_sharded(plan, &bindings, &Parallelism::sequential())
+                .expect("in-process eval")
+                .0
+        };
+
+        for plan in &plans {
+            let want = in_process(plan, &mut |name| engine.latest_fragments(name).unwrap());
+            assert!(!want.is_empty(), "vacuous: {plan}");
+            assert_eq!(coord.eval(plan).expect("cluster eval"), want, "{plan}");
+        }
+
+        let mut txn = engine.begin();
+        coord.begin().expect("begin");
+        for rec in set_to_records(&put) {
+            txn.insert("t", rec).expect("insert");
+        }
+        for rec in set_to_records(&delete) {
+            txn.delete("t", rec).expect("delete");
+        }
+        coord.put("t", &put).expect("put in the transaction");
+        coord
+            .delete("t", &delete)
+            .expect("delete in the transaction");
+        for plan in &plans {
+            let want = in_process(plan, &mut |name| txn.read_fragments(name).unwrap());
+            let outside = in_process(plan, &mut |name| engine.latest_fragments(name).unwrap());
+            assert_ne!(want, outside, "the writes must show: {plan}");
+            assert_eq!(coord.eval(plan).expect("eval in the txn"), want, "{plan}");
+        }
+        txn.abort();
+        coord.abort().expect("abort");
+    }
 }

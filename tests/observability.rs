@@ -364,6 +364,45 @@ fn gather_merges_count_only_gathers_that_merged() {
 }
 
 // ---------------------------------------------------------------------------
+// The coordinator ships what the shards can answer alone and reads the rest.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_shipped_subplan_reads_no_fragment() {
+    use std::sync::Arc;
+    use xst_client::coord::Coordinator;
+    use xst_obs::names::handle::{COORD_FRAG_READS_TOTAL, COORD_SUBPLANS_SHIPPED_TOTAL};
+    use xst_server::{ServedEngine, Session};
+
+    let _g = obs_lock();
+    xst_obs::enable();
+    let shard = || Session::new(Arc::new(ServedEngine::new()));
+    let mut coord = Coordinator::over(vec![shard(), shard()]);
+    coord.put("t", &scoped(40, 3)).unwrap();
+    let literal = || Expr::lit(scoped(16, 5));
+    // (shipped, fragment reads) per eval over two shards.
+    for (plan, sent) in [
+        (Expr::table("t").intersect(literal()), (2, 0)),
+        (literal().difference(Expr::table("t")), (0, 2)),
+        (
+            (literal().difference(Expr::table("t"))).union(Expr::table("t").intersect(literal())),
+            (2, 2),
+        ),
+    ] {
+        let before = (
+            COORD_SUBPLANS_SHIPPED_TOTAL.get(),
+            COORD_FRAG_READS_TOTAL.get(),
+        );
+        coord.eval(&plan).unwrap();
+        let after = (
+            COORD_SUBPLANS_SHIPPED_TOTAL.get(),
+            COORD_FRAG_READS_TOTAL.get(),
+        );
+        assert_eq!((after.0 - before.0, after.1 - before.1), sent, "{plan}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Spans nest across crate boundaries: query.eval → eval.* → par.*.
 // ---------------------------------------------------------------------------
 
