@@ -224,6 +224,17 @@ const GUARDS: &[Guard] = &[
         0,
         "share a member vector through ExtendedSet::canonical, which keeps ∅ unallocated",
     ),
+    // Two refusals: the analyzer refuses an unbound table or a proven ⊗
+    // collision and nothing else, and the evaluator gate relies on it.
+    Guard {
+        rule: "two-refusals",
+        patterns: &["Diagnostic::error("],
+        files: &["crates/xst-analyze/src/"],
+        skip_tests: true,
+        expect: Expect::Count(2),
+        message: "xst_query::analysis::gate passes a ⊗-free plan over bound tables without \
+                  analyzing it; a new refusal kind must widen that shortcut's test first",
+    },
     // One relational lowering (its kernel half is the `one-lowering`
     // token rule).
     only_in(

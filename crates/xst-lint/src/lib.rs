@@ -39,9 +39,10 @@
 //! `crates/`, `tests/` and `vendor/`:
 //!
 //! 10. **one-door**, **one-walker**, **one-traversal**, **one-partition**,
-//!     **one-twopc**, **one-codec**, **one-lowering** — one declarative
-//!     table of patterns that may be spelled only in one place, or only
-//!     so many times: what keeps "one of each" from re-growing a second.
+//!     **one-twopc**, **one-codec**, **one-lowering**, **two-refusals** —
+//!     one declarative table of patterns that may be spelled only in one
+//!     place, or only so many times: what keeps "one of each" from
+//!     re-growing a second.
 //!
 //! Justification comments are the living allowlist: they must carry a
 //! non-empty reason, survive `--deny-all` (unlike the legacy static

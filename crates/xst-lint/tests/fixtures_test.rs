@@ -259,6 +259,22 @@ fn one_empty_fixture_flags_an_allocating_empty_set() {
     assert_eq!(report.findings.len(), 2);
 }
 
+#[test]
+fn two_refusals_fixture_flags_a_third_refusal_kind() {
+    let report = lint("two_refusals");
+    assert_eq!(
+        errors(&report),
+        vec![
+            "crates/xst-analyze/src/analyze.rs:22: [two-refusals] `Diagnostic::error(` occurs \
+             3 time(s) under crates/xst-analyze/src/, want 2; xst_query::analysis::gate passes \
+             a ⊗-free plan over bound tables without analyzing it; a new refusal kind must \
+             widen that shortcut's test first",
+        ]
+    );
+    // `pub fn error(` is not a call, and the `#[cfg(test)]` call is skipped.
+    assert_eq!(report.findings.len(), 1);
+}
+
 /// Roster: every analysis pass fires at least once across the corpus —
 /// a pass that silently stopped matching anything cannot go unnoticed.
 #[test]
@@ -275,6 +291,7 @@ fn every_pass_fires_on_the_corpus() {
         "guard_within",
         "guard_count",
         "one_empty",
+        "two_refusals",
     ] {
         for f in &lint(fixture).findings {
             if !rules_fired.contains(&f.rule) {
@@ -293,6 +310,7 @@ fn every_pass_fires_on_the_corpus() {
         "one-codec",
         "one-door",
         "one-empty",
+        "two-refusals",
     ] {
         assert!(
             rules_fired.iter().any(|r| r == rule),

@@ -13,9 +13,11 @@
 //!   carries error-severity diagnostics with a structured
 //!   [`XstError::Analysis`]. Errors are reserved for plans that provably
 //!   cannot evaluate, so gating never rejects a plan that would have
-//!   evaluated successfully.
+//!   evaluated successfully — and since only an unbound table or a `⊗`
+//!   can carry one, a plan with neither is passed on its shape alone.
 
 use crate::expr::{Bindings, Expr};
+use std::borrow::Cow;
 use xst_analyze::{analyze, AbstractPlan, Analysis, AnalysisEnv, PlanShape};
 use xst_core::{XstError, XstResult};
 
@@ -58,9 +60,34 @@ pub fn check(expr: &Expr, bindings: &Bindings) -> Analysis {
 }
 
 /// The evaluator's entry gate: reject provably-failing plans up front.
-pub(crate) fn gate(expr: &Expr, bindings: &Bindings) -> XstResult<()> {
-    let analysis = check(expr, bindings);
-    match analysis.to_error() {
+///
+/// Childs' operations are total over extended sets except `⊗`
+/// (Definition 9.3), so the analyzer refuses a plan for two reasons only:
+/// a table the environment does not bind (`bound`), and a `⊗` it proves
+/// collides. A plan with no `⊗` over bound tables therefore passes on its
+/// shape, and no table is abstracted — or, for a sharded caller, gathered:
+/// `whole` is called only when [`check`] runs. Refusals and their text are
+/// exactly `check`'s. The `query.gate` span's `analyzed` attribute says
+/// which way the verdict came (0: names, 1: analysis).
+pub(crate) fn gate<'b>(
+    expr: &Expr,
+    bound: impl Fn(&str) -> bool,
+    whole: impl FnOnce() -> Cow<'b, Bindings>,
+) -> XstResult<()> {
+    fn may_refuse(e: &Expr, bound: &dyn Fn(&str) -> bool) -> bool {
+        match e {
+            Expr::Cross(..) => true,
+            Expr::Table(name) => !bound(name),
+            _ => e.children().any(|c| may_refuse(c, bound)),
+        }
+    }
+    let mut span = xst_obs::span!("query.gate");
+    let analyzed = may_refuse(expr, &bound);
+    span.attr("analyzed", u8::from(analyzed));
+    if !analyzed {
+        return Ok(());
+    }
+    match check(expr, &whole()).to_error() {
         Some(e) => Err(XstError::Analysis {
             diagnostics: e.diagnostics.iter().map(|d| d.to_string()).collect(),
         }),
@@ -74,6 +101,36 @@ mod tests {
     use xst_analyze::{DiagCode, Emptiness, Severity};
     use xst_core::{xset, xtuple, ExtendedSet};
 
+    fn gate_whole(e: &Expr, b: &Bindings) -> XstResult<()> {
+        gate(e, |t| b.contains_key(t), || Cow::Borrowed(b))
+    }
+
+    #[test]
+    fn only_a_refusable_plan_reaches_the_tables() {
+        let mut b = Bindings::new();
+        b.insert("x".into(), xset![1, 2]);
+        let untouched = || -> Cow<'_, Bindings> { panic!("a ⊗-free plan over bound tables") };
+        let e = Expr::table("x")
+            .intersect(Expr::lit(xset![2]))
+            .domain(xtuple![1]);
+        assert!(gate(&e, |t| b.contains_key(t), untouched).is_ok());
+        let mut analyzed = 0;
+        for e in [
+            Expr::table("x").cross(Expr::table("x")),
+            Expr::table("nope"),
+        ] {
+            let _ = gate(
+                &e,
+                |t| b.contains_key(t),
+                || {
+                    analyzed += 1;
+                    Cow::Borrowed(&b)
+                },
+            );
+        }
+        assert_eq!(analyzed, 2);
+    }
+
     #[test]
     fn well_scoped_plans_pass_with_exact_results() {
         let mut b = Bindings::new();
@@ -84,13 +141,13 @@ mod tests {
         assert!(!a.is_rejected());
         assert!(a.proved_safe());
         assert_eq!(a.root.set.exact, Some(xset![2]));
-        assert!(gate(&e, &b).is_ok());
+        assert!(gate_whole(&e, &b).is_ok());
     }
 
     #[test]
     fn unbound_tables_are_gated_with_structured_errors() {
         let e = Expr::table("nope");
-        let err = gate(&e, &Bindings::new()).expect_err("unbound table");
+        let err = gate_whole(&e, &Bindings::new()).expect_err("unbound table");
         match err {
             XstError::Analysis { diagnostics } => {
                 assert!(diagnostics[0].contains("unbound-table"), "{diagnostics:?}");
@@ -112,7 +169,7 @@ mod tests {
             "{:?}",
             a.diagnostics
         );
-        assert!(gate(&e, &b).is_err());
+        assert!(gate_whole(&e, &b).is_err());
     }
 
     #[test]
@@ -127,7 +184,7 @@ mod tests {
         assert!(a
             .warnings()
             .any(|d| d.code == DiagCode::EmptySubplan && d.severity == Severity::Warning));
-        assert!(gate(&e, &b).is_ok());
+        assert!(gate_whole(&e, &b).is_ok());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::explain::PlanNode;
 use crate::expr::{Bindings, Expr};
 use crate::sharded::{run, whole_scan};
+use std::borrow::Cow;
 use std::fmt;
 use xst_core::ops::Parallelism;
 use xst_core::{ExtendedSet, XstResult};
@@ -191,7 +192,11 @@ pub fn eval_parallel(
     bindings: &Bindings,
     par: &Parallelism,
 ) -> XstResult<(ExtendedSet, EvalStats)> {
-    crate::analysis::gate(expr, bindings)?;
+    crate::analysis::gate(
+        expr,
+        |t| bindings.contains_key(t),
+        || Cow::Borrowed(bindings),
+    )?;
     let (result, root) = run(expr, &whole_scan(bindings), par)?;
     Ok((result, EvalStats::of(&root)))
 }

@@ -20,6 +20,7 @@ use crate::eval::{OpKind, OpStat};
 use crate::expr::{Bindings, Expr};
 use crate::optimizer::{Optimizer, Trace};
 use crate::sharded::{merge_bindings, run, shard_scan, whole_scan, Scan, ShardedBindings};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 use xst_analyze::AnalyzedNode;
@@ -181,7 +182,7 @@ fn analyze(
     scan: &Scan<'_>,
     par: &Parallelism,
 ) -> XstResult<ExplainAnalyze> {
-    crate::analysis::gate(expr, whole)?;
+    crate::analysis::gate(expr, |t| whole.contains_key(t), || Cow::Borrowed(whole))?;
     let mut span = xst_obs::span!("query.explain_analyze", threads = par.threads);
     let (plan, rewrites) = Optimizer::new().optimize(expr);
     let analysis = crate::analysis::check(&plan, whole);

@@ -34,9 +34,12 @@
 //! tests below drive whole and scattered leaves, in mixed part counts,
 //! over the same inputs.
 //!
-//! The static-analysis gate runs once against the *merged* bindings:
-//! analysis facts are properties of whole tables, and the merge is exact,
-//! so gating on the union neither over- nor under-rejects.
+//! The static-analysis gate needs whole tables only when it analyzes — a
+//! plan holding `⊗` or naming an unbound table. Then it runs once against
+//! the *merged* bindings: analysis facts are properties of whole tables,
+//! and the merge is exact, so gating on the union neither over- nor
+//! under-rejects. Every other plan passes on its table names, and the
+//! walk gathers once, at the root.
 //!
 //! A subexpression denotes one set, so a plan computes it once: before the
 //! walk, one pass over the plan finds the operator subtrees it repeats
@@ -56,6 +59,7 @@
 use crate::eval::{EvalStats, OpKind, OpStat};
 use crate::explain::PlanNode;
 use crate::expr::{Bindings, Expr};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::mem::Discriminant;
@@ -69,9 +73,10 @@ use xst_core::{ExtendedSet, XstError, XstResult};
 /// Every table bound as its per-shard fragment list, in shard order.
 pub type ShardedBindings = BTreeMap<String, Vec<ExtendedSet>>;
 
-/// Merge sharded bindings into whole-table [`Bindings`] (for the
-/// analysis gate, or to hand a sharded environment to a single-set
-/// consumer). Exact: gather is ordered union over disjoint fragments.
+/// Merge sharded bindings into whole-table [`Bindings`] (for a plan the
+/// analysis gate must analyze, EXPLAIN's signatures, or to hand a
+/// sharded environment to a single-set consumer). Exact: gather is
+/// ordered union over disjoint fragments.
 pub fn merge_bindings(sharded: &ShardedBindings) -> Bindings {
     sharded
         .iter()
@@ -141,13 +146,19 @@ pub(crate) fn shard_scan(bindings: &ShardedBindings) -> impl Fn(&str) -> Option<
 /// Semantically identical to [`crate::eval::eval_parallel`] on the
 /// merged bindings; the scatter keeps per-operator work partitioned by
 /// shard (and attributes it per shard in the ambient
-/// [`xst_obs::cost::QueryCost`] scope).
+/// [`xst_obs::cost::QueryCost`] scope). The gate checks table names
+/// against the fragments' keys and merges them only for a plan it must
+/// analyze (one with `⊗` or an unbound table).
 pub fn eval_sharded(
     expr: &Expr,
     bindings: &ShardedBindings,
     par: &Parallelism,
 ) -> XstResult<(ExtendedSet, EvalStats)> {
-    crate::analysis::gate(expr, &merge_bindings(bindings))?;
+    crate::analysis::gate(
+        expr,
+        |t| bindings.contains_key(t),
+        || Cow::Owned(merge_bindings(bindings)),
+    )?;
     let (result, root) = run(expr, &shard_scan(bindings), par)?;
     Ok((result, EvalStats::of(&root)))
 }

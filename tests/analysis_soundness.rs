@@ -16,14 +16,22 @@
 //!    (`verify_rewrite`), so optimization cannot change what the
 //!    analysis promised.
 //!
+//! A fifth holds the evaluator's gate to the analyzer: over environments
+//! that sometimes leave a table unbound, whole and sharded evaluation
+//! refuse a plan exactly when `check` rejects it, with its diagnostics —
+//! although the gate only analyzes a plan holding `⊗` or an unbound table.
+//!
 //! A deterministic test additionally pins the rule roster and drives each
 //! rule on a plan where it actually fires.
 
 use proptest::prelude::*;
 use xst_analyze::{verify_rewrite, Emptiness};
-use xst_core::ops::Scope;
-use xst_core::{xset, xtuple, ExtendedSet, Value};
-use xst_query::{check, default_rules, env_for, eval, Bindings, Expr, Optimizer};
+use xst_core::ops::{Parallelism, Scope};
+use xst_core::{xset, xtuple, ExtendedSet, Value, XstError, XstResult};
+use xst_query::{
+    check, default_rules, env_for, eval, eval_sharded, Bindings, Expr, Optimizer, ShardedBindings,
+};
+use xst_storage::route_members;
 use xst_testkit::{arb_pair_relation, arb_set};
 
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
@@ -165,6 +173,47 @@ proptest! {
         let aenv = env_for(&expr, &env);
         if let Err(m) = verify_rewrite(&expr, &optimized, &aenv) {
             prop_assert!(false, "{m} on {expr}");
+        }
+    }
+}
+
+/// The diagnostics a refusal carries, or `None` for any other outcome.
+fn refusal<T>(result: &XstResult<T>) -> Option<&[String]> {
+    match result {
+        Err(XstError::Analysis { diagnostics }) => Some(diagnostics),
+        _ => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Claim 5: the gate refuses exactly what the analyzer rejects, with
+    /// the analyzer's diagnostics, whole and over a 2-way shard split.
+    #[test]
+    fn the_gate_refuses_exactly_what_check_rejects(
+        expr in arb_expr(3),
+        env in arb_env(),
+        unbind in 0..2 * TABLES.len(),
+    ) {
+        let mut env = env;
+        if let Some(name) = TABLES.get(unbind) {
+            env.remove(*name);
+        }
+        let want: Option<Vec<String>> = check(&expr, &env)
+            .to_error()
+            .map(|e| e.diagnostics.iter().map(ToString::to_string).collect());
+        let whole = eval(&expr, &env);
+        prop_assert_eq!(refusal(&whole), want.as_deref(), "whole: {}", expr);
+
+        let sharded: ShardedBindings = env
+            .iter()
+            .map(|(name, set)| (name.clone(), route_members(set, 2)))
+            .collect();
+        let scattered = eval_sharded(&expr, &sharded, &Parallelism::sequential());
+        prop_assert_eq!(refusal(&scattered), want.as_deref(), "sharded: {}", expr);
+        if let (Ok(w), Ok((s, _))) = (&whole, &scattered) {
+            prop_assert_eq!(w, s, "whole vs sharded: {}", expr);
         }
     }
 }

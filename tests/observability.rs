@@ -455,6 +455,48 @@ fn spans_nest_across_query_and_core_layers() {
 }
 
 // ---------------------------------------------------------------------------
+// The gate analyzes only a plan that can be refused: one holding `⊗` or
+// naming an unbound table. Every other plan passes on its table names.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn the_gate_analyzes_only_a_plan_that_can_refuse() {
+    let _g = obs_lock();
+    xst_obs::enable();
+    xst_obs::collector().take_spans();
+
+    let env = env();
+    let sharded: ShardedBindings = env
+        .iter()
+        .map(|(name, set)| (name.clone(), partition_members(set, 2)))
+        .collect();
+    let par = Parallelism::sequential();
+    let analyzed = || -> String {
+        let spans = xst_obs::collector().take_spans();
+        let gates: Vec<_> = spans.iter().filter(|s| s.name == "query.gate").collect();
+        assert_eq!(gates.len(), 1, "{spans:?}");
+        let attr = gates[0].attrs.iter().find(|(k, _)| *k == "analyzed");
+        attr.expect("analyzed attribute").1.clone()
+    };
+    let literal = Expr::lit(ExtendedSet::from_pairs(
+        (0..16).map(|i| (Value::Int(i), Value::Int(i % 5))),
+    ));
+    let cases = [
+        (Expr::table("s1").intersect(literal), "0"),
+        (Expr::table("probe").cross(Expr::table("probe")), "1"),
+        (Expr::table("nope"), "1"),
+    ];
+    for (expr, want) in cases {
+        let whole = eval_parallel(&expr, &env, &par);
+        assert_eq!(analyzed(), want, "whole: {expr}");
+        let scattered = eval_sharded(&expr, &sharded, &par);
+        assert_eq!(analyzed(), want, "sharded: {expr}");
+        assert_eq!(whole.is_ok(), expr.tables() != ["nope"], "{expr}");
+        assert_eq!(scattered.is_ok(), whole.is_ok(), "{expr}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The disabled path is inert: no spans buffered, no counter movement.
 // ---------------------------------------------------------------------------
 
