@@ -6,7 +6,7 @@
 //! report --quick    # smaller sizes (CI-friendly)
 //! ```
 //!
-//! Experiments that produce structured numbers (E12–E22) are also
+//! Experiments that produce structured numbers (E7, E12–E22) are also
 //! written to `BENCH_PR2.json` at the repository root — see EXPERIMENTS.md
 //! ("Machine-readable results") for the format.
 
@@ -51,6 +51,7 @@ fn main() {
     let e2_stages: &[usize] = &[2, 3, 5, 8];
 
     println!("xst experiment report (seed {:#x})", xst_bench::data::SEED);
+    let mut json_entries = Vec::new();
     if want("f") {
         print!("{}", exp::f_formal_artifacts());
     }
@@ -81,7 +82,10 @@ fn main() {
         } else {
             &[1_000, 10_000, 100_000]
         };
-        print!("{}", exp::e7_witness_ablation(e7_sizes));
+        let (table, entries) =
+            exp::e7_witness_ablation(e7_sizes, if quick { 2_000 } else { 20_000 });
+        print!("{table}");
+        json_entries.extend(entries);
     }
     if want("e8") {
         let e8_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
@@ -99,7 +103,6 @@ fn main() {
         let n = if quick { 10_000 } else { 50_000 };
         print!("{}", exp::e11_sharded_pool(n, &[1, 2, 4, 8], 4));
     }
-    let mut json_entries = Vec::new();
     if want("e12") {
         let (n, iters) = if quick { (1_000, 7) } else { (5_000, 15) };
         let (table, entries) = exp::e12_obs_overhead(n, iters);

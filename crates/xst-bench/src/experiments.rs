@@ -405,42 +405,171 @@ pub fn f_formal_artifacts() -> String {
     )
 }
 
-/// E7 — ablation: paper-literal quadratic witness matching vs the
-/// partitioned, size-adaptive witness structure.
-pub fn e7_witness_ablation(sizes: &[usize]) -> String {
+/// The singleton-witness count E7 straddles: `xst_core::ops::restrict`'s
+/// private `WALK_MAX` — up to it a restriction merge-walks its witnesses,
+/// past it it hashes them — copied because the kernel exports no knob; the
+/// test below reads it back out of the kernel's source, so the two cannot
+/// drift.
+const E7_WALK_MAX: usize = 6;
+
+/// E7 — ablation: paper-literal quadratic witness matching
+/// (`sigma_restrict_naive`) vs the production witness structure, which
+/// walks a few singleton witnesses and hashes many. Every row is checked
+/// naive = production. Three kinds of row:
+///
+/// * `sorted_{n}` — `n` pairs over keys `0..n`, the one-tuples
+///   `⟨0⟩ … ⟨n/8⟩`: keys that arrive in sorted order;
+/// * `inproc_shape` — `inproc_plan`'s relation: `pairs` pairs `⟨k, v⟩`
+///   for `k` in `0..pairs`, `v` drawn from a quarter of that range, and
+///   `pairs/8` witnesses `⟨k⟩` drawn at random;
+/// * `witnesses_*` — the same relation against 1, 4, 8, 16 and
+///   `E7_WALK_MAX` − 1, `E7_WALK_MAX`, `E7_WALK_MAX` + 1 random keys:
+///   the rows that place the switch from walk to hash.
+///
+/// Production time is the best of 7 calls; naive time is one call.
+pub fn e7_witness_ablation(
+    sizes: &[usize],
+    pairs: usize,
+) -> (String, Vec<crate::report_json::BenchEntry>) {
+    use crate::report_json::BenchEntry;
+    use rand::Rng;
+
     let mut t = TableBuilder::new(
         "E7  ablation: witness matching in σ-restriction (ms)",
         &[
+            "row",
             "members",
             "witnesses",
+            "probe",
             "naive ms",
-            "adaptive ms",
+            "production ms",
+            "ns / member",
             "speedup",
             "agree",
         ],
     );
+    let mut entries = Vec::new();
+    let sigma1 = ExtendedSet::tuple([Value::Int(1)]);
+    fn one_tuples(keys: impl IntoIterator<Item = i64>) -> ExtendedSet {
+        ExtendedSet::classical(
+            keys.into_iter()
+                .map(|k| Value::Set(ExtendedSet::tuple([Value::Int(k)]))),
+        )
+    }
+    let mut row = |label: String, r: &ExtendedSet, a: &ExtendedSet| {
+        let (naive, naive_ms) = time_ms(|| sigma_restrict_naive(r, &sigma1, a));
+        let mut got = None;
+        let mut ms = f64::MAX;
+        for _ in 0..7 {
+            let (out, one) = time_ms(|| sigma_restrict(r, &sigma1, a));
+            ms = ms.min(one);
+            got = Some(out);
+        }
+        let agree = got.as_ref() == Some(&naive);
+        // Each one-tuple witness is one singleton witness under ⟨1⟩.
+        let probe = if a.card() <= E7_WALK_MAX {
+            "walk"
+        } else {
+            "hash"
+        };
+        let per_member = ms * 1e6 / r.card().max(1) as f64;
+        t.row(&[
+            label.clone(),
+            r.card().to_string(),
+            a.card().to_string(),
+            probe.into(),
+            format!("{naive_ms:.3}"),
+            format!("{ms:.3}"),
+            format!("{per_member:.1}"),
+            format!("{:.1}x", naive_ms / ms.max(1e-9)),
+            agree.to_string(),
+        ]);
+        let meta = [
+            ("members", r.card().to_string()),
+            ("witnesses", a.card().to_string()),
+            ("probe", probe.to_string()),
+            ("naive_ns", format!("{:.0}", naive_ms * 1e6)),
+            ("agree", agree.to_string()),
+        ];
+        entries.push(BenchEntry::ns(
+            format!("e7_{label}"),
+            (ms * 1e6) as u64,
+            &meta,
+        ));
+    };
+
     for &n in sizes {
         let r = data::pair_relation(n, (n as i64).max(2));
-        let witness_count = (n / 8).max(1);
-        let a = ExtendedSet::classical(
-            (0..witness_count).map(|i| Value::Set(ExtendedSet::tuple([Value::Int(i as i64)]))),
-        );
-        let sigma1 = ExtendedSet::tuple([Value::Int(1)]);
-        let (naive, naive_ms) = time_ms(|| sigma_restrict_naive(&r, &sigma1, &a));
-        let (adaptive, adaptive_ms) = time_ms(|| sigma_restrict(&r, &sigma1, &a));
-        t.row(&[
-            n.to_string(),
-            witness_count.to_string(),
-            format!("{naive_ms:.3}"),
-            format!("{adaptive_ms:.3}"),
-            format!("{:.1}x", naive_ms / adaptive_ms.max(1e-9)),
-            (naive == adaptive).to_string(),
-        ]);
+        let a = one_tuples(0..(n / 8).max(1) as i64);
+        row(format!("sorted_{n}"), &r, &a);
     }
-    t.finish(
-        "the naive form is Definition 7.6 evaluated verbatim; the adaptive form \
-              merges singleton witnesses and probes size-adaptively — same result set.",
-    )
+
+    let mut rng = data::rng();
+    let quarter = (pairs / 4).max(1) as i64;
+    let r = ExtendedSet::classical((0..pairs as i64).map(|k| {
+        Value::Set(ExtendedSet::pair(
+            Value::Int(k),
+            Value::Int(rng.gen_range(0..quarter)),
+        ))
+    }));
+    let mut random_keys =
+        |count: usize| -> Vec<i64> { (0..count).map(|_| rng.gen_range(0..pairs as i64)).collect() };
+    let a = one_tuples(random_keys(pairs / 8));
+    row("inproc_shape".into(), &r, &a);
+    // The switch's own rows first, so they keep their names when a fixed
+    // count coincides with one.
+    let mut counts = vec![
+        ("below_walk_max", E7_WALK_MAX - 1),
+        ("walk_max", E7_WALK_MAX),
+        ("above_walk_max", E7_WALK_MAX + 1),
+        ("1", 1),
+        ("4", 4),
+        ("8", 8),
+        ("16", 16),
+    ];
+    counts.sort_by_key(|&(_, count)| count);
+    counts.dedup_by_key(|&mut (_, count)| count);
+    for (label, count) in counts {
+        // Distinct keys, so the witness count is exactly `count`.
+        let mut keys = std::collections::BTreeSet::new();
+        while keys.len() < count {
+            keys.extend(random_keys(count - keys.len()));
+        }
+        let a = one_tuples(keys);
+        row(format!("witnesses_{label}"), &r, &a);
+    }
+
+    // Both rows run over the same relation, so ns per call compare as ns
+    // per member.
+    let ns = |id: &str| {
+        entries
+            .iter()
+            .find(|e| e.id == id)
+            .map_or(f64::NAN, |e| e.value)
+    };
+    let (walked, hashed) = (
+        ns("e7_witnesses_walk_max"),
+        ns("e7_witnesses_above_walk_max"),
+    );
+    entries.push(BenchEntry::ratio(
+        "e7_switch_cliff",
+        (walked / hashed).max(hashed / walked),
+        &[(
+            "note",
+            format!(
+                "worse-order ratio of ns per member between {E7_WALK_MAX} witnesses \
+                 (walked) and {} (hashed); no cliff means < 1.5",
+                E7_WALK_MAX + 1
+            ),
+        )],
+    ));
+    let table = t.finish(&format!(
+        "the naive form is Definition 7.6 evaluated verbatim; the production \
+         form is walk-or-hash: it merge-walks up to {E7_WALK_MAX} singleton \
+         witnesses and hashes more, one probe per candidate member at a pinned \
+         scope — same result set."
+    ));
+    (table, entries)
 }
 
 /// E8 — parallel identity loading: building the canonical set identity of
@@ -2557,6 +2686,13 @@ pub fn e22_rule_traffic(
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn e7_straddles_the_kernels_own_walk_limit() {
+        let kernel = include_str!("../../xst-core/src/ops/restrict.rs");
+        let line = format!("const WALK_MAX: usize = {};", super::E7_WALK_MAX);
+        assert!(kernel.contains(&line), "restrict.rs no longer has `{line}`");
+    }
+
     #[test]
     fn e21_straddles_the_kernels_own_switch() {
         let kernel = include_str!("../../xst-core/src/ops/boolean.rs");

@@ -184,7 +184,12 @@ pub fn symmetric_difference(a: &ExtendedSet, b: &ExtendedSet) -> ExtendedSet {
 
 /// True iff `A ∩ B = ∅`, without materializing the intersection.
 pub fn disjoint(a: &ExtendedSet, b: &ExtendedSet) -> bool {
-    let (am, bm) = (a.members(), b.members());
+    disjoint_members(a.members(), b.members())
+}
+
+/// [`disjoint`] over two canonical member slices: one merge walk that
+/// stops at the first shared member.
+pub(crate) fn disjoint_members(am: &[Member], bm: &[Member]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < am.len() && j < bm.len() {
         match am[i].cmp(&bm[j]) {

@@ -30,14 +30,26 @@
 //!
 //! A restriction is a set given by a property, and the property only
 //! constrains the positions σ names: a witness `a^{\σ\}` carries σ's
-//! output scopes and nothing else. So [`WitnessSet`] remembers which scopes
-//! its single-member witnesses carry, and a candidate member at any other
-//! scope is never looked up — for σ = ⟨1⟩ over pairs, position 2 of every
-//! candidate costs a comparison, not a binary search.
+//! output scopes and nothing else. Deciding the restriction is then a
+//! membership question per candidate member — is the element it holds at
+//! a pinned scope one some witness holds there? So [`WitnessSet`] keeps,
+//! for each scope its single-member witnesses carry, the set of elements
+//! they carry at it, and answers with one hash probe. A candidate member
+//! at any other scope is never looked up — for σ = ⟨1⟩ over pairs,
+//! position 2 of every candidate costs a comparison. A handful of
+//! witnesses is cheaper to merge-walk than to hash, so below a fixed count
+//! the witnesses stay one canonical set instead; which of the two a
+//! restriction uses is chosen once per call.
+//!
+//! A range scan of the canonical order cannot replace the probe: a pair
+//! `⟨k, v⟩ = {k^1, v^2}` sorts by its smaller *element*, so position 1
+//! leads the pair only when `k < v`.
 
+use crate::ops::boolean::disjoint_members;
 use crate::ops::rescope::rescope_value_by_element;
-use crate::set::{ExtendedSet, Member, SetBuilder};
+use crate::set::{members_subset, ExtendedSet, Member, SetBuilder};
 use crate::value::Value;
+use std::collections::HashSet;
 
 /// `R |_σ A` (Definition 7.6).
 pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> ExtendedSet {
@@ -55,60 +67,84 @@ pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> 
     ExtendedSet::from_sorted_unique(kept)
 }
 
+/// Up to this many singleton witnesses, a candidate is merge-walked
+/// against their canonical set; past it, each candidate member at a
+/// pinned scope costs one hash probe instead. The walk's cost grows with
+/// the witness count and the probe's does not: on EXPERIMENTS.md E7's
+/// 20 000-pair rows the walk is cheaper through 6 witnesses and dearer
+/// from 7 on. E7 straddles this line with its own copy,
+/// `xst-bench`'s `experiments::E7_WALK_MAX`, and `tests/differential.rs`
+/// with another; a test beside each reads it back out of this line.
+const WALK_MAX: usize = 6;
+
 /// Pre-computed `(a^{\σ\}, s^{\σ\})` witness pairs for a restriction,
 /// partitioned for matching speed; reused by the fused image operator.
 ///
 /// The overwhelmingly common witness shape — a single re-scoped member with
-/// no scope constraint (every equality selection) — is kept in one merged
-/// canonical set so a candidate `z` is tested with a single linear
-/// intersection walk instead of one subset check per witness. When the
-/// witnesses far outnumber `z`'s members, each member of `z` is instead
-/// binary-searched — but only at a scope some witness carries (the
-/// positions σ pins; see the module docs). Everything else falls back to
-/// the general subset test.
+/// no scope constraint (every equality selection) — is probed in one of two
+/// ways, chosen once from how many there are: a few are walked as one
+/// merged canonical set, many are hashed by the scope they pin (see the
+/// module docs). Everything else falls back to the general subset test.
 pub(crate) struct WitnessSet {
-    /// Union of all single-member, unconstrained-scope witnesses.
-    singletons: ExtendedSet,
-    /// The scopes `singletons` carry, sorted and deduplicated: `[1]` for
-    /// every σ = ⟨1⟩ restriction.
-    pinned: Vec<Value>,
+    /// The single-member, unconstrained-scope witnesses.
+    singletons: Singletons,
     /// General witnesses: `(a^{\σ\}, s^{\σ\})` pairs.
     general: Vec<(ExtendedSet, ExtendedSet)>,
+}
+
+/// The single-member witnesses, in the one form their probe reads.
+enum Singletons {
+    /// At most [`WALK_MAX`] of them, as one canonical set: a candidate is
+    /// tested with a single merge walk.
+    Walk(ExtendedSet),
+    /// More: per pinned scope, the elements witnesses carry at it — for
+    /// σ = ⟨1⟩ one entry, scope 1, holding every key. Keyed by std's
+    /// `RandomState`, since witnesses can arrive over the wire.
+    Hash(Vec<(Value, HashSet<Value>)>),
+}
+
+/// The members of `v` read as a set (an atom has none), borrowed.
+fn members_of(v: &Value) -> &[Member] {
+    match v {
+        Value::Set(s) => s.members(),
+        _ => &[],
+    }
 }
 
 impl WitnessSet {
     /// No witness can match anything.
     pub(crate) fn is_empty(&self) -> bool {
-        self.singletons.is_empty() && self.general.is_empty()
+        let no_singletons = match &self.singletons {
+            Singletons::Walk(set) => set.is_empty(),
+            Singletons::Hash(by_scope) => by_scope.is_empty(),
+        };
+        no_singletons && self.general.is_empty()
     }
 
     /// Does one member of `R` satisfy the restriction condition for any
     /// witness?
     pub(crate) fn matches(&self, m: &Member) -> bool {
-        let z = m.element.as_set_view();
-        if !self.singletons.is_empty() {
-            // Size-adaptive probe: when the witness set is much larger than
-            // the candidate, binary-search each candidate member at a
-            // pinned scope instead of merge-walking the whole witness set.
-            let hit = if self.singletons.card() > 8 * z.card() {
-                z.members().iter().any(|zm| {
-                    self.pinned.binary_search(&zm.scope).is_ok()
-                        && self.singletons.contains(&zm.element, &zm.scope)
-                })
-            } else {
-                !crate::ops::boolean::disjoint(&z, &self.singletons)
-            };
-            if hit {
-                return true;
-            }
+        let z = members_of(&m.element);
+        let hit = match &self.singletons {
+            Singletons::Walk(set) => !disjoint_members(z, set.members()),
+            // A member at a pinned scope costs one probe; at any other
+            // scope, a comparison per pinned scope.
+            Singletons::Hash(by_scope) => z.iter().any(|zm| {
+                by_scope
+                    .iter()
+                    .any(|(scope, elements)| *scope == zm.scope && elements.contains(&zm.element))
+            }),
+        };
+        if hit {
+            return true;
         }
         if self.general.is_empty() {
             return false;
         }
-        let w = m.scope.as_set_view();
+        let w = members_of(&m.scope);
         self.general
             .iter()
-            .any(|(a_r, s_r)| a_r.is_subset(&z) && s_r.is_subset(&w))
+            .any(|(a_r, s_r)| members_subset(a_r.members(), z) && members_subset(s_r.members(), w))
     }
 }
 
@@ -164,17 +200,26 @@ pub(crate) fn restriction_witnesses(sigma: &ExtendedSet, a: &ExtendedSet) -> Wit
             general.push((a_r, s_r));
         }
     }
-    let singletons = ExtendedSet::from_members(singleton_members);
-    let mut pinned: Vec<Value> = singletons
-        .members()
-        .iter()
-        .map(|m| m.scope.clone())
-        .collect();
-    pinned.sort_unstable();
-    pinned.dedup();
+    // Counted as the witnesses come, before equal ones merge.
+    let count = singleton_members.len();
+    let singletons = if count <= WALK_MAX {
+        Singletons::Walk(ExtendedSet::from_members(singleton_members))
+    } else {
+        let mut by_scope: Vec<(Value, HashSet<Value>)> = Vec::new();
+        for Member { element, scope } in singleton_members {
+            let at = match by_scope.iter().position(|(s, _)| *s == scope) {
+                Some(at) => at,
+                None => {
+                    by_scope.push((scope, HashSet::with_capacity(count)));
+                    by_scope.len() - 1
+                }
+            };
+            by_scope[at].1.insert(element);
+        }
+        Singletons::Hash(by_scope)
+    };
     WitnessSet {
         singletons,
-        pinned,
         general,
     }
 }

@@ -265,28 +265,7 @@ impl ExtendedSet {
     /// Member-wise subset: every scoped member of `self` is a member of
     /// `other`.
     pub fn is_subset(&self, other: &ExtendedSet) -> bool {
-        if self.members().len() > other.members().len() {
-            return false;
-        }
-        // Merge walk over the two sorted sequences.
-        let mut oi = 0;
-        let om = other.members();
-        for m in self.members().iter() {
-            loop {
-                if oi == om.len() {
-                    return false;
-                }
-                match om[oi].cmp(m) {
-                    Ordering::Less => oi += 1,
-                    Ordering::Equal => {
-                        oi += 1;
-                        break;
-                    }
-                    Ordering::Greater => return false,
-                }
-            }
-        }
-        true
+        members_subset(self.members(), other.members())
     }
 
     /// The paper's dotted `⊆`: non-empty subset (see notes to Defs 2.1/5.1).
@@ -384,6 +363,30 @@ impl ExtendedSet {
     pub fn into_value(self) -> Value {
         Value::Set(self)
     }
+}
+
+/// `a ⊆ b` over two canonical member slices: one merge walk.
+pub(crate) fn members_subset(a: &[Member], b: &[Member]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    let mut bi = 0;
+    for m in a {
+        loop {
+            if bi == b.len() {
+                return false;
+            }
+            match b[bi].cmp(m) {
+                Ordering::Less => bi += 1,
+                Ordering::Equal => {
+                    bi += 1;
+                    break;
+                }
+                Ordering::Greater => return false,
+            }
+        }
+    }
+    true
 }
 
 impl PartialOrd for ExtendedSet {

@@ -5,10 +5,12 @@
 //! directions.
 
 use proptest::prelude::*;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use xst_core::ops::{
     image, image_two_pass, intersection, par_image, par_intersection, par_relative_product,
-    par_sigma_restrict, par_union, relative_product, sigma_domain, sigma_restrict,
-    sigma_restrict_naive, union, Parallelism, Scope,
+    par_sigma_restrict, par_union, relative_product, rescope_value_by_element, sigma_domain,
+    sigma_restrict, sigma_restrict_naive, union, Parallelism, Scope,
 };
 use xst_core::{ExtendedSet, Member, Value};
 use xst_query::eval_parallel;
@@ -431,8 +433,88 @@ fn assert_probes_agree(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) {
     prop_assert_eq!(&par_image(r, a, &scope, &forced(4)), &image_oracle);
 }
 
+/// The singleton-witness count up to which `σ`-restriction merge-walks
+/// its witnesses and past which it hashes them: `restrict.rs`'s private
+/// `WALK_MAX`, copied because the kernel exports no knob —
+/// `walk_max_is_the_kernels` reads it back out of the kernel's source.
+const WALK_MAX: usize = 6;
+
+#[test]
+fn walk_max_is_the_kernels() {
+    let kernel = include_str!("../crates/xst-core/src/ops/restrict.rs");
+    let line = format!("const WALK_MAX: usize = {WALK_MAX};");
+    assert!(kernel.contains(&line), "restrict.rs no longer has `{line}`");
+}
+
+/// Does `a`'s member `element^scope` give a single-member witness with
+/// no scope constraint under σ — the kind the kernel walks or hashes?
+fn is_singleton_witness(element: &Value, scope: &Value, sigma: &ExtendedSet) -> bool {
+    rescope_value_by_element(element, sigma).is_singleton()
+        && rescope_value_by_element(scope, sigma).is_empty()
+}
+
+/// Every `(v, p)` with `v` in `0..30` and position `p` in `1..4`, shuffled.
+fn arb_singleton_pool() -> impl Strategy<Value = Vec<(i64, i64)>> {
+    any::<u64>().prop_map(|mut seed| {
+        let mut pool: Vec<(i64, i64)> = (0..30).flat_map(|v| (1..4).map(move |p| (v, p))).collect();
+        for i in (1..pool.len()).rev() {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            pool.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+        pool
+    })
+}
+
+/// Exactly `n` distinct singleton witnesses under σ — one-member sets
+/// `{v^p}` drawn from `pool` in its order, keeping those σ maps to one
+/// member — beside the witnesses of `extra` that are not singletons.
+fn witnesses_straddling(
+    sigma: &ExtendedSet,
+    n: usize,
+    pool: &[(i64, i64)],
+    extra: &ExtendedSet,
+) -> ExtendedSet {
+    let singletons = pool
+        .iter()
+        .map(|&(v, p)| Value::Set(ExtendedSet::singleton(v, p)))
+        .filter(|w| is_singleton_witness(w, &Value::empty_set(), sigma))
+        .take(n)
+        .map(Member::classical);
+    let others = extra
+        .members()
+        .iter()
+        .filter(|m| !is_singleton_witness(&m.element, &m.scope, sigma))
+        .cloned();
+    let a = ExtendedSet::from_members(singletons.chain(others).collect());
+    let count = a
+        .members()
+        .iter()
+        .filter(|m| is_singleton_witness(&m.element, &m.scope, sigma))
+        .count();
+    assert_eq!(count, n, "the pool holds {n} singletons under every σ here");
+    a
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// `WALK_MAX` singleton witnesses, the most the kernel walks, and
+    /// `WALK_MAX + 1`, the fewest it hashes, pinned at one to three
+    /// scopes, beside general and memberless witnesses: both probes meet
+    /// Definition 7.6 taken literally.
+    #[test]
+    fn restriction_agrees_either_side_of_the_walk_limit(
+        r in arb_candidates(),
+        sigma in arb_pinning_sigma(),
+        hashed in any::<bool>(),
+        pool in arb_singleton_pool(),
+        extra in arb_witnesses(0..8),
+    ) {
+        let a = witnesses_straddling(&sigma, WALK_MAX + usize::from(hashed), &pool, &extra);
+        assert_probes_agree(&r, &sigma, &a);
+    }
 
     /// Singleton witnesses at two or more scopes: a candidate member at a
     /// pinned scope is probed, any other is not.
@@ -445,10 +527,10 @@ proptest! {
         assert_probes_agree(&r, &sigma, &a);
     }
 
-    /// More than 8× as many singleton witnesses as any candidate has
-    /// members, so every candidate takes the binary-search branch: the
-    /// one-tuples `⟨0⟩ … ⟨29⟩` give 30 singletons under every σ here
-    /// against at most 3 members per candidate.
+    /// More singleton witnesses than the kernel walks, so every call
+    /// takes the hash branch: the one-tuples `⟨0⟩ … ⟨29⟩` give 30
+    /// singletons under every σ here, past `WALK_MAX` whatever the extras
+    /// add.
     #[test]
     fn restriction_agrees_when_witnesses_outnumber_candidates(
         r in arb_candidates(),
@@ -459,6 +541,97 @@ proptest! {
         let a = ExtendedSet::from_members(
             extra.members().iter().cloned().chain(grid.map(Member::classical)).collect(),
         );
+        assert_probes_agree(&r, &sigma, &a);
+    }
+}
+
+/// Atoms whose `==` a hash can get wrong: ±0.0, NaNs with distinct
+/// payloads, infinity, and a `Sym` beside a `Str` of the same text.
+fn hash_corner_atom() -> impl Strategy<Value = Value> {
+    prop::sample::select(vec![
+        Value::float(0.0),
+        Value::float(-0.0),
+        Value::float(f64::NAN),
+        Value::float(-f64::NAN),
+        Value::float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        Value::float(f64::INFINITY),
+        Value::sym("a"),
+        Value::str("a"),
+        Value::Int(0),
+    ])
+}
+
+/// Corner atoms and sets of them nested up to `depth`, their members
+/// scoped by corner atoms too.
+fn hash_corner_value(depth: u32) -> BoxedStrategy<Value> {
+    if depth == 0 {
+        return hash_corner_atom().boxed();
+    }
+    let inner = hash_corner_value(depth - 1);
+    prop_oneof![
+        1 => hash_corner_atom(),
+        2 => prop::collection::vec((inner.clone(), inner), 0..3)
+            .prop_map(|ms| Value::Set(ExtendedSet::from_pairs(ms))),
+    ]
+    .boxed()
+}
+
+/// `v` rebuilt from scratch: equal to `v`, sharing no allocation with it
+/// at any depth.
+fn rebuilt(v: &Value) -> Value {
+    match v {
+        Value::Set(s) => Value::Set(ExtendedSet::from_pairs(
+            s.members()
+                .iter()
+                .map(|m| (rebuilt(&m.element), rebuilt(&m.scope))),
+        )),
+        Value::Sym(text) => Value::sym(text),
+        Value::Str(text) => Value::str(text),
+        other => other.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The hash probe relies on `a == b ⇒ hash(a) == hash(b)` for
+    /// `Value`: over ±0.0, NaN payloads, `Sym` vs `Str` of one text, and
+    /// nested sets that share their members against equal sets rebuilt
+    /// apart — alone, and side by side in one pair.
+    #[test]
+    fn equal_values_hash_alike(a in hash_corner_value(2), b in hash_corner_value(2)) {
+        let state = RandomState::new();
+        let apart = rebuilt(&a);
+        prop_assert_eq!(&apart, &a);
+        let shared_first = Value::Set(ExtendedSet::pair(a.clone(), apart.clone()));
+        let apart_first = Value::Set(ExtendedSet::pair(apart.clone(), a.clone()));
+        for (x, y) in [(&a, &apart), (&shared_first, &apart_first), (&a, &b)] {
+            if x == y {
+                prop_assert_eq!(state.hash_one(x), state.hash_one(y));
+            }
+        }
+    }
+
+    /// Keys at position 1 of `R`, witnessed by the same keys rebuilt
+    /// apart, past the walk limit: the hash probe finds every one.
+    #[test]
+    fn restriction_finds_witnesses_built_apart(
+        keys in prop::collection::vec(hash_corner_value(2), 1..24),
+    ) {
+        let sigma = ExtendedSet::tuple([1i64]);
+        let r = ExtendedSet::classical(keys.iter().enumerate().map(|(i, k)| {
+            Value::Set(ExtendedSet::pair(k.clone(), Value::Int(i as i64)))
+        }));
+        // One-tuples at keys no candidate holds, so the count passes the
+        // walk limit whatever the keys collapse to.
+        let filler = (0..=WALK_MAX as i64).map(|j| Value::Int(100 + j));
+        let a = ExtendedSet::classical(
+            keys.iter()
+                .map(rebuilt)
+                .chain(filler)
+                .map(|k| Value::Set(ExtendedSet::tuple([k]))),
+        );
+        prop_assert_eq!(&sigma_restrict(&r, &sigma, &a), &r);
         assert_probes_agree(&r, &sigma, &a);
     }
 }
