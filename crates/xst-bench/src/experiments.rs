@@ -8,7 +8,7 @@ use crate::table::TableBuilder;
 use std::time::Instant;
 use xst_core::ops::{sigma_domain, sigma_restrict, sigma_restrict_naive, Scope};
 use xst_core::process::Process;
-use xst_core::{ExtendedSet, Value};
+use xst_core::{codec, ExtendedSet, Value};
 use xst_query::{eval_counted, Bindings, Expr, Optimizer};
 use xst_relational::{Catalog, Query};
 use xst_storage::{
@@ -426,6 +426,14 @@ const E7_WALK_MAX: usize = 6;
 ///   `E7_WALK_MAX` − 1, `E7_WALK_MAX`, `E7_WALK_MAX` + 1 random keys:
 ///   the rows that place the switch from walk to hash.
 ///
+/// Every row runs production twice: over the relation as it was built
+/// in-process, and over the same relation after a codec round trip, whose
+/// member vectors are allocated in canonical order. The two differ only in
+/// heap layout, so `built / decoded` is the layout share of the built
+/// time and the decoded time is the kernel's (each has its own entry,
+/// `e7_{row}` and `e7_{row}_decoded`). `e7_inproc_build` times building
+/// the `inproc_shape` relation itself.
+///
 /// Production time is the best of 7 calls; naive time is one call.
 pub fn e7_witness_ablation(
     sizes: &[usize],
@@ -442,8 +450,10 @@ pub fn e7_witness_ablation(
             "witnesses",
             "probe",
             "naive ms",
-            "production ms",
+            "built ms",
+            "decoded ms",
             "ns / member",
+            "built / decoded",
             "speedup",
             "agree",
         ],
@@ -456,16 +466,26 @@ pub fn e7_witness_ablation(
                 .map(|k| Value::Set(ExtendedSet::tuple([Value::Int(k)]))),
         )
     }
-    let mut row = |label: String, r: &ExtendedSet, a: &ExtendedSet| {
-        let (naive, naive_ms) = time_ms(|| sigma_restrict_naive(r, &sigma1, a));
-        let mut got = None;
+    // Best of 7 production calls, and whether the last one matched.
+    let production = |r: &ExtendedSet, a: &ExtendedSet, naive: &ExtendedSet| {
+        let mut agree = false;
         let mut ms = f64::MAX;
         for _ in 0..7 {
             let (out, one) = time_ms(|| sigma_restrict(r, &sigma1, a));
             ms = ms.min(one);
-            got = Some(out);
+            agree = out == *naive;
         }
-        let agree = got.as_ref() == Some(&naive);
+        (ms, agree)
+    };
+    let mut row = |label: String, r: &ExtendedSet, a: &ExtendedSet| {
+        let (naive, naive_ms) = time_ms(|| sigma_restrict_naive(r, &sigma1, a));
+        let decoded = match codec::decode_exact(&codec::encode_to_vec(&Value::Set(r.clone()))) {
+            Ok(Value::Set(decoded)) if decoded == *r => decoded,
+            other => panic!("E7: the codec round trip changed the relation: {other:?}"),
+        };
+        let (ms, built_agree) = production(r, a, &naive);
+        let (decoded_ms, decoded_agree) = production(&decoded, a, &naive);
+        let agree = built_agree && decoded_agree;
         // Each one-tuple witness is one singleton witness under ⟨1⟩.
         let probe = if a.card() <= E7_WALK_MAX {
             "walk"
@@ -480,21 +500,30 @@ pub fn e7_witness_ablation(
             probe.into(),
             format!("{naive_ms:.3}"),
             format!("{ms:.3}"),
+            format!("{decoded_ms:.3}"),
             format!("{per_member:.1}"),
+            format!("{:.2}x", ms / decoded_ms.max(1e-9)),
             format!("{:.1}x", naive_ms / ms.max(1e-9)),
             agree.to_string(),
         ]);
-        let meta = [
-            ("members", r.card().to_string()),
-            ("witnesses", a.card().to_string()),
-            ("probe", probe.to_string()),
-            ("naive_ns", format!("{:.0}", naive_ms * 1e6)),
-            ("agree", agree.to_string()),
-        ];
+        let meta = |agree: bool| {
+            [
+                ("members", r.card().to_string()),
+                ("witnesses", a.card().to_string()),
+                ("probe", probe.to_string()),
+                ("naive_ns", format!("{:.0}", naive_ms * 1e6)),
+                ("agree", agree.to_string()),
+            ]
+        };
         entries.push(BenchEntry::ns(
             format!("e7_{label}"),
             (ms * 1e6) as u64,
-            &meta,
+            &meta(built_agree),
+        ));
+        entries.push(BenchEntry::ns(
+            format!("e7_{label}_decoded"),
+            (decoded_ms * 1e6) as u64,
+            &meta(decoded_agree),
         ));
     };
 
@@ -506,12 +535,26 @@ pub fn e7_witness_ablation(
 
     let mut rng = data::rng();
     let quarter = (pairs / 4).max(1) as i64;
-    let r = ExtendedSet::classical((0..pairs as i64).map(|k| {
-        Value::Set(ExtendedSet::pair(
-            Value::Int(k),
-            Value::Int(rng.gen_range(0..quarter)),
-        ))
-    }));
+    let values: Vec<i64> = (0..pairs).map(|_| rng.gen_range(0..quarter)).collect();
+    let mut r = ExtendedSet::empty();
+    let mut build_ms = f64::MAX;
+    for _ in 0..7 {
+        let (built, one) = time_ms(|| {
+            ExtendedSet::classical(
+                values
+                    .iter()
+                    .zip(0..)
+                    .map(|(&v, k)| Value::Set(ExtendedSet::pair(Value::Int(k), Value::Int(v)))),
+            )
+        });
+        build_ms = build_ms.min(one);
+        r = built;
+    }
+    let build_entry = BenchEntry::ns(
+        "e7_inproc_build",
+        (build_ms * 1e6) as u64,
+        &[("members", r.card().to_string())],
+    );
     let mut random_keys =
         |count: usize| -> Vec<i64> { (0..count).map(|_| rng.gen_range(0..pairs as i64)).collect() };
     let a = one_tuples(random_keys(pairs / 8));
@@ -539,6 +582,7 @@ pub fn e7_witness_ablation(
         row(format!("witnesses_{label}"), &r, &a);
     }
 
+    entries.push(build_entry);
     // Both rows run over the same relation, so ns per call compare as ns
     // per member.
     let ns = |id: &str| {
@@ -567,7 +611,10 @@ pub fn e7_witness_ablation(
         "the naive form is Definition 7.6 evaluated verbatim; the production \
          form is walk-or-hash: it merge-walks up to {E7_WALK_MAX} singleton \
          witnesses and hashes more, one probe per candidate member at a pinned \
-         scope — same result set."
+         scope — same result set. built = the relation as built in-process, \
+         decoded = the same relation after a codec round trip (canonical heap \
+         layout); ns / member is of built. Building the inproc_shape relation \
+         took {build_ms:.3} ms."
     ));
     (table, entries)
 }

@@ -507,9 +507,9 @@ mod tests {
 
     #[test]
     fn a_welcome_at_another_version_fails_the_handshake() {
-        // A server still speaking v2: it reads the Hello and welcomes the
-        // client at its own version. One version is seated, so this is a
-        // handshake failure, not a downgrade.
+        // A server still speaking the previous version: it reads the Hello
+        // and welcomes the client at its own version. One version is
+        // seated, so this is a handshake failure, not a downgrade.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("local addr").to_string();
         let server = std::thread::spawn(move || {
@@ -523,9 +523,10 @@ mod tests {
         });
         let err = Client::connect(&addr, "t").expect_err("must not be seated");
         server.join().expect("fake server thread");
+        let old = format!("v{}", PROTO_VERSION - 1);
         assert!(
-            matches!(&err, ClientError::Handshake(m) if m.contains("v2")),
-            "wanted Handshake naming v2, got {err:?}"
+            matches!(&err, ClientError::Handshake(m) if m.contains(&old)),
+            "wanted Handshake naming {old}, got {err:?}"
         );
     }
 

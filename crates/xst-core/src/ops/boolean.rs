@@ -36,21 +36,21 @@ pub(crate) fn intersection_work(x: &[Member], y: &[Member]) -> usize {
     }
 }
 
-/// First index at or after `from` whose member is not below `needle`
-/// (`hay.len()` when there is none): an exponential probe from `from`
-/// brackets it, a binary search inside the bracket finds it — O(log d)
-/// comparisons for an answer `d` members ahead.
-fn gallop(hay: &[Member], from: usize, needle: &Member) -> usize {
-    // Everything before `lo` is below `needle`; `hay[hi]`, if it exists,
-    // is not.
+/// First index at or after `from` whose member is not `below`
+/// (`hay.len()` when there is none), where `below` holds on a prefix of
+/// `hay[from..]`: an exponential probe from `from` brackets it, a binary
+/// search inside the bracket finds it — O(log d) comparisons for an
+/// answer `d` members ahead.
+pub(crate) fn gallop(hay: &[Member], from: usize, below: impl Fn(&Member) -> bool) -> usize {
+    // Everything before `lo` is below; `hay[hi]`, if it exists, is not.
     let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < hay.len() && hay[hi] < *needle {
+    while hi < hay.len() && below(&hay[hi]) {
         lo = hi + 1;
         hi += step;
         step *= 2;
     }
     let hi = hi.min(hay.len());
-    lo + hay[lo..hi].partition_point(|m| m < needle)
+    lo + hay[lo..hi].partition_point(below)
 }
 
 /// The one ordered merge of two canonical (sorted, deduplicated) member
@@ -122,7 +122,7 @@ fn sweep<const ONLY_LONG: bool, const BOTH: bool, const ONLY_SHORT: bool>(
 ) {
     let mut i = 0;
     for s in short {
-        let at = gallop(long, i, s);
+        let at = gallop(long, i, |m| m < s);
         if ONLY_LONG {
             out.extend_from_slice(&long[i..at]);
         }
@@ -320,7 +320,7 @@ mod tests {
             let hay = hay.members();
             for from in 0..=hay.len() {
                 let expect = from + hay[from..].partition_point(|m| *m < needle);
-                prop_assert_eq!(gallop(hay, from, &needle), expect, "from {}", from);
+                prop_assert_eq!(gallop(hay, from, |m| *m < needle), expect, "from {}", from);
             }
         }
     }

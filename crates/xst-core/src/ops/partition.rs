@@ -20,20 +20,21 @@ use crate::value::Value;
 /// Collect members by scope: each distinct scope `s` becomes one member
 /// `{elements with scope s}^s`. Inner members are classically scoped.
 pub fn partition_by_scope(a: &ExtendedSet) -> ExtendedSet {
-    // Members are sorted by (element, scope); group by scope instead, so
-    // collect per-scope buckets.
-    let mut buckets: std::collections::BTreeMap<&Value, SetBuilder> =
-        std::collections::BTreeMap::new();
-    for m in a.members() {
-        buckets
-            .entry(&m.scope)
-            .or_default()
-            .classical_elem(m.element.clone());
-    }
-    ExtendedSet::from_members(
-        buckets
-            .into_iter()
-            .map(|(scope, b)| Member::new(Value::Set(b.build()), scope.clone()))
+    // Members sort scope first: each scope's members are one run, sorted by
+    // element, and the runs come in scope order — so every group, and the
+    // set of groups, is built already canonical.
+    ExtendedSet::from_sorted_unique(
+        a.scope_runs()
+            .map(|run| {
+                let group = run
+                    .iter()
+                    .map(|m| Member::classical(m.element.clone()))
+                    .collect();
+                Member::new(
+                    Value::Set(ExtendedSet::from_sorted_unique(group)),
+                    run[0].scope.clone(),
+                )
+            })
             .collect(),
     )
 }

@@ -32,7 +32,8 @@ pub fn rescope_by_scope(a: &ExtendedSet, sigma: &ExtendedSet) -> ExtendedSet {
     let mut b = SetBuilder::new();
     for m in a.members() {
         // Find σ-members whose *element* equals this member's scope; their
-        // scopes are the new scopes. `scopes_of` is a binary search + scan.
+        // scopes are the new scopes. `scopes_of` is a binary search per
+        // scope run of σ.
         for w in sigma.scopes_of(&m.scope) {
             b.scoped(m.element.clone(), w.clone());
         }
@@ -54,11 +55,10 @@ pub fn rescope_by_element(a: &ExtendedSet, sigma: &ExtendedSet) -> ExtendedSet {
     let mut b = SetBuilder::new();
     for m in a.members() {
         // Find σ-members whose *scope* equals this member's scope; their
-        // elements are the new scopes.
-        for (w, s) in sigma.iter() {
-            if s == &m.scope {
-                b.scoped(m.element.clone(), w.clone());
-            }
+        // elements are the new scopes. They are one run of σ, found by
+        // binary search.
+        for w in sigma.elements_with_scope(&m.scope) {
+            b.scoped(m.element.clone(), w.clone());
         }
     }
     b.build()

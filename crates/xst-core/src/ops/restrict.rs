@@ -41,9 +41,14 @@
 //! the witnesses stay one canonical set instead; which of the two a
 //! restriction uses is chosen once per call.
 //!
-//! A range scan of the canonical order cannot replace the probe: a pair
-//! `⟨k, v⟩ = {k^1, v^2}` sorts by its smaller *element*, so position 1
-//! leads the pair only when `k < v`.
+//! Members order scope first, so a candidate's members at a pinned scope
+//! are one contiguous run at a known place — for a pair `⟨k, v⟩ =
+//! {k^1, v^2}` position 1 always leads — and a relation of such pairs is
+//! clustered on its position-1 members. A range scan of the relation per
+//! witness could therefore replace the probe where the pinned scope is
+//! every candidate's least; it is not built yet. Such a range must keep
+//! every member at the pinned scope: a candidate may hold two there
+//! (`{k'^1, k^1}`), and one not the least of them can still match.
 
 use crate::ops::boolean::disjoint_members;
 use crate::ops::rescope::rescope_value_by_element;
@@ -85,6 +90,10 @@ const WALK_MAX: usize = 6;
 /// ways, chosen once from how many there are: a few are walked as one
 /// merged canonical set, many are hashed by the scope they pin (see the
 /// module docs). Everything else falls back to the general subset test.
+///
+/// Witnesses are matched one candidate at a time, whatever order the
+/// candidates come in; the candidates' scope-first clustering is not read
+/// here.
 pub(crate) struct WitnessSet {
     /// The single-member, unconstrained-scope witnesses.
     singletons: Singletons,

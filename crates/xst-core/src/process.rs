@@ -128,12 +128,7 @@ impl Process {
         let sigma1 = &self.scope.sigma1;
         let positions: BTreeSet<&Value> = sigma1.members().iter().map(|m| &m.scope).collect();
         for p in positions {
-            let graph_positions: Vec<&Value> = sigma1
-                .members()
-                .iter()
-                .filter(|m| &m.scope == p)
-                .map(|m| &m.element)
-                .collect();
+            let graph_positions: Vec<&Value> = sigma1.elements_with_scope(p).collect();
             for zm in self.graph.members() {
                 let z = zm.element.as_set_view();
                 for gp in &graph_positions {

@@ -7,14 +7,22 @@
 //!
 //! # Canonical form
 //!
-//! Members are kept **sorted and deduplicated** under the total order of
-//! `Value`. Consequences:
+//! Members are kept **sorted and deduplicated**, scope first, then
+//! element, each under the total order of `Value`. Consequences:
 //!
 //! * set equality is structural equality (`==`),
 //! * membership tests are binary searches,
+//! * the members at one scope are one contiguous run, so a tuple
+//!   `{x1^1, ..., xn^n}` (Definition 9.1) is laid out in position order
+//!   and a relation of tuples is clustered on its position-1 members:
+//!   a relation built in key order is already canonical,
 //! * union/intersection/difference are one ordered merge
 //!   (see [`crate::ops::boolean`]): O(min · log(max/min)) comparisons when
 //!   one operand outweighs the other, linear otherwise.
+//!
+//! The order is representation, not meaning: which of two members comes
+//! first changes no definition, only which lookups are ranges. A lookup by
+//! scope is a binary search; a lookup by element searches each scope run.
 //!
 //! # Sharing
 //!
@@ -25,12 +33,15 @@
 //! classical member, so creating, cloning and dropping it must cost nothing —
 //! no heap allocation, no reference count.
 
+use crate::ops::boolean::gallop;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One scoped membership `element ∈_scope set`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Members order scope first, then element (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Member {
     /// The member element `x` in `x ∈_s A`.
     pub element: Value,
@@ -54,6 +65,34 @@ impl Member {
             element: element.into(),
             scope: Value::classical_scope(),
         }
+    }
+}
+
+impl PartialOrd for Member {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Member {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_scopes(&self.scope, &other.scope).then_with(|| self.element.cmp(&other.element))
+    }
+}
+
+/// `Value`'s order on two scopes. Compared scope first, most member pairs
+/// tie here — two classical members' `∅`s, two tuples' equal positions —
+/// so those two kinds of scope are decided inline. It must agree with
+/// `Value::cmp`, and is kept beside it (inlined too) because it shortens
+/// every merge: with plain `Value::cmp` in `Member::cmp`, `inproc_plan`'s
+/// traced intersect and `wire_point`'s op both ran slower.
+#[inline]
+pub(crate) fn cmp_scopes(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        (Value::Set(a), Value::Set(b)) if a.is_empty() && b.is_empty() => Ordering::Equal,
+        _ => a.cmp(b),
     }
 }
 
@@ -187,26 +226,20 @@ impl ExtendedSet {
 
     /// Number of distinct member *elements*, ignoring scopes.
     pub fn distinct_elements(&self) -> usize {
-        // Members are sorted by (element, scope), so equal elements are
-        // adjacent.
-        let mut n = 0;
-        let mut prev: Option<&Value> = None;
-        for m in self.members().iter() {
-            if prev != Some(&m.element) {
-                n += 1;
-                prev = Some(&m.element);
-            }
+        let members = self.members();
+        if members.first().map(|m| &m.scope) == members.last().map(|m| &m.scope) {
+            return members.len(); // one scope run: its elements are distinct
         }
-        n
+        // An element can recur in every scope run: count it once.
+        let mut elements: Vec<&Value> = members.iter().map(|m| &m.element).collect();
+        elements.sort_unstable();
+        elements.dedup();
+        elements.len()
     }
 
     /// Number of distinct member *scopes*, ignoring elements.
     pub fn distinct_scopes(&self) -> usize {
-        self.members()
-            .iter()
-            .map(|m| &m.scope)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
+        self.scope_runs().count()
     }
 
     /// True iff the set has no members.
@@ -221,14 +254,14 @@ impl ExtendedSet {
 
     /// Scoped membership test `element ∈_scope self`.
     pub fn contains(&self, element: &Value, scope: &Value) -> bool {
-        self.members()
-            .binary_search_by(|m| m.element.cmp(element).then_with(|| m.scope.cmp(scope)))
-            .is_ok()
+        self.position(element, scope).is_ok()
     }
 
-    /// Membership under any scope: `∃s. element ∈_s self`.
+    /// Membership under any scope: `∃s. element ∈_s self`. One binary
+    /// search per scope run: O(log n) for one scope, O(n) at most (an
+    /// n-tuple).
     pub fn contains_element(&self, element: &Value) -> bool {
-        self.first_index_of(element).is_some()
+        self.scope_runs().any(|run| run_holds(run, element))
     }
 
     /// Classical membership: `element ∈_∅ self`.
@@ -236,30 +269,42 @@ impl ExtendedSet {
         self.contains(element, &Value::classical_scope())
     }
 
-    /// All scopes under which `element` is a member.
+    /// All scopes under which `element` is a member, ascending.
     pub fn scopes_of<'a>(&'a self, element: &'a Value) -> impl Iterator<Item = &'a Value> + 'a {
-        let start = self.first_index_of(element).unwrap_or(self.members().len());
-        self.members()[start..]
-            .iter()
-            .take_while(move |m| &m.element == element)
-            .map(|m| &m.scope)
+        self.scope_runs()
+            .filter(move |run| run_holds(run, element))
+            .map(|run| &run[0].scope)
     }
 
-    /// All elements that carry `scope`.
+    /// All elements that carry `scope`, ascending: one contiguous run,
+    /// found by binary search.
     pub fn elements_with_scope<'a>(
         &'a self,
         scope: &'a Value,
     ) -> impl Iterator<Item = &'a Value> + 'a {
-        self.members()
-            .iter()
-            .filter(move |m| &m.scope == scope)
-            .map(|m| &m.element)
+        let members = self.members();
+        let lo = members.partition_point(|m| m.scope < *scope);
+        let len = members[lo..].partition_point(|m| m.scope == *scope);
+        members[lo..lo + len].iter().map(|m| &m.element)
     }
 
-    fn first_index_of(&self, element: &Value) -> Option<usize> {
-        let members = self.members();
-        let idx = members.partition_point(|m| m.element.cmp(element) == Ordering::Less);
-        (idx < members.len() && &members[idx].element == element).then_some(idx)
+    /// The members' maximal runs of one scope, in canonical order. Each run
+    /// ends at a gallop from its start, O(log run) comparisons, so walking
+    /// every run costs O(log n) for one scope and O(n) at most.
+    pub(crate) fn scope_runs(&self) -> impl Iterator<Item = &[Member]> + '_ {
+        let mut rest = self.members();
+        std::iter::from_fn(move || {
+            let scope = &rest.first()?.scope;
+            let (run, tail) = rest.split_at(gallop(rest, 0, |m| m.scope == *scope));
+            rest = tail;
+            Some(run)
+        })
+    }
+
+    /// Where `element^scope` sits, or where it would be inserted.
+    fn position(&self, element: &Value, scope: &Value) -> Result<usize, usize> {
+        self.members()
+            .binary_search_by(|m| cmp_scopes(&m.scope, scope).then_with(|| m.element.cmp(element)))
     }
 
     /// Member-wise subset: every scoped member of `self` is a member of
@@ -280,21 +325,19 @@ impl ExtendedSet {
 
     /// Insert a member, returning a new set (copy-on-write).
     pub fn with_member(&self, member: Member) -> ExtendedSet {
-        if self.contains(&member.element, &member.scope) {
-            return self.clone();
+        match self.position(&member.element, &member.scope) {
+            Ok(_) => self.clone(),
+            Err(idx) => {
+                let mut v = self.members().to_vec();
+                v.insert(idx, member);
+                ExtendedSet::canonical(v)
+            }
         }
-        let mut v = self.members().to_vec();
-        let idx = v.partition_point(|m| m < &member);
-        v.insert(idx, member);
-        ExtendedSet::canonical(v)
     }
 
     /// Remove a member, returning a new set (copy-on-write).
     pub fn without_member(&self, element: &Value, scope: &Value) -> ExtendedSet {
-        match self
-            .members()
-            .binary_search_by(|m| m.element.cmp(element).then_with(|| m.scope.cmp(scope)))
-        {
+        match self.position(element, scope) {
             Ok(idx) => {
                 let mut v = self.members().to_vec();
                 v.remove(idx);
@@ -306,52 +349,26 @@ impl ExtendedSet {
 
     /// If `self` is an n-tuple `{x1^1, ..., xn^n}` (Definition 9.1), return
     /// `n`. The empty set is the 0-tuple. This is the paper's `tup`.
+    ///
+    /// Members sort scope first, so a tuple's members are in position
+    /// order: the `i`-th member must sit at position `i`, and one walk
+    /// decides it.
     pub fn tuple_len(&self) -> Option<usize> {
-        let n = self.members().len();
-        if n <= u64::BITS as usize {
-            // Positions fit in one word: no allocation on this hot path
-            // (the analyzer probes every member element during a scan).
-            let mut seen = 0u64;
-            for m in self.members().iter() {
-                match m.scope {
-                    Value::Int(i) if i >= 1 && (i as usize) <= n => {
-                        let bit = 1u64 << (i as u32 - 1);
-                        if seen & bit != 0 {
-                            return None; // two members at one position
-                        }
-                        seen |= bit;
-                    }
-                    _ => return None,
-                }
-            }
-            return Some(n);
-        }
-        let mut seen = vec![false; n];
-        for m in self.members().iter() {
-            match m.scope {
-                Value::Int(i) if i >= 1 && (i as usize) <= n => {
-                    let slot = i as usize - 1;
-                    if seen[slot] {
-                        return None; // two members at one position
-                    }
-                    seen[slot] = true;
-                }
-                _ => return None,
-            }
-        }
-        Some(n)
+        let members = self.members();
+        members
+            .iter()
+            .zip(1..)
+            .all(|(m, i)| matches!(m.scope, Value::Int(p) if p == i))
+            .then_some(members.len())
     }
 
     /// If `self` is an n-tuple, return its components in positional order.
     pub fn as_tuple(&self) -> Option<Vec<Value>> {
-        let n = self.tuple_len()?;
-        let mut out = vec![Value::Int(0); n];
-        for m in self.members().iter() {
-            if let Value::Int(i) = m.scope {
-                out[i as usize - 1] = m.element.clone();
-            }
-        }
-        Some(out)
+        self.members()
+            .iter()
+            .zip(1..)
+            .map(|(m, i)| matches!(m.scope, Value::Int(p) if p == i).then(|| m.element.clone()))
+            .collect()
     }
 
     /// Iterate over `(element, scope)` pairs in canonical order.
@@ -363,6 +380,12 @@ impl ExtendedSet {
     pub fn into_value(self) -> Value {
         Value::Set(self)
     }
+}
+
+/// Does a run of members at one scope hold `element`? The run is sorted by
+/// element.
+fn run_holds(run: &[Member], element: &Value) -> bool {
+    run.binary_search_by(|m| m.element.cmp(element)).is_ok()
 }
 
 /// `a ⊆ b` over two canonical member slices: one merge walk.
@@ -570,10 +593,36 @@ mod tests {
     }
 
     #[test]
+    fn an_element_recurring_under_other_scopes_counts_once() {
+        // Scope first, `a^1` and `a^3` are not adjacent: `b^2` sits
+        // between them.
+        let s = ExtendedSet::from_pairs([("a", 1), ("b", 2), ("a", 3)]);
+        assert_eq!(s.distinct_elements(), 2);
+        assert_eq!(s.distinct_scopes(), 3);
+        let scopes: Vec<_> = s.scopes_of(&sym("a")).cloned().collect();
+        assert_eq!(scopes, vec![Value::Int(1), Value::Int(3)]);
+        assert!(s.contains_element(&sym("b")));
+        assert_eq!(xset!["a", "b"].distinct_elements(), 2);
+        assert_eq!(ExtendedSet::empty().distinct_elements(), 0);
+    }
+
+    #[test]
+    fn members_order_scope_first() {
+        let s = ExtendedSet::pair("z", "a");
+        let members: Vec<_> = s.iter().collect();
+        assert_eq!(members[0], (&sym("z"), &Value::Int(1)));
+        assert!(Member::new("z", 1) < Member::new("a", 2));
+        assert!(Member::new("a", 1) < Member::new("b", 1));
+    }
+
+    #[test]
     fn elements_with_scope_filters() {
         let s = ExtendedSet::from_pairs([("a", 1), ("b", 1), ("c", 2)]);
         let els: Vec<_> = s.elements_with_scope(&Value::Int(1)).cloned().collect();
         assert_eq!(els, vec![sym("a"), sym("b")]);
+        assert_eq!(s.elements_with_scope(&Value::Int(2)).count(), 1);
+        assert_eq!(s.elements_with_scope(&Value::Int(0)).count(), 0);
+        assert_eq!(s.elements_with_scope(&Value::Int(3)).count(), 0);
     }
 
     #[test]
@@ -609,6 +658,13 @@ mod tests {
         // Non-integer scope -> not a tuple.
         let non_int = xset!["a" => "x"];
         assert_eq!(non_int.tuple_len(), None);
+        // A scope below every position (`Bool` sorts before `Int`), and a
+        // position past the end.
+        let low = xset!["a" => 1, "b" => true];
+        assert_eq!(low.tuple_len(), None);
+        assert_eq!(low.as_tuple(), None);
+        let past = xset!["a" => 1, "b" => 2, "c" => 4];
+        assert_eq!(past.as_tuple(), None);
     }
 
     #[test]

@@ -186,6 +186,9 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    // Inlined into its callers (a member comparison, the codec's ascent
+    // checks): scope first, most calls compare two small atoms or two `∅`s.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {

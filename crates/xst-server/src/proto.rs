@@ -30,10 +30,12 @@ use xst_storage::{FaultKind, FaultSchedule};
 /// wire-incompatible change.
 ///
 /// v3 ships every set in the binary value codec (v1 and v2 shipped
-/// display text). The `Hello` layout is unchanged, so an older peer's
-/// handshake still decodes and is refused with a typed
-/// [`ErrorCode::Version`] naming this version.
-pub const PROTO_VERSION: u32 = 3;
+/// display text); v4 orders a set's members scope first and ships a set
+/// in which that order and the element-first one disagree under the
+/// codec's tag 7, which a v3 peer cannot read. The `Hello` layout is
+/// unchanged, so an older peer's handshake still decodes and is refused
+/// with a typed [`ErrorCode::Version`] naming this version.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Maximum [`Expr`] nesting depth the decoder will follow.
 pub const MAX_EXPR_DEPTH: usize = MAX_DEPTH;

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::io::Cursor;
-use xst_core::ExtendedSet;
+use xst_core::{codec, ExtendedSet, Member, Value};
 use xst_obs::TraceContext;
 use xst_query::Expr;
 use xst_server::proto::{ProtoError, Request, Response, WireError};
@@ -486,8 +486,9 @@ proptest! {
 fn version_constant_is_stable() {
     // The handshake contract: bumping this silently would strand every
     // deployed client. Force the change to be visible in review.
-    // v3 = sets in the binary value codec; it is the only version seated.
-    assert_eq!(PROTO_VERSION, 3);
+    // v3 = sets in the binary value codec; v4 = members ordered scope
+    // first (codec tag 7). It is the only version seated.
+    assert_eq!(PROTO_VERSION, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -600,6 +601,165 @@ fn swapped_and_duplicated_members_are_not_canonical() {
             set: ExtendedSet::classical([1, 2]),
         })
     );
+}
+
+/// One member's codec bytes.
+fn member_bytes(m: &Member) -> Vec<u8> {
+    let mut out = codec::encode_to_vec(&m.element);
+    codec::encode_value(&m.scope, &mut out);
+    out
+}
+
+/// `members`' bytes written in the order given, under `tag`.
+fn set_bytes(tag: u8, members: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = vec![tag];
+    codec::put_u32(&mut out, members.len() as u32);
+    out.extend(members.concat());
+    out
+}
+
+/// A value as a writer that ordered members element first saw it: a set
+/// is its members sorted element first, and a set inside is compared the
+/// same way, at every depth. The derived order is the old one: `Value`
+/// put every atom before every set, and `Member` compared element, then
+/// scope.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Old {
+    Atom(Value),
+    Set(Vec<(Old, Old)>),
+}
+
+impl Old {
+    fn of(v: &Value) -> Old {
+        match v {
+            Value::Set(s) => {
+                let mut members: Vec<_> = s
+                    .members()
+                    .iter()
+                    .map(|m| (Old::of(&m.element), Old::of(&m.scope)))
+                    .collect();
+                members.sort();
+                Old::Set(members)
+            }
+            atom => Old::Atom(atom.clone()),
+        }
+    }
+
+    /// The bytes that writer left: tag 6 at every depth.
+    fn bytes(&self) -> Vec<u8> {
+        match self {
+            Old::Atom(atom) => codec::encode_to_vec(atom),
+            Old::Set(members) => set_bytes(
+                6,
+                &members
+                    .iter()
+                    .map(|(e, s)| [e.bytes(), s.bytes()].concat())
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+}
+
+/// The top-level members of `set` in the order that writer listed them.
+fn element_first(set: &ExtendedSet) -> Vec<Member> {
+    let mut members = set.members().to_vec();
+    members.sort_by_cached_key(|m| (Old::of(&m.element), Old::of(&m.scope)));
+    members
+}
+
+/// `v` as that writer encoded it.
+fn legacy_value(v: &Value) -> Vec<u8> {
+    Old::of(v).bytes()
+}
+
+/// Sets where the two orders part below the top level: pairs of atoms
+/// (element first, `⟨z, a⟩` lists `a^2` first), held classically or at
+/// positions.
+fn arb_set_of_pairs() -> BoxedStrategy<ExtendedSet> {
+    let pair = (arb_tricky_atom(), arb_tricky_atom())
+        .prop_map(|(k, v)| Value::Set(ExtendedSet::pair(k, v)));
+    let scope = prop_oneof![
+        Just(Value::classical_scope()),
+        (1i64..3).prop_map(Value::Int),
+    ];
+    prop::collection::vec((pair, scope), 0..6)
+        .prop_map(|ms| {
+            ExtendedSet::from_members(ms.into_iter().map(|(e, s)| Member::new(e, s)).collect())
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Bytes an element-first writer left behind — pages, WAL frames, an
+    /// older peer's `Put` — decode into the canonical (scope-first) set,
+    /// and re-encode as the canonical bytes.
+    #[test]
+    fn legacy_element_first_sets_decode_into_the_canonical_order(
+        set in prop_oneof![arb_tricky_set(3), arb_set_of_pairs()],
+    ) {
+        let payload = put_with_raw_set(&legacy_value(&Value::Set(set.clone())));
+        let put = Request::Put { table: "t".into(), set };
+        let decoded = Request::decode(&payload).unwrap();
+        prop_assert_eq!(&decoded, &put);
+        prop_assert_eq!(decoded.encode(), put.encode());
+    }
+
+    /// A set's top-level members with two adjacent ones swapped, or one
+    /// written twice, are rejected under the tag whose order they were
+    /// listed in; and where the two orders disagree, each listing is
+    /// rejected under the other tag.
+    #[test]
+    fn swapped_duplicated_or_mistagged_members_are_not_canonical(
+        set in prop_oneof![arb_tricky_set(3), arb_set_of_pairs()],
+        pick in any::<usize>(),
+    ) {
+        let by_scope = set.members().to_vec();
+        let by_element = element_first(&set);
+        for (tag, members) in [(7u8, &by_scope), (6u8, &by_element)] {
+            let bytes: Vec<Vec<u8>> = members.iter().map(member_bytes).collect();
+            prop_assert!(Request::decode(&put_with_raw_set(&set_bytes(tag, &bytes))).is_ok());
+            if bytes.len() < 2 {
+                continue;
+            }
+            let i = pick % (bytes.len() - 1);
+            let mut swapped = bytes.clone();
+            swapped.swap(i, i + 1);
+            prop_assert_eq!(
+                Request::decode(&put_with_raw_set(&set_bytes(tag, &swapped))),
+                Err(ProtoError::NotCanonical)
+            );
+            let mut doubled = bytes.clone();
+            doubled.insert(i, bytes[i].clone());
+            prop_assert_eq!(
+                Request::decode(&put_with_raw_set(&set_bytes(tag, &doubled))),
+                Err(ProtoError::NotCanonical)
+            );
+        }
+        if by_scope != by_element {
+            for (tag, members) in [(6u8, &by_scope), (7u8, &by_element)] {
+                let bytes: Vec<Vec<u8>> = members.iter().map(member_bytes).collect();
+                prop_assert_eq!(
+                    Request::decode(&put_with_raw_set(&set_bytes(tag, &bytes))),
+                    Err(ProtoError::NotCanonical)
+                );
+            }
+        }
+    }
+
+    /// Equal sets encode to equal bytes, however their members arrived.
+    #[test]
+    fn equal_sets_encode_to_equal_bytes(set in arb_tricky_set(3)) {
+        let mut reversed = set.members().to_vec();
+        reversed.reverse();
+        let rebuilt = ExtendedSet::from_members(reversed);
+        prop_assert_eq!(
+            codec::encode_to_vec(&Value::Set(rebuilt)),
+            codec::encode_to_vec(&Value::Set(set.clone()))
+        );
+        prop_assert!(set.members().windows(2).all(|w| w[0] < w[1]));
+    }
 }
 
 proptest! {

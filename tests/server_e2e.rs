@@ -582,7 +582,7 @@ fn version_mismatch_is_a_typed_handshake_failure() {
     let active = &xst_obs::names::handle::SERVER_ACTIVE_SESSIONS;
     let _seated = connect(&addr, "control");
     let baseline = active.get();
-    for version in [1, 2, 999] {
+    for version in [1, 2, 3, 999] {
         let mut raw = std::net::TcpStream::connect(&addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let hello = Request::Hello {
