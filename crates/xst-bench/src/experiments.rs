@@ -406,16 +406,18 @@ pub fn f_formal_artifacts() -> String {
 }
 
 /// The singleton-witness count E7 straddles: `xst_core::ops::restrict`'s
-/// private `WALK_MAX` — up to it a restriction merge-walks its witnesses,
-/// past it it hashes them — copied because the kernel exports no knob; the
-/// test below reads it back out of the kernel's source, so the two cannot
-/// drift.
+/// private `WALK_MAX` — up to it a restriction compares a candidate
+/// member its cursor leaves with each key, past it it hashes the keys —
+/// copied because the kernel exports no knob; the test below reads it
+/// back out of the kernel's source, so the two cannot drift.
 const E7_WALK_MAX: usize = 6;
 
 /// E7 — ablation: paper-literal quadratic witness matching
-/// (`sigma_restrict_naive`) vs the production witness structure, which
-/// walks a few singleton witnesses and hashes many. Every row is checked
-/// naive = production. Three kinds of row:
+/// (`sigma_restrict_naive`) vs the production witness structure. Under
+/// σ = ⟨1⟩ over pairs every candidate leads with its pinned member, so
+/// production is one merge of the relation against the sorted keys;
+/// under σ = ⟨2⟩ it probes position 2, comparing a few keys and hashing
+/// many. Every row is checked naive = production. The rows:
 ///
 /// * `sorted_{n}` — `n` pairs over keys `0..n`, the one-tuples
 ///   `⟨0⟩ … ⟨n/8⟩`: keys that arrive in sorted order;
@@ -423,8 +425,11 @@ const E7_WALK_MAX: usize = 6;
 ///   for `k` in `0..pairs`, `v` drawn from a quarter of that range, and
 ///   `pairs/8` witnesses `⟨k⟩` drawn at random;
 /// * `witnesses_*` — the same relation against 1, 4, 8, 16 and
-///   `E7_WALK_MAX` − 1, `E7_WALK_MAX`, `E7_WALK_MAX` + 1 random keys:
-///   the rows that place the switch from walk to hash.
+///   `E7_WALK_MAX` − 1, `E7_WALK_MAX`, `E7_WALK_MAX` + 1 random keys;
+/// * `pos2_inproc_shape` and `pos2_witnesses_*` — the same relation
+///   restricted on position 2 by as many witnesses `⟨v⟩`, `v` drawn
+///   from the values: the rows that place the switch from comparing to
+///   hashing (`e7_switch_cliff`).
 ///
 /// Every row runs production twice: over the relation as it was built
 /// in-process, and over the same relation after a codec round trip, whose
@@ -460,6 +465,7 @@ pub fn e7_witness_ablation(
     );
     let mut entries = Vec::new();
     let sigma1 = ExtendedSet::tuple([Value::Int(1)]);
+    let sigma2 = ExtendedSet::tuple([Value::Int(2)]);
     fn one_tuples(keys: impl IntoIterator<Item = i64>) -> ExtendedSet {
         ExtendedSet::classical(
             keys.into_iter()
@@ -467,27 +473,31 @@ pub fn e7_witness_ablation(
         )
     }
     // Best of 7 production calls, and whether the last one matched.
-    let production = |r: &ExtendedSet, a: &ExtendedSet, naive: &ExtendedSet| {
-        let mut agree = false;
-        let mut ms = f64::MAX;
-        for _ in 0..7 {
-            let (out, one) = time_ms(|| sigma_restrict(r, &sigma1, a));
-            ms = ms.min(one);
-            agree = out == *naive;
-        }
-        (ms, agree)
-    };
-    let mut row = |label: String, r: &ExtendedSet, a: &ExtendedSet| {
-        let (naive, naive_ms) = time_ms(|| sigma_restrict_naive(r, &sigma1, a));
+    let production =
+        |r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet, naive: &ExtendedSet| {
+            let mut agree = false;
+            let mut ms = f64::MAX;
+            for _ in 0..7 {
+                let (out, one) = time_ms(|| sigma_restrict(r, sigma, a));
+                ms = ms.min(one);
+                agree = out == *naive;
+            }
+            (ms, agree)
+        };
+    let mut row = |label: String, r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet| {
+        let (naive, naive_ms) = time_ms(|| sigma_restrict_naive(r, sigma, a));
         let decoded = match codec::decode_exact(&codec::encode_to_vec(&Value::Set(r.clone()))) {
             Ok(Value::Set(decoded)) if decoded == *r => decoded,
             other => panic!("E7: the codec round trip changed the relation: {other:?}"),
         };
-        let (ms, built_agree) = production(r, a, &naive);
-        let (decoded_ms, decoded_agree) = production(&decoded, a, &naive);
+        let (ms, built_agree) = production(r, sigma, a, &naive);
+        let (decoded_ms, decoded_agree) = production(&decoded, sigma, a, &naive);
         let agree = built_agree && decoded_agree;
-        // Each one-tuple witness is one singleton witness under ⟨1⟩.
-        let probe = if a.card() <= E7_WALK_MAX {
+        // Each one-tuple witness is one singleton witness; under ⟨1⟩ the
+        // cursor decides every pair, under ⟨2⟩ position 2 is probed.
+        let probe = if *sigma == sigma1 {
+            "merge"
+        } else if a.card() <= E7_WALK_MAX {
             "walk"
         } else {
             "hash"
@@ -530,7 +540,7 @@ pub fn e7_witness_ablation(
     for &n in sizes {
         let r = data::pair_relation(n, (n as i64).max(2));
         let a = one_tuples(0..(n / 8).max(1) as i64);
-        row(format!("sorted_{n}"), &r, &a);
+        row(format!("sorted_{n}"), &r, &sigma1, &a);
     }
 
     let mut rng = data::rng();
@@ -555,10 +565,15 @@ pub fn e7_witness_ablation(
         (build_ms * 1e6) as u64,
         &[("members", r.card().to_string())],
     );
-    let mut random_keys =
-        |count: usize| -> Vec<i64> { (0..count).map(|_| rng.gen_range(0..pairs as i64)).collect() };
-    let a = one_tuples(random_keys(pairs / 8));
-    row("inproc_shape".into(), &r, &a);
+    // `count` random values below `range`: keys are below `pairs`, values
+    // below `quarter`.
+    let mut draw = |count: usize, range: i64| -> Vec<i64> {
+        (0..count).map(|_| rng.gen_range(0..range)).collect()
+    };
+    let a = one_tuples(draw(pairs / 8, pairs as i64));
+    row("inproc_shape".into(), &r, &sigma1, &a);
+    let a = one_tuples(draw(pairs / 8, quarter));
+    row("pos2_inproc_shape".into(), &r, &sigma2, &a);
     // The switch's own rows first, so they keep their names when a fixed
     // count coincides with one.
     let mut counts = vec![
@@ -574,12 +589,18 @@ pub fn e7_witness_ablation(
     counts.dedup_by_key(|&mut (_, count)| count);
     for (label, count) in counts {
         // Distinct keys, so the witness count is exactly `count`.
-        let mut keys = std::collections::BTreeSet::new();
-        while keys.len() < count {
-            keys.extend(random_keys(count - keys.len()));
+        for (prefix, sigma, range) in [("", &sigma1, pairs as i64), ("pos2_", &sigma2, quarter)] {
+            let mut keys = std::collections::BTreeSet::new();
+            while keys.len() < count {
+                keys.extend(draw(count - keys.len(), range));
+            }
+            row(
+                format!("{prefix}witnesses_{label}"),
+                &r,
+                sigma,
+                &one_tuples(keys),
+            );
         }
-        let a = one_tuples(keys);
-        row(format!("witnesses_{label}"), &r, &a);
     }
 
     entries.push(build_entry);
@@ -592,8 +613,8 @@ pub fn e7_witness_ablation(
             .map_or(f64::NAN, |e| e.value)
     };
     let (walked, hashed) = (
-        ns("e7_witnesses_walk_max"),
-        ns("e7_witnesses_above_walk_max"),
+        ns("e7_pos2_witnesses_walk_max"),
+        ns("e7_pos2_witnesses_above_walk_max"),
     );
     entries.push(BenchEntry::ratio(
         "e7_switch_cliff",
@@ -602,16 +623,17 @@ pub fn e7_witness_ablation(
             "note",
             format!(
                 "worse-order ratio of ns per member between {E7_WALK_MAX} witnesses \
-                 (walked) and {} (hashed); no cliff means < 1.5",
+                 (compared) and {} (hashed) at position 2; no cliff means < 1.5",
                 E7_WALK_MAX + 1
             ),
         )],
     ));
     let table = t.finish(&format!(
-        "the naive form is Definition 7.6 evaluated verbatim; the production \
-         form is walk-or-hash: it merge-walks up to {E7_WALK_MAX} singleton \
-         witnesses and hashes more, one probe per candidate member at a pinned \
-         scope — same result set. built = the relation as built in-process, \
+        "the naive form is Definition 7.6 evaluated verbatim; production is \
+         the witness cursor — under ⟨1⟩ one merge of the relation against \
+         the sorted keys (probe = merge), under ⟨2⟩ a probe of position 2 \
+         that compares up to {E7_WALK_MAX} singleton witnesses and hashes \
+         more — same result set. built = the relation as built in-process, \
          decoded = the same relation after a codec round trip (canonical heap \
          layout); ns / member is of built. Building the inproc_shape relation \
          took {build_ms:.3} ms."

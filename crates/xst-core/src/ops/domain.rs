@@ -12,38 +12,34 @@
 //! projects, permutes, and duplicates positions — the paper's examples
 //! include `𝔇_⟨3,1⟩({{a^1,b^2,c^3}^{...}}) = {⟨c,a⟩^{...}}`.
 
-use crate::ops::rescope::rescope_value_by_scope;
-use crate::set::{ExtendedSet, SetBuilder};
+use crate::ops::rescope::ScopeMap;
+use crate::set::{ExtendedSet, Member, SetBuilder};
 use crate::value::Value;
 
 /// `𝔇_σ(R)` (Definition 7.4).
 pub fn sigma_domain(r: &ExtendedSet, sigma: &ExtendedSet) -> ExtendedSet {
+    let sigma = ScopeMap::new(sigma);
     let mut b = SetBuilder::new();
     for m in r.members() {
-        let x = rescope_value_by_scope(&m.element, sigma);
-        if x.is_empty() {
-            continue; // Def 7.4 requires z^{/σ/} ≠ ∅
+        if let Some(projected) = project(&sigma, m) {
+            b.member(projected);
         }
-        let s = rescope_value_by_scope(&m.scope, sigma);
-        b.scoped(Value::Set(x), Value::Set(s));
     }
     b.build()
 }
 
-/// Iterator form of [`sigma_domain`] that yields each projected member
-/// without materializing the result set; used by fused operators.
-pub fn sigma_domain_members<'a>(
-    r: &'a ExtendedSet,
-    sigma: &'a ExtendedSet,
-) -> impl Iterator<Item = (ExtendedSet, ExtendedSet)> + 'a {
-    r.members().iter().filter_map(move |m| {
-        let x = rescope_value_by_scope(&m.element, sigma);
-        if x.is_empty() {
-            None
-        } else {
-            Some((x, rescope_value_by_scope(&m.scope, sigma)))
-        }
-    })
+/// One member `z^w` of `R` as 𝔇_σ holds it, `z^{/σ/}` scoped by
+/// `w^{/σ/}`, or `None` when `z^{/σ/} = ∅`. The fused image projects
+/// through it too, so both read σ once per call.
+pub(crate) fn project(sigma: &ScopeMap, m: &Member) -> Option<Member> {
+    let x = sigma.apply_value(&m.element);
+    if x.is_empty() {
+        return None; // Def 7.4 requires z^{/σ/} ≠ ∅
+    }
+    Some(Member::new(
+        Value::Set(x),
+        Value::Set(sigma.apply_value(&m.scope)),
+    ))
 }
 
 #[cfg(test)]
@@ -183,23 +179,5 @@ mod tests {
         let sigma = xtuple![2];
         assert!(r.is_subset(&q));
         assert!(sigma_domain(&r, &sigma).is_subset(&sigma_domain(&q, &sigma)));
-    }
-
-    #[test]
-    fn iterator_form_agrees_with_materialized() {
-        let r = xset![
-            ExtendedSet::pair("a", "x").into_value(),
-            ExtendedSet::pair("b", "y").into_value(),
-            "atom"
-        ];
-        let sigma = xtuple![2, 1];
-        let via_iter = {
-            let mut b = SetBuilder::new();
-            for (x, s) in sigma_domain_members(&r, &sigma) {
-                b.scoped(Value::Set(x), Value::Set(s));
-            }
-            b.build()
-        };
-        assert_eq!(via_iter, sigma_domain(&r, &sigma));
     }
 }

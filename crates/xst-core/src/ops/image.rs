@@ -3,18 +3,19 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`image`] — the production operator, **fused**: each member of `R` is
-//!   tested against the restriction witnesses and, if it matches, projected
-//!   immediately; the intermediate restricted set is never materialized.
+//! * [`image`] — the production operator, **fused**: the members of `R` are
+//!   matched in canonical order by the restriction's witness cursor and
+//!   each match is projected immediately, through σ2 read once per call;
+//!   the intermediate restricted set is never materialized.
 //! * [`image_two_pass`] — the paper-literal pipeline (restriction, then
 //!   domain). Kept public because experiment **E4** measures the cost of the
 //!   intermediate materialization; both must agree on every input (tested
 //!   here and by property tests).
 
-use crate::ops::domain::sigma_domain;
-use crate::ops::rescope::rescope_value_by_scope;
+use crate::ops::domain::{project, sigma_domain};
+use crate::ops::rescope::ScopeMap;
 use crate::ops::restrict::{restriction_witnesses, sigma_restrict};
-use crate::set::{ExtendedSet, SetBuilder};
+use crate::set::ExtendedSet;
 use crate::value::Value;
 
 /// A process scope `σ = ⟨σ1, σ2⟩`: the restriction spec paired with the
@@ -64,19 +65,13 @@ pub fn image(r: &ExtendedSet, a: &ExtendedSet, scope: &Scope) -> ExtendedSet {
     if witnesses.is_empty() {
         return ExtendedSet::empty();
     }
-    let mut b = SetBuilder::new();
-    for m in r.members() {
-        if !witnesses.matches(m) {
-            continue;
-        }
-        let x = rescope_value_by_scope(&m.element, &scope.sigma2);
-        if x.is_empty() {
-            continue;
-        }
-        let s = rescope_value_by_scope(&m.scope, &scope.sigma2);
-        b.scoped(Value::Set(x), Value::Set(s));
-    }
-    b.build()
+    let sigma2 = ScopeMap::new(&scope.sigma2);
+    let mut cursor = witnesses.cursor();
+    r.members()
+        .iter()
+        .filter(|&m| cursor.matches(m))
+        .filter_map(|m| project(&sigma2, m))
+        .collect()
 }
 
 /// `𝔇_σ2(R |_σ1 A)` — the paper-literal two-pass pipeline.

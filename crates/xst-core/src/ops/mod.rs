@@ -31,7 +31,7 @@ pub use closure::{
     inflationary_fixpoint, pair_compose, pair_power, reflexive_transitive_closure,
     transitive_closure,
 };
-pub use domain::{sigma_domain, sigma_domain_members};
+pub use domain::sigma_domain;
 pub use image::{image, image_two_pass, Scope};
 pub use par::{
     par_image, par_intersection, par_relative_product, par_sigma_restrict, par_union, Parallelism,

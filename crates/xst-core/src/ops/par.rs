@@ -22,12 +22,12 @@
 //! against random sets.
 
 use crate::ops::boolean::{intersection, intersection_work, merge, union, union_all};
+use crate::ops::domain::project;
 use crate::ops::image::Scope;
 use crate::ops::product::{index_by_key, probe_member};
-use crate::ops::rescope::rescope_value_by_scope;
+use crate::ops::rescope::ScopeMap;
 use crate::ops::restrict::restriction_witnesses;
 use crate::set::{ExtendedSet, Member, SetBuilder};
-use crate::value::Value;
 use xst_obs::names::handle as m;
 
 /// Record one fan-out of `workers` chunks on the kernel's span +
@@ -165,9 +165,10 @@ pub fn par_sigma_restrict(
     let workers = par.workers_for(r.card());
     note_fanout(&mut span, workers);
     let kept = fan_out(chunk_slices(r.members(), workers), |chunk| {
+        let mut cursor = witnesses.cursor();
         chunk
             .iter()
-            .filter(|m| witnesses.matches(m))
+            .filter(|&m| cursor.matches(m))
             .cloned()
             .collect::<Vec<Member>>()
     });
@@ -195,20 +196,14 @@ pub fn par_image(
     }
     let workers = par.workers_for(r.card());
     note_fanout(&mut span, workers);
+    let sigma2 = ScopeMap::new(&scope.sigma2);
     let parts = fan_out(chunk_slices(r.members(), workers), |chunk| {
-        let mut b = SetBuilder::new();
-        for m in chunk {
-            if !witnesses.matches(m) {
-                continue;
-            }
-            let x = rescope_value_by_scope(&m.element, &scope.sigma2);
-            if x.is_empty() {
-                continue;
-            }
-            let s = rescope_value_by_scope(&m.scope, &scope.sigma2);
-            b.scoped(Value::Set(x), Value::Set(s));
-        }
-        b.build()
+        let mut cursor = witnesses.cursor();
+        chunk
+            .iter()
+            .filter(|&m| cursor.matches(m))
+            .filter_map(|m| project(&sigma2, m))
+            .collect::<ExtendedSet>()
     });
     union_all(parts.iter())
 }

@@ -18,36 +18,96 @@
 //! {a^1, b^2, c^3}`; and for 7.5: `{a^1, b^2, c^3}^{\{w^1, v^2, t^3}\} =
 //! {a^w, b^v, c^t}`.
 
-use crate::set::{ExtendedSet, SetBuilder};
+use crate::set::{cmp_scopes, ExtendedSet, Member, SetBuilder};
 use crate::value::Value;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Re-scope by scope, `A^{/σ/}` (Definition 7.3).
 pub fn rescope_by_scope(a: &ExtendedSet, sigma: &ExtendedSet) -> ExtendedSet {
-    // Fast path: σ maps every member scope of `a` to exactly itself (the
-    // identity specs used pervasively by selections and join keep-sides) —
-    // the result is `a`, shared, with no allocation or re-sort.
-    if sigma_is_identity_on(a, sigma) {
-        return a.clone();
-    }
-    let mut b = SetBuilder::new();
-    for m in a.members() {
-        // Find σ-members whose *element* equals this member's scope; their
-        // scopes are the new scopes. `scopes_of` is a binary search per
-        // scope run of σ.
-        for w in sigma.scopes_of(&m.scope) {
-            b.scoped(m.element.clone(), w.clone());
-        }
-    }
-    b.build()
+    ScopeMap::new(sigma).apply(a)
 }
 
-/// Does σ map every scope occurring in `a` to exactly itself (and nothing
-/// else)? `∅` trivially qualifies only when `a` is empty.
-fn sigma_is_identity_on(a: &ExtendedSet, sigma: &ExtendedSet) -> bool {
-    a.members().iter().all(|m| {
-        let mut targets = sigma.scopes_of(&m.scope);
-        targets.next() == Some(&m.scope) && targets.next().is_none()
-    })
+/// σ read once for re-scoping by scope: its members ordered by element —
+/// the old scope a member of `A` carries — then by scope, the new one.
+/// σ's canonical order lists its members by new scope, so the map borrows
+/// σ whenever the two orders agree (`⟨1⟩`, `⟨2⟩`, `⟨1, 2⟩`, every
+/// identity spec) and sorts a copy otherwise (`⟨3, 1⟩`). A caller that
+/// re-scopes many sets by one σ — σ-domain, image — builds it once.
+pub(crate) struct ScopeMap<'a> {
+    by_old: Cow<'a, [Member]>,
+}
+
+/// The map's order: element (old scope), then scope (new scope).
+fn by_old(a: &Member, b: &Member) -> Ordering {
+    a.element
+        .cmp(&b.element)
+        .then_with(|| cmp_scopes(&a.scope, &b.scope))
+}
+
+impl<'a> ScopeMap<'a> {
+    /// Read σ.
+    pub(crate) fn new(sigma: &'a ExtendedSet) -> ScopeMap<'a> {
+        let members = sigma.members();
+        let by_old = if members
+            .windows(2)
+            .all(|w| by_old(&w[0], &w[1]) == Ordering::Less)
+        {
+            Cow::Borrowed(members)
+        } else {
+            let mut sorted = members.to_vec();
+            sorted.sort_unstable_by(by_old);
+            Cow::Owned(sorted)
+        };
+        ScopeMap { by_old }
+    }
+
+    /// The σ-members whose element is `old`: their scopes, ascending, are
+    /// the new scopes of a member scoped `old`.
+    fn targets(&self, old: &Value) -> &[Member] {
+        let lo = self.by_old.partition_point(|t| t.element < *old);
+        let len = self.by_old[lo..].partition_point(|t| t.element == *old);
+        &self.by_old[lo..lo + len]
+    }
+
+    /// `a^{/σ/}`. When σ maps every member scope of `a` to exactly itself
+    /// (the identity specs selections and join keep-sides use), the
+    /// result is `a`, shared; otherwise one vector of exactly the output's
+    /// size, sorted only if it does not already ascend.
+    pub(crate) fn apply(&self, a: &ExtendedSet) -> ExtendedSet {
+        let mut len = 0;
+        let mut identity = true;
+        for m in a.members() {
+            let targets = self.targets(&m.scope);
+            len += targets.len();
+            identity &= targets.len() == 1 && targets[0].scope == m.scope;
+        }
+        if identity {
+            return a.clone();
+        }
+        let mut out = Vec::with_capacity(len);
+        for m in a.members() {
+            for t in self.targets(&m.scope) {
+                out.push(Member {
+                    element: m.element.clone(),
+                    scope: t.scope.clone(),
+                });
+            }
+        }
+        if out.windows(2).all(|w| w[0] < w[1]) {
+            ExtendedSet::from_sorted_unique(out)
+        } else {
+            ExtendedSet::from_members(out)
+        }
+    }
+
+    /// [`ScopeMap::apply`] lifted to a [`Value`]: an atom re-scopes to `∅`.
+    pub(crate) fn apply_value(&self, v: &Value) -> ExtendedSet {
+        match v {
+            Value::Set(s) => self.apply(s),
+            _ => ExtendedSet::empty(),
+        }
+    }
 }
 
 /// Re-scope by element, `A^{\σ\}` (Definition 7.5).
@@ -67,10 +127,7 @@ pub fn rescope_by_element(a: &ExtendedSet, sigma: &ExtendedSet) -> ExtendedSet {
 /// Re-scope by scope lifted to a [`Value`]: atoms re-scope to `∅`
 /// (see [`Value::as_set_view`]).
 pub fn rescope_value_by_scope(v: &Value, sigma: &ExtendedSet) -> ExtendedSet {
-    match v {
-        Value::Set(s) => rescope_by_scope(s, sigma),
-        _ => ExtendedSet::empty(),
-    }
+    ScopeMap::new(sigma).apply_value(v)
 }
 
 /// Re-scope by element lifted to a [`Value`]: atoms re-scope to `∅`.

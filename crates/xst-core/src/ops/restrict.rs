@@ -33,28 +33,29 @@
 //! output scopes and nothing else. Deciding the restriction is then a
 //! membership question per candidate member — is the element it holds at
 //! a pinned scope one some witness holds there? So [`WitnessSet`] keeps,
-//! for each scope its single-member witnesses carry, the set of elements
-//! they carry at it, and answers with one hash probe. A candidate member
-//! at any other scope is never looked up — for σ = ⟨1⟩ over pairs,
-//! position 2 of every candidate costs a comparison. A handful of
-//! witnesses is cheaper to merge-walk than to hash, so below a fixed count
-//! the witnesses stay one canonical set instead; which of the two a
-//! restriction uses is chosen once per call.
+//! for each scope its single-member witnesses carry, the elements they
+//! carry at it as one sorted key slice, read out of each witness in place.
 //!
 //! Members order scope first, so a candidate's members at a pinned scope
 //! are one contiguous run at a known place — for a pair `⟨k, v⟩ =
-//! {k^1, v^2}` position 1 always leads — and a relation of such pairs is
-//! clustered on its position-1 members. A range scan of the relation per
-//! witness could therefore replace the probe where the pinned scope is
-//! every candidate's least; it is not built yet. Such a range must keep
-//! every member at the pinned scope: a candidate may hold two there
-//! (`{k'^1, k^1}`), and one not the least of them can still match.
+//! {k^1, v^2}` position 1 always leads — and within one outer-scope run of
+//! `R` the candidates ascend by their leading member. A candidate whose
+//! leading member sits at a pinned scope, and is its only member there, is
+//! therefore decided by a [`Cursor`] that steps through that scope's keys
+//! as the candidates go: one merge of `R` against the keys per run, with
+//! no hash and no search. Every other candidate — a non-leading pin
+//! (σ = ⟨2⟩ over pairs), two members at the pinned scope (`{k'^1, k^1}`,
+//! where one not the least of them can still match), members below it
+//! (`{a^0, k^1}`), an atom — is probed member by member: a handful of
+//! witnesses are compared with each key, more are hashed, chosen once per
+//! call.
 
-use crate::ops::boolean::disjoint_members;
 use crate::ops::rescope::rescope_value_by_element;
-use crate::set::{members_subset, ExtendedSet, Member, SetBuilder};
+use crate::set::{cmp_scopes, members_subset, ExtendedSet, Member, SetBuilder};
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// `R |_σ A` (Definition 7.6).
 pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> ExtendedSet {
@@ -62,54 +63,81 @@ pub fn sigma_restrict(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSet) -> 
     if witnesses.is_empty() {
         return ExtendedSet::empty();
     }
+    let mut cursor = witnesses.cursor();
     let kept = r
         .members()
         .iter()
-        .filter(|m| witnesses.matches(m))
+        .filter(|&m| cursor.matches(m))
         .cloned()
         .collect();
     // Filtering a canonical list keeps it sorted and unique.
     ExtendedSet::from_sorted_unique(kept)
 }
 
-/// Up to this many singleton witnesses, a candidate is merge-walked
-/// against their canonical set; past it, each candidate member at a
-/// pinned scope costs one hash probe instead. The walk's cost grows with
-/// the witness count and the probe's does not: on EXPERIMENTS.md E7's
-/// 20 000-pair rows the walk is cheaper through 6 witnesses and dearer
-/// from 7 on. E7 straddles this line with its own copy,
-/// `xst-bench`'s `experiments::E7_WALK_MAX`, and `tests/differential.rs`
-/// with another; a test beside each reads it back out of this line.
+/// Up to this many singleton witnesses, a candidate member at a pinned
+/// scope the cursor does not decide is compared with each key there; past
+/// it, it costs one hash probe instead. The comparisons grow with the
+/// witness count and the probe does not: on EXPERIMENTS.md E7's σ = ⟨2⟩
+/// rows over 20 000 pairs the two cross near this count. E7 straddles
+/// this line with its own copy, `xst-bench`'s `experiments::E7_WALK_MAX`,
+/// and `tests/differential.rs` with another; a test beside each reads it
+/// back out of this line.
 const WALK_MAX: usize = 6;
 
 /// Pre-computed `(a^{\σ\}, s^{\σ\})` witness pairs for a restriction,
 /// partitioned for matching speed; reused by the fused image operator.
 ///
 /// The overwhelmingly common witness shape — a single re-scoped member with
-/// no scope constraint (every equality selection) — is probed in one of two
-/// ways, chosen once from how many there are: a few are walked as one
-/// merged canonical set, many are hashed by the scope they pin (see the
-/// module docs). Everything else falls back to the general subset test.
-///
-/// Witnesses are matched one candidate at a time, whatever order the
-/// candidates come in; the candidates' scope-first clustering is not read
-/// here.
+/// no scope constraint (every equality selection) — is kept as a sorted
+/// key slice per scope it pins. A [`Cursor`] reads the candidates'
+/// scope-first order against those slices (see the module docs); what it
+/// does not decide is probed, by comparison for a few witnesses and by
+/// hash for many. Everything else falls back to the general subset test.
 pub(crate) struct WitnessSet {
-    /// The single-member, unconstrained-scope witnesses.
-    singletons: Singletons,
+    /// One entry per scope the single-member witnesses pin — for σ = ⟨1⟩
+    /// one, scope 1, holding every key.
+    pinned: Vec<Pin>,
+    /// More than [`WALK_MAX`] single-member witnesses: a probe hashes
+    /// instead of comparing each key. Chosen once per call.
+    hash: bool,
     /// General witnesses: `(a^{\σ\}, s^{\σ\})` pairs.
     general: Vec<(ExtendedSet, ExtendedSet)>,
 }
 
-/// The single-member witnesses, in the one form their probe reads.
-enum Singletons {
-    /// At most [`WALK_MAX`] of them, as one canonical set: a candidate is
-    /// tested with a single merge walk.
-    Walk(ExtendedSet),
-    /// More: per pinned scope, the elements witnesses carry at it — for
-    /// σ = ⟨1⟩ one entry, scope 1, holding every key. Keyed by std's
-    /// `RandomState`, since witnesses can arrive over the wire.
-    Hash(Vec<(Value, HashSet<Value>)>),
+/// The elements single-member witnesses carry at one scope.
+struct Pin {
+    scope: Value,
+    /// Ascending and unique: what the cursor steps.
+    keys: Vec<Value>,
+    /// `keys` hashed, built the first time a probe needs them — a
+    /// restriction the cursor decides whole never builds them. Keyed by
+    /// std's `RandomState`, since witnesses can arrive over the wire.
+    hashed: OnceLock<HashSet<Value>>,
+}
+
+impl Pin {
+    /// Does some witness carry `element` at this scope?
+    #[inline]
+    fn holds(&self, element: &Value, hash: bool) -> bool {
+        if hash {
+            self.hashed
+                .get_or_init(|| self.keys.iter().cloned().collect())
+                .contains(element)
+        } else {
+            // Ascending: the first key not below `element` decides.
+            self.keys
+                .iter()
+                .map(|key| key.cmp(element))
+                .find(|order| order.is_ge())
+                == Some(Ordering::Equal)
+        }
+    }
+}
+
+/// Two scopes compared as a member order compares them: positions and
+/// `∅`s inline.
+fn same_scope(a: &Value, b: &Value) -> bool {
+    cmp_scopes(a, b) == Ordering::Equal
 }
 
 /// The members of `v` read as a set (an atom has none), borrowed.
@@ -123,37 +151,113 @@ fn members_of(v: &Value) -> &[Member] {
 impl WitnessSet {
     /// No witness can match anything.
     pub(crate) fn is_empty(&self) -> bool {
-        let no_singletons = match &self.singletons {
-            Singletons::Walk(set) => set.is_empty(),
-            Singletons::Hash(by_scope) => by_scope.is_empty(),
-        };
-        no_singletons && self.general.is_empty()
+        self.pinned.is_empty() && self.general.is_empty()
     }
 
-    /// Does one member of `R` satisfy the restriction condition for any
-    /// witness?
-    pub(crate) fn matches(&self, m: &Member) -> bool {
+    /// A cursor over this restriction's candidates, to be fed one
+    /// canonical slice of `R` in order: a whole set, or one chunk of it.
+    pub(crate) fn cursor<'r>(&self) -> Cursor<'_, 'r> {
+        Cursor {
+            witnesses: self,
+            run: None,
+            pin: 0,
+            at: 0,
+        }
+    }
+
+    /// Does some member of `z` sit at a pinned scope and hold a key there?
+    #[inline]
+    fn probe(&self, z: &[Member]) -> bool {
+        z.iter().any(|zm| {
+            self.pinned
+                .iter()
+                .any(|pin| same_scope(&pin.scope, &zm.scope) && pin.holds(&zm.element, self.hash))
+        })
+    }
+
+    /// Does a general witness hold inside the candidate `z^w`?
+    fn general_matches(&self, z: &[Member], w: &Value) -> bool {
+        !self.general.is_empty() && {
+            let w = members_of(w);
+            self.general.iter().any(|(a_r, s_r)| {
+                members_subset(a_r.members(), z) && members_subset(s_r.members(), w)
+            })
+        }
+    }
+}
+
+/// Matches the members of `R` against a [`WitnessSet`] in canonical
+/// order. Within one outer-scope run of `R` the candidates ascend by their
+/// leading member, so the cursor's place in a pinned scope's keys only
+/// moves forward; it starts over when the run, or the leading scope,
+/// changes.
+pub(crate) struct Cursor<'w, 'r> {
+    witnesses: &'w WitnessSet,
+    /// The outer scope of the run of `R` the cursor is in.
+    run: Option<&'r Value>,
+    /// The pin (an index into `pinned`) the cursor steps through, and its
+    /// place among that pin's keys.
+    pin: usize,
+    at: usize,
+}
+
+impl<'r> Cursor<'_, 'r> {
+    /// Does the next member of `R` satisfy the restriction condition for
+    /// any witness? Members must come in canonical order.
+    pub(crate) fn matches(&mut self, m: &'r Member) -> bool {
+        let witnesses = self.witnesses;
         let z = members_of(&m.element);
-        let hit = match &self.singletons {
-            Singletons::Walk(set) => !disjoint_members(z, set.members()),
-            // A member at a pinned scope costs one probe; at any other
-            // scope, a comparison per pinned scope.
-            Singletons::Hash(by_scope) => z.iter().any(|zm| {
-                by_scope
+        let hit = match z.split_first() {
+            None => false,
+            Some((lead, rest)) => {
+                match witnesses
+                    .pinned
                     .iter()
-                    .any(|(scope, elements)| *scope == zm.scope && elements.contains(&zm.element))
-            }),
+                    .position(|pin| same_scope(&pin.scope, &lead.scope))
+                {
+                    // Not pinned: the lead is one comparison per pin.
+                    None => witnesses.probe(rest),
+                    // The only member at its scope: the keys there decide
+                    // it, and with one pinned scope no other member of `z`
+                    // is pinned.
+                    Some(pin)
+                        if rest
+                            .first()
+                            .is_none_or(|next| !same_scope(&next.scope, &lead.scope)) =>
+                    {
+                        self.step(pin, &m.scope, &lead.element)
+                            || (witnesses.pinned.len() > 1 && witnesses.probe(rest))
+                    }
+                    // Two or more members at the pinned scope.
+                    Some(pin) => {
+                        witnesses.pinned[pin].holds(&lead.element, witnesses.hash)
+                            || witnesses.probe(rest)
+                    }
+                }
+            }
         };
-        if hit {
-            return true;
+        hit || witnesses.general_matches(z, &m.scope)
+    }
+
+    /// Is `key` among `pin`'s keys? Asked in ascending order within the
+    /// run of `R` scoped `outer`, so the cursor steps forward from where
+    /// the last question left it.
+    fn step(&mut self, pin: usize, outer: &'r Value, key: &Value) -> bool {
+        let same_run = self.run.is_some_and(|run| same_scope(run, outer));
+        if pin != self.pin || !same_run {
+            self.pin = pin;
+            self.run = Some(outer);
+            self.at = 0;
         }
-        if self.general.is_empty() {
-            return false;
+        let keys = &self.witnesses.pinned[pin].keys;
+        while let Some(next) = keys.get(self.at) {
+            match next.cmp(key) {
+                Ordering::Less => self.at += 1,
+                Ordering::Equal => return true,
+                Ordering::Greater => return false,
+            }
         }
-        let w = members_of(&m.scope);
-        self.general
-            .iter()
-            .any(|(a_r, s_r)| members_subset(a_r.members(), z) && members_subset(s_r.members(), w))
+        false
     }
 }
 
@@ -191,44 +295,88 @@ pub fn sigma_restrict_naive(r: &ExtendedSet, sigma: &ExtendedSet, a: &ExtendedSe
     b.build()
 }
 
-/// Build the witness structure for `R |_σ A`.
-pub(crate) fn restriction_witnesses(sigma: &ExtendedSet, a: &ExtendedSet) -> WitnessSet {
-    let mut singleton_members = Vec::new();
-    let mut general = Vec::new();
-    for am in a.members() {
-        let a_r = rescope_value_by_element(&am.element, sigma);
-        if a_r.is_empty() {
-            // Memberless witness: can never non-vacuously pin a member of R
-            // (see module docs).
-            continue;
-        }
-        let s_r = rescope_value_by_element(&am.scope, sigma);
-        if a_r.is_singleton() && s_r.is_empty() {
-            singleton_members.extend(a_r.members().iter().cloned());
-        } else {
-            general.push((a_r, s_r));
+/// A member `element^scope` of `A` read as a witness under σ, without
+/// building its re-scoped sets.
+enum Witness<'a> {
+    /// `element^{\σ\} = ∅`: it can never non-vacuously pin a member of
+    /// `R` (see module docs).
+    Memberless,
+    /// `element^{\σ\}` is the one member `key^scope` and `scope^{\σ\} = ∅`.
+    Single { key: &'a Value, scope: &'a Value },
+    /// Anything else: matched by the general subset test.
+    General,
+}
+
+fn read_witness<'a>(element: &'a Value, scope: &Value, sigma: &'a ExtendedSet) -> Witness<'a> {
+    // `x^w` for each `x ∈_s element` and `w ∈_s σ`: Definition 7.5 read
+    // member by member, stopping at a second distinct one.
+    let mut found: Option<(&Value, &Value)> = None;
+    for x in members_of(element) {
+        for w in sigma.elements_with_scope(&x.scope) {
+            match found {
+                None => found = Some((&x.element, w)),
+                Some(first) if first == (&x.element, w) => {}
+                Some(_) => return Witness::General,
+            }
         }
     }
-    // Counted as the witnesses come, before equal ones merge.
-    let count = singleton_members.len();
-    let singletons = if count <= WALK_MAX {
-        Singletons::Walk(ExtendedSet::from_members(singleton_members))
-    } else {
-        let mut by_scope: Vec<(Value, HashSet<Value>)> = Vec::new();
-        for Member { element, scope } in singleton_members {
-            let at = match by_scope.iter().position(|(s, _)| *s == scope) {
-                Some(at) => at,
-                None => {
-                    by_scope.push((scope, HashSet::with_capacity(count)));
-                    by_scope.len() - 1
-                }
-            };
-            by_scope[at].1.insert(element);
-        }
-        Singletons::Hash(by_scope)
+    let Some((key, scope_at)) = found else {
+        return Witness::Memberless;
     };
+    let constrained = members_of(scope)
+        .iter()
+        .any(|s| sigma.elements_with_scope(&s.scope).next().is_some());
+    if constrained {
+        Witness::General
+    } else {
+        Witness::Single {
+            key,
+            scope: scope_at,
+        }
+    }
+}
+
+/// Build the witness structure for `R |_σ A`.
+pub(crate) fn restriction_witnesses(sigma: &ExtendedSet, a: &ExtendedSet) -> WitnessSet {
+    let mut pinned: Vec<Pin> = Vec::new();
+    let mut general = Vec::new();
+    // Counted as the witnesses come, before equal ones merge.
+    let mut singletons = 0;
+    for am in a.members() {
+        match read_witness(&am.element, &am.scope, sigma) {
+            Witness::Memberless => {}
+            Witness::Single { key, scope } => {
+                singletons += 1;
+                let at = match pinned.iter().position(|pin| pin.scope == *scope) {
+                    Some(at) => at,
+                    None => {
+                        pinned.push(Pin {
+                            scope: scope.clone(),
+                            keys: Vec::with_capacity(a.card()),
+                            hashed: OnceLock::new(),
+                        });
+                        pinned.len() - 1
+                    }
+                };
+                pinned[at].keys.push(key.clone());
+            }
+            Witness::General => general.push((
+                rescope_value_by_element(&am.element, sigma),
+                rescope_value_by_element(&am.scope, sigma),
+            )),
+        }
+    }
+    for pin in &mut pinned {
+        // Witnesses in `A`'s order pin their keys in order already when
+        // they share an outer scope, as one-tuples `⟨k⟩` do.
+        if !pin.keys.is_sorted() {
+            pin.keys.sort_unstable();
+        }
+        pin.keys.dedup();
+    }
     WitnessSet {
-        singletons,
+        pinned,
+        hash: singletons > WALK_MAX,
         general,
     }
 }
@@ -358,6 +506,91 @@ mod tests {
         let a = xset![xtuple!["a", "x"].into_value()];
         let got = sigma_restrict(&f, &xtuple![1, 2], &a);
         assert_eq!(got, xset![xtuple!["a", "x", "p"].into_value()]);
+    }
+
+    /// `R |_⟨1⟩ A` is `want`, and so is Definition 7.6 taken literally —
+    /// with `A` as given, and with keys no candidate holds added past
+    /// [`WALK_MAX`], so that what the cursor leaves is hashed.
+    fn assert_restricts(r: &ExtendedSet, a: &ExtendedSet, want: &ExtendedSet) {
+        let sigma = xtuple![1];
+        let filler = (0..=WALK_MAX as i64).map(|j| xtuple![1000 + j].into_value());
+        let padded = union(a, &ExtendedSet::classical(filler));
+        for a in [a, &padded] {
+            assert_eq!(&sigma_restrict(r, &sigma, a), want, "A = {a:?}");
+            assert_eq!(&sigma_restrict_naive(r, &sigma, a), want, "A = {a:?}");
+        }
+    }
+
+    /// A candidate with two members at the pinned scope leads with the
+    /// smaller; the witness `⟨5⟩` matches it through the second.
+    #[test]
+    fn cursor_keeps_a_candidate_through_its_second_member_at_the_pinned_scope() {
+        let two_at_one = xset![3 => 1, 5 => 1].into_value();
+        let r = xset![
+            ExtendedSet::pair(3, "x").into_value(),
+            two_at_one.clone(),
+            ExtendedSet::pair(4, "y").into_value(),
+            ExtendedSet::pair(5, "z").into_value(),
+            ExtendedSet::pair(6, "w").into_value()
+        ];
+        let a = xset![xtuple![5].into_value()];
+        let want = xset![two_at_one, ExtendedSet::pair(5, "z").into_value()];
+        assert_restricts(&r, &a, &want);
+    }
+
+    /// The same pairs under two outer scopes: the cursor passed `⟨3⟩` in
+    /// the first run and must start over in the second.
+    #[test]
+    fn cursor_starts_over_at_each_outer_scope() {
+        let r = xset![
+            ExtendedSet::pair(3, "x").into_value() => "p",
+            ExtendedSet::pair(5, "z").into_value() => "p",
+            ExtendedSet::pair(3, "x").into_value() => "q",
+            ExtendedSet::pair(5, "z").into_value() => "q"
+        ];
+        let a = xset![xtuple![3].into_value(), xtuple![5].into_value()];
+        assert_restricts(&r, &a, &r);
+    }
+
+    /// A member below the pinned scope leads `{a^0, 5^1}`: the candidate
+    /// is probed, not stepped.
+    #[test]
+    fn cursor_leaves_a_candidate_led_below_the_pinned_scope() {
+        let below = xset!["a" => 0, 5 => 1].into_value();
+        let r = xset![
+            below.clone(),
+            ExtendedSet::pair(4, "y").into_value(),
+            ExtendedSet::pair(5, "z").into_value()
+        ];
+        let a = xset![xtuple![5].into_value()];
+        let want = xset![below, ExtendedSet::pair(5, "z").into_value()];
+        assert_restricts(&r, &a, &want);
+    }
+
+    /// An atom and `∅` have no leading member and match nothing.
+    #[test]
+    fn cursor_passes_over_atoms_and_the_empty_set() {
+        let r = xset![
+            "atom",
+            Value::empty_set(),
+            ExtendedSet::pair(5, "z").into_value()
+        ];
+        let a = xset![xtuple![5].into_value()];
+        assert_restricts(&r, &a, &xset![ExtendedSet::pair(5, "z").into_value()]);
+    }
+
+    /// Set-valued keys, the witnesses' built apart from the candidates':
+    /// the cursor compares them by order, not by pointer.
+    #[test]
+    fn cursor_matches_nested_keys_built_apart() {
+        let key = |i: i64| ExtendedSet::pair("k", i).into_value();
+        let r = ExtendedSet::classical((0..6).map(|i| ExtendedSet::pair(key(i), i).into_value()));
+        let a = xset![xtuple![key(1)].into_value(), xtuple![key(4)].into_value()];
+        let want = xset![
+            ExtendedSet::pair(key(1), 1).into_value(),
+            ExtendedSet::pair(key(4), 4).into_value()
+        ];
+        assert_restricts(&r, &a, &want);
     }
 
     use crate::value::Value;

@@ -1,7 +1,8 @@
 //! Allocation counts on the paths `∅` sits on: creating, cloning and
 //! dropping the empty set — the scope of every classical member — must not
 //! touch the heap, and decoding a table's row tuples pays for the rows'
-//! member vectors only.
+//! member vectors only; a restriction pays the same whatever its witness
+//! count.
 //!
 //! A counting global allocator forwards to [`System`] and counts each
 //! allocation in a thread-local, so tests running in parallel on other
@@ -13,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use xst_core::codec::{decode_exact, encode_to_vec};
+use xst_core::ops::sigma_restrict;
 use xst_core::{ExtendedSet, Member, SetBuilder, Value};
 
 struct Counting;
@@ -106,4 +108,34 @@ fn decoding_row_tuples_allocates_for_the_tuples_only() {
         2 * ROWS + 4
     );
     assert_eq!(decoded.as_set().map(ExtendedSet::card), Some(ROWS));
+}
+
+/// `{⟨k⟩}` for `count` keys no pair of [`sixteen_pairs`] holds.
+fn absent_one_tuples(count: i64) -> ExtendedSet {
+    ExtendedSet::classical(
+        (0..count).map(|k| Value::Set(ExtendedSet::tuple([Value::Int(1_000 + k)]))),
+    )
+}
+
+/// `{⟨k, k⟩}` for `k` in `0..16`.
+fn sixteen_pairs() -> ExtendedSet {
+    ExtendedSet::classical((0..16).map(|k| Value::Set(ExtendedSet::pair(k, k))))
+}
+
+#[test]
+fn restriction_allocates_the_same_for_any_witness_count() {
+    let r = sixteen_pairs();
+    let sigma = ExtendedSet::tuple([1i64]);
+    let few = absent_one_tuples(16);
+    let many = absent_one_tuples(2_500);
+    let (out, n_few) = allocations(|| sigma_restrict(&r, &sigma, &few));
+    assert!(out.is_empty());
+    let (out, n_many) = allocations(|| sigma_restrict(&r, &sigma, &many));
+    assert!(out.is_empty());
+    // A one-tuple witness is read in place into its scope's key slice,
+    // which is sized once; the cursor matches without hashing.
+    assert_eq!(
+        n_few, n_many,
+        "16 witnesses made {n_few} allocations, 2 500 made {n_many}"
+    );
 }
